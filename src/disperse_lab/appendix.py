@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.integrate import trapezoid
 
 from . import special
 from .decay import DecayFit, _envelope_fit
@@ -330,6 +331,6 @@ def truncated_lplq(delta: float, n: int, p: float, q: float,
         if field is not None:
             field[key] = A
     lq = np.array([
-        (np.trapezoid(A[i] ** q * xs ** (n - 1), xs)) ** (1.0 / q)
+        (trapezoid(A[i] ** q * xs ** (n - 1), xs)) ** (1.0 / q)
         for i in range(len(ts))])
-    return float(np.trapezoid(lq ** p, ts) ** (1.0 / p))
+    return float(trapezoid(lq ** p, ts) ** (1.0 / p))

@@ -9,17 +9,17 @@ with data measured in L^r for every r > 2.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.integrate import trapezoid
 
 from . import special
 from .decay import DecayFit, _envelope_fit
-from .propagator import ComplexAmplitude, EvalPoint, _prefactor
-from .quadrature import gl_nodes, osc_integral, rotated_tail
+from .propagator import ComplexAmplitude, _prefactor
+from .quadrature import composite_gl, osc_integral_rows, rotated_tail
 
 INF = math.inf
 
@@ -60,10 +60,11 @@ class SelfSimilarFrame:
         return 2.0 * self.t * self.k * np.asarray(z, dtype=float)
 
 
-def _bessel_split_integral(n: int, sigma: float, c: float, quad: float,
+def _bessel_split_integral(n: int, sigma: float, c, quad: float,
                            r_lo: float, tol: float = 1e-9, K: int = 8
-                           ) -> Tuple[complex, float]:
-    """int_{r_lo}^infty r^{n/2-sigma} J_{(n-2)/2}(c r) e^{i quad r^2} dr.
+                           ) -> Tuple[np.ndarray, np.ndarray]:
+    """int_{r_lo}^infty r^{n/2-sigma} J_{(n-2)/2}(c r) e^{i quad r^2} dr for
+    every entry of the array c; returns (values, error_estimates) per entry.
 
     Head by phase-resolved panels; beyond r0 (where c*r >= 10) the Bessel
     factor is replaced by its oscillatory splitting and each piece is pushed
@@ -74,37 +75,40 @@ def _bessel_split_integral(n: int, sigma: float, c: float, quad: float,
         raise ValueError("quadratic phase must be nonzero")
     nu = special.order_from_dim(n)
     coeffs = special.alpha_coeffs(n, K)
+    c = np.array(c, dtype=float, ndmin=1)
     aq = abs(quad)
     conj = quad < 0.0
 
     # start the rotated tails beyond the splitting region (c*r >= 10) and the
     # stationary point r = c/(2|quad|) of the defocusing-phase piece
-    r0 = max(r_lo, 10.0 / c, c / (2.0 * aq) + 1.0)
+    r0 = np.maximum(np.maximum(r_lo, 10.0 / c), c / (2.0 * aq) + 1.0)
 
-    def head_f(r):
-        return (r ** (n / 2.0 - sigma) * special.bessel_j(nu, c * r)
+    def head_f(r, row):
+        return (r ** (n / 2.0 - sigma) * special.bessel_j(nu, c[row] * r)
                 * np.exp(1j * quad * r * r))
 
     span = aq * (r0 * r0 - r_lo * r_lo) + c * (r0 - r_lo) + 2.0
-    head, e_head = osc_integral(head_f, r_lo, r0, span, tol)
+    head, e_head = osc_integral_rows(head_f, r_lo, r0, span, tol)
 
     cn = c ** (-n / 2.0)
 
     # z^{n/2} J_nu(z) = A_n + e^{iz} B_n + e^{-iz} conj(B_n), so the tail
     # pieces carry the bare envelope r^{-sigma} times c^{-n/2} B_n(c r)
-    def h2(r):
-        return cn * r ** (-sigma) * special.splitting_B_series(coeffs, c * r)
+    def h2(r, row):
+        return cn[row] * r ** (-sigma) * special.splitting_B_series(coeffs, c[row] * r)
 
-    def h3(r):
-        return cn * r ** (-sigma) * special.splitting_B_series_conj(coeffs, c * r)
+    def h3(r, row):
+        return cn[row] * r ** (-sigma) * special.splitting_B_series_conj(coeffs, c[row] * r)
 
     if not conj:
         t2, e2 = rotated_tail(h2, r0, c, c2=aq, tol=tol)
         t3, e3 = rotated_tail(h3, r0, -c, c2=aq, tol=tol)
     else:
         # int h e^{-i(aq r^2 -+ c r)} = conj(int conj(h) e^{i(aq r^2 +- c r)})
-        u2, e2 = rotated_tail(lambda r: np.conj(h3(np.conj(r))), r0, -c, c2=aq, tol=tol)
-        u3, e3 = rotated_tail(lambda r: np.conj(h2(np.conj(r))), r0, c, c2=aq, tol=tol)
+        u2, e2 = rotated_tail(lambda r, row: np.conj(h3(np.conj(r), row)), r0, -c,
+                              c2=aq, tol=tol)
+        u3, e3 = rotated_tail(lambda r, row: np.conj(h2(np.conj(r), row)), r0, c,
+                              c2=aq, tol=tol)
         t2, t3 = np.conj(u2), np.conj(u3)
 
     zmin = c * r0
@@ -113,17 +117,26 @@ def _bessel_split_integral(n: int, sigma: float, c: float, quad: float,
     return head + t2 + t3, e_head + e2 + e3 + trunc
 
 
-def chirp_solution(datum: ChirpDatum, t: float, x_abs: float,
-                   tol: float = 1e-9) -> ComplexAmplitude:
-    """psi(x, t) for the chirped datum, valid for 0 < t < 1 and t > 1."""
+def _chirp_values(datum: ChirpDatum, t: float, x_abs,
+                  tol: float = 1e-9) -> Tuple[np.ndarray, np.ndarray]:
+    """psi(x, t) and its error estimate at every |x| in the array x_abs."""
     if t <= 0 or t == 1.0:
         raise ValueError("need t > 0, t != 1 (the phase degenerates at t = 1)")
     n = datum.n
+    x_abs = np.asarray(x_abs, dtype=float)
+    if np.any(x_abs <= 0):
+        raise ValueError("need x_abs > 0")
     quad = 1.0 / (4.0 * t) - 0.25          # = k_t^2 for t < 1, negative for t > 1
-    c = x_abs / (2.0 * t)
-    val, err = _bessel_split_integral(n, datum.sigma, c, quad, 1.0, tol=tol)
-    pref = _prefactor(EvalPoint(n, x_abs, t)) / (2.0 * math.sqrt(t))
-    return ComplexAmplitude(pref * val, abs(pref) * err)
+    val, err = _bessel_split_integral(n, datum.sigma, x_abs / (2.0 * t), quad, 1.0, tol=tol)
+    pref = _prefactor(n, x_abs, t) / (2.0 * math.sqrt(t))
+    return pref * val, np.abs(pref) * err
+
+
+def chirp_solution(datum: ChirpDatum, t: float, x_abs: float,
+                   tol: float = 1e-9) -> ComplexAmplitude:
+    """psi(x, t) for the chirped datum, valid for 0 < t < 1 and t > 1."""
+    val, err = _chirp_values(datum, t, [x_abs], tol)
+    return ComplexAmplitude(complex(val[0]), float(err[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -143,14 +156,11 @@ def limit_profile(datum: ChirpDatum, z_grid: Sequence[float],
     """V(z) = (2z)^{(2-n)/2} |int_0^infty J_{(n-2)/2}(sz) s^{n/2-sigma} e^{is^2} ds|."""
     n = datum.n
     z_grid = np.asarray(z_grid, dtype=float)
-    vals = np.empty_like(z_grid)
-    errs = np.empty_like(z_grid)
-    for i, z in enumerate(z_grid):
-        if z <= 0:
-            raise ValueError("z grid must be positive")
-        val, err = _bessel_split_integral(n, datum.sigma, z, 1.0, 0.0, tol=tol)
-        vals[i] = (2.0 * z) ** ((2 - n) / 2.0) * abs(val)
-        errs[i] = (2.0 * z) ** ((2 - n) / 2.0) * err
+    if np.any(z_grid <= 0):
+        raise ValueError("z grid must be positive")
+    val, err = _bessel_split_integral(n, datum.sigma, z_grid, 1.0, 0.0, tol=tol)
+    vals = (2.0 * z_grid) ** ((2 - n) / 2.0) * np.abs(val)
+    errs = (2.0 * z_grid) ** ((2 - n) / 2.0) * err
     if np.max(vals) <= 0.0:
         # one retry on a wider grid before reporting failure
         wide = np.geomspace(z_grid[0] / 10.0, z_grid[-1] * 10.0, 4 * z_grid.size)
@@ -164,11 +174,8 @@ def limit_profile(datum: ChirpDatum, z_grid: Sequence[float],
 def rescaled_modulus(datum: ChirpDatum, t: float, z_grid) -> np.ndarray:
     """2 |psi(2 t k_t z, t)| k_t^{n-sigma}; collapses onto V(z) as t -> 1-."""
     frame = SelfSimilarFrame(t)
-    xs = frame.x_of_z(z_grid)
-    out = np.empty(len(xs))
-    for i, x in enumerate(xs):
-        out[i] = 2.0 * abs(chirp_solution(datum, t, x).value) * frame.k ** (datum.n - datum.sigma)
-    return out
+    val, _ = _chirp_values(datum, t, frame.x_of_z(z_grid))
+    return 2.0 * np.abs(val) * frame.k ** (datum.n - datum.sigma)
 
 
 def select_annulus(profile: LimitProfile, frac: float = 0.5) -> Tuple[float, float]:
@@ -201,17 +208,13 @@ def annulus_lq(datum: ChirpDatum, t: float, q: float, r1: float, r2: float,
     """(int over R1 k_t <= ... annulus |psi|^q dx)^{1/q}, radial part only
     (the constant angular measure drops out of growth-exponent fits)."""
     frame = SelfSimilarFrame(t)
-    x, w = gl_nodes(nodes)
-    edges = np.linspace(r1, r2, npanels + 1)
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
-        for xi, wi in zip(x, w):
-            z = mid + half * xi
-            xx = float(frame.x_of_z(z))
-            a = abs(chirp_solution(datum, t, xx).value)
-            total += half * wi * a ** q * xx ** (datum.n - 1) * 2.0 * t * frame.k
-    return total ** (1.0 / q)
+
+    def density(z):
+        xx = frame.x_of_z(z)
+        a = np.abs(_chirp_values(datum, t, xx)[0])
+        return a ** q * xx ** (datum.n - 1) * 2.0 * t * frame.k
+
+    return float(composite_gl(density, r1, r2, npanels, nodes).real) ** (1.0 / q)
 
 
 def lq_annulus_growth(datum: ChirpDatum, q: float,
@@ -255,10 +258,10 @@ def lr_membership(datum: ChirpDatum, r: float) -> Tuple[bool, float]:
     if not (r > 0):
         raise ValueError("need r > 0")
     p = datum.n - 1 - datum.sigma * r
-    body = float(np.trapezoid(np.linspace(1.0, 8.0, 2001) ** p,
-                              np.linspace(1.0, 8.0, 2001)))
     if p >= -1.0:
         return False, INF
+    rs = np.linspace(1.0, 8.0, 2001)
+    body = float(trapezoid(rs ** p, rs))
     tail = -(8.0 ** (p + 1)) / (p + 1)
     return True, body + tail
 

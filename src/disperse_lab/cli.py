@@ -8,10 +8,8 @@ import csv
 import io
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from typing import Iterable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -66,24 +64,6 @@ def _write(text: str, out: Optional[str]) -> None:
             fh.write(text)
 
 
-def n_threads() -> int:
-    env = os.environ.get("DISPERSE_LAB_THREADS", "")
-    try:
-        k = int(env)
-        return max(1, k)
-    except ValueError:
-        return 1
-
-
-def parallel_map(fn, items: Iterable) -> List:
-    items = list(items)
-    k = n_threads()
-    if k <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=k) as ex:
-        return list(ex.map(fn, items))
-
-
 def _parse_grid(text: str) -> np.ndarray:
     """'a:b:num' geometric grid, or comma-separated values."""
     if ":" in text:
@@ -134,7 +114,7 @@ def cmd_propagate(args) -> int:
         return (args.n, t, x, amp.value.real, amp.value.imag,
                 abs(amp.value), amp.err_est)
 
-    rows = parallel_map(one, pts)
+    rows = [one(tx) for tx in pts]
     rows.sort(key=lambda r: (r[1], r[2]))
     emit_csv(rows, ["n", "t", "x_abs", "re", "im", "abs", "err_est"], args.out)
     return 0
@@ -166,7 +146,7 @@ def cmd_norm(args) -> int:
             val = _norm_value(spec.build(args.n), args.n, args.which)
             return (float(alpha), "DIV" if math.isinf(val) else val)
 
-        rows = parallel_map(one, grid)
+        rows = [one(alpha) for alpha in grid]
         emit_csv(rows, ["param", "value"], args.out)
     else:
         val = _norm_value(profiles.from_spec(args.family), args.n, args.which)
@@ -216,7 +196,7 @@ def cmd_blowup(args) -> int:
         resc = blowup.rescaled_modulus(datum, float(t), zs)
         return [float(t), k, lq] + [float(v) for v in resc]
 
-    rows = parallel_map(one, ts)
+    rows = [one(t) for t in ts]
     header = ["t", "k_t", "annulus_lq"] + [f"profile_z{z:.3f}" for z in zs]
     emit_csv(rows, header, args.out)
     return 0
@@ -446,7 +426,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.fn(args)
     except SystemExit:
         raise
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

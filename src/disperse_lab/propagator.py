@@ -15,7 +15,6 @@ radial stepper serves as cross-validation oracle.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -60,9 +59,10 @@ def _frame(pt: EvalPoint):
     return gamma, beta, c
 
 
-def _prefactor(pt: EvalPoint) -> complex:
-    return (pt.x_abs ** ((2 - pt.n) / 2.0) / math.sqrt(pt.t)
-            * cmath.exp(1j * (pt.x_abs ** 2 / (4.0 * pt.t) - pt.n * math.pi / 4.0)))
+def _prefactor(n: int, x_abs, t: float):
+    """|x|^{(2-n)/2} t^{-1/2} e^{i(|x|^2/4t - n pi/4)}; x_abs may be an array."""
+    return (x_abs ** ((2 - n) / 2.0) / math.sqrt(t)
+            * np.exp(1j * (x_abs ** 2 / (4.0 * t) - n * math.pi / 4.0)))
 
 
 def evolve_radial(profile: RadialProfile, pt: EvalPoint, tol: float = 1e-9,
@@ -71,6 +71,7 @@ def evolve_radial(profile: RadialProfile, pt: EvalPoint, tol: float = 1e-9,
     n = pt.n
     nu = special.order_from_dim(n)
     gamma, beta, c = _frame(pt)
+    pref = _prefactor(n, pt.x_abs, pt.t)
 
     def g(rho):
         r = gamma * rho
@@ -81,7 +82,7 @@ def evolve_radial(profile: RadialProfile, pt: EvalPoint, tol: float = 1e-9,
         span = rho_max ** 2 + (abs(profile.omega) * gamma + beta) * rho_max
         val, err = osc_integral(lambda rho: g(rho) * np.exp(1j * rho * rho),
                                 0.0, rho_max, span, tol)
-        return ComplexAmplitude(_prefactor(pt) * val, abs(_prefactor(pt)) * err)
+        return ComplexAmplitude(pref * val, abs(pref) * err)
 
     if profile.tail_alpha is None or profile.tail_fn is None:
         raise DivergentTailError(
@@ -104,14 +105,14 @@ def evolve_radial(profile: RadialProfile, pt: EvalPoint, tol: float = 1e-9,
 
     cn = c ** (-n / 2.0)
 
-    def h2(rho):
+    def h2(rho, row):
         return cn * profile.tail_fn(gamma * rho) * special.splitting_B_series(coeffs, beta * rho)
 
-    def h3(rho):
+    def h3(rho, row):
         return cn * profile.tail_fn(gamma * rho) * special.splitting_B_series_conj(coeffs, beta * rho)
 
-    t2, e2 = rotated_tail(h2, rho0, a2, tol=tol)
-    t3, e3 = rotated_tail(h3, rho0, a3, tol=tol)
+    (t2,), (e2,) = rotated_tail(h2, rho0, a2, tol=tol)
+    (t3,), (e3,) = rotated_tail(h3, rho0, a3, tol=tol)
 
     # truncation of the asymptotic Bessel series, integrated over the tail
     zmin = beta * rho0
@@ -120,8 +121,8 @@ def evolve_radial(profile: RadialProfile, pt: EvalPoint, tol: float = 1e-9,
              * trunc_coef * zmin ** ((n - 1) / 2.0 - K - 1))
 
     val = head + t2 + t3
-    total_err = abs(_prefactor(pt)) * (err + e2 + e3 + trunc)
-    return ComplexAmplitude(_prefactor(pt) * val, total_err)
+    total_err = abs(pref) * (err + e2 + e3 + trunc)
+    return ComplexAmplitude(pref * val, total_err)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
 """Bessel functions, the smooth/oscillatory splitting A_n/B_n and iterated
 Fresnel tail integrals.
 
-Everything here is self-contained (no scipy.special): Bessel values come from
-the power series at small argument, closed forms at half-integer order and the
-Hankel-type asymptotic series at large argument.  The iterated Fresnel
-integrals are evaluated by contour rotation for nonnegative argument and by a
-high-accuracy ODE continuation on the negative axis.
+Bessel values come from scipy.special: the spherical Bessel function at
+half-integer order and the AMOS routine (jv) at every other order and at
+complex argument.  The iterated Fresnel integrals are evaluated by contour
+rotation for nonnegative argument and by a high-accuracy ODE continuation on
+the negative axis.
 """
 
 from __future__ import annotations
@@ -17,12 +17,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import jv, spherical_jn
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-# switch point between power series and asymptotic series for J_nu
-_SERIES_CUT = 15.0
-
 
 # ---------------------------------------------------------------------------
 # cutoff function chi
@@ -61,26 +58,6 @@ def cutoff_chi(z):
 # Bessel J_nu
 # ---------------------------------------------------------------------------
 
-def _bessel_series(nu: float, z: np.ndarray) -> np.ndarray:
-    """Power series in extended precision; accurate for z <= ~18."""
-    zl = z.astype(np.longdouble)
-    half = zl / 2.0
-    x = half * half
-    # leading coefficient (z/2)^nu / Gamma(nu+1)
-    term = np.zeros_like(zl)
-    pos = zl > 0
-    term[pos] = np.exp(nu * np.log(half[pos]) - math.lgamma(nu + 1.0))
-    if nu == 0.0:
-        term[~pos] = 1.0
-    acc = term.copy()
-    for m in range(1, 120):
-        term = -term * x / (np.longdouble(m) * np.longdouble(m + nu))
-        acc += term
-        if np.max(np.abs(term)) < 1e-22 * max(np.max(np.abs(acc)), 1e-30):
-            break
-    return acc.astype(float)
-
-
 @lru_cache(maxsize=None)
 def hankel_symbol(two_nu_sq4: int, k: int) -> Fraction:
     """(nu, k) = prod_{i=1}^{k} (4 nu^2 - (2i-1)^2) / (4^k k!) exactly.
@@ -101,118 +78,29 @@ def _hankel_symbol_float(nu: float, k: int) -> float:
     return out
 
 
-def _bessel_asymptotic(nu: float, z: np.ndarray) -> np.ndarray:
-    """Hankel expansion with optimal truncation; accurate for z >= ~18."""
-    zl = z.astype(np.longdouble)
-    inv = 1.0 / (2.0 * zl)
-    # sum_k (nu,k) i^k (2z)^{-k}, truncated where terms stop decreasing
-    re = np.ones_like(zl)
-    im = np.zeros_like(zl)
-    coef = np.longdouble(1.0)
-    power = np.ones_like(zl)
-    last = np.full_like(zl, np.inf)
-    four_nu2 = np.longdouble(4.0 * nu * nu)
-    for k in range(1, 40):
-        coef = coef * (four_nu2 - np.longdouble((2 * k - 1) ** 2)) / np.longdouble(4 * k)
-        power = power * inv
-        term = coef * power
-        mag = np.abs(term)
-        grow = mag > last
-        if np.all(grow) or np.max(mag) < 1e-22:
-            break
-        term = np.where(grow, 0.0, term)
-        last = np.where(grow, last, mag)
-        r = k % 4
-        if r == 0:
-            re += term
-        elif r == 1:
-            im += term
-        elif r == 2:
-            re -= term
-        else:
-            im -= term
-    chi = zl - nu * (math.pi / 2.0) - (math.pi / 4.0)
-    amp = np.sqrt(np.longdouble(2.0 / math.pi) / zl)
-    out = amp * (np.cos(chi) * re - np.sin(chi) * im)
-    return out.astype(float)
-
-
-def _bessel_half_integer(nu: float, z: np.ndarray) -> np.ndarray:
-    """Closed forms for nu = 1/2, 3/2, ... via upward recurrence."""
-    out = np.zeros_like(z)
-    pos = z > 0
-    zp = z[pos]
-    amp = np.sqrt(2.0 / (math.pi * zp))
-    jm = amp * np.cos(zp)   # J_{-1/2}
-    jc = amp * np.sin(zp)   # J_{+1/2}
-    order = 0.5
-    while order < nu - 0.25:
-        jm, jc = jc, (2.0 * order / zp) * jc - jm
-        order += 1.0
-    out[pos] = jc
-    return out
-
-
 def bessel_j(nu: float, z):
-    """Bessel function of the first kind J_nu(z) for z >= 0, nu >= -1/2."""
+    """Bessel function of the first kind J_nu(z) for z >= 0, nu >= -1/2.
+
+    Half-integer orders nu >= 1/2 (odd dimension) go through the spherical
+    Bessel function, sqrt(2z/pi) j_{nu-1/2}(z); every other order through
+    the AMOS routine behind scipy.special.jv.
+    """
     if nu < -0.5:
         raise ValueError(f"order {nu} < -1/2 not supported")
     z = np.asarray(z, dtype=float)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
     if np.any(z < 0):
         raise ValueError("bessel_j requires z >= 0")
-    out = np.empty_like(z)
-    half_int = abs(2.0 * nu - round(2.0 * nu)) < 1e-12 and round(2.0 * nu) % 2 == 1
-    small = z <= _SERIES_CUT
-    # half-integer closed forms suffer cancellation only for tiny z
-    if half_int and nu > 0:
-        tiny = z < 0.3
-        mid = small & ~tiny
-        if np.any(tiny):
-            out[tiny] = _bessel_series(nu, z[tiny])
-        if np.any(mid):
-            out[mid] = _bessel_half_integer(nu, z[mid])
-        if np.any(~small):
-            out[~small] = _bessel_half_integer(nu, z[~small])
+    ell = nu - 0.5
+    if ell >= 0 and ell == int(ell):
+        out = np.sqrt(2.0 * z / math.pi) * spherical_jn(int(ell), z)
     else:
-        if np.any(small):
-            out[small] = _bessel_series(nu, z[small])
-        if np.any(~small):
-            out[~small] = _bessel_asymptotic(nu, z[~small])
-    return float(out[0]) if scalar else out
+        out = jv(nu, z)
+    return float(out) if out.ndim == 0 else out
 
 
 def bessel_j_c(nu: float, z):
-    """J_nu(z) for complex z (principal branch, Re z > 0): power series for
-    |z| <= 15, else the truncated large-argument expansion."""
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    out = np.empty_like(z)
-    small = np.abs(z) <= _SERIES_CUT
-    if np.any(small):
-        zs = z[small]
-        q = 0.25 * zs * zs
-        term = (0.5 * zs) ** nu / math.gamma(nu + 1.0)
-        acc = term.copy()
-        for m in range(1, 120):
-            term = -term * q / (m * (m + nu))
-            acc += term
-            if np.all(np.abs(term) <= 1e-17 * np.maximum(np.abs(acc), 1e-300)):
-                break
-        out[small] = acc
-    if np.any(~small):
-        zl = z[~small]
-        K = 10
-        kk = np.arange(K + 1)
-        alpha = np.array([_hankel_symbol_float(nu, int(k)) * (0.5j) ** k
-                          for k in kk]) / SQRT_2PI
-        pref = np.exp(-1j * (2.0 * nu + 1.0) * math.pi / 4.0)
-        b = pref * np.sum(alpha[None, :] * zl[:, None] ** (-kk[None, :] - 0.5),
-                          axis=1)
-        bc = np.conj(pref) * np.sum(
-            np.conj(alpha)[None, :] * zl[:, None] ** (-kk[None, :] - 0.5),
-            axis=1)
-        out[~small] = np.exp(1j * zl) * b + np.exp(-1j * zl) * bc
+    """J_nu(z) for complex z (principal branch, Re z > 0)."""
+    out = jv(nu, np.atleast_1d(np.asarray(z, dtype=complex)))
     return out if out.shape != (1,) else complex(out[0])
 
 

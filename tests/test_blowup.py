@@ -92,6 +92,26 @@ class TestLqGrowth:
         fit = lq_annulus_growth(datum, q)
         assert abs(fit.fitted_exponent) <= 0.05
 
+    @pytest.mark.parametrize("n,sigma", [(2, 1.05), (3, 1.95)])
+    def test_batched_evaluation_matches_one_point_calls(self, n, sigma):
+        datum, t, q = ChirpDatum(n, sigma), 1.0 - 3e-3, 3.0
+        r1, r2, npanels, nodes = 0.5, 2.5, 8, 16
+        frame = SelfSimilarFrame(t)
+        x, w = np.polynomial.legendre.leggauss(nodes)
+        edges = np.linspace(r1, r2, npanels + 1)
+        half = 0.5 * (edges[1:] - edges[:-1])
+        z = (0.5 * (edges[1:] + edges[:-1])[:, None] + half[:, None] * x).ravel()
+        xs = frame.x_of_z(z)
+        batched, _ = blowup._chirp_values(datum, t, xs)
+        singles = [chirp_solution(datum, t, float(xx)) for xx in xs]
+        for b, s in zip(batched, singles):
+            assert abs(b - s.value) <= s.err_est
+        dens = (np.abs([s.value for s in singles]) ** q * xs ** (n - 1)
+                * 2.0 * t * frame.k)
+        want = float(np.sum(np.repeat(half, nodes) * np.tile(w, npanels) * dens)) ** (1.0 / q)
+        got = annulus_lq(datum, t, q, r1, r2, npanels, nodes)
+        assert got == pytest.approx(want, rel=1e-10)
+
     def test_norm_positive_on_annulus(self):
         datum = ChirpDatum(3, 2.0)
         val = annulus_lq(datum, 0.9, 4.0, 0.3, 2.0)
@@ -106,6 +126,18 @@ class TestLrMembership:
             for r in (1.2, 1.6, 2.0, 3.0, 6.0):
                 member, _ = lr_membership(datum, r)
                 assert member == (sigma > n / r)
+
+    def test_divergent_case_skips_quadrature(self, monkeypatch):
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("quadrature computed for a divergent integral")
+        monkeypatch.setattr(blowup, "trapezoid", no_quadrature)
+        assert lr_membership(ChirpDatum(3, 2.0), 1.2) == (False, math.inf)
+
+    def test_runs_without_numpy_trapezoid(self, monkeypatch):
+        # numpy >= 1.24 is the declared floor; np.trapezoid needs numpy 2.0
+        monkeypatch.delattr(np, "trapezoid", raising=False)
+        member, val = lr_membership(ChirpDatum(3, 2.0), 2.0)
+        assert member and val == pytest.approx(1.0, rel=1e-3)
 
 
 class TestGate:

@@ -1,25 +1,20 @@
-"""Command-line surface: formats, exit codes, determinism, parallelism."""
+"""Command-line surface: formats, exit codes, determinism."""
 
 import csv
 import json
-import os
 import subprocess
 import sys
 
 import pytest
 
-from disperse_lab import cli
+from disperse_lab import blowup, cli
 
 
-def run_cli(args, tmp_path, name="out", env_threads=None):
+def run_cli(args, tmp_path, name="out"):
     out = tmp_path / name
-    env = dict(os.environ)
-    env.pop("DISPERSE_LAB_THREADS", None)
-    if env_threads is not None:
-        env["DISPERSE_LAB_THREADS"] = str(env_threads)
     proc = subprocess.run(
         [sys.executable, "-m", "disperse_lab.cli", *args, "--out", str(out)],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True)
     return proc, out
 
 
@@ -72,6 +67,17 @@ class TestExitCodes:
                           tmp_path)
         assert proc.returncode == 2
 
+    def test_runtime_error_is_two_without_traceback(self, tmp_path, monkeypatch,
+                                                     capsys):
+        def no_annulus(profile, frac=0.5):
+            raise RuntimeError("no annulus with V above the threshold")
+        monkeypatch.setattr(blowup, "select_annulus", no_annulus)
+        code = cli.main(["blowup", "--n", "3", "--sigma", "2", "--q", "4",
+                         "--tgrid", "0.9", "--out", str(tmp_path / "b.csv")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: no annulus with V above the threshold\n"
+
     def test_verify_fast_passes(self):
         proc = subprocess.run(
             [sys.executable, "-m", "disperse_lab.cli", "verify",
@@ -88,13 +94,6 @@ class TestDeterminism:
                 "--t", "0.5:2:3", "--x", "0.5:8:5"]
         _, out1 = run_cli(args, tmp_path, "a.csv")
         _, out2 = run_cli(args, tmp_path, "b.csv")
-        assert out1.read_bytes() == out2.read_bytes()
-
-    def test_thread_count_does_not_change_output(self, tmp_path):
-        args = ["propagate", "--n", "3", "--profile", "bump:a=1,b=2",
-                "--t", "0.5:2:3", "--x", "0.5:8:4"]
-        _, out1 = run_cli(args, tmp_path, "t1.csv", env_threads=1)
-        _, out2 = run_cli(args, tmp_path, "t4.csv", env_threads=4)
         assert out1.read_bytes() == out2.read_bytes()
 
 
