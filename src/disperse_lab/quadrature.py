@@ -51,7 +51,8 @@ def _composite_rows(f, a, b, npanels, rows, nodes: int = 32):
 
 
 def composite_gl(f, a: float, b: float, npanels: int, nodes: int = 32):
-    """Composite Gauss-Legendre; f must accept an ndarray."""
+    """Composite Gauss-Legendre sum, as a complex number; f must accept an
+    ndarray."""
     return _composite_rows(lambda x, row: f(x), np.array([a], dtype=float),
                            np.array([b], dtype=float), np.array([npanels]),
                            np.zeros(1, dtype=int), nodes)[0]
@@ -70,7 +71,8 @@ def osc_integral_rows(f, a, b, phase_span, tol: float = 1e-9,
 
     Returns (values, error_estimates), one entry per row.
     """
-    a, b, span = (np.array(v, dtype=float, ndmin=1) for v in np.broadcast_arrays(a, b, phase_span))
+    a, b, span = (np.array(v, dtype=float, ndmin=1)
+                  for v in np.broadcast_arrays(a, b, phase_span))
     values = np.zeros(a.size, dtype=complex)
     errs = np.zeros(a.size)
     rows = np.flatnonzero(b > a)
