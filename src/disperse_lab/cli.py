@@ -123,20 +123,22 @@ def cmd_propagate(args) -> int:
 def _norm_value(profile, n: int, which: str) -> float:
     if which.upper() == "X":
         return sum(norms.norm_X(profile, n))
-    if which[0] in "Yy":
+    if which[:1] in ("Y", "y") and which[1:].isdigit():
         return norms.norm_Ym(profile, n, int(which[1:]))
-    raise SystemExit(2)
+    raise ValueError(f"unknown norm {which!r}: expected X or Y0..Yn")
 
 
 def cmd_norm(args) -> int:
     if args.scan:
         key, _, rng = args.scan.partition("=")
-        if key.strip() != "alpha" or not rng:
-            raise SystemExit(2)
+        if key.strip() != "alpha" or rng.count(":") != 2:
+            raise ValueError(f"--scan expects alpha=a:b:step, got {args.scan!r}")
         a, b, step = (float(v) for v in rng.split(":"))
+        if not step > 0:
+            raise ValueError(f"--scan step must be positive, got {step:g}")
         grid = np.arange(a, b + 1e-12, step)
         if grid.size == 0:
-            raise SystemExit(2)
+            raise ValueError(f"--scan range {rng!r} is empty: need a <= b")
         fam, _, rest = args.family.partition(":")
         kv = dict(item.partition("=")[::2] for item in rest.split(",") if item)
         omega = float(kv.get("omega", 0.0))

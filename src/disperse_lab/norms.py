@@ -5,6 +5,10 @@ panels z = 2^k, k = -20..40.  Each integral or supremand is accumulated per
 octave; the octave statistics drive a finite/divergent verdict: a term whose
 per-octave contribution keeps growing (or stops decaying) along the grid is
 certified divergent, otherwise the geometric tail is extrapolated.
+
+All panels of one integrand are refined together (`_panel_integrals`); the
+plain integrals (first X2 term, Y_m terms) also stop a panel at the rounding
+floor of their total, the supremands, which weight small z up, do not.
 """
 
 from __future__ import annotations
@@ -16,12 +20,14 @@ from typing import Optional
 import numpy as np
 
 from .profiles import RadialProfile, power, bump, herglotz, herglotz_pair
-from .quadrature import gl_nodes
+from .quadrature import _composite_rows
 
 K_MIN, K_MAX = -20, 40
 _SLOPE_DIV_INT = -0.02     # log2 increment slope above this -> divergent
 _SLOPE_DIV_SUP = 0.02      # log2 probe-value slope above this -> divergent
 _FIT_WINDOW = 12
+# increments this far below an integrand's total are rounding noise
+_NOISE = 1e-13
 
 
 class DivergentNormError(ValueError):
@@ -34,6 +40,7 @@ class NormReport:
     x2: float
     ym: list
     sup_probe_log: list = field(default_factory=list)
+    unconverged_panels: int = 0     # norm_X panels left at the subpanel cap
 
     @property
     def x(self) -> float:
@@ -100,37 +107,31 @@ def _aggregate_octaves(increments, per_octave: int):
     return np.concatenate([[inc[0]], octaves])
 
 
-def _panel_rule(f, lo, hi, sub, nodes=24):
-    x, w = gl_nodes(nodes)
-    edges = np.linspace(lo, hi, sub + 1)
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    pts = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    wts = (half[:, None] * w[None, :]).ravel()
-    return np.sum(wts * f(pts))
+def _panel_integrals(f, edges, floor: bool = False):
+    """(integrals, unconverged) of f over the panels between edges.
 
-
-def _panel_integral(f, lo: float, hi: float, nodes: int = 24, sub: int = 4) -> float:
-    # |.|-type integrands have kinks at sign changes; subdivide until stable
-    prev = _panel_rule(f, lo, hi, sub, nodes).real
-    while sub <= 128:
+    Each panel is a row of a 24-node composite rule whose subpanels double
+    from 4 to 256 (|.|-type integrands have kinks) until two successive rules
+    agree to 1e-10 of the newer, or, with floor, to _NOISE of the summed
+    coarse |values|.  unconverged masks the rows that reached 256 without.
+    """
+    a = np.asarray(edges[:-1], dtype=float)
+    b = np.asarray(edges[1:], dtype=float)
+    g = lambda x, row: f(x)
+    sub = 4
+    rows = np.arange(a.size)
+    vals = _composite_rows(g, a, b, np.full(a.size, sub), rows, nodes=24)
+    noise = _NOISE * float(np.sum(np.abs(vals))) if floor else 0.0
+    while rows.size and sub < 256:
         sub *= 2
-        cur = _panel_rule(f, lo, hi, sub, nodes).real
-        if abs(cur - prev) <= 1e-10 * max(abs(cur), 1e-300):
-            return float(cur)
-        prev = cur
-    return float(prev)
-
-
-def _panel_integral_c(f, lo: float, hi: float, nodes: int = 24, sub: int = 4) -> complex:
-    prev = _panel_rule(f, lo, hi, sub, nodes)
-    while sub <= 128:
-        sub *= 2
-        cur = _panel_rule(f, lo, hi, sub, nodes)
-        if abs(cur - prev) <= 1e-10 * max(abs(cur), 1e-300):
-            return complex(cur)
-        prev = cur
-    return complex(prev)
+        cur = _composite_rows(g, a, b, np.full(a.size, sub), rows, nodes=24)
+        agree = np.abs(cur - vals[rows]) <= np.maximum(
+            1e-10 * np.maximum(np.abs(cur), 1e-300), noise)
+        vals[rows] = cur
+        rows = rows[~agree]
+    unconverged = np.zeros(a.size, dtype=bool)
+    unconverged[rows] = True
+    return vals, unconverged
 
 
 def _fit_slope(vals) -> float:
@@ -151,7 +152,7 @@ def _beyond_grid_tail(increments, support_cut: Optional[int] = None):
     inc = np.asarray(increments, dtype=float)
     tailwin = inc[-_FIT_WINDOW:]
     # increments at the rounding-noise floor carry no divergence signal
-    floor = 1e-13 * max(abs(float(inc.sum())), float(np.max(np.abs(inc))), 1e-300)
+    floor = _NOISE * max(abs(float(inc.sum())), float(np.max(np.abs(inc))), 1e-300)
     if np.max(np.abs(tailwin)) <= max(floor, 1e-300) or (support_cut is not None):
         return True, 0.0
     slope = _fit_slope(tailwin)
@@ -173,7 +174,7 @@ def _certify_sup(probes, octave_probes=None):
     """(finite?, sup value); divergence judged on per-octave probe growth."""
     v = np.asarray(probes, dtype=float)
     o = v if octave_probes is None else np.asarray(octave_probes, dtype=float)
-    if np.max(o[-_FIT_WINDOW:]) <= 1e-13 * max(float(o.max()), 1e-300):
+    if np.max(o[-_FIT_WINDOW:]) <= _NOISE * max(float(o.max()), 1e-300):
         return True, float(v.max())
     slope = _fit_slope(o[-_FIT_WINDOW:])
     if slope > _SLOPE_DIV_SUP:
@@ -181,7 +182,9 @@ def _certify_sup(probes, octave_probes=None):
     return True, float(v.max())
 
 
-def _require_tail(profile: RadialProfile):
+def _check_args(profile: RadialProfile, n: int):
+    if int(n) != n or n < 2:
+        raise ValueError("dimension must be an integer >= 2")
     if profile.support is None and profile.tail_alpha is None:
         raise DivergentNormError(
             f"profile {profile.label}: unbounded support without tail descriptor")
@@ -198,29 +201,25 @@ def norm_X(profile: RadialProfile, n: int, report: Optional[NormReport] = None,
     x1 = sup_z z^{(1-n)/2} int_0^z (|f| r^{n-2} + |f'| r^{n-1}) dr
     x2 = int_0^inf |d/dr(f r^{(n-1)/2})| dr + sup_z z int_z^inf |f| r^{(n-5)/2} dr
     """
-    _require_tail(profile)
+    _check_args(profile, n)
     P = per_octave
     f0 = lambda r: np.abs(profile.deriv(0, r))
     f1 = lambda r: np.abs(profile.deriv(1, r))
     edges = _octave_edges(P)
-    inc1 = []          # panel increments of the X1 inner integral
-    incd = []          # |(f r^{(n-1)/2})'| increments
-    inct = []          # |f| r^{(n-5)/2} increments, for the X2 sup tail
 
     def dmod(r):
         return np.abs(profile.deriv(1, r) * r ** ((n - 1) / 2.0)
                       + profile.deriv(0, r) * (n - 1) / 2.0 * r ** ((n - 3) / 2.0))
 
-    for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
-        inc1.append(_panel_integral(lambda r: f0(r) * r ** (n - 2)
-                                    + f1(r) * r ** (n - 1), lo, hi))
-        incd.append(_panel_integral(dmod, lo, hi))
-        # the sup-tail integrand r^{(n-5)/2}|f| may be non-integrable at 0;
-        # it is only ever integrated from z >= 2^K_MIN upward, so skip the
-        # head panel
-        inct.append(0.0 if i == 0
-                    else _panel_integral(lambda r: f0(r) * r ** ((n - 5) / 2.0),
-                                         lo, hi))
+    # panel increments of the X1 inner integral, |(f r^{(n-1)/2})'| and the
+    # X2 sup tail |f| r^{(n-5)/2}; the last may be non-integrable at 0 and is
+    # only integrated from z >= 2^K_MIN upward, so its head panel is skipped
+    inc1, s1 = _panel_integrals(lambda r: f0(r) * r ** (n - 2) + f1(r) * r ** (n - 1), edges)
+    incd, sd = _panel_integrals(dmod, edges, floor=True)
+    inct, st = _panel_integrals(lambda r: f0(r) * r ** ((n - 5) / 2.0), edges[1:])
+    inc1, incd, inct = inc1.real, incd.real, np.concatenate([[0.0], inct.real])
+    if report is not None:
+        report.unconverged_panels += int(s1.sum() + sd.sum() + st.sum())
 
     cut = _support_cut(profile, edges)
     zs = np.array(edges[1:])
@@ -237,7 +236,6 @@ def norm_X(profile: RadialProfile, n: int, report: Optional[NormReport] = None,
 
     # X2 second term: sup_z z * (tail integral beyond z); reverse cumsum
     # keeps the far-tail remainders free of cancellation
-    inct = np.asarray(inct)
     tail_beyond = np.cumsum(inct[::-1])[::-1] - inct
     if cut is None:
         okt, beyond_grid = _beyond_grid_tail(_aggregate_octaves(inct, P)[1:], None)
@@ -271,9 +269,9 @@ def norm_Ym(profile: RadialProfile, n: int, m: int, per_octave: int = 4) -> floa
     """||f||_{Y_m}; math.inf when certified divergent.  m = n uses the
     boundary formula with k starting at 1 plus the averaged-mass supremum
     and |f(0)|."""
+    _check_args(profile, n)
     if m < 0 or m > n:
         raise ValueError(f"need 0 <= m <= n, got {m}")
-    _require_tail(profile)
     P = per_octave
     edges = _octave_edges(P)
     cut = _support_cut(profile, edges)
@@ -282,15 +280,13 @@ def norm_Ym(profile: RadialProfile, n: int, m: int, per_octave: int = 4) -> floa
     for k in range(k_lo, m + 1):
         fk = lambda r: np.abs(profile.deriv(k, r))
         p = n - m + k - 1
-        inc = [_panel_integral(lambda r: fk(r) * r ** p, lo, hi)
-               for lo, hi in zip(edges[:-1], edges[1:])]
-        ok, val = _certify_integral(_aggregate_octaves(inc, P), cut)
+        inc, _ = _panel_integrals(lambda r: fk(r) * r ** p, edges, floor=True)
+        ok, val = _certify_integral(_aggregate_octaves(inc.real, P), cut)
         if not ok:
             return math.inf
         total += val
     if m == n:
-        inc = [_panel_integral_c(lambda r: profile.deriv(0, r) * r, lo, hi)
-               for lo, hi in zip(edges[:-1], edges[1:])]
+        inc, _ = _panel_integrals(lambda r: profile.deriv(0, r) * r, edges)
         zs = np.array(edges[1:])
         sup = np.abs(np.cumsum(inc)) * zs ** (-2.0)
         ok, s = _certify_sup(sup, sup[slice(0, None, P)])

@@ -260,15 +260,12 @@ def decompose_g(profile: RadialProfile, pt: EvalPoint, K: int = 8) -> GDecomposi
     return GDecomposition(pt=pt, a1=a1, a2=a2, a3=a3, g1=g1, g2=g2, g3=g3, g=g)
 
 
-def _abs_integral(fn, rho_hi: float, tol: float = 1e-8) -> float:
-    """int_0^rho_hi |fn| by composite panels."""
+def _abs_integral(fn, rho_hi: float) -> float:
+    """int_0^rho_hi |fn| by composite panels (no convergence check)."""
     if rho_hi <= 0:
         return 0.0
     npanels = max(16, int(rho_hi * 8))
-    f = lambda rho: np.abs(fn(rho))
-    v1 = composite_gl(f, 0.0, rho_hi, npanels)
-    v2 = composite_gl(f, 0.0, rho_hi, 2 * npanels)
-    return float(v2.real)
+    return float(composite_gl(lambda rho: np.abs(fn(rho)), 0.0, rho_hi, 2 * npanels).real)
 
 
 def solution_bound(profile: RadialProfile, pt: EvalPoint, m: int, K: int = 8) -> float:

@@ -19,6 +19,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import jv, spherical_jn
 
+from .quadrature import gl_nodes
+
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 # ---------------------------------------------------------------------------
@@ -221,12 +223,6 @@ def splitting_residual(n: int, K: int, z: float) -> float:
 # iterated Fresnel integrals Xi^m_a
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=8)
-def _gl_nodes(npts: int):
-    x, w = np.polynomial.legendre.leggauss(npts)
-    return x, w
-
-
 def _xi_rotated(m: int, S):
     """Xi^m(S) for S >= 0 via the Cauchy repeated-integration kernel rotated
     onto the ray of steepest descent:
@@ -236,7 +232,7 @@ def _xi_rotated(m: int, S):
     """
     S = np.atleast_1d(np.asarray(S, dtype=float))
     out = np.empty(S.shape, dtype=complex)
-    x, w = _gl_nodes(96)
+    x, w = gl_nodes(96)
     pref = cmath.exp(1j * (m + 1) * math.pi / 4.0) / math.factorial(m)
     for idx, s in np.ndenumerate(S):
         c = math.sqrt(2.0) * s

@@ -67,6 +67,21 @@ class TestExitCodes:
                           tmp_path)
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("n, which, scan, message", [
+        ("3", "X", "alpha=1:2:0", "--scan step must be positive, got 0"),
+        ("3", "X", "alpha=1:2:-0.5", "--scan step must be positive, got -0.5"),
+        ("3", "Z", "alpha=1:2:1", "unknown norm 'Z': expected X or Y0..Yn"),
+        ("3", "X", "beta=1:2:1", "--scan expects alpha=a:b:step, got 'beta=1:2:1'"),
+        ("0", "X", "alpha=1:2:1", "dimension must be an integer >= 2"),
+    ])
+    def test_bad_norm_request_is_two_with_message(self, n, which, scan, message,
+                                                   tmp_path, capsys):
+        code = cli.main(["norm", "--family", "power", "--n", n, "--which", which,
+                         "--scan", scan, "--out", str(tmp_path / "n.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "n.csv").exists()
+
     def test_runtime_error_is_two_without_traceback(self, tmp_path, monkeypatch,
                                                      capsys):
         def no_annulus(profile, frac=0.5):

@@ -1,5 +1,6 @@
 """Weighted-norm evaluation, divergence certification, threshold scans."""
 
+import inspect
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from disperse_lab import norms, profiles, special
 from disperse_lab.norms import (
     DivergentNormError,
+    NormReport,
     FamilySpec,
     empirical_threshold,
     herglotz_decompose,
@@ -156,3 +158,145 @@ class TestOscillatingPower:
         p = oscillating_power(2.0)
         r = np.array([0.0, 1.0, 7.0])
         assert np.allclose(np.abs(p.envelope(r)), (1.0 + r) ** -2.0)
+
+
+class TestDimensionCheck:
+    @pytest.mark.parametrize("n", [0, 1, 2.5])
+    def test_rejects_bad_dimension(self, n):
+        p = profiles.power(3.0)
+        with pytest.raises(ValueError, match="dimension must be an integer >= 2"):
+            norm_X(p, n)
+        with pytest.raises(ValueError, match="dimension must be an integer >= 2"):
+            norm_Ym(p, n, 0)
+
+
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(24)
+
+
+def _gl_rule(f, lo, hi, sub):
+    edges = np.linspace(lo, hi, sub + 1)
+    half = 0.5 * np.diff(edges)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    pts = (mid[:, None] + half[:, None] * _GL_X).ravel()
+    return np.sum((half[:, None] * _GL_W).ravel() * f(pts))
+
+
+def _per_panel_loop(f, edges):
+    """The per-panel refinement the batched driver replaced: 24 nodes, 4 to
+    256 subpanels, stop at relative agreement 1e-10.  (values, stuck)."""
+    vals, stuck = [], []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        sub, prev, done = 4, _gl_rule(f, lo, hi, 4), False
+        while sub < 256 and not done:
+            sub *= 2
+            cur = _gl_rule(f, lo, hi, sub)
+            done = abs(cur - prev) <= 1e-10 * max(abs(cur), 1e-300)
+            prev = cur
+        vals.append(prev)
+        stuck.append(not done)
+    return np.array(vals), np.array(stuck)
+
+
+def _record_panel_calls(monkeypatch, compare):
+    """Record every _panel_integrals call as (floor, (values, unconverged),
+    (loop values, loop stuck), scale), with the per-panel loop run on the
+    same integrand at call time for the call numbers in `compare` (None for
+    the others); scale is each panel's integral of |f|."""
+    driver = norms._panel_integrals
+    default = inspect.signature(driver).parameters["floor"].default
+    calls = []
+
+    def spy(f, edges, floor=default):
+        out = driver(f, edges, floor)
+        if len(calls) not in compare:
+            calls.append((floor, out, None, None))
+            return out
+        ref = _per_panel_loop(f, edges)
+        scale = (_per_panel_loop(lambda r: np.abs(f(r)), edges)[0].real
+                 if np.iscomplexobj(f(np.ones(1))) else np.abs(ref[0]))
+        calls.append((floor, out, ref, scale))
+        return out
+
+    monkeypatch.setattr(norms, "_panel_integrals", spy)
+    return calls
+
+
+class TestBatchedPanels:
+    @pytest.mark.parametrize("family", ["power", "oscillating_power", "bump",
+                                        "herglotz"])
+    def test_matches_per_panel_loop(self, family, monkeypatch):
+        n = 3
+        p = {"power": lambda: profiles.power(1.5),
+             "oscillating_power": lambda: oscillating_power(3.5),
+             "bump": lambda: profiles.bump(1.0, 2.0),
+             "herglotz": lambda: profiles.herglotz(1.0, n)}[family]()
+        # X1, X2 integral, X2 sup tail; the Y_n integrals, the averaged mass:
+        # only the plain integrals are floored.  Rows are compared for every
+        # X term and the averaged mass; the Y_n integrals are checked by value
+        # in test_herglotz_rows_stop_at_noise_floor
+        calls = _record_panel_calls(monkeypatch, compare=(0, 1, 2, 6))
+        norm_X(p, n)
+        norm_Ym(p, n, n)
+        assert [c[0] for c in calls] == [False, True, False, True, True, True, False]
+        for i, (floored, (got, stuck), loop, scale) in enumerate(calls):
+            if loop is None:
+                continue
+            ref, ref_stuck = loop
+            if floored:
+                # a floored row stops within the noise floor of the total
+                scale = np.maximum(scale, np.abs(ref).sum())
+                assert not np.any(stuck & ~ref_stuck), i
+            else:
+                # the same rows hit the cap; a capped row of an unresolved
+                # oscillation depends on the rounding of its nodes
+                assert np.array_equal(stuck, ref_stuck), i
+                scale = np.where(ref_stuck, np.inf, scale)
+            assert np.all(np.abs(got - ref) <= 1e-13 * scale), i
+
+    def test_herglotz_rows_stop_at_noise_floor(self, monkeypatch):
+        # beyond the cutoff eta r is constant, so (eta r)' is rounding noise
+        # and no relative test can pass; the floor stops those rows early
+        p = profiles.herglotz(1.0, 3)
+        driver, rows = norms._panel_integrals, norms._composite_rows
+        default = inspect.signature(driver).parameters["floor"].default
+        widest = {}
+
+        def spy_rows(f, a, b, npanels, sel, nodes=32):
+            widest[spy.floor] = max(widest.get(spy.floor, 0), int(npanels[sel].max()))
+            return rows(f, a, b, npanels, sel, nodes)
+
+        def spy(f, edges, floor=default):
+            spy.floor = floor
+            return driver(f, edges, floor and spy.use_floor)
+
+        def run(use_floor):
+            spy.use_floor = use_floor
+            widest.clear()
+            x = norm_X(p, 3)
+            return x, widest[True], norm_Ym(p, 3, 3)
+
+        monkeypatch.setattr(norms, "_composite_rows", spy_rows)
+        monkeypatch.setattr(norms, "_panel_integrals", spy)
+        (x, dmod_sub, y), (x_ref, dmod_sub_ref, y_ref) = run(True), run(False)
+        assert dmod_sub < 256 and dmod_sub_ref == 256
+        assert x == pytest.approx(x_ref, rel=1e-12)
+        assert y == pytest.approx(y_ref, rel=1e-12)
+
+    def test_cap_is_reported(self):
+        # a jump inside a panel: composite rules converge only like h, so
+        # that panel never agrees to 1e-10 and keeps its 256-subpanel value
+        jump = 2.0 ** 0.3
+        step = lambda r: np.where(np.asarray(r) < jump, 1.0, 0.0)
+        p = RadialProfile(label="step", omega=0.0, envelope=step,
+                          deriv_fn=lambda k, r: 0.0 * np.asarray(r), support=2.0)
+        edges = norms._octave_edges(4)
+        got, stuck = norms._panel_integrals(lambda r: step(r) * r, edges)
+        (i,) = np.flatnonzero(stuck)
+        assert edges[i] < jump < edges[i + 1]
+        assert got[i] == pytest.approx(
+            _gl_rule(lambda r: step(r) * r, edges[i], edges[i + 1], 256), rel=1e-13)
+        rep = NormReport(x1=0.0, x2=0.0, ym=[])
+        norm_X(p, 3, report=rep)
+        assert rep.unconverged_panels > 0
+        assert norm_report(p, 3).unconverged_panels == rep.unconverged_panels
+        assert norm_report(profiles.power(3.0), 3).unconverged_panels == 0
