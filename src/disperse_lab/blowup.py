@@ -101,14 +101,14 @@ def _bessel_split_integral(n: int, sigma: float, c, quad: float,
         return cn[row] * r ** (-sigma) * special.splitting_B_series_conj(coeffs, c[row] * r)
 
     if not conj:
-        t2, e2 = rotated_tail(h2, r0, c, c2=aq, tol=tol)
-        t3, e3 = rotated_tail(h3, r0, -c, c2=aq, tol=tol)
+        t2, e2 = rotated_tail(h2, r0, c, c2=aq)
+        t3, e3 = rotated_tail(h3, r0, -c, c2=aq)
     else:
         # int h e^{-i(aq r^2 -+ c r)} = conj(int conj(h) e^{i(aq r^2 +- c r)})
         u2, e2 = rotated_tail(lambda r, row: np.conj(h3(np.conj(r), row)), r0, -c,
-                              c2=aq, tol=tol)
+                              c2=aq)
         u3, e3 = rotated_tail(lambda r, row: np.conj(h2(np.conj(r), row)), r0, c,
-                              c2=aq, tol=tol)
+                              c2=aq)
         t2, t3 = np.conj(u2), np.conj(u3)
 
     zmin = c * r0

@@ -40,7 +40,7 @@ class NormReport:
     x2: float
     ym: list
     sup_probe_log: list = field(default_factory=list)
-    unconverged_panels: int = 0     # norm_X panels left at the subpanel cap
+    unconverged_panels: int = 0     # norm_X/norm_Ym panels left at the subpanel cap
 
     @property
     def x(self) -> float:
@@ -265,10 +265,11 @@ def _support_cut(profile, edges):
 # the Y_m scale
 # ---------------------------------------------------------------------------
 
-def norm_Ym(profile: RadialProfile, n: int, m: int, per_octave: int = 4) -> float:
+def norm_Ym(profile: RadialProfile, n: int, m: int, per_octave: int = 4,
+            report: Optional[NormReport] = None) -> float:
     """||f||_{Y_m}; math.inf when certified divergent.  m = n uses the
     boundary formula with k starting at 1 plus the averaged-mass supremum
-    and |f(0)|."""
+    and |f(0)|.  Panels left at the cap add to report.unconverged_panels."""
     _check_args(profile, n)
     if m < 0 or m > n:
         raise ValueError(f"need 0 <= m <= n, got {m}")
@@ -280,13 +281,17 @@ def norm_Ym(profile: RadialProfile, n: int, m: int, per_octave: int = 4) -> floa
     for k in range(k_lo, m + 1):
         fk = lambda r: np.abs(profile.deriv(k, r))
         p = n - m + k - 1
-        inc, _ = _panel_integrals(lambda r: fk(r) * r ** p, edges, floor=True)
+        inc, capped = _panel_integrals(lambda r: fk(r) * r ** p, edges, floor=True)
+        if report is not None:
+            report.unconverged_panels += int(capped.sum())
         ok, val = _certify_integral(_aggregate_octaves(inc.real, P), cut)
         if not ok:
             return math.inf
         total += val
     if m == n:
-        inc, _ = _panel_integrals(lambda r: profile.deriv(0, r) * r, edges)
+        inc, capped = _panel_integrals(lambda r: profile.deriv(0, r) * r, edges)
+        if report is not None:
+            report.unconverged_panels += int(capped.sum())
         zs = np.array(edges[1:])
         sup = np.abs(np.cumsum(inc)) * zs ** (-2.0)
         ok, s = _certify_sup(sup, sup[slice(0, None, P)])
@@ -300,7 +305,7 @@ def norm_Ym(profile: RadialProfile, n: int, m: int, per_octave: int = 4) -> floa
 def norm_report(profile: RadialProfile, n: int) -> NormReport:
     rep = NormReport(x1=0.0, x2=0.0, ym=[])
     rep.x1, rep.x2 = norm_X(profile, n, report=rep)
-    rep.ym = [norm_Ym(profile, n, m) for m in range(n + 1)]
+    rep.ym = [norm_Ym(profile, n, m, report=rep) for m in range(n + 1)]
     return rep
 
 

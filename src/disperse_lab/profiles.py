@@ -19,21 +19,22 @@ import numpy as np
 
 from .special import alpha_coeffs, splitting_A, splitting_B_series, cutoff_chi
 
-# 7-point central stencils, O(h^4); rows indexed by derivative order 1..4
+# 7-point stencils, O(h^4) when central; rows indexed by derivative order 1..4
 _FD_OFFSETS = np.arange(-3, 4)
 
 
 @lru_cache(maxsize=None)
-def _fd_weights(k: int):
-    # solve Vandermonde system for the k-th derivative on offsets -3..3
-    A = np.vander(_FD_OFFSETS.astype(float), 7, increasing=True).T
+def _fd_weights(k: int, shift: int = 0):
+    # solve Vandermonde system for the k-th derivative on offsets -3..3 + shift
+    A = np.vander((_FD_OFFSETS + shift).astype(float), 7, increasing=True).T
     b = np.zeros(7)
     b[k] = math.factorial(k)
     return np.linalg.solve(A, b)
 
 
-def fd_derivative(f, k: int, r, h_scale: float = 0.02):
-    """k-th derivative (k <= 6) by 7-point central differences.
+def fd_derivative(f, k: int, r, h_scale: float = 0.02, r_min=None):
+    """k-th derivative (k <= 6) by 7-point differences, central unless a
+    node would fall below r_min, where the stencil moves right by whole steps.
 
     Step balances truncation against roundoff; adequate for the <=1e-4
     consistency the profile contract asks for.
@@ -42,11 +43,15 @@ def fd_derivative(f, k: int, r, h_scale: float = 0.02):
         return f(np.asarray(r, dtype=float))
     r = np.asarray(r, dtype=float)
     h = h_scale * (1.0 + np.abs(r))
-    w = _fd_weights(k)
+    shift = np.zeros(r.shape, dtype=int)
+    if r_min is not None:
+        shift = np.clip(np.ceil(3.0 - (r - r_min) / h), 0, 3).astype(int)
     acc = np.zeros(r.shape, dtype=complex)
-    for off, wt in zip(_FD_OFFSETS, w):
-        if wt != 0.0:
-            acc += wt * f(r + off * h)
+    for sh in np.unique(shift):
+        sel = shift == sh
+        for off, wt in zip(_FD_OFFSETS + sh, _fd_weights(k, int(sh))):
+            if wt != 0.0:
+                acc[sel] += wt * f(r[sel] + off * h[sel])
     return acc / h ** k
 
 
@@ -59,7 +64,9 @@ class RadialProfile:
     deriv_fn: Optional[Callable[[int, np.ndarray], np.ndarray]] = None
     support: Optional[float] = None          # numerically compact beyond this
     tail_alpha: Optional[float] = None       # |phi^{(k)}| <= C (1+r)^{-alpha-k}
-    tail_fn: Optional[Callable] = None       # complex-analytic continuation
+    # tail_fn equals envelope on [tail_start, inf) and is analytic, polynomially
+    # bounded, on {u +- v e^{i pi/4}: u >= tail_start, v >= 0} (- where omega < 0)
+    tail_fn: Optional[Callable] = None
     tail_start: float = 0.0
 
     def deriv(self, k: int, r):
@@ -251,7 +258,8 @@ def herglotz(omega: float, n: int, K: int = 8) -> RadialProfile:
                 acc += coef * rf ** (p - k - m)
             out[far] = acc
         if np.any(~far):
-            out[~far] = fd_derivative(env, m, r[~far], h_scale=0.004)
+            # env is its r = 0 limit below 0, so no node may fall there
+            out[~far] = fd_derivative(env, m, r[~far], h_scale=0.004, r_min=0.0)
         return out
 
     return RadialProfile(label=f"herglotz[w={omega},n={n}]", omega=omega,

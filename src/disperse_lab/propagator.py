@@ -9,8 +9,10 @@ The primary path evaluates the 1D oscillatory representation
 
 splitting the Bessel kernel into its smooth-compact and oscillatory-
 asymptotic parts beyond the compact region so every numerical piece is
-non-oscillatory after contour rotation.  An independent Crank-Nicolson
-radial stepper serves as cross-validation oracle.
+non-oscillatory after contour rotation.  For unbounded data at |x|/sqrt(t)
+<= 2 the integral beyond the profile's tail_start runs on steepest-descent
+rays through tail_fn and the complex J_nu, at a cost that does not grow with
+t.  An independent Crank-Nicolson radial stepper serves as oracle.
 """
 
 from __future__ import annotations
@@ -50,6 +52,8 @@ class ComplexAmplitude:
 
 
 _Z_SPLIT = 10.0   # Bessel argument beyond which the truncated splitting is used
+# above this x/sqrt(t), J_nu grows too fast off the real axis for the rays
+_BETA_ROTATE = 2.0
 
 
 def _frame(pt: EvalPoint):
@@ -92,17 +96,28 @@ def evolve_radial(profile: RadialProfile, pt: EvalPoint, tol: float = 1e-9,
             f"tail exponent {profile.tail_alpha} <= (n-3)/2 = {(n - 3) / 2.0}: "
             "representation integral not convergent")
 
-    coeffs = special.alpha_coeffs(n, K)
-    a2 = gamma * profile.omega + beta
+    # if rotate, only [0, rho0], where the envelope may differ from tail_fn,
+    # stays on the real axis; the rest runs on rays with the exact J_nu, so
+    # nothing is truncated and nothing grows with t
+    rotate = beta <= _BETA_ROTATE
+    rho0 = profile.tail_start * 1.5 / gamma
     a3 = gamma * profile.omega - beta
-    rho0 = max(1.0, _Z_SPLIT / beta, profile.tail_start * 1.5 / gamma)
-    for a in (a2, a3):
-        rho0 = max(rho0, -a / 2.0 + 1.0)
+    if not rotate:
+        rho0 = max(rho0, 1.0, _Z_SPLIT / beta, -a3 / 2.0 + 1.0)
 
     span = rho0 ** 2 + (abs(profile.omega) * gamma + beta) * rho0
     head, err = osc_integral(lambda rho: g(rho) * np.exp(1j * rho * rho),
                              0.0, rho0, span, tol)
+    if rotate:
+        def h(rho, row):
+            r = gamma * rho
+            return profile.tail_fn(r) * r ** (n / 2.0) * special.bessel_j_c(nu, beta * rho)
 
+        (tail,), (e_tail,) = rotated_tail(h, rho0, profile.omega * gamma)
+        return ComplexAmplitude(pref * (head + tail), abs(pref) * (err + e_tail))
+
+    coeffs = special.alpha_coeffs(n, K)
+    a2 = gamma * profile.omega + beta
     cn = c ** (-n / 2.0)
 
     def h2(rho, row):
@@ -111,8 +126,8 @@ def evolve_radial(profile: RadialProfile, pt: EvalPoint, tol: float = 1e-9,
     def h3(rho, row):
         return cn * profile.tail_fn(gamma * rho) * special.splitting_B_series_conj(coeffs, beta * rho)
 
-    (t2,), (e2,) = rotated_tail(h2, rho0, a2, tol=tol)
-    (t3,), (e3,) = rotated_tail(h3, rho0, a3, tol=tol)
+    (t2,), (e2,) = rotated_tail(h2, rho0, a2)
+    (t3,), (e3,) = rotated_tail(h3, rho0, a3)
 
     # truncation of the asymptotic Bessel series, integrated over the tail
     zmin = beta * rho0

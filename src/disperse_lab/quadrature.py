@@ -105,46 +105,9 @@ def osc_integral(f, a: float, b: float, phase_span: float, tol: float = 1e-9,
     return complex(values[0]), float(errs[0])
 
 
-def rotated_tail(h, rho0, a, c2: float = 1.0, tol: float = 1e-9,
-                 nodes: int = 96):
-    """int_rho0^inf h(rho, row) e^{i(c2 rho^2 + a rho)} drho for every row,
-    with rho0 and a given per row, by rotating onto the ray
-    rho = rho0 + tau e^{i pi/4}.
-
-    h receives the nodes of many rows at once, with the row index of each
-    node; it must accept complex input and be analytic (and at most
-    polynomially growing) in the closed sector swept by the rotation.  Where
-    a row's stationary point -a/(2 c2) lies beyond its rho0, the real-axis
-    segment up to it is integrated first.
-
-    Returns (values, error_estimates), one entry per row.
-    """
-    if c2 <= 0:
-        raise ValueError("need c2 > 0")
-    rho0, a = (np.array(v, dtype=float, ndmin=1) for v in np.broadcast_arrays(rho0, a))
-    extra = np.zeros(rho0.size, dtype=complex)
-    extra_err = np.zeros(rho0.size)
-    seg = np.flatnonzero(a < -2.0 * c2 * rho0)
-    if seg.size:
-        rho1 = -a[seg] / (2.0 * c2) + 1.0
-        span = np.abs(c2 * (rho1 ** 2 - rho0[seg] ** 2) + a[seg] * (rho1 - rho0[seg])) + 2.0
-
-        def real_seg(rho, row):
-            return (h(rho.astype(complex), seg[row])
-                    * np.exp(1j * (c2 * rho * rho + a[seg[row]] * rho)))
-
-        extra[seg], extra_err[seg] = osc_integral_rows(real_seg, rho0[seg], rho1, span, tol)
-        rho0[seg] = rho1
-
-    c = (2.0 * c2 * rho0 + a) / math.sqrt(2.0)   # linear decay rate along ray
-    # tau* solves c2 tau^2 + c tau = 45 (integrand ~ e^{-45} at the far end)
-    tau_star = (-c + np.sqrt(c * c + 180.0 * c2)) / (2.0 * c2)
-    rot = cmath.exp(1j * math.pi / 4.0)
-    phi0 = 1j * (c2 * rho0 * rho0 + a * rho0)
-    lin = (2.0 * c2 * rho0 + a) * complex(-1.0, 1.0) / math.sqrt(2.0)
-
-    # three panels on [0, tau*], each with the full rule and a half-size
-    # check rule; u holds the nodes of both, scaled to [0, 1]
+@lru_cache(maxsize=4)
+def _ray_rule(nodes: int):
+    """Nodes u on [0, 1] and weights (full, check) of rotated_tail's rule."""
     x, w = gl_nodes(nodes)
     x2, w2 = gl_nodes(nodes // 2)
     edges = np.array([0.0, 0.15, 0.5, 1.0])
@@ -152,15 +115,64 @@ def rotated_tail(h, rho0, a, c2: float = 1.0, tol: float = 1e-9,
     u = mid[:, None] + half[:, None] * np.concatenate([x, x2])
     full = half[:, None] * np.concatenate([w, 0.0 * w2])
     low = half[:, None] * np.concatenate([0.0 * w, w2])
-    total = np.empty(rho0.size, dtype=complex)
-    check = np.empty(rho0.size, dtype=complex)
+    return u, full, low
+
+
+def rotated_tail(h, rho0, a, c2: float = 1.0, nodes: int = 96):
+    """int_rho0^inf h(rho, row) e^{i(c2 rho^2 + a rho)} drho for every row,
+    with rho0 and a given per row, by numerical steepest descent on rays
+    from p along +-d, d = e^{i pi/4}: ray(rho0, d), or, for a row with its
+    stationary point rho_s = -a/(2 c2) beyond rho0, ray(rho0, -d) -
+    ray(rho_s, -d) + ray(rho_s, d), at a cost that does not grow with rho_s.
+
+    h receives the nodes of many rows at once, with the row index of each
+    node; it must accept complex input and be analytic (and at most
+    polynomially growing) where the rays sweep, below [rho0, rho_s] too.
+    The error estimate holds a rounding term, eps times the sum of
+    |weight * integrand| scaled by the phase, so lost digits show in it.
+
+    Returns (values, error_estimates), one entry per row.
+    """
+    if c2 <= 0:
+        raise ValueError("need c2 > 0")
+    rho0, a = (np.array(v, dtype=float, ndmin=1) for v in np.broadcast_arrays(rho0, a))
+    stat = a < -2.0 * c2 * rho0
+    seg = np.flatnonzero(stat)
+    rho_s = -a[seg] / (2.0 * c2)
+    # rays: one from each rho0, then ray(rho_s, -d) and ray(rho_s, d) for the
+    # rows in seg; s is a ray's direction sign, k its sign in the sum times s
+    row = np.concatenate([np.arange(rho0.size), seg, seg])
+    p = np.concatenate([rho0, rho_s, rho_s])
+    s = np.concatenate([np.where(stat, -1.0, 1.0), -np.ones(seg.size), np.ones(seg.size)])
+    k = np.where(np.arange(row.size) < rho0.size, s, 1.0)
+    a = a[row]
+
+    c = s * (2.0 * c2 * p + a) / math.sqrt(2.0)   # linear decay rate along ray
+    # tau* solves c2 tau^2 + c tau = 45 (integrand ~ e^{-45} at the far end)
+    tau_star = (-c + np.sqrt(c * c + 180.0 * c2)) / (2.0 * c2)
+    rot = cmath.exp(1j * math.pi / 4.0)
+    phi0 = 1j * (c2 * p * p + a * p)
+    lin = s * (2.0 * c2 * p + a) * complex(-1.0, 1.0) / math.sqrt(2.0)
+    big = c2 * p * p + np.abs(a * p)
+
+    u, full, low = _ray_rule(nodes)
+    total = np.empty(row.size, dtype=complex)
+    check = np.empty(row.size, dtype=complex)
+    mag = np.empty(row.size)
     step = max(1, _BLOCK_NODES // u.size)
-    for s in range(0, rho0.size, step):
-        r = np.arange(s, min(s + step, rho0.size))
+    for b in range(0, row.size, step):
+        r = np.arange(b, min(b + step, row.size))
         tau = tau_star[r, None, None] * u
-        rho = rho0[r, None, None] + tau * rot
-        vals = (h(rho.ravel(), np.repeat(r, u.size)).reshape(tau.shape)
-                * np.exp(phi0[r, None, None] + lin[r, None, None] * tau - c2 * tau * tau))
+        rho = p[r, None, None] + tau * (s[r, None, None] * rot)
+        arg = phi0[r, None, None] + lin[r, None, None] * tau - c2 * tau * tau
+        vals = h(rho.ravel(), np.repeat(row[r], u.size)).reshape(tau.shape) * np.exp(arg)
         total[r] = tau_star[r] * np.sum(vals * full, axis=(1, 2))
         check[r] = tau_star[r] * np.sum(vals * low, axis=(1, 2))
-    return rot * total + extra, np.abs(total - check) + extra_err
+        # a value's rounding error is about eps times its exponent, whose
+        # largest part, c2 p^2 + |a p|, may have cancelled in phi0
+        mag[r] = tau_star[r] * np.sum(np.abs(vals) * full * (1.0 + np.abs(arg)
+                                      + big[r, None, None]), axis=(1, 2))
+    values = np.zeros(rho0.size, dtype=complex)
+    np.add.at(values, row, k * total)
+    err = np.abs(total - check) + np.finfo(float).eps * mag
+    return rot * values, np.bincount(row, weights=err, minlength=rho0.size)

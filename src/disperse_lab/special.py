@@ -101,7 +101,7 @@ def bessel_j(nu: float, z):
 
 
 def bessel_j_c(nu: float, z):
-    """J_nu(z) for complex z (principal branch, Re z > 0)."""
+    """J_nu(z) for complex z (principal branch, off the cut z <= 0)."""
     out = jv(nu, np.atleast_1d(np.asarray(z, dtype=complex)))
     return out if out.shape != (1,) else complex(out[0])
 

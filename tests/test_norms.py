@@ -298,5 +298,16 @@ class TestBatchedPanels:
         rep = NormReport(x1=0.0, x2=0.0, ym=[])
         norm_X(p, 3, report=rep)
         assert rep.unconverged_panels > 0
+        for m in range(4):
+            norm_Ym(p, 3, m, report=rep)
         assert norm_report(p, 3).unconverged_panels == rep.unconverged_panels
         assert norm_report(profiles.power(3.0), 3).unconverged_panels == 0
+
+    def test_ym_cap_is_reported(self):
+        # the averaged-mass integrand f r of Y_n keeps the carrier e^{ir};
+        # its panels beyond z ~ 1e4 stay unresolved at the cap.  (At alpha = 2
+        # the k = 2 integral term diverges and norm_Ym returns before the
+        # supremum runs, so no panel reaches the cap there.)
+        rep = NormReport(x1=0.0, x2=0.0, ym=[])
+        assert math.isfinite(norm_Ym(oscillating_power(3.5), 3, 3, report=rep))
+        assert rep.unconverged_panels > 0

@@ -1,12 +1,14 @@
 """Radial free-flow evaluation: closed forms, oracle agreement, bounds."""
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from disperse_lab import profiles, special
+from disperse_lab import profiles, propagator, special
 from disperse_lab.propagator import (
     ComplexAmplitude,
     DivergentTailError,
@@ -154,3 +156,89 @@ class TestTailValidation:
             EvalPoint(1, 1.0, 1.0)
         with pytest.raises(ValueError):
             EvalPoint(3, 1.0, -0.5)
+
+
+def _counted(prof):
+    """prof with envelope and tail_fn wrapped to count evaluation points."""
+    box = [0]
+
+    def wrap(fn):
+        def counted(r):
+            box[0] += np.size(r)
+            return fn(r)
+        return counted
+
+    return dataclasses.replace(prof, envelope=wrap(prof.envelope),
+                               tail_fn=wrap(prof.tail_fn)), box
+
+
+class TestRotatedHead:
+    """For x/sqrt(t) <= 2 the integral beyond 1.5 tail_start runs on
+    steepest-descent rays, so large t/x^2 costs no more than small."""
+
+    @pytest.mark.parametrize("prof,n,x,t", [
+        (profiles.power(1.55), 2, 0.667, 931.0),
+        (profiles.herglotz_pair(1.0, 2)[1], 2, 2.04, 8800.0),
+        (profiles.power(1.2), 2, 0.3, 1e4),
+    ], ids=["power1.55", "herglotz-mirror", "power1.2"])
+    def test_large_t_points_are_certified(self, prof, n, x, t):
+        amp = evolve_radial(prof, EvalPoint(n, x, t))
+        assert math.isfinite(amp.err_est)
+        assert amp.err_est <= 1e-6 * abs(amp.value)
+
+    @pytest.mark.parametrize("prof", [profiles.herglotz_pair(1.0, 3)[0],
+                                      profiles.herglotz_pair(1.0, 3)[1],
+                                      profiles.power(1.2)],
+                             ids=["herglotz+", "herglotz-", "power1.2"])
+    def test_evaluations_flat_in_t(self, prof):
+        counts = []
+        for t in (1e2, 1e3, 1e4):
+            counted, box = _counted(prof)
+            evolve_radial(counted, EvalPoint(3, 0.3, t))
+            counts.append(box[0])
+        assert max(counts) <= 2 * min(counts), counts
+
+
+_HONEST = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+_LOG_X = st.floats(math.log10(0.3), math.log10(30.0))
+
+
+class TestHonestySweeps:
+    """The true error is at most err_est plus 1e-14 of the scale."""
+
+    @_HONEST
+    @given(lx=_LOG_X, lt=st.floats(0.0, 5.0))
+    def test_herglotz_mode_n3(self, lx, lt):
+        x, t = 10.0 ** lx, 10.0 ** lt
+        pair = profiles.herglotz_pair(1.0, 3)
+        amps = [evolve_radial(p, EvalPoint(3, x, t)) for p in pair]
+        phi = complex(sum(np.asarray(p.phi_rad(x)).ravel()[0] for p in pair))
+        err = abs(sum(a.value for a in amps) - cmath.exp(-1j * t) * phi)
+        assert err <= sum(a.err_est for a in amps) + 1e-14 * abs(phi)
+
+    @_HONEST
+    @given(alpha=st.floats(0.8, 3.0), n=st.sampled_from([2, 3, 4]),
+           llam=st.floats(-0.7, 0.7), lx=_LOG_X, lt=st.floats(-1.3, 4.0))
+    def test_power_dilation_identity(self, alpha, n, llam, lx, lt):
+        lam, x, t = 10.0 ** llam, 10.0 ** lx, 10.0 ** lt
+        prof = profiles.power(alpha)
+        a = evolve_radial(prof.dilate(lam), EvalPoint(n, x, t))
+        b = evolve_radial(prof, EvalPoint(n, lam * x, lam * lam * t))
+        assert abs(a.value - b.value) <= a.err_est + b.err_est + 1e-14 * abs(b.value)
+
+    @_HONEST
+    @given(which=st.sampled_from(["power", "herglotz+", "herglotz-"]),
+           n=st.sampled_from([2, 3, 4]), beta=st.floats(1.5, 2.0), lx=_LOG_X)
+    def test_rotated_head_matches_real_axis(self, which, n, beta, lx):
+        # just below the guard x/sqrt(t) = 2, where J_nu grows most along
+        # the rays, against the real-axis head used above it
+        prof = {"power": profiles.power(1.4),
+                "herglotz+": profiles.herglotz_pair(1.0, n)[0],
+                "herglotz-": profiles.herglotz_pair(1.0, n)[1]}[which]
+        x = 10.0 ** lx
+        pt = EvalPoint(n, x, (x / beta) ** 2)
+        rot = evolve_radial(prof, pt)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(propagator, "_BETA_ROTATE", 0.0)
+            real = evolve_radial(prof, pt)
+        assert abs(rot.value - real.value) <= rot.err_est + real.err_est + 1e-14 * abs(real.value)

@@ -1,0 +1,86 @@
+"""Steepest-descent tails: stationary points on rays, one-ray rows unchanged."""
+
+import cmath
+import math
+
+import mpmath
+import numpy as np
+import pytest
+
+from disperse_lab.quadrature import gl_nodes, osc_integral_rows, rotated_tail
+
+
+def _one_ray(h, rho0, a, c2, nodes=96):
+    """The one-ray rule for rows with no stationary point beyond rho0, as it
+    stood before rows that pass one were put on rays: rho = rho0 + tau
+    e^{i pi/4} on [0, tau*], three panels, full rule and half-size check
+    rule.  (values, |full - check|) per row."""
+    rho0, a = (np.array(v, dtype=float, ndmin=1) for v in np.broadcast_arrays(rho0, a))
+    c = (2.0 * c2 * rho0 + a) / math.sqrt(2.0)
+    tau_star = (-c + np.sqrt(c * c + 180.0 * c2)) / (2.0 * c2)
+    rot = cmath.exp(1j * math.pi / 4.0)
+    phi0 = 1j * (c2 * rho0 * rho0 + a * rho0)
+    lin = (2.0 * c2 * rho0 + a) * complex(-1.0, 1.0) / math.sqrt(2.0)
+    x, w = gl_nodes(nodes)
+    x2, w2 = gl_nodes(nodes // 2)
+    edges = np.array([0.0, 0.15, 0.5, 1.0])
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+    u = mid[:, None] + half[:, None] * np.concatenate([x, x2])
+    full = half[:, None] * np.concatenate([w, 0.0 * w2])
+    low = half[:, None] * np.concatenate([0.0 * w, w2])
+    tau = tau_star[:, None, None] * u
+    rho = rho0[:, None, None] + tau * rot
+    vals = h(rho.ravel()).reshape(tau.shape) * np.exp(
+        phi0[:, None, None] + lin[:, None, None] * tau - c2 * tau * tau)
+    total = tau_star * np.sum(vals * full, axis=(1, 2))
+    check = tau_star * np.sum(vals * low, axis=(1, 2))
+    return rot * total, np.abs(total - check)
+
+
+def _h(rho):
+    return (1.0 + rho) ** -1.5
+
+
+class TestRotatedTail:
+    @pytest.mark.parametrize("c2", [1.0, 0.3])
+    def test_one_ray_rows_are_unchanged(self, c2):
+        # rows without a stationary point beyond rho0 keep the one-ray rule
+        # bit for bit, also in a batch with rows that pass a stationary point
+        rho0 = np.array([1.0, 2.5, 0.2, 1.0, 3.0])
+        a = np.array([0.5, -4.0, 3.0, -30.0, -1.0]) * c2
+        vals, errs = rotated_tail(lambda r, row: _h(r), rho0, a, c2=c2)
+        one = np.array([0, 1, 2, 4])
+        want, diff = _one_ray(_h, rho0[one], a[one], c2)
+        assert np.array_equal(vals[one], want)
+        assert np.all((diff <= errs[one]) & (errs[one] <= diff + 1e-12 * np.abs(want)))
+
+    @pytest.mark.parametrize("c2", [1.0, 0.25])
+    def test_stationary_point_on_rays(self, c2):
+        # int_rho0^inf with the stationary point rho_s inside: against the
+        # real-axis segment up to rho_s + 1 and the one-ray rule beyond it
+        rho0 = np.array([1.0, 0.5, 4.0])
+        a = -2.0 * c2 * np.array([20.0, 3.0, 60.0])
+        vals, errs = rotated_tail(lambda r, row: _h(r), rho0, a, c2=c2)
+        rho1 = -a / (2.0 * c2) + 1.0
+        span = np.abs(c2 * (rho1 ** 2 - rho0 ** 2) + a * (rho1 - rho0)) + 2.0
+        seg, seg_err = osc_integral_rows(
+            lambda r, row: _h(r) * np.exp(1j * (c2 * r * r + a[row] * r)),
+            rho0, rho1, span, tol=1e-13, max_points=2_000_000)
+        tail, tail_err = _one_ray(_h, rho1, a, c2)
+        ref = seg + tail
+        assert np.all(np.abs(vals - ref) <= errs + seg_err + tail_err + 1e-14 * np.abs(ref))
+        assert np.all(errs <= 1e-11 * np.abs(ref))
+
+    def test_error_covers_phase_rounding(self):
+        # at rho0 ~ 1e4 the phase rho0^2 ~ 1e8 is rounded to ~1e-8, which the
+        # two rules share; the rounding term of the estimate must cover it
+        rho0 = 1.0e4 + 0.1
+        (got,), (err,) = rotated_tail(lambda r, row: np.ones(r.shape, dtype=complex),
+                                      rho0, 0.0)
+        with mpmath.workdps(40):
+            r = mpmath.mpf(rho0)
+            want = complex(mpmath.sqrt(mpmath.pi) / 2 * mpmath.expjpi(mpmath.mpf(1) / 4)
+                           * mpmath.erfc(mpmath.expjpi(-mpmath.mpf(1) / 4) * r))
+        assert abs(got - want) > 1e-12 * abs(want)     # the loss is real
+        assert abs(got - want) <= err
+        assert err <= 1e-6 * abs(want)
