@@ -43,15 +43,13 @@ def fd_derivative(f, k: int, r, h_scale: float = 0.02, r_min=None):
         return f(np.asarray(r, dtype=float))
     r = np.asarray(r, dtype=float)
     h = h_scale * (1.0 + np.abs(r))
-    shift = np.zeros(r.shape, dtype=int)
-    if r_min is not None:
-        shift = np.clip(np.ceil(3.0 - (r - r_min) / h), 0, 3).astype(int)
+    shift = 0 if r_min is None else np.clip(np.ceil(3.0 - (r - r_min) / h), 0, 3).astype(int)
+    weights = np.array([_fd_weights(k, s) for s in range(4)])
     acc = np.zeros(r.shape, dtype=complex)
-    for sh in np.unique(shift):
-        sel = shift == sh
-        for off, wt in zip(_FD_OFFSETS + sh, _fd_weights(k, int(sh))):
-            if wt != 0.0:
-                acc[sel] += wt * f(r[sel] + off * h[sel])
+    for j, off in enumerate(_FD_OFFSETS):
+        wt = weights[shift, j]
+        if np.any(wt != 0.0):
+            acc += wt * f(r + (off + shift) * h)
     return acc / h ** k
 
 
