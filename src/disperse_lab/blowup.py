@@ -90,15 +90,17 @@ def _bessel_split_integral(n: int, sigma: float, c, quad: float,
     span = aq * (r0 * r0 - r_lo * r_lo) + c * (r0 - r_lo) + 2.0
     head, e_head = osc_integral_rows(head_f, r_lo, r0, span, tol)
 
-    cn = c ** (-n / 2.0)
-
     # z^{n/2} J_nu(z) = A_n + e^{iz} B_n + e^{-iz} conj(B_n), so the tail
-    # pieces carry the bare envelope r^{-sigma} times c^{-n/2} B_n(c r)
+    # pieces carry r^{-sigma} c^{-n/2} B_n(c r), which is one power of r,
+    # e^{-i(n-1)pi/4} c^{-1/2} r^{(n-1)/2-sigma}, times the Hankel sum at c r
+    cb = coeffs.prefactor * c ** -0.5
+    p = (n - 1) / 2.0 - sigma
+
     def h2(r, row):
-        return cn[row] * r ** (-sigma) * special.splitting_B_series(coeffs, c[row] * r)
+        return cb[row] * r ** p * special.hankel_sum(coeffs.alpha, c[row] * r)
 
     def h3(r, row):
-        return cn[row] * r ** (-sigma) * special.splitting_B_series_conj(coeffs, c[row] * r)
+        return np.conj(cb[row]) * r ** p * special.hankel_sum(np.conj(coeffs.alpha), c[row] * r)
 
     if not conj:
         t2, e2 = rotated_tail(h2, r0, c, c2=aq)
@@ -111,9 +113,11 @@ def _bessel_split_integral(n: int, sigma: float, c, quad: float,
                               c2=aq)
         t2, t3 = np.conj(u2), np.conj(u3)
 
-    zmin = c * r0
+    # the omitted terms, at most 2 c^{-n/2} r^{-sigma} |alpha_{K+1}| (c r)^{(n-1)/2-K-1},
+    # integrated over [r0, inf): near the stationary point the phase barely turns
     trunc_coef = abs(special._hankel_symbol_float(nu, K + 1)) / 2.0 ** (K + 1) / special.SQRT_2PI
-    trunc = 2.0 * cn * r0 ** (-sigma) * trunc_coef * zmin ** ((n - 1) / 2.0 - K - 1)
+    trunc = (2.0 * c ** (-n / 2.0) * r0 ** (-sigma) * trunc_coef
+             * (c * r0) ** ((n - 1) / 2.0 - K - 1) * r0 / (K + sigma - (n - 1) / 2.0))
     return head + t2 + t3, e_head + e2 + e3 + trunc
 
 

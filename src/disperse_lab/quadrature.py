@@ -26,16 +26,18 @@ def gl_nodes(npts: int):
 _BLOCK_NODES = 1 << 14
 
 
-def _composite_rows(f, a, b, npanels, rows, nodes: int = 32):
+def _composite_rows(f, a, b, npanels, rows, nodes: int = 32, absolute: bool = False):
     """Composite Gauss-Legendre sums of f(x, row) over [a[row], b[row]] with
     npanels[row] panels, for each row in `rows`.  Panels are laid end to end
-    over all rows and evaluated in blocks of at most _BLOCK_NODES nodes."""
+    over all rows and evaluated in blocks of at most _BLOCK_NODES nodes.
+    With absolute, also returns the sums of |weight * f| per row."""
     x, w = gl_nodes(nodes)
     counts = npanels[rows]
     first = np.zeros(rows.size + 1, dtype=np.int64)
     np.cumsum(counts, out=first[1:])
     width = (b[rows] - a[rows]) / counts
     sums = np.zeros(rows.size, dtype=complex)
+    mags = np.zeros(rows.size)
     step = max(1, _BLOCK_NODES // nodes)
     for g0 in range(0, int(first[-1]), step):
         g = np.arange(g0, min(g0 + step, int(first[-1])))
@@ -46,8 +48,11 @@ def _composite_rows(f, a, b, npanels, rows, nodes: int = 32):
         panel = np.sum(half[:, None] * w * vals.reshape(-1, nodes), axis=1)
         # every row has panels, so the block holds rows loc[0] .. loc[-1]
         held = np.arange(loc[0], loc[-1] + 1)
-        sums[held] += np.add.reduceat(panel, np.maximum(first[held] - g0, 0))
-    return sums
+        start = np.maximum(first[held] - g0, 0)
+        sums[held] += np.add.reduceat(panel, start)
+        if absolute:
+            mags[held] += np.add.reduceat(half * (np.abs(vals).reshape(-1, nodes) @ w), start)
+    return (sums, mags) if absolute else sums
 
 
 def composite_gl(f, a: float, b: float, npanels: int, nodes: int = 32):
@@ -67,7 +72,8 @@ def osc_integral_rows(f, a, b, phase_span, tol: float = 1e-9,
     node.  Each row starts from about one 32-node panel per three cycles and
     doubles its panels until two successive composite rules agree, or until
     the next rule would exceed max_points nodes; a row stops doubling as
-    soon as it converges.
+    soon as it converges.  The error estimate adds to |last - previous| a
+    rounding term, eps * sum |weight * f| * (1 + phase_span) on the last rule.
 
     Returns (values, error_estimates), one entry per row.
     """
@@ -78,19 +84,20 @@ def osc_integral_rows(f, a, b, phase_span, tol: float = 1e-9,
     rows = np.flatnonzero(b > a)
     cycles = np.maximum(span / (2.0 * math.pi), 1.0)
     npanels = np.maximum(2, np.ceil(cycles / 3.0)).astype(np.int64)
-    values[rows] = _composite_rows(f, a, b, npanels, rows)
+    mags = np.zeros(a.size)
+    values[rows], mags[rows] = _composite_rows(f, a, b, npanels, rows, absolute=True)
     errs[rows] = math.inf
     scale = np.maximum(np.abs(values), 1e-300)
     rows = rows[2 * npanels[rows] * 32 <= max_points]
     while rows.size:
         npanels[rows] *= 2
-        cur = _composite_rows(f, a, b, npanels, rows)
+        cur, mags[rows] = _composite_rows(f, a, b, npanels, rows, absolute=True)
         errs[rows] = np.abs(cur - values[rows])
         values[rows] = cur
         scale[rows] = np.maximum(np.abs(cur), scale[rows])
         going = errs[rows] > tol * np.maximum(1.0, scale[rows])
         rows = rows[going & (2 * npanels[rows] * 32 <= max_points)]
-    return values, errs
+    return values, errs + np.finfo(float).eps * mags * (1.0 + span)
 
 
 def osc_integral(f, a: float, b: float, phase_span: float, tol: float = 1e-9,

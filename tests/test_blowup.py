@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -116,6 +117,41 @@ class TestLqGrowth:
         datum = ChirpDatum(3, 2.0)
         val = annulus_lq(datum, 0.9, 4.0, 0.3, 2.0)
         assert val > 0
+
+
+def _one_ray_reference(n, sigma, c, q, r_lo, z):
+    """int_{r_lo}^inf r^{n/2-sigma} J_{(n-2)/2}(c r) e^{iqr^2} dr on the one
+    ray r = r_lo + tau e^{i pi/4}, by mpmath with complex besselj.  With
+    c = k z and q = k^2 the integrand grows at most by e^{z^2/8} along the
+    ray, which the working precision absorbs."""
+    with mpmath.workdps(25 + math.ceil(z * z / (8.0 * math.log(10.0)))):
+        d = mpmath.expjpi(mpmath.mpf(1) / 4)
+        c, q = mpmath.mpf(c), mpmath.mpf(q)
+
+        def f(tau):
+            r = r_lo + tau * d
+            return (r ** (mpmath.mpf(n) / 2 - sigma) * mpmath.besselj(mpmath.mpf(n - 2) / 2, c * r)
+                    * mpmath.expj(q * r * r) * d)
+
+        s = 1 / mpmath.sqrt(q)     # the Gaussian decay length along the ray
+        return complex(mpmath.quad(f, [0, s / 2, s, 2 * s, 4 * s, 10 * s]))
+
+
+class TestSplitIntegralReference:
+    @pytest.mark.parametrize("n,sigma,u,z", [
+        (2, 0.3, 1e-4, 3.0), (2, 0.3, 1e-4, 0.3), (2, 0.3, 1e-2, 3.0),
+        (2, 1.05, 1e-4, 3.0), (2, 1.05, 0.1, 1.0),
+        (3, 1.95, 0.1, 0.3), (3, 1.95, 1e-2, 1.0), (3, 1.95, 1e-4, 3.0),
+        (4, 2.5, 1e-4, 3.0), (4, 2.5, 1e-4, 1.0),
+        (4, 1.5, 1e-2, 3.0), (4, 1.5, 1e-4, 0.3),
+    ])
+    def test_error_estimate_covers_reference(self, n, sigma, u, z):
+        # the focusing frame at t = 1 - u: c = k_t z, q = k_t^2, r from 1;
+        # at even n the truncated Hankel series dominates the error
+        k = k_of_t(1.0 - u)
+        (got,), (err,) = blowup._bessel_split_integral(n, sigma, [k * z], k * k, 1.0)
+        want = _one_ray_reference(n, sigma, k * z, k * k, 1.0, z)
+        assert abs(got - want) <= err + 1e-14 * abs(want)
 
 
 class TestLrMembership:

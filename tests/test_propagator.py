@@ -217,6 +217,17 @@ class TestHonestySweeps:
         assert err <= sum(a.err_est for a in amps) + 1e-14 * abs(phi)
 
     @_HONEST
+    @given(n=st.sampled_from([2, 3, 4]), width=st.floats(0.3, 3.0), lx=_LOG_X,
+           lt=st.floats(-2.0, 5.0))
+    def test_gaussian_closed_form(self, n, width, lx, lt):
+        # Bessel arguments up to 13 width x / (2t) ~ 6e4 cross the switch
+        # from Cephes j0/j1 to AMOS jv at n = 2, 4
+        x, t = 10.0 ** lx, 10.0 ** lt
+        amp = evolve_radial(profiles.gaussian(width), EvalPoint(n, x, t))
+        want = gaussian_closed_form(n, width, x, t)
+        assert abs(amp.value - want) <= amp.err_est + 1e-14 * abs(want)
+
+    @_HONEST
     @given(alpha=st.floats(0.8, 3.0), n=st.sampled_from([2, 3, 4]),
            llam=st.floats(-0.7, 0.7), lx=_LOG_X, lt=st.floats(-1.3, 4.0))
     def test_power_dilation_identity(self, alpha, n, llam, lx, lt):

@@ -36,8 +36,10 @@ class TestBessel:
     @pytest.mark.parametrize("nu", [-0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 3.5])
     def test_matches_mpmath(self, nu):
         # tiny z is where closed forms at half-integer order cancel
+        # 95..105 straddles the switch from Cephes j0/j1 to AMOS jv
         zs = np.concatenate([np.geomspace(1e-8, 0.3, 20),
                              np.linspace(1e-3, 14.9, 40),
+                             np.linspace(95.0, 105.0, 21),
                              np.geomspace(15.1, 1e5, 60)])
         got = special.bessel_j(nu, zs)
         for z, g in zip(zs, got):
@@ -57,6 +59,15 @@ class TestBessel:
     def test_origin(self):
         assert special.bessel_j(0.0, 0.0) == pytest.approx(1.0)
         assert special.bessel_j(1.5, 0.0) == 0.0
+
+    @pytest.mark.parametrize("nu", [0.0, 1.0, 1.5, 2.0])
+    def test_scalar_in_scalar_out(self, nu):
+        for z in (3.0, 150.0):
+            got = special.bessel_j(nu, z)
+            assert type(got) is float
+            assert got == special.bessel_j(nu, np.array([z]))[0]
+        with pytest.raises(ValueError):
+            special.bessel_j(nu, -1.0)
 
 
 class TestSplitting:
@@ -109,6 +120,35 @@ class TestSplitting:
                 tol = max(10.0 * z ** ((n - 1) / 2.0 - 11),
                           1e-12 * z ** (n / 2.0))
                 assert abs(lhs - want) <= tol
+
+
+def _series_by_powers(coeffs, z, conj=False):
+    """The splitting series as summed term by term in z^{-k}, every alpha_k
+    included, as it stood before the Horner evaluation."""
+    z = np.asarray(z, dtype=complex)
+    alpha = np.conj(coeffs.alpha) if conj else coeffs.alpha
+    pref = np.conj(coeffs.prefactor) if conj else coeffs.prefactor
+    acc = np.zeros_like(z)
+    zin = np.ones_like(z)
+    for a in alpha:
+        acc += a * zin
+        zin = zin / z
+    return pref * z ** ((coeffs.n - 1) / 2.0) * acc
+
+
+class TestSplittingSeries:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_horner_matches_term_by_term_sum(self, n):
+        # K past the end of the terminating series at odd n included
+        rays = [cmath.exp(1j * th) for th in (0.0, math.pi / 4, -math.pi / 4, 0.6)]
+        z = np.array([r * d for d in rays for r in np.geomspace(10.0, 1e4, 7)])
+        for K in range(11):
+            coeffs = special.alpha_coeffs(n, K)
+            for conj, fn in ((False, special.splitting_B_series),
+                             (True, special.splitting_B_series_conj)):
+                want = _series_by_powers(coeffs, z, conj)
+                got = fn(coeffs, z)
+                assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want)), (K, conj)
 
 
 class TestFresnel:
