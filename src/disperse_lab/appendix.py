@@ -15,11 +15,10 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import trapezoid
 
 from . import special
 from .decay import DecayFit, _envelope_fit
-from .quadrature import composite_gl, gl_nodes, osc_integral
+from .quadrature import composite_gl, gl_nodes, osc_integral, trapezoid
 
 INF = math.inf
 

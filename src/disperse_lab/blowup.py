@@ -14,12 +14,11 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import trapezoid
 
 from . import special
 from .decay import DecayFit, _envelope_fit
 from .propagator import ComplexAmplitude, _prefactor
-from .quadrature import composite_gl, osc_integral_rows, rotated_tail
+from .quadrature import composite_gl, osc_integral_rows, rotated_tail, trapezoid
 
 INF = math.inf
 
@@ -211,6 +210,8 @@ def annulus_lq(datum: ChirpDatum, t: float, q: float, r1: float, r2: float,
                npanels: int = 8, nodes: int = 16) -> float:
     """(int over R1 k_t <= ... annulus |psi|^q dx)^{1/q}, radial part only
     (the constant angular measure drops out of growth-exponent fits)."""
+    if not q > 0:
+        raise ValueError(f"need q > 0, got {q:g}")
     frame = SelfSimilarFrame(t)
 
     def density(z):

@@ -6,9 +6,13 @@ octave; the octave statistics drive a finite/divergent verdict: a term whose
 per-octave contribution keeps growing (or stops decaying) along the grid is
 certified divergent, otherwise the geometric tail is extrapolated.
 
-All panels of one integrand are refined together (`_panel_integrals`); the
-plain integrals (first X2 term, Y_m terms) also stop a panel at the rounding
-floor of their total, the supremands, which weight small z up, do not.
+All panels of a norm are rows of one adaptive driver (`_panel_integrals`),
+and its integrands are columns evaluated on the same nodes: norm_X refines
+its three integrands together, so the profile and its first derivative are
+evaluated once per node.  A column stops refining a row once its own rules
+agree; the plain integrals (first X2 term, Y_m terms) also stop at the
+rounding floor of their total, the supremands, which weight small z up, do
+not.
 """
 
 from __future__ import annotations
@@ -107,31 +111,37 @@ def _aggregate_octaves(increments, per_octave: int):
     return np.concatenate([[inc[0]], octaves])
 
 
-def _panel_integrals(f, edges, floor: bool = False):
-    """(integrals, unconverged) of f over the panels between edges.
+def _panel_integrals(f, edges, floor=False):
+    """(integrals, unconverged) of the columns of f over the panels between
+    edges, each of shape (panels, C).
 
-    Each panel is a row of a 24-node composite rule whose subpanels double
-    from 4 to 256 (|.|-type integrands have kinks) until two successive rules
-    agree to 1e-10 of the newer, or, with floor, to _NOISE of the summed
-    coarse |values|.  unconverged masks the rows that reached 256 without.
+    f(r) returns a (C, r.size) array of C integrands evaluated on the same
+    nodes (a 1-D result is one column).  Each panel is a row of a 24-node
+    composite rule whose subpanels double from 4 to 256 (|.|-type integrands
+    have kinks); a column of a row freezes once two successive rules agree
+    to 1e-10 of the newer, or, where floor (one flag, or one per column) is
+    set, to _NOISE of that column's summed coarse |values|.  A row is
+    re-evaluated while any of its columns is live; unconverged masks the
+    entries that reached 256 without agreeing, which keep that rule's value.
     """
     a = np.asarray(edges[:-1], dtype=float)
     b = np.asarray(edges[1:], dtype=float)
-    g = lambda x, row: f(x)
+    g = lambda x, row: np.atleast_2d(f(x))
     sub = 4
     rows = np.arange(a.size)
     vals = _composite_rows(g, a, b, np.full(a.size, sub), rows, nodes=24)
-    noise = _NOISE * float(np.sum(np.abs(vals))) if floor else 0.0
+    noise = _NOISE * np.where(floor, np.sum(np.abs(vals), axis=0), 0.0)
+    live = np.ones(vals.shape, dtype=bool)
     while rows.size and sub < 256:
         sub *= 2
         cur = _composite_rows(g, a, b, np.full(a.size, sub), rows, nodes=24)
-        agree = np.abs(cur - vals[rows]) <= np.maximum(
+        prev, was = vals[rows], live[rows]
+        agree = np.abs(cur - prev) <= np.maximum(
             1e-10 * np.maximum(np.abs(cur), 1e-300), noise)
-        vals[rows] = cur
-        rows = rows[~agree]
-    unconverged = np.zeros(a.size, dtype=bool)
-    unconverged[rows] = True
-    return vals, unconverged
+        vals[rows] = np.where(was, cur, prev)
+        live[rows] = was = was & ~agree
+        rows = rows[was.any(axis=1)]
+    return vals, live
 
 
 def _fit_slope(vals) -> float:
@@ -203,23 +213,23 @@ def norm_X(profile: RadialProfile, n: int, report: Optional[NormReport] = None,
     """
     _check_args(profile, n)
     P = per_octave
-    f0 = lambda r: np.abs(profile.deriv(0, r))
-    f1 = lambda r: np.abs(profile.deriv(1, r))
     edges = _octave_edges(P)
 
-    def dmod(r):
-        return np.abs(profile.deriv(1, r) * r ** ((n - 1) / 2.0)
-                      + profile.deriv(0, r) * (n - 1) / 2.0 * r ** ((n - 3) / 2.0))
+    def columns(r):
+        # the X1 inner integral, |(f r^{(n-1)/2})'| and the X2 sup tail
+        # |f| r^{(n-5)/2}; the last may be non-integrable at 0 and is only
+        # integrated from z >= 2^K_MIN upward, so it is zero on the head panel
+        d0, d1 = profile.deriv(0, r), profile.deriv(1, r)
+        a0 = np.abs(d0)
+        return np.stack([
+            a0 * r ** (n - 2) + np.abs(d1) * r ** (n - 1),
+            np.abs(d1 * r ** ((n - 1) / 2.0) + d0 * (n - 1) / 2.0 * r ** ((n - 3) / 2.0)),
+            np.where(r > edges[1], a0 * r ** ((n - 5) / 2.0), 0.0)])
 
-    # panel increments of the X1 inner integral, |(f r^{(n-1)/2})'| and the
-    # X2 sup tail |f| r^{(n-5)/2}; the last may be non-integrable at 0 and is
-    # only integrated from z >= 2^K_MIN upward, so its head panel is skipped
-    inc1, s1 = _panel_integrals(lambda r: f0(r) * r ** (n - 2) + f1(r) * r ** (n - 1), edges)
-    incd, sd = _panel_integrals(dmod, edges, floor=True)
-    inct, st = _panel_integrals(lambda r: f0(r) * r ** ((n - 5) / 2.0), edges[1:])
-    inc1, incd, inct = inc1.real, incd.real, np.concatenate([[0.0], inct.real])
+    inc, capped = _panel_integrals(columns, edges, floor=(False, True, False))
+    inc1, incd, inct = inc.real.T
     if report is not None:
-        report.unconverged_panels += int(s1.sum() + sd.sum() + st.sum())
+        report.unconverged_panels += int(capped.sum())
 
     cut = _support_cut(profile, edges)
     zs = np.array(edges[1:])
@@ -284,7 +294,7 @@ def norm_Ym(profile: RadialProfile, n: int, m: int, per_octave: int = 4,
         inc, capped = _panel_integrals(lambda r: fk(r) * r ** p, edges, floor=True)
         if report is not None:
             report.unconverged_panels += int(capped.sum())
-        ok, val = _certify_integral(_aggregate_octaves(inc.real, P), cut)
+        ok, val = _certify_integral(_aggregate_octaves(inc[:, 0].real, P), cut)
         if not ok:
             return math.inf
         total += val
@@ -293,7 +303,7 @@ def norm_Ym(profile: RadialProfile, n: int, m: int, per_octave: int = 4,
         if report is not None:
             report.unconverged_panels += int(capped.sum())
         zs = np.array(edges[1:])
-        sup = np.abs(np.cumsum(inc)) * zs ** (-2.0)
+        sup = np.abs(np.cumsum(inc[:, 0])) * zs ** (-2.0)
         ok, s = _certify_sup(sup, sup[slice(0, None, P)])
         if not ok:
             return math.inf

@@ -160,6 +160,8 @@ def bump(a: float = 1.0, b: float = 2.0, omega: float = 0.0) -> RadialProfile:
 
 def gaussian(width: float = 1.0, omega: float = 0.0) -> RadialProfile:
     """exp(-(r/width)^2); numerically compact."""
+    if not width > 0:
+        raise ValueError(f"gaussian needs width > 0, got {width:g}")
     herm = np.polynomial.hermite.Hermite
 
     def env(r):
@@ -309,6 +311,8 @@ def from_spec(spec: str) -> RadialProfile:
     if fam == "gaussian":
         return gaussian(kv.get("width", 1.0), kv.get("omega", 0.0))
     if fam == "power":
+        if "alpha" not in kv:
+            raise ValueError(f"profile {spec!r} needs alpha=<value>")
         return power(kv["alpha"], kv.get("omega", 0.0))
     if fam == "herglotz":
         return herglotz(kv.get("omega", 1.0), int(kv.get("n", 3)), int(kv.get("K", 8)))

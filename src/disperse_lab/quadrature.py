@@ -30,14 +30,16 @@ def _composite_rows(f, a, b, npanels, rows, nodes: int = 32, absolute: bool = Fa
     """Composite Gauss-Legendre sums of f(x, row) over [a[row], b[row]] with
     npanels[row] panels, for each row in `rows`.  Panels are laid end to end
     over all rows and evaluated in blocks of at most _BLOCK_NODES nodes.
-    With absolute, also returns the sums of |weight * f| per row."""
+
+    f returns one value per node, or a (C, nodes) array of C integrands on
+    the same nodes; the sums then have shape (rows.size, C).  With absolute,
+    also returns the sums of |weight * f|."""
     x, w = gl_nodes(nodes)
     counts = npanels[rows]
     first = np.zeros(rows.size + 1, dtype=np.int64)
     np.cumsum(counts, out=first[1:])
     width = (b[rows] - a[rows]) / counts
-    sums = np.zeros(rows.size, dtype=complex)
-    mags = np.zeros(rows.size)
+    sums, mags = np.zeros(rows.size, dtype=complex), np.zeros(rows.size)
     step = max(1, _BLOCK_NODES // nodes)
     for g0 in range(0, int(first[-1]), step):
         g = np.arange(g0, min(g0 + step, int(first[-1])))
@@ -45,13 +47,20 @@ def _composite_rows(f, a, b, npanels, rows, nodes: int = 32, absolute: bool = Fa
         half = 0.5 * width[loc]
         mid = a[rows[loc]] + (g - first[loc] + 0.5) * width[loc]
         vals = f((mid[:, None] + half[:, None] * x).ravel(), np.repeat(rows[loc], nodes))
-        panel = np.sum(half[:, None] * w * vals.reshape(-1, nodes), axis=1)
+        lead = vals.shape[:-1]
+        if lead:
+            panel = (half * (vals.reshape(*lead, -1, nodes) @ w)).T
+            if sums.ndim == 1:
+                sums, mags = np.zeros(sums.shape + lead, dtype=complex), np.zeros(mags.shape + lead)
+        else:
+            panel = np.sum(half[:, None] * w * vals.reshape(-1, nodes), axis=1)
         # every row has panels, so the block holds rows loc[0] .. loc[-1]
         held = np.arange(loc[0], loc[-1] + 1)
         start = np.maximum(first[held] - g0, 0)
         sums[held] += np.add.reduceat(panel, start)
         if absolute:
-            mags[held] += np.add.reduceat(half * (np.abs(vals).reshape(-1, nodes) @ w), start)
+            mags[held] += np.add.reduceat(
+                (half * (np.abs(vals).reshape(*lead, -1, nodes) @ w)).T, start)
     return (sums, mags) if absolute else sums
 
 
@@ -61,6 +70,12 @@ def composite_gl(f, a: float, b: float, npanels: int, nodes: int = 32):
     return _composite_rows(lambda x, row: f(x), np.array([a], dtype=float),
                            np.array([b], dtype=float), np.array([npanels]),
                            np.zeros(1, dtype=int), nodes)[0]
+
+
+def trapezoid(y, x) -> float:
+    """Trapezoid-rule integral of samples y at the 1-D abscissae x."""
+    y, x = np.asarray(y), np.asarray(x)
+    return float(np.sum(np.diff(x) * (y[1:] + y[:-1]) / 2.0))
 
 
 def osc_integral_rows(f, a, b, phase_span, tol: float = 1e-9,

@@ -93,6 +93,21 @@ class TestExitCodes:
         assert code == 2
         assert err == "error: no annulus with V above the threshold\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        (["blowup", "--n", "3", "--sigma", "1", "--q", "0", "--tgrid", "0.9"],
+         "need q > 0, got 0"),
+        (["norm", "--family", "power", "--n", "3", "--which", "X"],
+         "profile 'power' needs alpha=<value>"),
+        (["propagate", "--n", "3", "--profile", "gaussian:width=0", "--t", "1",
+          "--x", "1"], "gaussian needs width > 0, got 0"),
+    ])
+    def test_bad_input_is_two_with_one_error_line(self, argv, message, tmp_path,
+                                                   capsys):
+        code = cli.main(argv + ["--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o.csv").exists()
+
     def test_verify_fast_passes(self):
         proc = subprocess.run(
             [sys.executable, "-m", "disperse_lab.cli", "verify",
@@ -110,6 +125,17 @@ class TestDeterminism:
         _, out1 = run_cli(args, tmp_path, "a.csv")
         _, out2 = run_cli(args, tmp_path, "b.csv")
         assert out1.read_bytes() == out2.read_bytes()
+
+
+class TestColdStart:
+    def test_import_leaves_out_scipy_stats_and_integrate(self):
+        # each costs a fraction of a second at start-up for one small function
+        code = ("import sys, disperse_lab.cli; "
+                "print([m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules])")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestHelpers:

@@ -135,3 +135,17 @@ class TestFitMechanics:
             decay.DecayFit(axis="time", grid=np.array([1.0, 2.0, 3.0]),
                            fitted_exponent=0.0, half_width=0.0,
                            max_residual=0.0)
+
+    def test_linear_fit_matches_linregress(self):
+        # the closed form replaces scipy.stats.linregress, which costs about
+        # half a second to import
+        from scipy import stats
+        rng = np.random.default_rng(7)
+        for size in (3, 8, 25):
+            x = np.sort(rng.uniform(-2.0, 3.0, size))
+            for noise in (0.0, 1e-9, 0.3):
+                y = -1.5 * x + 0.2 + noise * rng.standard_normal(size)
+                ref = stats.linregress(x, y)
+                got = decay._linear_fit(x, y)
+                for v, r in zip(got, (ref.slope, ref.intercept, ref.stderr)):
+                    assert abs(v - r) <= 1e-15 * max(abs(r), 1.0)

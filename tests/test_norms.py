@@ -1,5 +1,6 @@
 """Weighted-norm evaluation, divergence certification, threshold scans."""
 
+import dataclasses
 import inspect
 import math
 
@@ -198,23 +199,30 @@ def _per_panel_loop(f, edges):
 
 
 def _record_panel_calls(monkeypatch, compare):
-    """Record every _panel_integrals call as (floor, (values, unconverged),
-    (loop values, loop stuck), scale), with the per-panel loop run on the
-    same integrand at call time for the call numbers in `compare` (None for
-    the others); scale is each panel's integral of |f|."""
+    """Record every _panel_integrals call as (floor per column, (values,
+    unconverged), loops), where loops holds, for the call numbers in
+    `compare` (None for the others), one (loop values, loop stuck, scale) per
+    column: the per-panel loop run on that column alone at call time, and
+    each panel's integral of |column|."""
     driver = norms._panel_integrals
     default = inspect.signature(driver).parameters["floor"].default
     calls = []
 
     def spy(f, edges, floor=default):
         out = driver(f, edges, floor)
+        ncol = out[0].shape[1]
+        floors = tuple(np.broadcast_to(floor, ncol))
         if len(calls) not in compare:
-            calls.append((floor, out, None, None))
+            calls.append((floors, out, None))
             return out
-        ref = _per_panel_loop(f, edges)
-        scale = (_per_panel_loop(lambda r: np.abs(f(r)), edges)[0].real
-                 if np.iscomplexobj(f(np.ones(1))) else np.abs(ref[0]))
-        calls.append((floor, out, ref, scale))
+        loops = []
+        for c in range(ncol):
+            col = lambda r, c=c: np.atleast_2d(f(r))[c]
+            ref, ref_stuck = _per_panel_loop(col, edges)
+            scale = (_per_panel_loop(lambda r: np.abs(col(r)), edges)[0].real
+                     if np.iscomplexobj(col(np.ones(1))) else np.abs(ref))
+            loops.append((ref, ref_stuck, scale))
+        calls.append((floors, out, loops))
         return out
 
     monkeypatch.setattr(norms, "_panel_integrals", spy)
@@ -225,62 +233,114 @@ class TestBatchedPanels:
     @pytest.mark.parametrize("family", ["power", "oscillating_power", "bump",
                                         "herglotz"])
     def test_matches_per_panel_loop(self, family, monkeypatch):
-        n = 3
-        p = {"power": lambda: profiles.power(1.5),
-             "oscillating_power": lambda: oscillating_power(3.5),
-             "bump": lambda: profiles.bump(1.0, 2.0),
-             "herglotz": lambda: profiles.herglotz(1.0, n)}[family]()
-        # X1, X2 integral, X2 sup tail; the Y_n integrals, the averaged mass:
-        # only the plain integrals are floored.  Rows are compared for every
-        # X term and the averaged mass; the Y_n integrals are checked by value
-        # in test_herglotz_rows_stop_at_noise_floor
-        calls = _record_panel_calls(monkeypatch, compare=(0, 1, 2, 6))
-        norm_X(p, n)
-        norm_Ym(p, n, n)
-        assert [c[0] for c in calls] == [False, True, False, True, True, True, False]
-        for i, (floored, (got, stuck), loop, scale) in enumerate(calls):
-            if loop is None:
-                continue
-            ref, ref_stuck = loop
-            if floored:
-                # a floored row stops within the noise floor of the total
-                scale = np.maximum(scale, np.abs(ref).sum())
-                assert not np.any(stuck & ~ref_stuck), i
-            else:
-                # the same rows hit the cap; a capped row of an unresolved
-                # oscillation depends on the rounding of its nodes
-                assert np.array_equal(stuck, ref_stuck), i
-                scale = np.where(ref_stuck, np.inf, scale)
-            assert np.all(np.abs(got - ref) <= 1e-13 * scale), i
+        # one norm_X call with the X1, X2 integral and X2 sup tail columns;
+        # the Y_n integrals and the averaged mass one column each: only the
+        # plain integrals are floored.  Every column of the X call and the
+        # averaged mass are compared; the Y_n integrals are checked by value
+        # in test_herglotz_rows_stop_at_noise_floor.  At n = 2 the X2
+        # integrand of power and herglotz keeps a row live after the X1
+        # column has converged on it
+        for n in (2, 3):
+            p = {"power": lambda: profiles.power(1.5),
+                 "oscillating_power": lambda: oscillating_power(3.5),
+                 "bump": lambda: profiles.bump(1.0, 2.0),
+                 "herglotz": lambda: profiles.herglotz(1.0, n)}[family]()
+            with monkeypatch.context() as mp:
+                calls = _record_panel_calls(mp, compare=(0, n + 1))
+                norm_X(p, n)
+                norm_Ym(p, n, n)
+            assert [c[0] for c in calls] == [(False, True, False)] + [(True,)] * n \
+                + [(False,)]
+            for i, (floors, (got, stuck), loops) in enumerate(calls):
+                if loops is None:
+                    continue
+                for c, (floored, (ref, ref_stuck, scale)) in enumerate(zip(floors, loops)):
+                    if floored:
+                        # a floored column stops within the noise floor of its total
+                        scale = np.maximum(scale, np.abs(ref).sum())
+                        assert not np.any(stuck[:, c] & ~ref_stuck), (n, i, c)
+                    else:
+                        # the same rows hit the cap; a capped row of an unresolved
+                        # oscillation depends on the rounding of its nodes
+                        assert np.array_equal(stuck[:, c], ref_stuck), (n, i, c)
+                        scale = np.where(ref_stuck, np.inf, scale)
+                    assert np.all(np.abs(got[:, c] - ref) <= 1e-13 * scale), (n, i, c)
 
     def test_herglotz_rows_stop_at_noise_floor(self, monkeypatch):
         # beyond the cutoff eta r is constant, so (eta r)' is rounding noise
-        # and no relative test can pass; the floor stops those rows early
+        # and no relative test can pass; the floor stops that column early
         p = profiles.herglotz(1.0, 3)
         driver, rows = norms._panel_integrals, norms._composite_rows
         default = inspect.signature(driver).parameters["floor"].default
-        widest = {}
+        calls, widest = [], []
 
         def spy_rows(f, a, b, npanels, sel, nodes=32):
-            widest[spy.floor] = max(widest.get(spy.floor, 0), int(npanels[sel].max()))
+            widest.append(int(npanels[sel].max()))
             return rows(f, a, b, npanels, sel, nodes)
 
         def spy(f, edges, floor=default):
-            spy.floor = floor
-            return driver(f, edges, floor and spy.use_floor)
+            out = driver(f, edges, np.logical_and(floor, spy.use_floor))
+            calls.append((f, edges, out[1]))
+            return out
 
         def run(use_floor):
             spy.use_floor = use_floor
-            widest.clear()
-            x = norm_X(p, 3)
-            return x, widest[True], norm_Ym(p, 3, 3)
+            return norm_X(p, 3), norm_Ym(p, 3, 3)
 
-        monkeypatch.setattr(norms, "_composite_rows", spy_rows)
         monkeypatch.setattr(norms, "_panel_integrals", spy)
-        (x, dmod_sub, y), (x_ref, dmod_sub_ref, y_ref) = run(True), run(False)
-        assert dmod_sub < 256 and dmod_sub_ref == 256
+        (x, y), (x_ref, y_ref) = run(True), run(False)
         assert x == pytest.approx(x_ref, rel=1e-12)
         assert y == pytest.approx(y_ref, rel=1e-12)
+        # the dmod column (the second of the norm_X call) converges on every
+        # row with the floor, and is capped on some without it
+        (f, edges, stuck), (_, _, ref_stuck) = (c for c in calls if c[2].shape[1] == 3)
+        assert not stuck[:, 1].any() and ref_stuck[:, 1].any()
+
+        def widest_for(floor):
+            widest.clear()
+            driver(lambda r: f(r)[1], edges, floor)
+            return max(widest)
+
+        # refined alone, it stops below the 256-subpanel cap
+        monkeypatch.setattr(norms, "_composite_rows", spy_rows)
+        assert widest_for(True) < 256 and widest_for(False) == 256
+        # beside an unfloored copy of itself, each column keeps its own floor
+        # and its own stopping point: each matches its refinement alone
+        pair, pair_stuck = driver(lambda r: f(r)[[1, 1]], edges, (True, False))
+        for c, floor in enumerate((True, False)):
+            alone, alone_stuck = driver(lambda r: f(r)[1], edges, floor)
+            assert np.array_equal(pair_stuck[:, c], alone_stuck[:, 0]), c
+            assert np.allclose(pair[:, c], alone[:, 0], rtol=1e-15, atol=0.0), c
+
+    def test_profile_evaluated_once_per_node(self, monkeypatch):
+        # norm_X evaluates f and f' once per node of its one panel driver
+        counted = {"points": 0}
+        driver = norms._panel_integrals
+        nodes = []
+
+        def spy(f, edges, floor=False):
+            nodes.append(0)
+
+            def g(r):
+                nodes[-1] += r.size
+                return f(r)
+            return driver(g, edges, floor)
+
+        def count(fn):
+            def wrapped(*args):
+                counted["points"] += np.size(args[-1])
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(norms, "_panel_integrals", spy)
+        for p in (profiles.power(1.1), profiles.bump(1.0, 2.0),
+                  oscillating_power(1.6), profiles.herglotz(1.0, 3)):
+            counted["points"] = 0
+            nodes.clear()
+            q = dataclasses.replace(p, envelope=count(p.envelope),
+                                    deriv_fn=count(p.deriv_fn))
+            norm_X(q, 3)
+            assert 0 < counted["points"] <= 2 * max(nodes), p.label
 
     def test_cap_is_reported(self):
         # a jump inside a panel: composite rules converge only like h, so

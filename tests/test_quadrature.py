@@ -1,4 +1,5 @@
-"""Steepest-descent tails: stationary points on rays, one-ray rows unchanged."""
+"""Composite row sums with one or many integrands; steepest-descent tails:
+stationary points on rays, one-ray rows unchanged."""
 
 import cmath
 import math
@@ -7,7 +8,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from disperse_lab.quadrature import gl_nodes, osc_integral_rows, rotated_tail
+from disperse_lab.quadrature import (_BLOCK_NODES, _composite_rows, gl_nodes,
+                                    osc_integral_rows, rotated_tail, trapezoid)
 
 
 def _one_ray(h, rho0, a, c2, nodes=96):
@@ -84,3 +86,72 @@ class TestRotatedTail:
         assert abs(got - want) > 1e-12 * abs(want)     # the loss is real
         assert abs(got - want) <= err
         assert err <= 1e-6 * abs(want)
+
+
+def _composite_rows_1d(f, a, b, npanels, rows, nodes=32, absolute=False):
+    """_composite_rows as it stood when integrands returned one value per
+    node: the one-integrand path must keep this arithmetic bit for bit."""
+    x, w = gl_nodes(nodes)
+    counts = npanels[rows]
+    first = np.zeros(rows.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=first[1:])
+    width = (b[rows] - a[rows]) / counts
+    sums = np.zeros(rows.size, dtype=complex)
+    mags = np.zeros(rows.size)
+    step = max(1, _BLOCK_NODES // nodes)
+    for g0 in range(0, int(first[-1]), step):
+        g = np.arange(g0, min(g0 + step, int(first[-1])))
+        loc = np.searchsorted(first, g, side="right") - 1
+        half = 0.5 * width[loc]
+        mid = a[rows[loc]] + (g - first[loc] + 0.5) * width[loc]
+        vals = f((mid[:, None] + half[:, None] * x).ravel(), np.repeat(rows[loc], nodes))
+        panel = np.sum(half[:, None] * w * vals.reshape(-1, nodes), axis=1)
+        held = np.arange(loc[0], loc[-1] + 1)
+        start = np.maximum(first[held] - g0, 0)
+        sums[held] += np.add.reduceat(panel, start)
+        if absolute:
+            mags[held] += np.add.reduceat(half * (np.abs(vals).reshape(-1, nodes) @ w), start)
+    return (sums, mags) if absolute else sums
+
+
+class TestCompositeRows:
+    # rows of very different sizes, some spanning several node blocks
+    a = np.array([0.0, 0.5, 1.0, 3.0, 10.0])
+    b = np.array([0.5, 2.0, 7.0, 3.5, 90.0])
+    npanels = np.array([3, 40, 700, 1, 1500])
+    rows = np.array([0, 1, 2, 3, 4])
+
+    @staticmethod
+    def _cols(x, row):
+        return np.stack([np.exp(1j * x * x) / (1.0 + x), np.abs(np.sin(3.0 * x)),
+                         (row + 1.0) * np.cos(x) * np.exp(-0.1 * x)])
+
+    def test_columns_match_one_column_calls(self):
+        assert self.npanels.sum() * 24 > 2 * _BLOCK_NODES
+        for sel in (self.rows, np.array([1, 4])):
+            sums, mags = _composite_rows(self._cols, self.a, self.b, self.npanels,
+                                         sel, nodes=24, absolute=True)
+            assert sums.shape == mags.shape == (sel.size, 3)
+            for c in range(3):
+                one, one_mag = _composite_rows(lambda x, row: self._cols(x, row)[c],
+                                               self.a, self.b, self.npanels, sel,
+                                               nodes=24, absolute=True)
+                assert np.all(np.abs(sums[:, c] - one) <= 1e-15 * one_mag), c
+                assert np.allclose(mags[:, c], one_mag, rtol=1e-15, atol=0.0), c
+
+    def test_one_column_path_is_unchanged(self):
+        f = lambda x, row: self._cols(x, row)[0] * (row + 1.0)
+        for sel in (self.rows, np.array([2, 3])):
+            for nodes in (24, 32):
+                args = (f, self.a, self.b, self.npanels, sel, nodes)
+                got, got_mag = _composite_rows(*args, absolute=True)
+                ref, ref_mag = _composite_rows_1d(*args, absolute=True)
+                assert np.array_equal(got, ref) and np.array_equal(got_mag, ref_mag)
+                assert np.array_equal(_composite_rows(*args), _composite_rows_1d(*args))
+        empty = np.array([], dtype=int)
+        assert _composite_rows(f, self.a, self.b, self.npanels, empty).shape == (0,)
+
+    def test_trapezoid(self):
+        x = np.geomspace(1.0, 8.0, 301)
+        assert trapezoid(x ** 2, x) == pytest.approx((8.0 ** 3 - 1.0) / 3.0, rel=1e-4)
+        assert trapezoid([1.0, 3.0], [0.0, 2.0]) == 4.0
