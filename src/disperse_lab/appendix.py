@@ -64,7 +64,9 @@ def _endpoint_ray(g, w0: float, dphase: complex, delta_pow: float,
     along the descent direction u (|u| = 1, folded into g), where
     Re(dphase) < 0 sets the decay scale.  `scale` is |Re dphase|.
 
-    Endpoint singularity tau^{-delta_pow} is removed by tau = v^{1/(1-d)}.
+    Endpoint singularity tau^{-delta_pow} is removed by tau = v^{1/(1-d)}:
+    tau^{-d} dtau = pw dv exactly, so the product is never formed (tau
+    underflows to 0 near v = 0 as d -> 1).
     """
     pw = 1.0 / (1.0 - delta_pow)
     tau_star = 45.0 / scale
@@ -76,8 +78,7 @@ def _endpoint_ray(g, w0: float, dphase: complex, delta_pow: float,
         half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
         v = mid + half * x
         tau = v ** pw
-        vals = g(tau) * tau ** (-delta_pow) * np.exp(dphase * tau) \
-            * pw * v ** (pw - 1.0)
+        vals = g(tau) * np.exp(dphase * tau) * pw
         total += np.sum(half * w * vals)
     return complex(total)
 

@@ -20,6 +20,7 @@ from disperse_lab.propagator import (
     solution_mass,
 )
 
+from test_propagator import ORACLE_SUITE, ORACLE_TIMES, ORACLE_XS
 from test_special import residual_envelope_slope
 
 
@@ -97,20 +98,15 @@ def test_criterion_3_propagator_oracle(capsys):
     ok = True
     notes = []
 
-    suite = [profiles.bump(1.0, 2.0), profiles.bump(0.5, 2.5),
-             profiles.bump(1.0, 2.0, omega=2.0),
-             profiles.gaussian(1.0), profiles.gaussian(0.8)]
-    times = (0.4, 1.2)
-    xs = (0.8, 2.0, 4.0)
     worst = 0.0
-    for prof in suite:
-        run = evolve_oracle(prof, 3, times, r_domain=96.0, levels=15)
-        for t in times:
-            scale = max(abs(run.at(t, x)) for x in xs)
-            for x in xs:
+    for prof in ORACLE_SUITE:
+        run = evolve_oracle(prof, 3, ORACLE_TIMES)
+        for t in ORACLE_TIMES:
+            scale = max(abs(run.at(t, x)) for x in ORACLE_XS)
+            for x in ORACLE_XS:
                 got = evolve_radial(prof, EvalPoint(3, x, t)).value
                 worst = max(worst, abs(got - run.at(t, x)) / scale)
-    ok &= worst <= 1e-3
+    ok &= worst <= 1e-9
     notes.append(f"oracle rel {worst:.1e}")
 
     g_worst = 0.0
@@ -139,8 +135,8 @@ def test_criterion_3_propagator_oracle(capsys):
     ok &= drift <= 1e-5
     notes.append(f"mass drift {drift:.1e}")
 
-    verdict(capsys, 3, "propagator vs finite-difference oracle", ok, t0,
-            120.0, "; ".join(notes))
+    verdict(capsys, 3, "propagator vs spectral oracle", ok, t0,
+            30.0, "; ".join(notes))
 
 
 def test_criterion_4_norm_thresholds(capsys):

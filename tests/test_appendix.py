@@ -63,6 +63,14 @@ class TestEvaluation:
             b = appendix._direct_integral(0.5, 3, x, t)
             assert abs(a - b) <= 1e-7 * max(abs(b), 1e-10)
 
+    def test_large_t_contour_near_delta_one(self):
+        # tau = v^{1/(1-delta)} underflows to 0 near v = 0 at delta = 0.99;
+        # the fixed 64-node ray rule is off by 7.2e-7 here
+        a = appendix._contour_integral_large_t(0.99, 3, 5.0, 60.0)
+        b = appendix._direct_integral(0.99, 3, 5.0, 60.0)
+        assert cmath.isfinite(a)
+        assert abs(a - b) <= 1e-6 * abs(b)
+
     def test_small_delta_limit(self):
         assert delta_limit_consistency(3, 0.5, delta=0.05) <= 1e-2
 

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import subprocess
 import sys
 
@@ -53,6 +54,13 @@ class TestFormats:
         vals = {float(a): v for a, v in rows}
         assert vals[0.6] == "DIV"
         assert float(vals[1.4]) > 0
+
+    def test_appendix_psi_near_delta_one_is_finite(self, tmp_path):
+        proc, out = run_cli(["appendix", "--mode", "psi", "--delta", "0.99",
+                             "--n", "3", "--x", "3", "--t", "1e5"], tmp_path)
+        assert proc.returncode == 0
+        doc = json.loads(out.read_text())
+        assert all(math.isfinite(doc[key]) for key in ("re", "im", "abs"))
 
 
 class TestExitCodes:

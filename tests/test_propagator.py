@@ -76,20 +76,39 @@ class TestHerglotzInvariance:
         assert abs(amp - want) <= 1e-4 * abs(datum)
 
 
+# criterion 3's data and probes, shared with tests/test_acceptance.py
+ORACLE_SUITE = (profiles.bump(1.0, 2.0), profiles.bump(0.5, 2.5),
+                profiles.bump(1.0, 2.0, omega=2.0),
+                profiles.gaussian(1.0), profiles.gaussian(0.8))
+ORACLE_TIMES = (0.4, 1.2)
+ORACLE_XS = (0.8, 2.0, 4.0)
+
+
 class TestOracleAgreement:
-    def test_bump_matches_finite_difference(self):
-        prof = profiles.bump(1.0, 2.0)
-        run = evolve_oracle(prof, 3, (0.4, 1.2), r_domain=96.0, levels=15)
-        assert run.mass_drift <= 1e-4
-        for t in (0.4, 1.2):
-            scale = max(abs(run.at(t, x)) for x in (0.8, 2.0, 4.0))
-            for x in (0.8, 2.0, 4.0):
-                got = evolve_radial(prof, EvalPoint(3, x, t)).value
-                assert abs(got - run.at(t, x)) <= 1e-3 * scale
+    def test_matches_spectral_oracle_within_estimate(self):
+        for prof in ORACLE_SUITE:
+            run = evolve_oracle(prof, 3, ORACLE_TIMES)
+            for t in ORACLE_TIMES:
+                scale = max(abs(run.at(t, x)) for x in ORACLE_XS)
+                for x in ORACLE_XS:
+                    want = run.at(t, x)
+                    amp = evolve_radial(prof, EvalPoint(3, x, t))
+                    assert abs(amp.value - want) <= amp.err_est + 1e-13 * scale
+                    tight = evolve_radial(prof, EvalPoint(3, x, t), tol=1e-12)
+                    assert abs(tight.value - want) <= 1e-13 * scale
 
     def test_oracle_rejects_unbounded_support(self):
         with pytest.raises(ValueError):
             evolve_oracle(profiles.power(3.0), 3, (0.5,))
+
+    def test_oracle_rejects_even_dimension(self):
+        with pytest.raises(ValueError, match="n = 3"):
+            evolve_oracle(profiles.bump(1.0, 2.0), 2, (0.5,))
+
+    def test_oracle_rejects_wrap_around(self):
+        # by t = 200 the modes with |k| >= L/t ~ 7.7 hold ~1e-12 of the mass
+        with pytest.raises(ValueError, match="wrap-around"):
+            evolve_oracle(profiles.gaussian(1.0), 3, (0.4, 200.0))
 
 
 class TestDecomposition:
@@ -253,3 +272,17 @@ class TestHonestySweeps:
             mp.setattr(propagator, "_BETA_ROTATE", 0.0)
             real = evolve_radial(prof, pt)
         assert abs(rot.value - real.value) <= rot.err_est + real.err_est + 1e-14 * abs(real.value)
+
+    # Below t = L/k_max ~ 1.43 no oracle mode travels around the domain;
+    # below width 0.8 the oracle's grid resolves a bump only to ~1e-11.
+    @settings(max_examples=15, deadline=None, derandomize=True, database=None)
+    @given(a=st.floats(0.3, 1.5), width=st.floats(0.8, 2.0),
+           omega=st.floats(-3.0, 3.0),
+           lt=st.floats(math.log10(0.05), math.log10(1.4)),
+           lx=st.floats(math.log10(0.3), 1.0))
+    def test_bump_against_spectral_oracle(self, a, width, omega, lt, lx):
+        x, t = 10.0 ** lx, 10.0 ** lt
+        prof = profiles.bump(a, a + width, omega)
+        want = evolve_oracle(prof, 3, (t,)).at(t, x)
+        amp = evolve_radial(prof, EvalPoint(3, x, t))
+        assert abs(amp.value - want) <= amp.err_est + 1e-14 * abs(want)
