@@ -19,7 +19,7 @@ from . import norms
 from .norms import DivergentNormError
 from .profiles import RadialProfile
 from .propagator import EvalPoint, _abs_integral, _frame, decompose_g, evolve_radial
-from .quadrature import composite_gl
+from .quadrature import composite_gl, linear_fit
 
 
 # ---------------------------------------------------------------------------
@@ -61,21 +61,11 @@ def _envelope_fit(axis: str, grid, vals) -> DecayFit:
     xs, ys = np.array(xs), np.array(ys)
     keep = ys > 0
     xs, ys = xs[keep], ys[keep]
-    slope, intercept, stderr = _linear_fit(np.log10(xs), np.log10(ys))
+    slope, intercept, stderr = linear_fit(np.log10(xs), np.log10(ys))
     resid = np.log10(ys) - (intercept + slope * np.log10(xs))
     return DecayFit(axis=axis, grid=g, fitted_exponent=float(slope),
                     half_width=float(1.96 * stderr),
                     max_residual=float(np.max(np.abs(resid))))
-
-
-def _linear_fit(x, y):
-    """(slope, intercept, slope standard error) of the least-squares line,
-    by the closed form: stderr = sqrt((1 - r^2) S_yy / S_xx / (N - 2))."""
-    sxx, sxy, _, syy = np.cov(x, y, bias=True).flat
-    slope = sxy / sxx
-    r = min(abs(sxy) / math.sqrt(sxx * syy), 1.0) if syy > 0 else 0.0
-    stderr = math.sqrt((1 - r ** 2) * syy / sxx / (x.size - 2)) if x.size > 2 else 0.0
-    return slope, np.mean(y) - slope * np.mean(x), stderr
 
 
 def _components(datum) -> List[Tuple[complex, RadialProfile]]:

@@ -7,24 +7,29 @@ per-octave contribution keeps growing (or stops decaying) along the grid is
 certified divergent, otherwise the geometric tail is extrapolated.
 
 All panels of a norm are rows of one adaptive driver (`_panel_integrals`),
-and its integrands are columns evaluated on the same nodes: norm_X refines
-its three integrands together, so the profile and its first derivative are
-evaluated once per node.  A column stops refining a row once its own rules
-agree; the plain integrals (first X2 term, Y_m terms) also stop at the
-rounding floor of their total, the supremands, which weight small z up, do
-not.
+and its integrands are columns evaluated on the same nodes from one
+derivative stack per node (`RadialProfile.derivs`): norm_X's three
+integrands come from orders 0..1, norm_Ym's integrals (k = k_lo..m) from
+orders 0..m.  Only the averaged-mass supremum of Y_n is a second driver
+call.  The panels are fixed, so each refinement level's nodes are one
+broadcast of a cached composite rule over the live panels, and its panel
+sums one matmul per block of whole panels.  A column stops refining a row
+once its own rules agree; the plain integrals (first X2 term, Y_m terms)
+also stop at the rounding floor of their total, the supremands, which
+weight small z up, do not.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
 from .profiles import RadialProfile, power, bump, herglotz, herglotz_pair
-from .quadrature import _composite_rows
+from .quadrature import gl_nodes, linear_fit
 
 K_MIN, K_MAX = -20, 40
 _SLOPE_DIV_INT = -0.02     # log2 increment slope above this -> divergent
@@ -32,6 +37,9 @@ _SLOPE_DIV_SUP = 0.02      # log2 probe-value slope above this -> divergent
 _FIT_WINDOW = 12
 # increments this far below an integrand's total are rounding noise
 _NOISE = 1e-13
+# a driver level evaluates its integrands on whole panels, at most this many
+# nodes at once; 2^14 read slower and larger on the norms benchmark
+_PANEL_BLOCK = 1 << 13
 
 
 class DivergentNormError(ValueError):
@@ -70,6 +78,13 @@ class FamilySpec:
         raise ValueError(f"unknown family {self.family!r}")
 
 
+@lru_cache(maxsize=None)
+def _leibniz(k: int):
+    """[m, j] = C(m, j) i^{m-j}: orders 0..k of e^{ir} g from those of g."""
+    return np.array([[math.comb(m, j) * 1j ** (m - j) for j in range(k + 1)]
+                     for m in range(k + 1)])
+
+
 def oscillating_power(alpha: float) -> RadialProfile:
     """f(r) = e^{ir}(1+r)^{-alpha} with Leibniz closed-form derivatives."""
     base = power(alpha)
@@ -79,11 +94,7 @@ def oscillating_power(alpha: float) -> RadialProfile:
         return np.exp(1j * r) * base.envelope(r)
 
     def deriv(k, r):
-        r = np.asarray(r, dtype=float)
-        acc = np.zeros(r.shape, dtype=complex)
-        for j in range(k + 1):
-            acc += math.comb(k, j) * (1j) ** (k - j) * base.deriv_fn(j, r)
-        return np.exp(1j * r) * acc
+        return np.exp(1j * r) * (_leibniz(k) @ base.deriv_fn(k, r))
 
     def tail(r):
         r = np.asarray(r, dtype=complex)
@@ -111,6 +122,28 @@ def _aggregate_octaves(increments, per_octave: int):
     return np.concatenate([[inc[0]], octaves])
 
 
+@lru_cache(maxsize=None)
+def _unit_rule(sub: int):
+    """Per node of the composite rule with sub subpanels of 24 Gauss-Legendre
+    nodes on one panel: subpanel centre (in subpanel widths), node and weight
+    on [-1, 1]."""
+    x, w = gl_nodes(24)
+    return np.repeat(np.arange(sub) + 0.5, x.size), np.tile(x, sub), np.tile(w, sub)
+
+
+def _level_sums(f, a, width, sub):
+    """(panels, C) sums of the sub-subpanel rule over [a, a + sub * width],
+    panel by panel, of the C columns of f."""
+    centre, x, w = _unit_rule(sub)
+    per = max(1, _PANEL_BLOCK // x.size)
+    sums = []
+    for i in range(0, a.size, per):
+        wd = width[i:i + per, None]
+        vals = np.atleast_2d(f((a[i:i + per, None] + centre * wd + 0.5 * wd * x).ravel()))
+        sums.append(((vals.reshape(vals.shape[0], -1, x.size) @ w) * (0.5 * wd[:, 0])).T)
+    return np.concatenate(sums)
+
+
 def _panel_integrals(f, edges, floor=False):
     """(integrals, unconverged) of the columns of f over the panels between
     edges, each of shape (panels, C).
@@ -126,15 +159,14 @@ def _panel_integrals(f, edges, floor=False):
     """
     a = np.asarray(edges[:-1], dtype=float)
     b = np.asarray(edges[1:], dtype=float)
-    g = lambda x, row: np.atleast_2d(f(x))
     sub = 4
     rows = np.arange(a.size)
-    vals = _composite_rows(g, a, b, np.full(a.size, sub), rows, nodes=24)
+    vals = _level_sums(f, a, (b - a) / sub, sub)
     noise = _NOISE * np.where(floor, np.sum(np.abs(vals), axis=0), 0.0)
     live = np.ones(vals.shape, dtype=bool)
     while rows.size and sub < 256:
         sub *= 2
-        cur = _composite_rows(g, a, b, np.full(a.size, sub), rows, nodes=24)
+        cur = _level_sums(f, a[rows], (b[rows] - a[rows]) / sub, sub)
         prev, was = vals[rows], live[rows]
         agree = np.abs(cur - prev) <= np.maximum(
             1e-10 * np.maximum(np.abs(cur), 1e-300), noise)
@@ -150,11 +182,7 @@ def _fit_slope(vals) -> float:
     live = vals > 0
     if live.sum() < 4:
         return -math.inf
-    idx = np.arange(len(vals), dtype=float)[live]
-    y = np.log2(vals[live])
-    A = np.vstack([idx, np.ones_like(idx)]).T
-    slope, _ = np.linalg.lstsq(A, y, rcond=None)[0]
-    return float(slope)
+    return float(linear_fit(np.flatnonzero(live).astype(float), np.log2(vals[live]))[0])
 
 
 def _beyond_grid_tail(increments, support_cut: Optional[int] = None):
@@ -219,12 +247,15 @@ def norm_X(profile: RadialProfile, n: int, report: Optional[NormReport] = None,
         # the X1 inner integral, |(f r^{(n-1)/2})'| and the X2 sup tail
         # |f| r^{(n-5)/2}; the last may be non-integrable at 0 and is only
         # integrated from z >= 2^K_MIN upward, so it is zero on the head panel
-        d0, d1 = profile.deriv(0, r), profile.deriv(1, r)
+        d0, d1 = profile.derivs(1, r)
         a0 = np.abs(d0)
+        rk = r ** (n - 2)
+        t = np.sqrt(r) ** (n - 5)           # r^{(n-5)/2}
+        h = t * r                           # r^{(n-3)/2}
         return np.stack([
-            a0 * r ** (n - 2) + np.abs(d1) * r ** (n - 1),
-            np.abs(d1 * r ** ((n - 1) / 2.0) + d0 * (n - 1) / 2.0 * r ** ((n - 3) / 2.0)),
-            np.where(r > edges[1], a0 * r ** ((n - 5) / 2.0), 0.0)])
+            a0 * rk + np.abs(d1) * (rk * r),
+            np.abs(d1 * (h * r) + d0 * ((n - 1) / 2.0 * h)),
+            np.where(r > edges[1], a0 * t, 0.0)])
 
     inc, capped = _panel_integrals(columns, edges, floor=(False, True, False))
     inc1, incd, inct = inc.real.T
@@ -286,18 +317,29 @@ def norm_Ym(profile: RadialProfile, n: int, m: int, per_octave: int = 4,
     P = per_octave
     edges = _octave_edges(P)
     cut = _support_cut(profile, edges)
-    total = 0.0
     k_lo = 1 if m == n else 0
-    for k in range(k_lo, m + 1):
-        fk = lambda r: np.abs(profile.deriv(k, r))
-        p = n - m + k - 1
-        inc, capped = _panel_integrals(lambda r: fk(r) * r ** p, edges, floor=True)
-        if report is not None:
-            report.unconverged_panels += int(capped.sum())
-        ok, val = _certify_integral(_aggregate_octaves(inc[:, 0].real, P), cut)
+
+    def integrands(r):
+        # |f^{(k)}| r^{n-m+k-1}, k = k_lo..m
+        out = np.abs(profile.derivs(m, r)[k_lo:])
+        weight = r ** (n - m + k_lo - 1)
+        for row in out:
+            row *= weight
+            weight = weight * r
+        return out
+
+    inc, capped = _panel_integrals(integrands, edges, floor=True)
+    total = 0.0
+    for c in range(inc.shape[1]):
+        ok, val = _certify_integral(_aggregate_octaves(inc[:, c].real, P), cut)
         if not ok:
-            return math.inf
+            break
         total += val
+    if report is not None:
+        # the columns up to the first divergent one, as refined one by one
+        report.unconverged_panels += int(capped[:, :c + 1].sum())
+    if not ok:
+        return math.inf
     if m == n:
         inc, capped = _panel_integrals(lambda r: profile.deriv(0, r) * r, edges)
         if report is not None:
@@ -308,7 +350,7 @@ def norm_Ym(profile: RadialProfile, n: int, m: int, per_octave: int = 4,
         if not ok:
             return math.inf
         total += s
-        total += float(abs(complex(np.asarray(profile.deriv(0, 0.0)).ravel()[0])))
+        total += float(abs(profile.deriv(0, 0.0)))
     return total
 
 

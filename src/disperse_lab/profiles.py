@@ -2,24 +2,28 @@
 
 A profile is an envelope phi_omega together with a linear carrier frequency
 omega; the full radial datum is phi(x) = phi_omega(|x|) e^{i omega |x|}.
-Built-in families carry analytic derivatives where the closed form is cheap
-and fall back to high-order central differences otherwise.  Families with a
-power-law tail also expose an analytic continuation used by the contour-
-rotated tail quadrature.
+Derivatives come as stacks: deriv_fn(k, r) returns the envelope and its
+derivatives of orders 0..k at the 1-D nodes r as one (k+1, r.size) array,
+so a caller that needs several orders evaluates the profile once per node.
+Built-in families compute their shared factors once per node (one power,
+one exponential, one Bell or Hermite recurrence); a profile without
+deriv_fn falls back to a 7-point finite-difference stencil whose points
+serve every order.  Families with a power-law tail also expose an analytic
+continuation used by the contour-rotated tail quadrature.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
 
-from .special import alpha_coeffs, splitting_A, splitting_B_series, cutoff_chi
+from .special import alpha_coeffs, cutoff_chi, hankel_sum, splitting_A, splitting_B_series
 
-# 7-point stencils, O(h^4) when central; rows indexed by derivative order 1..4
+# offsets of the 7-point stencils, for derivative orders up to 6
 _FD_OFFSETS = np.arange(-3, 4)
 
 
@@ -32,30 +36,49 @@ def _fd_weights(k: int, shift: int = 0):
     return np.linalg.solve(A, b)
 
 
-def fd_derivative(f, k: int, r, h_scale: float = 0.02, r_min=None):
-    """k-th derivative (k <= 6) by 7-point differences, central unless a
-    node would fall below r_min, where the stencil moves right by whole steps.
+@lru_cache(maxsize=None)
+def _fd_table(k: int):
+    """Weights [order 1..k, shift 0..3, offset] of the stencils."""
+    return np.array([[_fd_weights(m, s) for s in range(4)] for m in range(1, k + 1)])
+
+
+def fd_derivatives(f, k: int, r, h_scale: float = 0.02, r_min=None):
+    """Orders 0..k (k <= 6) of f at r, shape (k+1,) + r.shape, by 7-point
+    differences from one set of stencil evaluations: central unless a node
+    would fall below r_min, where the stencil moves right by whole steps.
 
     Step balances truncation against roundoff; adequate for the <=1e-4
-    consistency the profile contract asks for.
+    consistency the profile contract asks for.  Row 0 is f(r) itself.
     """
-    if k == 0:
-        return f(np.asarray(r, dtype=float))
     r = np.asarray(r, dtype=float)
+    if k == 0:
+        return np.asarray(f(r))[None]
     h = h_scale * (1.0 + np.abs(r))
-    shift = 0 if r_min is None else np.clip(np.ceil(3.0 - (r - r_min) / h), 0, 3).astype(int)
-    weights = np.array([_fd_weights(k, s) for s in range(4)])
-    acc = np.zeros(r.shape, dtype=complex)
+    shift = (np.zeros(r.shape, dtype=int) if r_min is None
+             else np.clip(np.ceil(3.0 - (r - r_min) / h), 0, 3).astype(int))
+    table = _fd_table(k)
+    out = np.zeros((k + 1,) + r.shape, dtype=complex)
     for j, off in enumerate(_FD_OFFSETS):
-        wt = weights[shift, j]
-        if np.any(wt != 0.0):
-            acc += wt * f(r + (off + shift) * h)
-    return acc / h ** k
+        fj = f(r + (off + shift) * h)
+        out[1:] += table[:, shift, j] * fj
+        np.copyto(out[:1], fj, where=off + shift == 0)
+    out[1:] /= h ** np.arange(1, k + 1).reshape((k,) + (1,) * r.ndim)
+    return out
+
+
+def _require_finite(family: str, **params):
+    bad = [f"{k}={v:g}" for k, v in params.items() if not math.isfinite(v)]
+    if bad:
+        raise ValueError(f"{family} needs finite parameters, got {', '.join(bad)}")
 
 
 @dataclass
 class RadialProfile:
-    """Envelope + carrier; the datum is phi(x) = envelope(|x|) e^{i omega |x|}."""
+    """Envelope + carrier; the datum is phi(x) = envelope(|x|) e^{i omega |x|}.
+
+    deriv_fn(k, r), when given, maps 1-D float nodes r to the (k+1, r.size)
+    stack of the envelope's derivatives of orders 0..k; row 0 is the
+    envelope."""
     label: str
     omega: float
     envelope: Callable[[np.ndarray], np.ndarray]
@@ -67,12 +90,15 @@ class RadialProfile:
     tail_fn: Optional[Callable] = None
     tail_start: float = 0.0
 
+    def derivs(self, k: int, r):
+        """Orders 0..k of the envelope at r, shape (k+1,) + r.shape."""
+        r = np.asarray(r, dtype=float)
+        if self.deriv_fn is None:
+            return fd_derivatives(self.envelope, k, r)
+        return np.asarray(self.deriv_fn(k, r.ravel())).reshape((k + 1,) + r.shape)
+
     def deriv(self, k: int, r):
-        if k == 0:
-            return np.asarray(self.envelope(np.asarray(r, dtype=float)), dtype=complex)
-        if self.deriv_fn is not None:
-            return np.asarray(self.deriv_fn(k, np.asarray(r, dtype=float)), dtype=complex)
-        return fd_derivative(self.envelope, k, r)
+        return self.derivs(k, r)[k]
 
     def phi_rad(self, r):
         r = np.asarray(r, dtype=float)
@@ -85,8 +111,8 @@ class RadialProfile:
             label=f"{self.label}~dilated{lam}",
             omega=lam * base.omega,
             envelope=lambda r: base.envelope(lam * np.asarray(r, dtype=float)),
-            deriv_fn=(None if base.deriv_fn is None
-                      else lambda k, r: lam ** k * base.deriv_fn(k, lam * r)),
+            deriv_fn=(None if base.deriv_fn is None else lambda k, r:
+                      lam ** np.arange(k + 1.0)[:, None] * base.deriv_fn(k, lam * r)),
             support=None if base.support is None else base.support / lam,
             tail_alpha=base.tail_alpha,
             tail_fn=(None if base.tail_fn is None
@@ -115,6 +141,7 @@ class RadialProfile:
 
 def bump(a: float = 1.0, b: float = 2.0, omega: float = 0.0) -> RadialProfile:
     """C_c^infty bump on [a, b], normalized to peak value 1."""
+    _require_finite("bump", a=a, b=b, omega=omega)
     if not b > a >= 0:
         raise ValueError("need 0 <= a < b")
     peak = ((b - a) / 2.0) ** 2
@@ -133,25 +160,25 @@ def bump(a: float = 1.0, b: float = 2.0, omega: float = 0.0) -> RadialProfile:
     cpf = peak / (b - a)
 
     def deriv(k, r):
-        r = np.asarray(r, dtype=float)
-        out = np.zeros(r.shape, dtype=complex)
+        out = np.zeros((k + 1, r.size))
         inside = (r > a) & (r < b)
         if not np.any(inside):
             return out
         ri = r[inside]
         da, db = ri - a, b - ri
+        ia, ib = 1.0 / da, 1.0 / db
+        pa, pb = ia, ib
         phi = [None]  # phi^{(j)} for j >= 1, phi = 1 - u
         for j in range(1, k + 1):
-            uj = cpf * math.factorial(j) * ((-1.0) ** j * da ** (-j - 1)
-                                            + db ** (-j - 1))
-            phi.append(-uj)
+            pa, pb = pa * ia, pb * ib
+            phi.append(-cpf * math.factorial(j) * ((-1.0) ** j * pa + pb))
         bell = [np.ones(ri.shape)]
         for kk in range(1, k + 1):
             acc = np.zeros(ri.shape)
             for j in range(kk):
                 acc += math.comb(kk - 1, j) * bell[j] * phi[kk - j]
             bell.append(acc)
-        out[inside] = np.exp(1.0 - cpf * (1.0 / da + 1.0 / db)) * bell[k]
+        out[:, inside] = np.exp(1.0 - peak / (da * db)) * np.array(bell)
         return out
 
     return RadialProfile(label=f"bump[{a},{b}]", omega=omega, envelope=env,
@@ -160,18 +187,25 @@ def bump(a: float = 1.0, b: float = 2.0, omega: float = 0.0) -> RadialProfile:
 
 def gaussian(width: float = 1.0, omega: float = 0.0) -> RadialProfile:
     """exp(-(r/width)^2); numerically compact."""
+    _require_finite("gaussian", width=width, omega=omega)
     if not width > 0:
         raise ValueError(f"gaussian needs width > 0, got {width:g}")
-    herm = np.polynomial.hermite.Hermite
 
     def env(r):
         r = np.asarray(r, dtype=float) / width
         return np.exp(-r * r)
 
     def deriv(k, r):
-        r = np.asarray(r, dtype=float) / width
-        hk = herm.basis(k)(r)
-        return (-1.0 / width) ** k * hk * np.exp(-r * r)
+        # (-1/width)^j H_j(s) e^{-s^2}, s = r/width, with the physicists'
+        # Hermite recurrence H_{j+1} = 2s H_j - 2j H_{j-1}
+        s = r / width
+        out = np.empty((k + 1, r.size))
+        out[0] = np.exp(-s * s)
+        h_prev, h = np.zeros(r.size), np.ones(r.size)
+        for j in range(1, k + 1):
+            h_prev, h = h, 2.0 * s * h - 2.0 * (j - 1) * h_prev
+            out[j] = (-1.0 / width) ** j * h * out[0]
+        return out
 
     return RadialProfile(label=f"gauss[{width}]", omega=omega, envelope=env,
                          deriv_fn=deriv, support=13.0 * width)
@@ -179,15 +213,20 @@ def gaussian(width: float = 1.0, omega: float = 0.0) -> RadialProfile:
 
 def power(alpha: float, omega: float = 0.0) -> RadialProfile:
     """(1+r)^{-alpha} with closed-form derivatives and analytic tail."""
+    _require_finite("power", alpha=alpha, omega=omega)
 
     def env(r):
         return (1.0 + np.asarray(r, dtype=float)) ** (-alpha)
 
     def deriv(k, r):
-        coef = 1.0
-        for j in range(k):
-            coef *= -(alpha + j)
-        return coef * (1.0 + np.asarray(r, dtype=float)) ** (-alpha - k)
+        # f^{(j)} = -(alpha + j - 1) f^{(j-1)} / (1 + r)
+        out = np.empty((k + 1, r.size))
+        out[0] = (1.0 + r) ** (-alpha)
+        if k:
+            inv = 1.0 / (1.0 + r)
+            for j in range(1, k + 1):
+                out[j] = -(alpha + j - 1) * inv * out[j - 1]
+        return out
 
     def tail(r):
         return (1.0 + np.asarray(r, dtype=complex)) ** (-alpha)
@@ -206,8 +245,12 @@ def herglotz(omega: float, n: int, K: int = 8) -> RadialProfile:
     up to the truncation error of the order-K asymptotic series, where
     eta(r) = omega^{-n/2} r^{1-n} (A_n(omega r)/2 + B_n(omega r)).
     """
+    _require_finite("herglotz", omega=omega, n=n, K=K)
     if omega == 0:
         raise ValueError("herglotz envelope needs omega != 0")
+    if n != int(n) or K != int(K):
+        raise ValueError(f"herglotz needs integer n and K, got n={n:g}, K={K:g}")
+    n, K = int(n), int(K)
     w = abs(omega)
     coeffs = alpha_coeffs(n, K)
 
@@ -245,21 +288,20 @@ def herglotz(omega: float, n: int, K: int = 8) -> RadialProfile:
           for k, a in enumerate(coeffs.alpha)]
 
     def deriv(m, r):
-        r = np.asarray(r, dtype=float)
-        out = np.empty(r.shape, dtype=complex)
+        out = np.empty((m + 1, r.size), dtype=complex)
         far = w * r >= 1.0
         if np.any(far):
+            # order j: r^{p-j} sum_k d_k (p-k)(p-k-1)..(p-k-j+1) r^{-k}
             rf = r[far]
-            acc = np.zeros(rf.shape, dtype=complex)
-            for k, d in enumerate(dk):
-                coef = d
-                for j in range(m):
-                    coef *= (p - k - j)
-                acc += coef * rf ** (p - k - m)
-            out[far] = acc
-        if np.any(~far):
+            rp = rf ** p
+            coef = dk
+            for j in range(m + 1):
+                out[j, far] = hankel_sum(coef, rf) * rp
+                rp = rp / rf
+                coef = [c * (p - k - j) for k, c in enumerate(coef)]
+        if not np.all(far):
             # env is its r = 0 limit below 0, so no node may fall there
-            out[~far] = fd_derivative(env, m, r[~far], h_scale=0.004, r_min=0.0)
+            out[:, ~far] = fd_derivatives(env, m, r[~far], h_scale=0.004, r_min=0.0)
         return out
 
     return RadialProfile(label=f"herglotz[w={omega},n={n}]", omega=omega,
@@ -315,5 +357,5 @@ def from_spec(spec: str) -> RadialProfile:
             raise ValueError(f"profile {spec!r} needs alpha=<value>")
         return power(kv["alpha"], kv.get("omega", 0.0))
     if fam == "herglotz":
-        return herglotz(kv.get("omega", 1.0), int(kv.get("n", 3)), int(kv.get("K", 8)))
+        return herglotz(kv.get("omega", 1.0), kv.get("n", 3), kv.get("K", 8))
     raise ValueError(f"unknown profile family {fam!r}")

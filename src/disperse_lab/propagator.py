@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from . import special
-from .profiles import RadialProfile, fd_derivative
+from .profiles import RadialProfile, fd_derivatives
 from .quadrature import osc_integral, rotated_tail, composite_gl
 
 
@@ -209,7 +209,7 @@ class GDecomposition:
 
     def deriv(self, j: int, m: int, rho):
         fn = (self.g1, self.g2, self.g3)[j - 1]
-        return fd_derivative(fn, m, rho, h_scale=0.005)
+        return fd_derivatives(fn, m, rho, h_scale=0.005)[m]
 
 
 def decompose_g(profile: RadialProfile, pt: EvalPoint, K: int = 8) -> GDecomposition:

@@ -30,10 +30,7 @@ def _composite_rows(f, a, b, npanels, rows, nodes: int = 32, absolute: bool = Fa
     """Composite Gauss-Legendre sums of f(x, row) over [a[row], b[row]] with
     npanels[row] panels, for each row in `rows`.  Panels are laid end to end
     over all rows and evaluated in blocks of at most _BLOCK_NODES nodes.
-
-    f returns one value per node, or a (C, nodes) array of C integrands on
-    the same nodes; the sums then have shape (rows.size, C).  With absolute,
-    also returns the sums of |weight * f|."""
+    With absolute, also returns the sums of |weight * f|."""
     x, w = gl_nodes(nodes)
     counts = npanels[rows]
     first = np.zeros(rows.size + 1, dtype=np.int64)
@@ -47,20 +44,13 @@ def _composite_rows(f, a, b, npanels, rows, nodes: int = 32, absolute: bool = Fa
         half = 0.5 * width[loc]
         mid = a[rows[loc]] + (g - first[loc] + 0.5) * width[loc]
         vals = f((mid[:, None] + half[:, None] * x).ravel(), np.repeat(rows[loc], nodes))
-        lead = vals.shape[:-1]
-        if lead:
-            panel = (half * (vals.reshape(*lead, -1, nodes) @ w)).T
-            if sums.ndim == 1:
-                sums, mags = np.zeros(sums.shape + lead, dtype=complex), np.zeros(mags.shape + lead)
-        else:
-            panel = np.sum(half[:, None] * w * vals.reshape(-1, nodes), axis=1)
+        panel = np.sum(half[:, None] * w * vals.reshape(-1, nodes), axis=1)
         # every row has panels, so the block holds rows loc[0] .. loc[-1]
         held = np.arange(loc[0], loc[-1] + 1)
         start = np.maximum(first[held] - g0, 0)
         sums[held] += np.add.reduceat(panel, start)
         if absolute:
-            mags[held] += np.add.reduceat(
-                (half * (np.abs(vals).reshape(*lead, -1, nodes) @ w)).T, start)
+            mags[held] += np.add.reduceat(half * (np.abs(vals).reshape(-1, nodes) @ w), start)
     return (sums, mags) if absolute else sums
 
 
@@ -76,6 +66,17 @@ def trapezoid(y, x) -> float:
     """Trapezoid-rule integral of samples y at the 1-D abscissae x."""
     y, x = np.asarray(y), np.asarray(x)
     return float(np.sum(np.diff(x) * (y[1:] + y[:-1]) / 2.0))
+
+
+def linear_fit(x, y):
+    """(slope, intercept, slope standard error) of the least-squares line
+    through the 1-D samples (x, y), by the closed form:
+    stderr = sqrt((1 - r^2) S_yy / S_xx / (N - 2))."""
+    sxx, sxy, _, syy = np.cov(x, y, bias=True).flat
+    slope = sxy / sxx
+    r = min(abs(sxy) / math.sqrt(sxx * syy), 1.0) if syy > 0 else 0.0
+    stderr = math.sqrt((1 - r ** 2) * syy / sxx / (x.size - 2)) if x.size > 2 else 0.0
+    return slope, np.mean(y) - slope * np.mean(x), stderr
 
 
 def osc_integral_rows(f, a, b, phase_span, tol: float = 1e-9,

@@ -116,6 +116,31 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["norm", "--family", "power:alpha=nan", "--n", "3", "--which", "X"],
+         "power needs finite parameters, got alpha=nan"),
+        (["norm", "--family", "power:alpha=inf", "--n", "3", "--which", "X"],
+         "power needs finite parameters, got alpha=inf"),
+        (["propagate", "--n", "3", "--profile", "power:alpha=nan", "--t", "1", "--x", "1"],
+         "power needs finite parameters, got alpha=nan"),
+        (["propagate", "--n", "3", "--profile", "gaussian:width=inf", "--t", "1",
+          "--x", "1"], "gaussian needs finite parameters, got width=inf"),
+        (["norm", "--family", "bump:a=1,b=inf", "--n", "3", "--which", "X"],
+         "bump needs finite parameters, got b=inf"),
+        (["propagate", "--n", "3", "--profile", "bump:omega=-inf", "--t", "1", "--x", "1"],
+         "bump needs finite parameters, got omega=-inf"),
+        (["norm", "--family", "herglotz:omega=nan", "--n", "3", "--which", "X"],
+         "herglotz needs finite parameters, got omega=nan"),
+        (["norm", "--family", "herglotz:n=inf", "--n", "3", "--which", "X"],
+         "herglotz needs finite parameters, got n=inf"),
+    ])
+    def test_non_finite_parameter_is_two(self, argv, message, tmp_path, capsys):
+        # these printed X,nan, a NaN row or err_est = nan with exit code 0
+        code = cli.main(argv + ["--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o.csv").exists()
+
     def test_verify_fast_passes(self):
         proc = subprocess.run(
             [sys.executable, "-m", "disperse_lab.cli", "verify",

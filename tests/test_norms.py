@@ -52,7 +52,7 @@ class TestHomogeneityAndDilation:
         combo = RadialProfile(
             label="sum", omega=0.0,
             envelope=lambda r: b1.envelope(r) + b2.envelope(r),
-            deriv_fn=lambda k, r: b1.deriv(k, r) + b2.deriv(k, r),
+            deriv_fn=lambda k, r: b1.derivs(k, r) + b2.derivs(k, r),
             support=3.0)
         n = 3
         for m in (0, 1, 3):
@@ -99,6 +99,22 @@ class TestDivergenceCertification:
         assert len(rep.ym) == 4
         assert all(math.isfinite(v) for v in rep.ym)
         assert math.isfinite(rep.x1) and math.isfinite(rep.x2)
+
+
+class TestSlopeFit:
+    def test_matches_lstsq(self):
+        # the closed-form line fit that decay uses replaces lstsq; zeros and
+        # negative increments are left out of the fit
+        rng = np.random.default_rng(3)
+        for size in (5, 12):
+            idx = np.arange(size, dtype=float)
+            vals = 2.0 ** (-0.7 * idx + 0.3 * rng.standard_normal(size))
+            vals[1] = 0.0
+            live = vals > 0
+            A = np.vstack([idx[live], np.ones(live.sum())]).T
+            want = np.linalg.lstsq(A, np.log2(vals[live]), rcond=None)[0][0]
+            assert norms._fit_slope(vals) == pytest.approx(want, rel=1e-13, abs=1e-15)
+        assert norms._fit_slope([1.0, 0.5, 0.0, 0.0, -1.0]) == -math.inf
 
 
 class TestThresholds:
@@ -198,12 +214,11 @@ def _per_panel_loop(f, edges):
     return np.array(vals), np.array(stuck)
 
 
-def _record_panel_calls(monkeypatch, compare):
+def _record_panel_calls(monkeypatch):
     """Record every _panel_integrals call as (floor per column, (values,
-    unconverged), loops), where loops holds, for the call numbers in
-    `compare` (None for the others), one (loop values, loop stuck, scale) per
-    column: the per-panel loop run on that column alone at call time, and
-    each panel's integral of |column|."""
+    unconverged), loops), where loops holds one (loop values, loop stuck,
+    scale) per column: the per-panel loop run on that column alone at call
+    time, and each panel's integral of |column|."""
     driver = norms._panel_integrals
     default = inspect.signature(driver).parameters["floor"].default
     calls = []
@@ -212,9 +227,6 @@ def _record_panel_calls(monkeypatch, compare):
         out = driver(f, edges, floor)
         ncol = out[0].shape[1]
         floors = tuple(np.broadcast_to(floor, ncol))
-        if len(calls) not in compare:
-            calls.append((floors, out, None))
-            return out
         loops = []
         for c in range(ncol):
             col = lambda r, c=c: np.atleast_2d(f(r))[c]
@@ -229,31 +241,31 @@ def _record_panel_calls(monkeypatch, compare):
     return calls
 
 
+def _cols(x):
+    return np.stack([np.exp(1j * x * x) / (1.0 + x), np.abs(np.sin(3.0 * x)),
+                     np.cos(x) * np.exp(-0.1 * x)])
+
+
 class TestBatchedPanels:
     @pytest.mark.parametrize("family", ["power", "oscillating_power", "bump",
                                         "herglotz"])
     def test_matches_per_panel_loop(self, family, monkeypatch):
-        # one norm_X call with the X1, X2 integral and X2 sup tail columns;
-        # the Y_n integrals and the averaged mass one column each: only the
-        # plain integrals are floored.  Every column of the X call and the
-        # averaged mass are compared; the Y_n integrals are checked by value
-        # in test_herglotz_rows_stop_at_noise_floor.  At n = 2 the X2
-        # integrand of power and herglotz keeps a row live after the X1
-        # column has converged on it
+        # one norm_X call with the X1, X2 integral and X2 sup tail columns,
+        # one call with the n Y_n integrals k = 1..n and one with the
+        # averaged mass: only the plain integrals are floored.  Every column
+        # of every call is compared.  At n = 2 the X2 integrand of power and
+        # herglotz keeps a row live after the X1 column has converged on it
         for n in (2, 3):
             p = {"power": lambda: profiles.power(1.5),
                  "oscillating_power": lambda: oscillating_power(3.5),
                  "bump": lambda: profiles.bump(1.0, 2.0),
                  "herglotz": lambda: profiles.herglotz(1.0, n)}[family]()
             with monkeypatch.context() as mp:
-                calls = _record_panel_calls(mp, compare=(0, n + 1))
+                calls = _record_panel_calls(mp)
                 norm_X(p, n)
                 norm_Ym(p, n, n)
-            assert [c[0] for c in calls] == [(False, True, False)] + [(True,)] * n \
-                + [(False,)]
+            assert [c[0] for c in calls] == [(False, True, False), (True,) * n, (False,)]
             for i, (floors, (got, stuck), loops) in enumerate(calls):
-                if loops is None:
-                    continue
                 for c, (floored, (ref, ref_stuck, scale)) in enumerate(zip(floors, loops)):
                     if floored:
                         # a floored column stops within the noise floor of its total
@@ -266,17 +278,35 @@ class TestBatchedPanels:
                         scale = np.where(ref_stuck, np.inf, scale)
                     assert np.all(np.abs(got[:, c] - ref) <= 1e-13 * scale), (n, i, c)
 
+    def test_columns_match_one_column_calls(self):
+        # a level's C columns summed by one matmul equal C one-column levels
+        # to 1e-15 of sum |w f|; at 4 subpanels the 241 octave panels span
+        # several node blocks, at 256 each panel is a block of its own
+        edges = np.array(norms._octave_edges(4))
+        a, b = edges[:-1], edges[1:]
+        assert a.size * 4 * 24 > 2 * norms._PANEL_BLOCK
+        for sub, sel in ((4, np.arange(a.size)), (32, np.array([3, 100, 240])),
+                         (256, np.array([0, 120, 121, 240]))):
+            width = (b[sel] - a[sel]) / sub
+            sums = norms._level_sums(_cols, a[sel], width, sub)
+            assert sums.shape == (sel.size, 3)
+            for c in range(3):
+                one = norms._level_sums(lambda x: _cols(x)[c], a[sel], width, sub)
+                mag = norms._level_sums(lambda x: np.abs(_cols(x)[c]), a[sel], width, sub)
+                assert one.shape == (sel.size, 1)
+                assert np.all(np.abs(sums[:, c] - one[:, 0]) <= 1e-15 * mag[:, 0]), (sub, c)
+
     def test_herglotz_rows_stop_at_noise_floor(self, monkeypatch):
         # beyond the cutoff eta r is constant, so (eta r)' is rounding noise
         # and no relative test can pass; the floor stops that column early
         p = profiles.herglotz(1.0, 3)
-        driver, rows = norms._panel_integrals, norms._composite_rows
+        driver, level = norms._panel_integrals, norms._level_sums
         default = inspect.signature(driver).parameters["floor"].default
         calls, widest = [], []
 
-        def spy_rows(f, a, b, npanels, sel, nodes=32):
-            widest.append(int(npanels[sel].max()))
-            return rows(f, a, b, npanels, sel, nodes)
+        def spy_level(f, a, width, sub):
+            widest.append(sub)
+            return level(f, a, width, sub)
 
         def spy(f, edges, floor=default):
             out = driver(f, edges, np.logical_and(floor, spy.use_floor))
@@ -288,12 +318,15 @@ class TestBatchedPanels:
             return norm_X(p, 3), norm_Ym(p, 3, 3)
 
         monkeypatch.setattr(norms, "_panel_integrals", spy)
-        (x, y), (x_ref, y_ref) = run(True), run(False)
+        x, y = run(True)
+        first = len(calls)
+        x_ref, y_ref = run(False)
         assert x == pytest.approx(x_ref, rel=1e-12)
         assert y == pytest.approx(y_ref, rel=1e-12)
         # the dmod column (the second of the norm_X call) converges on every
         # row with the floor, and is capped on some without it
-        (f, edges, stuck), (_, _, ref_stuck) = (c for c in calls if c[2].shape[1] == 3)
+        (f, edges, stuck), (_, _, ref_stuck) = calls[0], calls[first]
+        assert stuck.shape[1] == 3
         assert not stuck[:, 1].any() and ref_stuck[:, 1].any()
 
         def widest_for(floor):
@@ -302,7 +335,7 @@ class TestBatchedPanels:
             return max(widest)
 
         # refined alone, it stops below the 256-subpanel cap
-        monkeypatch.setattr(norms, "_composite_rows", spy_rows)
+        monkeypatch.setattr(norms, "_level_sums", spy_level)
         assert widest_for(True) < 256 and widest_for(False) == 256
         # beside an unfloored copy of itself, each column keeps its own floor
         # and its own stopping point: each matches its refinement alone
@@ -313,7 +346,8 @@ class TestBatchedPanels:
             assert np.allclose(pair[:, c], alone[:, 0], rtol=1e-15, atol=0.0), c
 
     def test_profile_evaluated_once_per_node(self, monkeypatch):
-        # norm_X evaluates f and f' once per node of its one panel driver
+        # norm_X evaluates one stack of f and f' per node of its one panel
+        # driver call
         counted = {"points": 0}
         driver = norms._panel_integrals
         nodes = []
@@ -340,7 +374,75 @@ class TestBatchedPanels:
             q = dataclasses.replace(p, envelope=count(p.envelope),
                                     deriv_fn=count(p.deriv_fn))
             norm_X(q, 3)
-            assert 0 < counted["points"] <= 2 * max(nodes), p.label
+            assert len(nodes) == 1 and 0 < counted["points"] <= nodes[0], p.label
+
+    def test_ym_evaluates_profile_once_per_node(self, monkeypatch):
+        # the Y_m integrals k = k_lo..m are columns of one driver call that
+        # evaluates the derivative stack once per node; the averaged mass of
+        # Y_n, run when every integral is finite, is the only other call
+        driver = norms._panel_integrals
+        calls, outside = [], []
+
+        def spy(f, edges, floor=False):
+            calls.append([0, 0])       # nodes, profile points
+            spy.active = True
+
+            def g(r):
+                calls[-1][0] += r.size
+                return f(r)
+            try:
+                return driver(g, edges, floor)
+            finally:
+                spy.active = False
+
+        def count(fn):
+            def wrapped(*args):
+                if spy.active:
+                    calls[-1][1] += np.size(args[-1])
+                else:
+                    outside.append(np.size(args[-1]))
+                return fn(*args)
+            return wrapped
+
+        spy.active = False
+        monkeypatch.setattr(norms, "_panel_integrals", spy)
+        n = 3
+        for p in (profiles.power(3.0), profiles.bump(1.0, 2.0),
+                  oscillating_power(3.5), profiles.herglotz(1.0, n)):
+            q = dataclasses.replace(p, envelope=count(p.envelope),
+                                    deriv_fn=count(p.deriv_fn))
+            for m in range(n + 1):
+                calls.clear()
+                outside.clear()
+                val = norm_Ym(q, n, m)
+                assert len(calls) == 1 + (m == n and math.isfinite(val)), (p.label, m)
+                assert all(0 < pts <= nodes for nodes, pts in calls), (p.label, m)
+                # |f(0)| of Y_n
+                assert sum(outside) <= 1, (p.label, m)
+
+    def test_integrand_calls_hold_at_most_one_block(self, monkeypatch):
+        # whatever the number of columns, an integrand call receives at most
+        # _PANEL_BLOCK = 2^13 nodes, so memory stays flat as columns are added
+        driver = norms._panel_integrals
+        sizes = []
+
+        def spy(f, edges, floor=False):
+            def g(r):
+                sizes.append(r.size)
+                return f(r)
+            return driver(g, edges, floor)
+
+        monkeypatch.setattr(norms, "_panel_integrals", spy)
+        for n in (2, 4):
+            for p in (profiles.power(5.5), profiles.bump(1.0, 2.0),
+                      oscillating_power(3.5)):
+                norm_X(p, n)
+                for m in range(n + 1):
+                    norm_Ym(p, n, m)
+        assert norms._PANEL_BLOCK == 1 << 13
+        assert sizes and max(sizes) <= 1 << 13
+        # levels fill their blocks: 4 subpanels pack 85 whole panels
+        assert max(sizes) == 85 * 4 * 24
 
     def test_cap_is_reported(self):
         # a jump inside a panel: composite rules converge only like h, so
@@ -348,7 +450,8 @@ class TestBatchedPanels:
         jump = 2.0 ** 0.3
         step = lambda r: np.where(np.asarray(r) < jump, 1.0, 0.0)
         p = RadialProfile(label="step", omega=0.0, envelope=step,
-                          deriv_fn=lambda k, r: 0.0 * np.asarray(r), support=2.0)
+                          deriv_fn=lambda k, r: np.stack([step(r)] + [0.0 * r] * k),
+                          support=2.0)
         edges = norms._octave_edges(4)
         got, stuck = norms._panel_integrals(lambda r: step(r) * r, edges)
         (i,) = np.flatnonzero(stuck)
@@ -362,6 +465,23 @@ class TestBatchedPanels:
             norm_Ym(p, 3, m, report=rep)
         assert norm_report(p, 3).unconverged_panels == rep.unconverged_panels
         assert norm_report(profiles.power(3.0), 3).unconverged_panels == 0
+
+    def test_ym_counts_columns_up_to_the_first_divergent(self):
+        # a jump in f' leaves one panel of the k = 1 column capped; that cap
+        # counts only when the k = 0 column before it is finite, as when
+        # each column was a call of its own and norm_Ym returned at the
+        # first divergent one
+        jump = 2.0 ** 0.3
+        step = lambda r: np.where(r < jump, 1.0, 0.0)
+        for alpha, want in ((0.5, 0), (5.0, 1)):
+            env = profiles.power(alpha).envelope
+            stack = lambda k, r, env=env: np.stack([env(r), step(r)] + [0.0 * r] * (k - 1))
+            p = RadialProfile(label="kinked", omega=0.0, envelope=env, deriv_fn=stack,
+                              tail_alpha=alpha)
+            rep = NormReport(x1=0.0, x2=0.0, ym=[])
+            val = norm_Ym(p, 3, 1, report=rep)
+            assert math.isfinite(val) == (alpha > 3.0)
+            assert rep.unconverged_panels == want, alpha
 
     def test_ym_cap_is_reported(self):
         # the averaged-mass integrand f r of Y_n keeps the carrier e^{ir};

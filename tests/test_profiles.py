@@ -1,10 +1,12 @@
 """Profile contracts: the analytic tail continuation and the derivatives."""
 
+import math
+
 import mpmath
 import numpy as np
 import pytest
 
-from disperse_lab import profiles
+from disperse_lab import profiles, special
 from disperse_lab.norms import oscillating_power
 
 
@@ -18,6 +20,25 @@ def _tailed_profiles():
         out += [(label, p), (label + "~dilate", p.dilate(0.37)),
                 (label + "~dilate", p.dilate(2.5)), (label + "~scale", p.scale(0.6 - 1.3j))]
     return out
+
+
+class TestParameterChecks:
+    @pytest.mark.parametrize("build", [
+        lambda v: profiles.power(v), lambda v: profiles.power(1.5, omega=v),
+        lambda v: oscillating_power(v), lambda v: profiles.gaussian(v),
+        lambda v: profiles.gaussian(1.0, omega=v), lambda v: profiles.bump(v, 2.0),
+        lambda v: profiles.bump(1.0, v), lambda v: profiles.bump(1.0, 2.0, v),
+        lambda v: profiles.herglotz(v, 3), lambda v: profiles.herglotz(1.0, v),
+        lambda v: profiles.herglotz(1.0, 3, v), lambda v: profiles.herglotz_pair(v, 3)])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_parameter_raises(self, build, value):
+        with pytest.raises(ValueError, match="needs finite parameters"):
+            build(value)
+
+    def test_herglotz_needs_integer_n_and_K(self):
+        with pytest.raises(ValueError, match="integer n and K"):
+            profiles.from_spec("herglotz:n=3.5")
+        assert profiles.from_spec("herglotz:n=4,K=6").label == "herglotz[w=1.0,n=4]"
 
 
 class TestTailFnContract:
@@ -59,3 +80,219 @@ class TestHerglotzDerivNearZero:
             scale = max(abs(complex(mpmath.diff(closed, mpmath.mpf(0.1), j)))
                         for j in range(k + 1))
             assert np.all(np.abs(got - want) <= 1e-4 * scale), k
+
+
+# -- derivative stacks ---------------------------------------------------------
+# one order at a time, each by its own closed form: the arithmetic the stacks
+# replaced
+
+def _power_k(alpha, k, r):
+    coef = 1.0
+    for j in range(k):
+        coef *= -(alpha + j)
+    return coef * (1.0 + r) ** (-alpha - k)
+
+
+def _osc_k(alpha, k, r):
+    return np.exp(1j * r) * sum(math.comb(k, j) * 1j ** (k - j) * _power_k(alpha, j, r)
+                                for j in range(k + 1))
+
+
+def _gauss_k(width, k, r):
+    s = r / width
+    return (-1.0 / width) ** k * np.polynomial.hermite.Hermite.basis(k)(s) * np.exp(-s * s)
+
+
+def _bump_k(a, b, k, r, absolute=False):
+    # e^{1-u} times the complete Bell polynomial in -u', -u'', ...; with
+    # absolute, in |u'|, |u''|, ...: the size of the terms that cancel
+    out = np.zeros(r.shape)
+    inside = (r > a) & (r < b)
+    da, db = r[inside] - a, b - r[inside]
+    cpf = ((b - a) / 2.0) ** 2 / (b - a)
+    phi = [None] + [-cpf * math.factorial(j) * ((-1.0) ** j * da ** (-j - 1) + db ** (-j - 1))
+                    for j in range(1, k + 1)]
+    if absolute:
+        phi = [None] + [np.abs(v) for v in phi[1:]]
+    bell = [np.ones(da.shape)]
+    for kk in range(1, k + 1):
+        bell.append(sum(math.comb(kk - 1, j) * bell[j] * phi[kk - j] for j in range(kk)))
+    out[inside] = np.exp(1.0 - cpf * (1.0 / da + 1.0 / db)) * bell[k]
+    return out
+
+
+def _fd_k(f, k, r, h_scale, r_min=None):
+    # one 7-point stencil for order k, moved right where it would reach below r_min
+    if k == 0:
+        return f(r)
+    h = h_scale * (1.0 + np.abs(r))
+    shift = 0 if r_min is None else np.clip(np.ceil(3.0 - (r - r_min) / h), 0, 3).astype(int)
+    weights = np.array([profiles._fd_weights(k, s) for s in range(4)])
+    acc = np.zeros(r.shape, dtype=complex)
+    for j, off in enumerate(range(-3, 4)):
+        acc += weights[shift, j] * f(r + (off + shift) * h)
+    return acc / h ** k
+
+
+def _herglotz_k(omega, n, k, r, K=8):
+    # far (omega r >= 1): term by term power sum; near: the shifted stencil
+    w, p = abs(omega), (1.0 - n) / 2.0
+    coeffs = special.alpha_coeffs(n, K)
+    far = w * r >= 1.0
+    out = np.zeros(r.shape, dtype=complex)
+    for j, a in enumerate(coeffs.alpha):
+        coef = w ** (-n / 2.0) * coeffs.prefactor * a * w ** ((n - 1) / 2.0 - j)
+        for i in range(k):
+            coef *= p - j - i
+        out[far] += coef * r[far] ** (p - j - k)
+    env = profiles.herglotz(omega, n, K).envelope
+    out[~far] = _fd_k(env, k, r[~far], 0.004, 0.0)
+    return out
+
+
+def _stack_cases():
+    """(label, profile, per-order reference ref(k, r), size mag(k, r) of the
+    terms the reference sums)."""
+    power, osc = profiles.power(1.3), oscillating_power(2.0)
+    cases = [("power", power, lambda k, r: _power_k(1.3, k, r)),
+             ("oscillating_power", osc, lambda k, r: _osc_k(2.0, k, r)),
+             ("gaussian", profiles.gaussian(0.7), lambda k, r: _gauss_k(0.7, k, r)),
+             ("bump", profiles.bump(0.5, 2.0), lambda k, r: _bump_k(0.5, 2.0, k, r))]
+    for n in (2, 3, 4):
+        plus, minus = profiles.herglotz_pair(1.0, n)
+        ref = lambda k, r, n=n: _herglotz_k(1.0, n, k, r)
+        cases += [(f"herglotz{n}", plus, ref),
+                  (f"herglotz{n}~mirror", minus, lambda k, r, ref=ref: np.conj(ref(k, r)))]
+    cases = [(label, p, ref, lambda k, r, ref=ref: np.abs(ref(k, r)))
+             for label, p, ref in cases]
+    cases[3] = cases[3][:3] + (lambda k, r: _bump_k(0.5, 2.0, k, r, absolute=True),)
+    wrapped = []
+    for label, p, ref, mag in cases[:2] + cases[3:5]:
+        wrapped += [(label + "~dilate", p.dilate(0.37),
+                     lambda k, r, ref=ref: 0.37 ** k * ref(k, 0.37 * r),
+                     lambda k, r, mag=mag: 0.37 ** k * mag(k, 0.37 * r)),
+                    (label + "~scale", p.scale(0.6 - 1.3j),
+                     lambda k, r, ref=ref: (0.6 - 1.3j) * ref(k, r),
+                     lambda k, r, mag=mag: abs(0.6 - 1.3j) * mag(k, r))]
+    fallback = []
+    for label, p, _, _ in cases[:4]:
+        ref = lambda k, r, p=p: _fd_k(p.envelope, k, r, 0.02)
+        fallback.append((label + "~fd", profiles.RadialProfile(
+            label=label, omega=0.0, envelope=p.envelope), ref,
+            lambda k, r, ref=ref: np.abs(ref(k, r))))
+    return cases + wrapped + fallback
+
+
+_R = np.concatenate([np.geomspace(1e-3, 60.0, 37), [0.52, 0.9, 0.999, 1.0, 1.001, 1.1, 1.75,
+                                                   1.97, 2.6, 2.7]])
+
+
+class TestDerivativeStacks:
+    """deriv_fn(k, r) returns orders 0..k at once; each row must be that
+    order's own closed form, and row 0 the envelope."""
+
+    @pytest.mark.parametrize("label,p,ref,mag", _stack_cases(),
+                             ids=[c[0] for c in _stack_cases()])
+    def test_rows_match_one_order_closed_forms(self, label, p, ref, mag):
+        stack = p.derivs(4, _R)
+        assert stack.shape == (5, _R.size)
+        for k in range(5):
+            want = ref(k, _R)
+            assert np.all(np.abs(stack[k] - want) <= 1e-13 * mag(k, _R)), (label, k)
+            assert np.array_equal(p.deriv(k, _R), p.derivs(k, _R)[k]), (label, k)
+            # a stack up to order k is the first k + 1 rows of a longer one
+            assert np.array_equal(p.derivs(k, _R), stack[:k + 1]), (label, k)
+        env = p.envelope(_R)
+        assert np.all(np.abs(stack[0] - env) <= 1e-13 * np.abs(env)), label
+        # scalar and N-d input keep their shape
+        assert p.derivs(2, 0.7).shape == (3,)
+        assert p.derivs(1, _R[:6].reshape(2, 3)).shape == (2, 2, 3)
+
+
+def _mp_chi(z):
+    if z <= 0.5:
+        return mpmath.mpf(1)
+    if z >= 1:
+        return mpmath.mpf(0)
+    f = lambda u: mpmath.exp(-1 / u) if u > 0 else mpmath.mpf(0)
+    u = 2 * (1 - z)
+    return f(u) / (f(u) + f(1 - u))
+
+
+def _mp_herglotz(omega, n, K=8):
+    w, nu = mpmath.mpf(omega), mpmath.mpf(n - 2) / 2
+    coeffs = special.alpha_coeffs(n, K)
+
+    def env(r):
+        z = w * r
+        b = coeffs.prefactor * sum(mpmath.mpc(a) * z ** (mpmath.mpf(n - 1) / 2 - k)
+                                   for k, a in enumerate(coeffs.alpha))
+        a_part = _mp_chi(z) * z ** (mpmath.mpf(n) / 2) * mpmath.besselj(nu, z)
+        return (w ** (-mpmath.mpf(n) / 2) * r ** (1 - n)
+                * (mpmath.exp(-1j * z) * a_part / 2 + (1 - _mp_chi(z)) * b))
+    return env
+
+
+def _mp_cases():
+    """(label, profile, mpmath closed form of the envelope, nodes, by finite
+    differences?)."""
+    a, b = mpmath.mpf(0.5), mpmath.mpf(2)
+    power = lambda r: (1 + r) ** mpmath.mpf(-1.3)
+    osc = lambda r: mpmath.exp(1j * r) * (1 + r) ** mpmath.mpf(-2)
+    gauss = lambda r: mpmath.exp(-(r / mpmath.mpf(0.7)) ** 2)
+    bump = lambda r: mpmath.exp(1 - ((b - a) / 2) ** 2 / ((r - a) * (b - r)))
+    lam, c = mpmath.mpf(0.37), mpmath.mpc(0.6, -1.3)
+    smooth = (0.3, 1.1, 4.0)
+    # omega r = 1 splits the Herglotz stacks: stencils below, power sums above
+    across = (0.9, 0.999, 1.001, 1.1, 4.0)
+    out = [("power", profiles.power(1.3), power, smooth, False),
+           ("oscillating_power", oscillating_power(2.0), osc, smooth, False),
+           ("gaussian", profiles.gaussian(0.7), gauss, smooth, False),
+           ("bump", profiles.bump(0.5, 2.0), bump, (0.7, 1.1, 1.6), False),
+           ("power~dilate", profiles.power(1.3).dilate(0.37), lambda r: power(lam * r),
+            smooth, False),
+           ("bump~scale", profiles.bump(0.5, 2.0).scale(0.6 - 1.3j), lambda r: c * bump(r),
+            (0.7, 1.1, 1.6), False),
+           ("power~fd", profiles.RadialProfile("fd", 0.0, profiles.power(1.3).envelope),
+            power, smooth, True),
+           ("oscillating_power~fd", profiles.RadialProfile(
+               "fd", 0.0, oscillating_power(2.0).envelope), osc, smooth, True)]
+    for n in (2, 3, 4):
+        plus, minus = profiles.herglotz_pair(1.0, n)
+        env = _mp_herglotz(1.0, n)
+        out += [(f"herglotz{n}", plus, env, across, None),
+                (f"herglotz{n}~mirror", minus, lambda r, env=env: mpmath.conj(env(r)),
+                 across, None)]
+    herg = _mp_herglotz(1.0, 3)
+    out += [("herglotz3~dilate", profiles.herglotz(1.0, 3).dilate(2.5),
+             lambda r: herg(mpmath.mpf(2.5) * r), (0.36, 0.399, 0.401, 0.44, 1.6), None),
+            ("herglotz3~scale", profiles.herglotz(1.0, 3).scale(0.6 - 1.3j),
+             lambda r: c * herg(r), across, None)]
+    return out
+
+
+class TestDerivativeStacksAgainstMpmath:
+    """Orders 0..4 of every family and wrapper against mpmath.diff of the
+    closed-form envelope, relative to the largest order at r: to 1e-11 where
+    the stack is analytic, to 1e-4 where it is a finite-difference stencil
+    (the fallback, and Herglotz below omega r = 1).  In the cutoff band
+    1/2 < omega r < 1 the stencil's O(h^4) truncation of order 4 reaches
+    1.7e-2 (the dilated member at omega r = 0.998); that order is held to
+    2e-2 there."""
+
+    @pytest.mark.parametrize("label,p,closed,rs,fd", _mp_cases(),
+                             ids=[c[0] for c in _mp_cases()])
+    def test_matches_mpmath(self, label, p, closed, rs, fd):
+        lam = 2.5 if "dilate" in label else 1.0     # omega r of a Herglotz node
+        with mpmath.workdps(40):
+            for r in rs:
+                got = p.derivs(4, np.array([r]))[:, 0]
+                want = [complex(mpmath.diff(closed, mpmath.mpf(r), k)) for k in range(5)]
+                scale = max(abs(v) for v in want)
+                if fd is None:
+                    fd_r = lam * r < 1.0
+                    band = 0.5 < lam * r < 1.0
+                else:
+                    fd_r, band = fd, False
+                tol = np.array([1e-4] * 4 + [2e-2 if band else 1e-4]) if fd_r else 1e-11
+                assert np.all(np.abs(got - want) <= tol * scale), (label, r)

@@ -1,5 +1,5 @@
-"""Composite row sums with one or many integrands; steepest-descent tails:
-stationary points on rays, one-ray rows unchanged."""
+"""Composite row sums; steepest-descent tails: stationary points on rays,
+one-ray rows unchanged; the line fit."""
 
 import cmath
 import math
@@ -122,25 +122,11 @@ class TestCompositeRows:
     rows = np.array([0, 1, 2, 3, 4])
 
     @staticmethod
-    def _cols(x, row):
-        return np.stack([np.exp(1j * x * x) / (1.0 + x), np.abs(np.sin(3.0 * x)),
-                         (row + 1.0) * np.cos(x) * np.exp(-0.1 * x)])
-
-    def test_columns_match_one_column_calls(self):
-        assert self.npanels.sum() * 24 > 2 * _BLOCK_NODES
-        for sel in (self.rows, np.array([1, 4])):
-            sums, mags = _composite_rows(self._cols, self.a, self.b, self.npanels,
-                                         sel, nodes=24, absolute=True)
-            assert sums.shape == mags.shape == (sel.size, 3)
-            for c in range(3):
-                one, one_mag = _composite_rows(lambda x, row: self._cols(x, row)[c],
-                                               self.a, self.b, self.npanels, sel,
-                                               nodes=24, absolute=True)
-                assert np.all(np.abs(sums[:, c] - one) <= 1e-15 * one_mag), c
-                assert np.allclose(mags[:, c], one_mag, rtol=1e-15, atol=0.0), c
+    def _f(x, row):
+        return np.exp(1j * x * x) / (1.0 + x) * (row + 1.0)
 
     def test_one_column_path_is_unchanged(self):
-        f = lambda x, row: self._cols(x, row)[0] * (row + 1.0)
+        f = self._f
         for sel in (self.rows, np.array([2, 3])):
             for nodes in (24, 32):
                 args = (f, self.a, self.b, self.npanels, sel, nodes)
