@@ -9,7 +9,6 @@ p >= 2r / (2n - r(n-1))_+ for space-time estimates with L^r data.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -18,7 +17,7 @@ import numpy as np
 
 from . import special
 from .decay import DecayFit, _envelope_fit
-from .quadrature import composite_gl, gl_nodes, osc_integral, trapezoid
+from .quadrature import osc_integral, rotated_tail, trapezoid
 
 INF = math.inf
 
@@ -38,8 +37,9 @@ class SingularDensity:
 
 
 def _direct_integral(delta: float, n: int, x_abs: float, t: float,
-                     tol: float = 1e-10) -> complex:
-    """int_1^2 e^{-i t w^2} (w-1)^{-delta} J_nu(w x) dw.
+                     tol: float = 1e-10) -> Tuple[complex, float]:
+    """int_1^2 e^{-i t w^2} (w-1)^{-delta} J_nu(w x) dw and its error
+    estimate.
 
     The substitution w - 1 = v^{1/(1-delta)} removes the endpoint
     singularity exactly: the integral becomes (1-delta)^{-1} int_0^1 of a
@@ -54,93 +54,62 @@ def _direct_integral(delta: float, n: int, x_abs: float, t: float,
                 * np.exp(-1j * t * w * w)) / (1.0 - delta)
 
     span = 3.0 * abs(t) + x_abs + 2.0
-    val, _ = osc_integral(f, 0.0, 1.0, span, tol)
-    return complex(val)
+    return osc_integral(f, 0.0, 1.0, span, tol)
 
 
-def _endpoint_ray(g, w0: float, dphase: complex, delta_pow: float,
-                  scale: float, nodes: int = 64) -> complex:
-    """int_0^infty g(w0 + tau u) (tau u)^{-delta_pow} e^{dphase * tau} dtau
-    along the descent direction u (|u| = 1, folded into g), where
-    Re(dphase) < 0 sets the decay scale.  `scale` is |Re dphase|.
+def _endpoint_rows(g, delta: float, a: float, t: float, conj: bool):
+    """int_1^2 (w-1)^{-delta} g(w) e^{i(a w + t w^2)} dw, or with conj its
+    complex conjugate, as rotated_tail's row 0 (from w = 1, endpoint power
+    delta) minus row 1 (from w = 2, the power carried by the integrand).
+    Returns (value, error estimate)."""
+    def h(w, row):
+        out = g(w)
+        far = row == 1
+        out[far] *= (w[far] - 1.0) ** -delta
+        return out
 
-    Endpoint singularity tau^{-delta_pow} is removed by tau = v^{1/(1-d)}:
-    tau^{-d} dtau = pw dv exactly, so the product is never formed (tau
-    underflows to 0 near v = 0 as d -> 1).
-    """
-    pw = 1.0 / (1.0 - delta_pow)
-    tau_star = 45.0 / scale
-    v_star = tau_star ** (1.0 - delta_pow)
-    x, w = gl_nodes(nodes)
-    edges = np.array([0.0, 0.1, 0.35, 1.0]) * v_star
-    total = 0.0 + 0.0j
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
-        v = mid + half * x
-        tau = v ** pw
-        vals = g(tau) * np.exp(dphase * tau) * pw
-        total += np.sum(half * w * vals)
-    return complex(total)
+    vals, errs = rotated_tail(h, (1.0, 2.0), a, c2=t, delta=(delta, 0.0))
+    val = complex(vals[0] - vals[1])
+    return (val.conjugate() if conj else val), float(errs.sum())
 
 
 def _contour_integral_large_t(delta: float, n: int, x_abs: float,
-                              t: float) -> complex:
-    """Large-t regime (no stationary phase in [1, 2]): push both endpoints
-    onto descent rays w = w0 + tau e^{-i pi/4}; valid while the Bessel
-    factor stays tame on the short rays (x_abs << t)."""
+                              t: float) -> Tuple[complex, float]:
+    """Large-t regime (no stationary phase in [1, 2]): both endpoints on
+    descent rays of e^{-itw^2}; valid while the Bessel factor stays tame on
+    the short rays (x_abs << t).  Returns (value, error estimate)."""
     nu = special.order_from_dim(n)
-    rot = cmath.exp(-1j * math.pi / 4.0)
-    out = 0.0 + 0.0j
-    for w0, sign in ((1.0, 1.0), (2.0, -1.0)):
-        scale = 2.0 * t * w0 / math.sqrt(2.0)
-        dphase = -2j * t * w0 * rot
-
-        def g(tau, w0=w0):
-            w = w0 + tau * rot
-            # singular density: (w-1)^{-delta} = tau^{-delta} rot^{-delta}
-            # on the w0 = 1 ray (tau power handled by _endpoint_ray)
-            dens = rot ** (-delta) if w0 == 1.0 \
-                else (1.0 + tau * rot) ** (-delta)
-            return (special.bessel_j_c(nu, w * x_abs) * dens
-                    * np.exp(-1j * t * (tau * rot) ** 2)
-                    * cmath.exp(-1j * t * w0 * w0))
-
-        dpow = delta if w0 == 1.0 else 0.0
-        out += sign * rot * _endpoint_ray(g, w0, dphase, dpow, scale)
-    return out
+    return _endpoint_rows(lambda w: special.bessel_j_c(nu, w * x_abs), delta,
+                          0.0, t, conj=True)
 
 
 def _contour_integral_large_x(delta: float, n: int, x_abs: float, t: float,
-                              K: int = 8) -> complex:
-    """Large-x regime: split (w x)^{n/2} J_nu into e^{+-i w x} pieces and
-    rotate each endpoint onto its descent ray e^{+-i pi/4}.  Requires the
-    combined phase +-x w - t w^2 to be monotone on [1, 2] (x > 4t for the
-    + piece), which holds in the t = 0 / small-t window where this is used."""
+                              K: int = 8) -> Tuple[complex, float]:
+    """Large-x regime: split (w x)^{n/2} J_nu into e^{+-i w x} pieces, each
+    with both endpoints on descent rays.  The + piece at t > 0 has its
+    stationary point x/2t beyond w = 2 (x > 4t): its rays appear in both
+    rows and cancel.  Returns (value, error estimate), the estimate holding
+    the truncation of the Hankel series after K terms."""
     if x_abs <= 4.0 * t:
         raise ValueError("large-x contour needs x > 4t (no interior saddle)")
     coeffs = special.alpha_coeffs(n, K)
-    out = 0.0 + 0.0j
-    for piece in (+1, -1):
-        series = (special.splitting_B_series if piece > 0
-                  else special.splitting_B_series_conj)
-        rot = cmath.exp(1j * piece * math.pi / 4.0)
-        for w0, sign in ((1.0, 1.0), (2.0, -1.0)):
-            phase_slope = piece * x_abs - 2.0 * t * w0
-            dphase = 1j * phase_slope * rot
-            scale = abs(phase_slope) / math.sqrt(2.0)
 
-            def g(tau, w0=w0, rot=rot, series=series, piece=piece):
-                w = w0 + tau * rot
-                dens = rot ** (-delta) if w0 == 1.0 \
-                    else (1.0 + tau * rot) ** (-delta)
-                pref = (w * x_abs) ** (-n / 2.0) * series(coeffs, x_abs * w)
-                return (pref * dens
-                        * np.exp(-1j * t * (tau * rot) ** 2)
-                        * cmath.exp(1j * (piece * x_abs * w0 - t * w0 * w0)))
+    def piece(series):
+        return lambda w: (w * x_abs) ** (-n / 2.0) * series(coeffs, w * x_abs)
 
-            dpow = delta if w0 == 1.0 else 0.0
-            out += sign * rot * _endpoint_ray(g, w0, dphase, dpow, scale)
-    return out
+    # e^{i(xw - tw^2)}: directly at t = 0, else as the conjugate of e^{i(tw^2 - xw)}
+    if t == 0:
+        plus = _endpoint_rows(piece(special.splitting_B_series), delta, x_abs, 0.0,
+                              conj=False)
+    else:
+        plus = _endpoint_rows(piece(special.splitting_B_series_conj), delta, -x_abs,
+                              t, conj=True)
+    minus = _endpoint_rows(piece(special.splitting_B_series), delta, x_abs, t, conj=True)
+    # the truncated series miss J_nu(w x) by at most 2 |alpha_{K+1}| (w x)^{-K-3/2},
+    # and int_1^2 (w-1)^{-delta} dw = 1/(1-delta)
+    trunc = (2.0 * abs(special._hankel_symbol_float(special.order_from_dim(n), K + 1))
+             / 2.0 ** (K + 1) / special.SQRT_2PI * x_abs ** (-K - 1.5) / (1.0 - delta))
+    return plus[0] + minus[0], plus[1] + minus[1] + trunc
 
 
 def singular_psi(delta: float, n: int, x_abs: float, t: float = 0.0) -> complex:
@@ -148,16 +117,18 @@ def singular_psi(delta: float, n: int, x_abs: float, t: float = 0.0) -> complex:
     SingularDensity(delta)
     if x_abs <= 0:
         raise ValueError("need x_abs > 0")
+    if t < 0:   # J_nu and the density are real, so psi(x, -t) = conj psi(x, t)
+        return singular_psi(delta, n, x_abs, -t).conjugate()
     cycles = (3.0 * abs(t) + x_abs) / (2.0 * math.pi)
     if cycles <= _DIRECT_CYCLE_CUT or (x_abs <= 40.0 and abs(t) > 50.0):
         if abs(t) > 50.0 and x_abs <= 40.0 and cycles > 200.0:
-            val = _contour_integral_large_t(delta, n, x_abs, t)
+            val, _ = _contour_integral_large_t(delta, n, x_abs, t)
         else:
-            val = _direct_integral(delta, n, x_abs, t)
+            val, _ = _direct_integral(delta, n, x_abs, t)
     elif x_abs > 4.0 * abs(t) and x_abs >= 30.0:
-        val = _contour_integral_large_x(delta, n, x_abs, t)
+        val, _ = _contour_integral_large_x(delta, n, x_abs, t)
     else:
-        val = _direct_integral(delta, n, x_abs, t)
+        val, _ = _direct_integral(delta, n, x_abs, t)
     return x_abs ** ((2 - n) / 2.0) * val
 
 
@@ -220,7 +191,7 @@ def delta_limit_consistency(n: int, x_abs: float, delta: float = 0.05) -> float:
     nu = special.order_from_dim(n)
     flat, _ = osc_integral(lambda w: special.bessel_j(nu, w * x_abs),
                            1.0, 2.0, x_abs + 2.0, 1e-12)
-    sing = _direct_integral(delta, n, x_abs, 0.0)
+    sing, _ = _direct_integral(delta, n, x_abs, 0.0)
     return abs((1.0 - delta) * sing - flat) / abs(flat)
 
 

@@ -2,8 +2,11 @@
 
 Two workhorses, each evaluating many integrals (rows) at once: a
 node-doubling composite Gauss-Legendre rule for finite oscillatory
-integrals, and a steepest-descent contour rotation for tails of the form
-int_rho0^inf h(rho) exp(i (c2 rho^2 + a rho)) drho.
+integrals, and rotated_tail, the package's one steepest-descent rule, for
+tails int_rho0^inf (rho - rho0)^{-delta} h(rho) exp(i (c2 rho^2 + a rho)) drho
+with an endpoint power 0 <= delta < 1.  rotated_tail serves the unbounded
+tails of propagator and blowup, the iterated Fresnel integrals of special
+and the singular-superposition contours of appendix.
 """
 
 from __future__ import annotations
@@ -128,11 +131,12 @@ def osc_integral(f, a: float, b: float, phase_span: float, tol: float = 1e-9,
     return complex(values[0]), float(errs[0])
 
 
-@lru_cache(maxsize=4)
-def _ray_rule(nodes: int):
-    """Nodes u on [0, 1] and weights (full, check) of rotated_tail's rule."""
-    x, w = gl_nodes(nodes)
-    x2, w2 = gl_nodes(nodes // 2)
+@lru_cache(maxsize=1)
+def _ray_rule():
+    """Nodes u on [0, 1] and weights (full, check) of rotated_tail's rule:
+    three panels of 96 nodes, and 48 for the check."""
+    x, w = gl_nodes(96)
+    x2, w2 = gl_nodes(48)
     edges = np.array([0.0, 0.15, 0.5, 1.0])
     mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
     u = mid[:, None] + half[:, None] * np.concatenate([x, x2])
@@ -141,13 +145,17 @@ def _ray_rule(nodes: int):
     return u, full, low
 
 
-def rotated_tail(h, rho0, a, c2: float = 1.0, nodes: int = 96):
-    """int_rho0^inf h(rho, row) e^{i(c2 rho^2 + a rho)} drho for every row,
-    with rho0 and a given per row, by numerical steepest descent on rays
-    from p along +-d, d = e^{i pi/4}: ray(rho0, d), or, for a row with its
-    stationary point rho_s = -a/(2 c2) beyond rho0, ray(rho0, -d) -
-    ray(rho_s, -d) + ray(rho_s, d), at a cost that does not grow with rho_s.
+def rotated_tail(h, rho0, a, c2: float = 1.0, delta=0.0):
+    """int_rho0^inf (rho - rho0)^{-delta} h(rho, row) e^{i(c2 rho^2 + a rho)} drho
+    for every row, with rho0, a and delta in [0, 1) given per row, by
+    numerical steepest descent on rays from p along +-d, d = e^{i pi/4}:
+    ray(rho0, d), or, for a row with its stationary point rho_s = -a/(2 c2)
+    beyond rho0, ray(rho0, -d) - ray(rho_s, -d) + ray(rho_s, d), at a cost
+    that does not grow with rho_s.  c2 = 0 needs a > 0 on every row.
 
+    On the ray from rho0, tau = tau* u^{1/(1-delta)} turns
+    tau^{-delta} dtau into tau*^{1-delta}/(1-delta) du, so the endpoint power
+    is never formed; on the rays from rho_s it is evaluated directly.
     h receives the nodes of many rows at once, with the row index of each
     node; it must accept complex input and be analytic (and at most
     polynomially growing) where the rays sweep, below [rho0, rho_s] too.
@@ -156,9 +164,12 @@ def rotated_tail(h, rho0, a, c2: float = 1.0, nodes: int = 96):
 
     Returns (values, error_estimates), one entry per row.
     """
-    if c2 <= 0:
-        raise ValueError("need c2 > 0")
-    rho0, a = (np.array(v, dtype=float, ndmin=1) for v in np.broadcast_arrays(rho0, a))
+    rho0, a, delta = (np.array(v, dtype=float, ndmin=1)
+                      for v in np.broadcast_arrays(rho0, a, delta))
+    if not ((delta >= 0.0) & (delta < 1.0)).all():
+        raise ValueError("need 0 <= delta < 1")
+    if c2 < 0 or (c2 == 0 and not np.all(a > 0)):
+        raise ValueError("need c2 > 0, or c2 = 0 with a > 0")
     stat = a < -2.0 * c2 * rho0
     seg = np.flatnonzero(stat)
     rho_s = -a[seg] / (2.0 * c2)
@@ -172,13 +183,30 @@ def rotated_tail(h, rho0, a, c2: float = 1.0, nodes: int = 96):
 
     c = s * (2.0 * c2 * p + a) / math.sqrt(2.0)   # linear decay rate along ray
     # tau* solves c2 tau^2 + c tau = 45 (integrand ~ e^{-45} at the far end)
-    tau_star = (-c + np.sqrt(c * c + 180.0 * c2)) / (2.0 * c2)
+    if c2 > 0:
+        tau_star = (-c + np.sqrt(c * c + 180.0 * c2)) / (2.0 * c2)
+    else:
+        tau_star = 45.0 / c
     rot = cmath.exp(1j * math.pi / 4.0)
     phi0 = 1j * (c2 * p * p + a * p)
     lin = s * (2.0 * c2 * p + a) * complex(-1.0, 1.0) / math.sqrt(2.0)
     big = c2 * p * p + np.abs(a * p)
 
-    u, full, low = _ray_rule(nodes)
+    # the rays from rho0 of rows with delta > 0 take the substitution, and
+    # (rho - rho0)^{-delta} = tau^{-delta} (s d)^{-delta} on them; the rays
+    # from rho_s of those rows take the power at each node
+    powered = delta.any()
+    scale = tau_star
+    if powered:
+        d_ray = delta[row]
+        sub = (d_ray > 0) & (np.arange(row.size) < rho0.size)
+        direct = (d_ray > 0) & ~sub
+        scale = tau_star.copy()
+        scale[sub] = tau_star[sub] ** (1.0 - d_ray[sub]) / (1.0 - d_ray[sub])
+        pw = 1.0 / (1.0 - d_ray)
+        off = p - rho0[row]
+
+    u, full, low = _ray_rule()
     total = np.empty(row.size, dtype=complex)
     check = np.empty(row.size, dtype=complex)
     mag = np.empty(row.size)
@@ -186,16 +214,27 @@ def rotated_tail(h, rho0, a, c2: float = 1.0, nodes: int = 96):
     for b in range(0, row.size, step):
         r = np.arange(b, min(b + step, row.size))
         tau = tau_star[r, None, None] * u
+        if powered:
+            q = sub[r]
+            tau[q] = tau_star[r[q], None, None] * u ** pw[r[q], None, None]
         rho = p[r, None, None] + tau * (s[r, None, None] * rot)
         arg = phi0[r, None, None] + lin[r, None, None] * tau - c2 * tau * tau
         vals = h(rho.ravel(), np.repeat(row[r], u.size)).reshape(tau.shape) * np.exp(arg)
-        total[r] = tau_star[r] * np.sum(vals * full, axis=(1, 2))
-        check[r] = tau_star[r] * np.sum(vals * low, axis=(1, 2))
+        if powered:
+            q = direct[r]
+            dist = off[r[q], None, None] + tau[q] * (s[r[q], None, None] * rot)
+            vals[q] *= dist ** -d_ray[r[q], None, None]
+        total[r] = scale[r] * np.sum(vals * full, axis=(1, 2))
+        check[r] = scale[r] * np.sum(vals * low, axis=(1, 2))
         # a value's rounding error is about eps times its exponent, whose
         # largest part, c2 p^2 + |a p|, may have cancelled in phi0
-        mag[r] = tau_star[r] * np.sum(np.abs(vals) * full * (1.0 + np.abs(arg)
-                                      + big[r, None, None]), axis=(1, 2))
+        mag[r] = scale[r] * np.sum(np.abs(vals) * full * (1.0 + np.abs(arg)
+                                   + big[r, None, None]), axis=(1, 2))
+    err = np.abs(total - check) + np.finfo(float).eps * mag
+    if powered:
+        # the substitution's scale and the phase (s d)^{-delta} add a few roundings
+        err[sub] += 4.0 * np.finfo(float).eps * np.abs(total[sub])
+        total[sub] *= np.exp(-1j * math.pi / 4.0 * d_ray[sub] * np.where(s[sub] > 0, 1.0, -3.0))
     values = np.zeros(rho0.size, dtype=complex)
     np.add.at(values, row, k * total)
-    err = np.abs(total - check) + np.finfo(float).eps * mag
     return rot * values, np.bincount(row, weights=err, minlength=rho0.size)

@@ -4,9 +4,9 @@ Fresnel tail integrals.
 Bessel values come from scipy.special: the Cephes j0/j1 at orders 0 and 1
 for z <= 100, the spherical Bessel function at half-integer order, and the
 AMOS routine (jv) at every other order, beyond z = 100 and at complex
-argument.  The iterated Fresnel integrals are evaluated by contour
-rotation for nonnegative argument and by a high-accuracy ODE continuation on
-the negative axis.
+argument.  The iterated Fresnel integrals Xi^m_a(s) are one call of
+quadrature.rotated_tail for every real s and a: its rays pass the
+stationary point -a/2 when it lies beyond s.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import j0, j1, jv, spherical_jn
 
-from .quadrature import gl_nodes
+from .quadrature import rotated_tail
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -234,79 +234,17 @@ def splitting_residual(n: int, K: int, z: float) -> float:
 # iterated Fresnel integrals Xi^m_a
 # ---------------------------------------------------------------------------
 
-def _xi_rotated(m: int, S):
-    """Xi^m(S) for S >= 0 via the Cauchy repeated-integration kernel rotated
-    onto the ray of steepest descent:
-
-        Xi^m(S) = e^{i(m+1)pi/4} e^{iS^2} / m! *
-                  int_0^inf u^m exp(-u^2 - c u + i c u) du,   c = sqrt(2) S.
-    """
-    S = np.atleast_1d(np.asarray(S, dtype=float))
-    out = np.empty(S.shape, dtype=complex)
-    x, w = gl_nodes(96)
-    pref = cmath.exp(1j * (m + 1) * math.pi / 4.0) / math.factorial(m)
-    for idx, s in np.ndenumerate(S):
-        c = math.sqrt(2.0) * s
-        U = 8.0 + 0.35 * m
-        if c > 6.0:
-            U = min(U, (m + 42.0) / c)
-        total = 0.0 + 0.0j
-        for a, b in ((0.0, U / 3.0), (U / 3.0, U)):
-            u = 0.5 * (b - a) * (x + 1.0) + a
-            ww = 0.5 * (b - a) * w
-            vals = u ** m * np.exp(-u * u - c * u + 1j * c * u)
-            total += np.sum(ww * vals)
-        out[idx] = pref * cmath.exp(1j * s * s) * total
-    return out
-
-
-_XI_ODE_CACHE: dict = {}
-
-
-def _xi_ode_solution(m_max: int, s_min: float):
-    """Dense ODE continuation of (Xi^0 .. Xi^m_max) from 0 down to s_min < 0."""
-    from scipy.integrate import solve_ivp
-
-    key = (m_max, math.floor(s_min))
-    if key in _XI_ODE_CACHE:
-        return _XI_ODE_CACHE[key]
-
-    y0 = np.array([_xi_rotated(m, 0.0)[0] for m in range(m_max + 1)])
-
-    def rhs(s, y):
-        dy = np.empty_like(y)
-        dy[0] = -cmath.exp(1j * s * s)
-        dy[1:] = -y[:-1]
-        return dy
-
-    sol = solve_ivp(rhs, (0.0, math.floor(s_min)), y0, method="DOP853",
-                    rtol=1e-12, atol=1e-13, dense_output=True)
-    if not sol.success:
-        raise RuntimeError("Fresnel ODE continuation failed: " + sol.message)
-    _XI_ODE_CACHE[key] = sol
-    return sol
-
-
 def fresnel_xi(m: int, a: float, s):
-    """Xi^m_a(s) = int-tail iterate of e^{i(rho^2 + a rho)}; any real s.
-
-    Uses the shift identity Xi^m_a(s) = e^{-i a^2/4} Xi^m_0(s + a/2).
-    """
+    """Xi^m_a(s) = int_s^inf (rho - s)^m / m! e^{i(rho^2 + a rho)} drho, the
+    m-fold iterated tail integral of e^{i(rho^2 + a rho)}; any real s.  A
+    stationary point -a/2 beyond s is passed on rays."""
     if m < 0 or int(m) != m:
         raise ValueError("need integer m >= 0")
     s = np.asarray(s, dtype=float)
     scalar = s.ndim == 0
     s = np.atleast_1d(s)
-    S = s + a / 2.0
-    out = np.empty(S.shape, dtype=complex)
-    pos = S >= 0
-    if np.any(pos):
-        out[pos] = _xi_rotated(m, S[pos])
-    if np.any(~pos):
-        smin = float(np.min(S[~pos]))
-        sol = _xi_ode_solution(max(m, 6), min(smin, -1.0))
-        out[~pos] = sol.sol(S[~pos])[m]
-    out *= cmath.exp(-1j * a * a / 4.0)
+    fact = math.factorial(m)
+    out, _ = rotated_tail(lambda rho, row: (rho - s[row]) ** m / fact, s, a)
     return complex(out[0]) if scalar else out
 
 
@@ -314,21 +252,10 @@ _A_GRID = (-100.0, -10.0, -1.0, 0.0, 1.0, 10.0, 100.0)
 
 
 @lru_cache(maxsize=None)
-def xi_bound_constant(m: int, a_refine: int = 1) -> float:
-    """Empirical sup of |Xi^m_a(s)| over a in the reference grid, s in [0,50].
-
-    a_refine > 1 inserts midpoints into the a-grid (used by the invariant
-    suite to check the recorded constant is refinement-stable).
-    """
-    a_grid = list(_A_GRID)
-    for _ in range(a_refine - 1):
-        mids = [(a_grid[i] + a_grid[i + 1]) / 2.0 for i in range(len(a_grid) - 1)]
-        a_grid = sorted(a_grid + mids)
+def xi_bound_constant(m: int) -> float:
+    """Empirical sup of |Xi^m_a(s)| over a in the reference grid, s in [0,50]."""
     s = np.linspace(0.0, 50.0, 801)
-    best = 0.0
-    for a in a_grid:
-        best = max(best, float(np.max(np.abs(fresnel_xi(m, a, s)))))
-    return best
+    return max(float(np.max(np.abs(fresnel_xi(m, a, s)))) for a in _A_GRID)
 
 
 def solution_constant(m: int) -> float:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from disperse_lab import appendix, special
+from disperse_lab.quadrature import osc_integral
 from disperse_lab.appendix import (
     delta_limit_consistency,
     lpq_region,
@@ -54,22 +55,46 @@ class TestEvaluation:
     def test_regime_overlap_consistency(self):
         # large-t contour vs direct quadrature on their common domain
         for x, t in ((5.0, 60.0), (20.0, 120.0)):
-            a = appendix._contour_integral_large_t(0.5, 3, x, t)
-            b = appendix._direct_integral(0.5, 3, x, t)
+            a, ea = appendix._contour_integral_large_t(0.5, 3, x, t)
+            b, eb = appendix._direct_integral(0.5, 3, x, t)
             assert abs(a - b) <= 1e-7 * max(abs(b), 1e-10)
+            assert abs(a - b) <= ea + eb
         # large-x contour vs direct quadrature
         for x, t in ((60.0, 2.0), (200.0, 10.0)):
-            a = appendix._contour_integral_large_x(0.5, 3, x, t)
-            b = appendix._direct_integral(0.5, 3, x, t)
+            a, ea = appendix._contour_integral_large_x(0.5, 3, x, t)
+            b, eb = appendix._direct_integral(0.5, 3, x, t)
             assert abs(a - b) <= 1e-7 * max(abs(b), 1e-10)
+            assert abs(a - b) <= ea + eb
 
     def test_large_t_contour_near_delta_one(self):
-        # tau = v^{1/(1-delta)} underflows to 0 near v = 0 at delta = 0.99;
-        # the fixed 64-node ray rule is off by 7.2e-7 here
-        a = appendix._contour_integral_large_t(0.99, 3, 5.0, 60.0)
-        b = appendix._direct_integral(0.99, 3, 5.0, 60.0)
+        # tau = v^{1/(1-delta)} underflows to 0 near v = 0 at delta = 0.99
+        a, ea = appendix._contour_integral_large_t(0.99, 3, 5.0, 60.0)
+        b, eb = appendix._direct_integral(0.99, 3, 5.0, 60.0)
         assert cmath.isfinite(a)
-        assert abs(a - b) <= 1e-6 * abs(b)
+        assert abs(a - b) <= 1e-10 * abs(b)
+        assert abs(a - b) <= ea + eb
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_large_x_contour_at_t_zero(self, n):
+        # phi_space_fit reaches x = 1e5 on this branch; at delta = 1/2,
+        # w - 1 = v^2 turns (w-1)^{-1/2} dw into 2 dv, a smooth integrand
+        nu = special.order_from_dim(n)
+        for x in (3e4, 1e5):
+            got, err = appendix._contour_integral_large_x(0.5, n, x, 0.0)
+            want, want_err = osc_integral(
+                lambda v: 2.0 * special.bessel_j(nu, (1.0 + v * v) * x),
+                0.0, 1.0, x + 2.0, 1e-13, max_points=4_000_000)
+            assert abs(got - want) <= err
+            assert abs(got - want) <= want_err
+            assert abs(got - want) <= 1e-10 * abs(want)
+
+    def test_negative_time_on_contours(self):
+        # the large-t and the large-x contour regimes at t < 0, against the
+        # direct quadrature at the same t
+        for x, t in ((5.0, -60.0), (3e4, -100.0)):
+            got = singular_psi(0.5, 3, x, t)
+            want = x ** -0.5 * appendix._direct_integral(0.5, 3, x, t)[0]
+            assert abs(got - want) <= 1e-9 * abs(want)
 
     def test_small_delta_limit(self):
         assert delta_limit_consistency(3, 0.5, delta=0.05) <= 1e-2

@@ -162,8 +162,10 @@ class TestDeterminism:
 
 class TestColdStart:
     def test_import_leaves_out_scipy_stats_and_integrate(self):
-        # each costs a fraction of a second at start-up for one small function
+        # each costs a fraction of a second at start-up for one small function;
+        # an iterated Fresnel integral past its stationary point loads neither
         code = ("import sys, disperse_lab.cli; "
+                "from disperse_lab import special; special.fresnel_xi(3, -100.0, 0.0); "
                 "print([m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules])")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True)

@@ -43,6 +43,10 @@ def _h(rho):
     return (1.0 + rho) ** -1.5
 
 
+def _one(rho, row):
+    return np.ones(rho.shape, dtype=complex)
+
+
 class TestRotatedTail:
     @pytest.mark.parametrize("c2", [1.0, 0.3])
     def test_one_ray_rows_are_unchanged(self, c2):
@@ -86,6 +90,30 @@ class TestRotatedTail:
         assert abs(got - want) > 1e-12 * abs(want)     # the loss is real
         assert abs(got - want) <= err
         assert err <= 1e-6 * abs(want)
+
+    @pytest.mark.parametrize("delta", [0.2, 0.5, 0.9, 0.99])
+    def test_endpoint_power_closed_forms(self, delta):
+        # int_0^inf rho^{-delta} e^{i a rho} drho = Gamma(1-delta) a^{delta-1} e^{i pi (1-delta)/2}
+        # int_0^inf rho^{-delta} e^{i rho^2} drho = Gamma((1-delta)/2) e^{i pi (1-delta)/4} / 2
+        a = (0.5, 3.0, 100.0)
+        got, err = rotated_tail(_one, 0.0, np.array(a), c2=0.0, delta=delta)
+        (got2,), (err2,) = rotated_tail(_one, 0.0, 0.0, c2=1.0, delta=delta)
+        got, err = np.append(got, got2), np.append(err, err2)
+        with mpmath.workdps(30):
+            d = mpmath.mpf(delta)
+            want = np.array([complex(mpmath.gamma(1 - d) * mpmath.mpf(ai) ** (d - 1)
+                                     * mpmath.expjpi((1 - d) / 2)) for ai in a]
+                            + [complex(mpmath.gamma((1 - d) / 2) * mpmath.expjpi((1 - d) / 4) / 2)])
+        assert np.all(np.abs(got - want) <= err)
+        if delta in (0.5, 0.9):
+            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+    def test_rejects_bad_inputs(self):
+        for delta in (-0.1, 1.0, math.nan):
+            with pytest.raises(ValueError):
+                rotated_tail(_one, 0.0, 1.0, delta=delta)
+        with pytest.raises(ValueError):
+            rotated_tail(_one, 0.0, np.array([1.0, 0.0]), c2=0.0)
 
 
 def _composite_rows_1d(f, a, b, npanels, rows, nodes=32, absolute=False):

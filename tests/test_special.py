@@ -151,6 +151,26 @@ class TestSplittingSeries:
                 assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want)), (K, conj)
 
 
+def _xi_moments(m, a, s):
+    """Xi^m_a(s) at 40 digits from the moments M_k(S): M_0 from the Fresnel
+    integrals, M_1 = (i/2) e^{iS^2}, and
+    M_k = (i/2) S^{k-1} e^{iS^2} + (k-1) (i/2) M_{k-2}."""
+    with mpmath.workdps(40):
+        a, s = mpmath.mpf(a), mpmath.mpf(s)
+        S = s + a / 2
+        arg = S * mpmath.sqrt(2 / mpmath.pi)
+        half = mpmath.mpf(1) / 2
+        moments = [mpmath.sqrt(mpmath.pi / 2)
+                   * mpmath.mpc(half - mpmath.fresnelc(arg), half - mpmath.fresnels(arg)),
+                   0.5j * mpmath.expj(S * S)]
+        for k in range(2, m + 1):
+            moments.append(0.5j * S ** (k - 1) * mpmath.expj(S * S)
+                           + (k - 1) * 0.5j * moments[k - 2])
+        total = sum(mpmath.binomial(m, k) * (-S) ** (m - k) * moments[k]
+                    for k in range(m + 1))
+        return complex(mpmath.expj(-a * a / 4) * total / mpmath.factorial(m))
+
+
 class TestFresnel:
     def test_value_at_origin(self):
         want = cmath.exp(1j * math.pi / 4.0) * math.sqrt(math.pi) / 2.0
@@ -174,6 +194,17 @@ class TestFresnel:
             want = math.sqrt(math.pi / 2.0) * complex(0.5 - c, 0.5 - sn)
             got = complex(special.fresnel_xi(0, 0.0, s))
             assert abs(got - want) <= 1e-11
+
+    @pytest.mark.parametrize("m", range(7))
+    def test_against_mpmath_moments(self, m):
+        # Xi^m_a(s) = e^{-ia^2/4} sum_k C(m,k) (-S)^{m-k} M_k(S) / m!, S = s + a/2,
+        # with the moments M_k(S) = int_S^inf rho^k e^{i rho^2} drho: negative S
+        # puts the stationary point inside the tail
+        for a in (-100.0, -10.0, -1.0, 0.0, 1.0, 10.0):
+            for s in (0.0, 0.7, 3.0, 10.0, 50.0):
+                want = _xi_moments(m, a, s)
+                got = complex(special.fresnel_xi(m, a, s))
+                assert abs(got - want) <= 1e-11 * abs(want), (a, s)
 
     def test_large_s_asymptotics(self):
         s = 50.0
