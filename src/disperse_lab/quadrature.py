@@ -182,11 +182,14 @@ def rotated_tail(h, rho0, a, c2: float = 1.0, delta=0.0):
     a = a[row]
 
     c = s * (2.0 * c2 * p + a) / math.sqrt(2.0)   # linear decay rate along ray
-    # tau* solves c2 tau^2 + c tau = 45 (integrand ~ e^{-45} at the far end)
-    if c2 > 0:
-        tau_star = (-c + np.sqrt(c * c + 180.0 * c2)) / (2.0 * c2)
-    else:
-        tau_star = 45.0 / c
+    # tau* solves c2 tau^2 + c tau = 45 (integrand ~ e^{-45} at the far end);
+    # c >= 0 on every ray, so 90/(c + root) never cancels (it is 45/c at
+    # c2 = 0); (root - c)/(2 c2) is kept where it loses under 1e-9, so the
+    # rays of rows with c2 not tiny against c^2 keep their nodes bit for bit
+    root = np.sqrt(c * c + 180.0 * c2)
+    tau_star = 90.0 / (c + root)
+    wide = 180.0 * c2 >= 1e-6 * c * c
+    tau_star[wide] = (-c[wide] + root[wide]) / (2.0 * c2)
     rot = cmath.exp(1j * math.pi / 4.0)
     phi0 = 1j * (c2 * p * p + a * p)
     lin = s * (2.0 * c2 * p + a) * complex(-1.0, 1.0) / math.sqrt(2.0)

@@ -91,10 +91,17 @@ class TestEvaluation:
     def test_negative_time_on_contours(self):
         # the large-t and the large-x contour regimes at t < 0, against the
         # direct quadrature at the same t
-        for x, t in ((5.0, -60.0), (3e4, -100.0)):
+        for x, t in ((5.0, -600.0), (3e4, -100.0)):
             got = singular_psi(0.5, 3, x, t)
             want = x ** -0.5 * appendix._direct_integral(0.5, 3, x, t)[0]
             assert abs(got - want) <= 1e-9 * abs(want)
+
+    def test_large_x_contour_at_tiny_t(self):
+        # 180 t is below an ulp of c^2 on the Hankel rays: they must keep
+        # their length, so psi matches its t = 0 value
+        want = singular_psi(0.5, 3, 3e4, 0.0)
+        for t in (1e-10, -1e-10):
+            assert abs(singular_psi(0.5, 3, 3e4, t) - want) <= 1e-10 * abs(want)
 
     def test_small_delta_limit(self):
         assert delta_limit_consistency(3, 0.5, delta=0.05) <= 1e-2

@@ -108,6 +108,15 @@ class TestRotatedTail:
         if delta in (0.5, 0.9):
             assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
+    def test_tiny_c2_keeps_the_ray_length(self):
+        # 180 c2 far below c^2 must not cancel tau* to 0: against the c2 = 0
+        # closed form Gamma(1/2) a^{-1/2} e^{i pi/4}
+        want = math.sqrt(math.pi / 3.0) * cmath.exp(1j * math.pi / 4.0)
+        for c2 in (1e-18, 1e-14):
+            (got,), (err,) = rotated_tail(_one, 0.0, 3.0, c2=c2, delta=0.5)
+            assert abs(got - want) <= 1e-12 * abs(want)
+            assert abs(got - want) <= err + 1e-12 * abs(want)
+
     def test_rejects_bad_inputs(self):
         for delta in (-0.1, 1.0, math.nan):
             with pytest.raises(ValueError):
