@@ -30,7 +30,7 @@ def _fmt(v) -> str:
 def emit_csv(rows: Sequence[Sequence], header: Sequence[str],
              out: Optional[str]) -> None:
     if not rows:
-        raise SystemExit(2)
+        raise ValueError("no rows to write")
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(header)
@@ -70,6 +70,8 @@ def _parse_grid(text: str) -> np.ndarray:
         a, b, num = text.split(":")
         a, b = float(a), float(b)
         num = int(num) if num not in ("geometric", "") else 10
+        if num < 1:
+            raise ValueError(f"grid {text!r} needs a count >= 1, got {num}")
         return np.geomspace(a, b, num)
     return np.array([float(v) for v in text.split(",")])
 
@@ -105,8 +107,6 @@ def cmd_propagate(args) -> int:
     ts = _parse_grid(args.t)
     xs = _parse_grid(args.x)
     pts = [(float(t), float(x)) for t in ts for x in xs]
-    if not pts:
-        raise SystemExit(2)
 
     def one(tx):
         t, x = tx
@@ -426,8 +426,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except SystemExit:
-        raise
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -6,14 +6,12 @@ octave; the octave statistics drive a finite/divergent verdict: a term whose
 per-octave contribution keeps growing (or stops decaying) along the grid is
 certified divergent, otherwise the geometric tail is extrapolated.
 
-All panels of a norm are rows of one adaptive driver (`_panel_integrals`),
-and its integrands are columns evaluated on the same nodes from one
-derivative stack per node (`RadialProfile.derivs`): norm_X's three
-integrands come from orders 0..1, norm_Ym's integrals (k = k_lo..m) from
-orders 0..m.  Only the averaged-mass supremum of Y_n is a second driver
-call.  The panels are fixed, so each refinement level's nodes are one
-broadcast of a cached composite rule over the live panels, and its panel
-sums one matmul per block of whole panels.  A column stops refining a row
+All panels of a norm are rows of one quadrature.refine_rows call (through
+`_panel_integrals`), the package's one panel-doubling loop, and its
+integrands are columns evaluated on the same nodes from one derivative
+stack per node (`RadialProfile.derivs`): norm_X's three integrands come from
+orders 0..1, norm_Ym's integrals (k = k_lo..m) from orders 0..m.  Only the
+averaged-mass supremum of Y_n is a second call.  A column stops refining a row
 once its own rules agree; the plain integrals (first X2 term, Y_m terms)
 also stop at the rounding floor of their total, the supremands, which
 weight small z up, do not.
@@ -29,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .profiles import RadialProfile, power, bump, herglotz, herglotz_pair
-from .quadrature import gl_nodes, linear_fit
+from .quadrature import linear_fit, refine_rows
 
 K_MIN, K_MAX = -20, 40
 _SLOPE_DIV_INT = -0.02     # log2 increment slope above this -> divergent
@@ -37,9 +35,6 @@ _SLOPE_DIV_SUP = 0.02      # log2 probe-value slope above this -> divergent
 _FIT_WINDOW = 12
 # increments this far below an integrand's total are rounding noise
 _NOISE = 1e-13
-# a driver level evaluates its integrands on whole panels, at most this many
-# nodes at once; 2^14 read slower and larger on the norms benchmark
-_PANEL_BLOCK = 1 << 13
 
 
 class DivergentNormError(ValueError):
@@ -122,57 +117,17 @@ def _aggregate_octaves(increments, per_octave: int):
     return np.concatenate([[inc[0]], octaves])
 
 
-@lru_cache(maxsize=None)
-def _unit_rule(sub: int):
-    """Per node of the composite rule with sub subpanels of 24 Gauss-Legendre
-    nodes on one panel: subpanel centre (in subpanel widths), node and weight
-    on [-1, 1]."""
-    x, w = gl_nodes(24)
-    return np.repeat(np.arange(sub) + 0.5, x.size), np.tile(x, sub), np.tile(w, sub)
-
-
-def _level_sums(f, a, width, sub):
-    """(panels, C) sums of the sub-subpanel rule over [a, a + sub * width],
-    panel by panel, of the C columns of f."""
-    centre, x, w = _unit_rule(sub)
-    per = max(1, _PANEL_BLOCK // x.size)
-    sums = []
-    for i in range(0, a.size, per):
-        wd = width[i:i + per, None]
-        vals = np.atleast_2d(f((a[i:i + per, None] + centre * wd + 0.5 * wd * x).ravel()))
-        sums.append(((vals.reshape(vals.shape[0], -1, x.size) @ w) * (0.5 * wd[:, 0])).T)
-    return np.concatenate(sums)
-
-
 def _panel_integrals(f, edges, floor=False):
-    """(integrals, unconverged) of the columns of f over the panels between
-    edges, each of shape (panels, C).
-
-    f(r) returns a (C, r.size) array of C integrands evaluated on the same
-    nodes (a 1-D result is one column).  Each panel is a row of a 24-node
-    composite rule whose subpanels double from 4 to 256 (|.|-type integrands
-    have kinks); a column of a row freezes once two successive rules agree
-    to 1e-10 of the newer, or, where floor (one flag, or one per column) is
-    set, to _NOISE of that column's summed coarse |values|.  A row is
-    re-evaluated while any of its columns is live; unconverged masks the
-    entries that reached 256 without agreeing, which keep that rule's value.
+    """(integrals, unconverged), each (panels, C), of the columns of f(r), a
+    (C, r.size) array (1-D: one column), over the panels between edges: one
+    quadrature.refine_rows call with 24 nodes and 4 to 256 subpanels
+    (|.|-type integrands have kinks), rtol 1e-10 and, where floor (one flag
+    or one per column) is set, a floor of _NOISE times the column's summed
+    coarse |values|.  unconverged marks the entries left at 256 subpanels.
     """
-    a = np.asarray(edges[:-1], dtype=float)
-    b = np.asarray(edges[1:], dtype=float)
-    sub = 4
-    rows = np.arange(a.size)
-    vals = _level_sums(f, a, (b - a) / sub, sub)
-    noise = _NOISE * np.where(floor, np.sum(np.abs(vals), axis=0), 0.0)
-    live = np.ones(vals.shape, dtype=bool)
-    while rows.size and sub < 256:
-        sub *= 2
-        cur = _level_sums(f, a[rows], (b[rows] - a[rows]) / sub, sub)
-        prev, was = vals[rows], live[rows]
-        agree = np.abs(cur - prev) <= np.maximum(
-            1e-10 * np.maximum(np.abs(cur), 1e-300), noise)
-        vals[rows] = np.where(was, cur, prev)
-        live[rows] = was = was & ~agree
-        rows = rows[was.any(axis=1)]
+    edges = np.asarray(edges, dtype=float)
+    vals, _, live, _ = refine_rows(f, edges[:-1], edges[1:], 4, 256, 1e-10, nodes=24,
+                                   floor=np.where(floor, _NOISE, 0.0))
     return vals, live
 
 

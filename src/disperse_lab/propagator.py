@@ -25,7 +25,7 @@ import numpy as np
 
 from . import special
 from .profiles import RadialProfile, fd_derivatives
-from .quadrature import osc_integral, rotated_tail, composite_gl
+from .quadrature import composite_gl, osc_integral, refine_rows, rotated_tail
 
 
 class DivergentTailError(ValueError):
@@ -284,30 +284,26 @@ def solution_bound(profile: RadialProfile, pt: EvalPoint, m: int, K: int = 8) ->
                  * (boundary + total))
 
 
+def _mass(f, r_max: float, t: float, tol: float = 3e-6) -> float:
+    """int_0^r_max f(r) dr by composite Gauss-Legendre with panel doubling
+    up to 2048 panels, until two rules agree to tol relative; the panel
+    width starts at the interference scale ~4t of the evolved modulus."""
+    start = max(8, int(r_max / max(4.0 * t, 0.5)))
+    vals = refine_rows(f, np.zeros(1), np.array([float(r_max)]), start, 2048, tol)[0]
+    return float(vals[0, 0].real)
+
+
 def solution_mass(profile: RadialProfile, n: int, t: float, r_max: float,
                   tol: float = 3e-6) -> float:
-    """int_0^r_max |psi(r, t)|^2 r^{n-1} dr via the representation formula.
-
-    Composite Gauss-Legendre with panel doubling; panel width starts at the
-    interference scale ~4t of the evolved modulus.
-    """
+    """int_0^r_max |psi(r, t)|^2 r^{n-1} dr via the representation formula."""
     def f(xs):
         vals = np.array([abs(evolve_radial(profile, EvalPoint(n, x, t)).value) ** 2
-                         for x in np.atleast_1d(xs)])
-        return vals * np.atleast_1d(xs) ** (n - 1)
+                         for x in xs])
+        return vals * xs ** (n - 1)
 
-    npanels = max(8, int(r_max / max(4.0 * t, 0.5)))
-    prev = composite_gl(f, 0.0, r_max, npanels)
-    while npanels < 2048:
-        npanels *= 2
-        cur = composite_gl(f, 0.0, r_max, npanels)
-        if abs(cur - prev) <= tol * abs(cur):
-            prev = cur
-            break
-        prev = cur
-    return float(prev.real)
+    return _mass(f, r_max, t, tol)
 
 
 def initial_mass(profile: RadialProfile, n: int, r_max: float) -> float:
-    f = lambda r: np.abs(profile.phi_rad(r)) ** 2 * r ** (n - 1)
-    return float(composite_gl(f, 0.0, r_max, 400).real)
+    """int_0^r_max |phi(r)|^2 r^{n-1} dr, refined as solution_mass at t = 0."""
+    return _mass(lambda r: np.abs(profile.phi_rad(r)) ** 2 * r ** (n - 1), r_max, 0.0)

@@ -1,12 +1,12 @@
-"""Oscillatory quadrature helpers.
+"""Quadrature helpers, each evaluating many integrals (rows) at once.
 
-Two workhorses, each evaluating many integrals (rows) at once: a
-node-doubling composite Gauss-Legendre rule for finite oscillatory
-integrals, and rotated_tail, the package's one steepest-descent rule, for
-tails int_rho0^inf (rho - rho0)^{-delta} h(rho) exp(i (c2 rho^2 + a rho)) drho
-with an endpoint power 0 <= delta < 1.  rotated_tail serves the unbounded
-tails of propagator and blowup, the iterated Fresnel integrals of special
-and the singular-superposition contours of appendix.
+gl_rows, the one composite Gauss-Legendre kernel, and refine_rows, which
+doubles each row's panels until two successive rules agree, serve the
+oscillatory heads, the norms octave panels and the mass integrals.
+rotated_tail, the one steepest-descent rule, integrates tails
+int_rho0^inf (rho - rho0)^{-delta} h(rho) exp(i (c2 rho^2 + a rho)) drho
+with 0 <= delta < 1: the unbounded tails of propagator and blowup, the
+iterated Fresnel integrals of special and the contours of appendix.
 """
 
 from __future__ import annotations
@@ -24,45 +24,104 @@ def gl_nodes(npts: int):
 
 
 # an integrand call receives at most this many nodes, whatever the number of
-# rows or the size of one row's rule, so memory stays flat; at 2^14 a complex
-# node array (256 KB) stays in cache, and 2^16 measured slower and 4 MB larger
-_BLOCK_NODES = 1 << 14
+# rows or the size of one row's rule, so memory stays flat; 2^14 read slower
+# on the norms benchmark and no faster on propagate or focusing
+_BLOCK_NODES = 1 << 13
 
 
-def _composite_rows(f, a, b, npanels, rows, nodes: int = 32, absolute: bool = False):
-    """Composite Gauss-Legendre sums of f(x, row) over [a[row], b[row]] with
-    npanels[row] panels, for each row in `rows`.  Panels are laid end to end
-    over all rows and evaluated in blocks of at most _BLOCK_NODES nodes.
-    With absolute, also returns the sums of |weight * f|."""
+@lru_cache(maxsize=None)
+def _tiled_rule(nodes: int, chunk: int):
+    """Per node of `chunk` panels of a nodes-point Gauss-Legendre rule end
+    to end: panel centre (in panel widths), node and weight on [-1, 1]."""
     x, w = gl_nodes(nodes)
-    counts = npanels[rows]
-    first = np.zeros(rows.size + 1, dtype=np.int64)
-    np.cumsum(counts, out=first[1:])
-    width = (b[rows] - a[rows]) / counts
-    sums, mags = np.zeros(rows.size, dtype=complex), np.zeros(rows.size)
-    step = max(1, _BLOCK_NODES // nodes)
-    for g0 in range(0, int(first[-1]), step):
-        g = np.arange(g0, min(g0 + step, int(first[-1])))
-        loc = np.searchsorted(first, g, side="right") - 1
-        half = 0.5 * width[loc]
-        mid = a[rows[loc]] + (g - first[loc] + 0.5) * width[loc]
-        vals = f((mid[:, None] + half[:, None] * x).ravel(), np.repeat(rows[loc], nodes))
-        panel = np.sum(half[:, None] * w * vals.reshape(-1, nodes), axis=1)
-        # every row has panels, so the block holds rows loc[0] .. loc[-1]
-        held = np.arange(loc[0], loc[-1] + 1)
-        start = np.maximum(first[held] - g0, 0)
-        sums[held] += np.add.reduceat(panel, start)
+    return np.repeat(np.arange(chunk) + 0.5, nodes), np.tile(x, chunk), np.tile(w, chunk)
+
+
+def gl_rows(f, a, b, npanels, nodes: int = 32, ids=None, absolute: bool = False):
+    """(sums, mags), each (rows, C; (0, 1) with no rows): composite
+    Gauss-Legendre sums of f over [a[i], b[i]] with npanels[i] equal panels
+    of `nodes` nodes and, with absolute, of |weight * f| (else None).
+
+    f(x), or f(x, ids[i]) on row i's nodes where ids is given, returns one
+    value per node or a (C, x.size) array.  Rows are cut into chunks of L
+    panels, L the largest power of two dividing every count; a block of at
+    most _BLOCK_NODES nodes holds whole chunks, summed by one matmul.
+    """
+    if not a.size:
+        return np.zeros((0, 1)), (np.zeros((0, 1)) if absolute else None)
+    # the largest power of two dividing every count, at most one block long
+    low = int(np.bitwise_or.reduce(npanels))
+    chunk = min(low & -low, 1 << max(0, (_BLOCK_NODES // nodes).bit_length() - 1))
+    centre, x, w = _tiled_rule(nodes, chunk)
+    width = (b - a) / npanels
+    start, first = a, None
+    if chunk < low:
+        # several chunks per row: chunk j of a row starts j chunk widths in
+        per_row = npanels // chunk
+        first = np.cumsum(per_row) - per_row
+        owner = np.repeat(np.arange(a.size), per_row)
+        width = width[owner]
+        ids = None if ids is None else ids[owner]
+        start = a[owner] + (np.arange(owner.size) - first[owner]) * chunk * width
+    half = 0.5 * width
+    sums, mags = [], []
+    per = max(1, _BLOCK_NODES // centre.size)
+    for i in range(0, start.size, per):
+        s = slice(i, i + per)
+        pts = (start[s, None] + centre * width[s, None] + half[s, None] * x).ravel()
+        vals = f(pts) if ids is None else f(pts, np.repeat(ids[s], centre.size))
+        vals = vals.reshape(-1, pts.size // centre.size, centre.size)
+        sums.append((vals @ w) * half[s])
         if absolute:
-            mags[held] += np.add.reduceat(half * (np.abs(vals).reshape(-1, nodes) @ w), start)
-    return (sums, mags) if absolute else sums
+            mags.append((np.abs(vals) @ w) * half[s])
+    out = [np.concatenate(parts, axis=1) for parts in ((sums, mags) if absolute else (sums,))]
+    if first is not None:
+        out = [np.add.reduceat(total, first, axis=1) for total in out]
+    return out[0].T, (out[1].T if absolute else None)
+
+
+def refine_rows(f, a, b, start, cap, rtol: float, nodes: int = 32, ids=None,
+                atol: float = 0.0, floor=0.0, absolute: bool = False):
+    """Double the panels of every row of gl_rows (f, a, b, nodes, ids as
+    there) from start[row]: an entry (row, column) freezes once two
+    successive rules agree, |cur - prev| <= max(rtol |cur|, atol,
+    floor[column] * the column's summed |first rule|, unless NaN), and a
+    row is evaluated again while an entry is live and its count can double
+    within cap.  A NaN change never agrees.
+
+    Returns (values, deltas, live, mags), each (rows, C): each entry's last
+    rule, |cur - prev| of its last two (inf if never doubled), the entries
+    left live at the cap, and with absolute the last rule's sums of |w f|.
+    """
+    count = np.full(a.size, start, dtype=np.int64)
+    vals, mags = gl_rows(f, a, b, count, nodes, ids, absolute)
+    bound = np.fmax(atol, floor * np.abs(vals).sum(axis=0))
+    deltas = np.full(vals.shape, math.inf)
+    live = np.ones(vals.shape, dtype=bool)
+    pos = np.arange(a.size)
+    go = 2 * count <= cap
+    while (pos := pos[go]).size:
+        # a slice while every row goes on, so the updates below are views
+        k = pos if pos.size < a.size else slice(None)
+        count[k] = n = 2 * count[k]
+        cur, mag = gl_rows(f, a[k], b[k], n, nodes, None if ids is None else ids[k], absolute)
+        prev, was = vals[k], live[k]
+        change = np.abs(cur - prev)
+        vals[k] = np.where(was, cur, prev)
+        deltas[k] = np.where(was, change, deltas[k])
+        if absolute:
+            mags[k] = np.where(was, mag, mags[k])
+        live[k] = was = was & ~(change <= np.maximum(rtol * np.abs(cur), bound))
+        go = was.any(axis=1) & (2 * n <= cap)
+    return vals, deltas, live, mags
 
 
 def composite_gl(f, a: float, b: float, npanels: int, nodes: int = 32):
     """Composite Gauss-Legendre sum, as a complex number; f must accept an
     ndarray."""
-    return _composite_rows(lambda x, row: f(x), np.array([a], dtype=float),
-                           np.array([b], dtype=float), np.array([npanels]),
-                           np.zeros(1, dtype=int), nodes)[0]
+    sums, _ = gl_rows(f, np.array([a], dtype=float), np.array([b], dtype=float),
+                      np.array([npanels]), nodes)
+    return complex(sums[0, 0])
 
 
 def trapezoid(y, x) -> float:
@@ -89,10 +148,10 @@ def osc_integral_rows(f, a, b, phase_span, tol: float = 1e-9,
 
     f receives the nodes of many rows at once, with the row index of each
     node.  Each row starts from about one 32-node panel per three cycles and
-    doubles its panels until two successive composite rules agree, or until
-    the next rule would exceed max_points nodes; a row stops doubling as
-    soon as it converges.  The error estimate adds to |last - previous| a
-    rounding term, eps * sum |weight * f| * (1 + phase_span) on the last rule.
+    refine_rows doubles its panels until two successive rules agree to
+    tol * max(1, |last|), or until the next rule would exceed max_points
+    nodes.  The error estimate adds to |last - previous| a rounding term,
+    eps * sum |weight * f| * (1 + phase_span) on the last rule.
 
     Returns (values, error_estimates), one entry per row.
     """
@@ -102,21 +161,12 @@ def osc_integral_rows(f, a, b, phase_span, tol: float = 1e-9,
     errs = np.zeros(a.size)
     rows = np.flatnonzero(b > a)
     cycles = np.maximum(span / (2.0 * math.pi), 1.0)
-    npanels = np.maximum(2, np.ceil(cycles / 3.0)).astype(np.int64)
-    mags = np.zeros(a.size)
-    values[rows], mags[rows] = _composite_rows(f, a, b, npanels, rows, absolute=True)
-    errs[rows] = math.inf
-    scale = np.maximum(np.abs(values), 1e-300)
-    rows = rows[2 * npanels[rows] * 32 <= max_points]
-    while rows.size:
-        npanels[rows] *= 2
-        cur, mags[rows] = _composite_rows(f, a, b, npanels, rows, absolute=True)
-        errs[rows] = np.abs(cur - values[rows])
-        values[rows] = cur
-        scale[rows] = np.maximum(np.abs(cur), scale[rows])
-        going = errs[rows] > tol * np.maximum(1.0, scale[rows])
-        rows = rows[going & (2 * npanels[rows] * 32 <= max_points)]
-    return values, errs + np.finfo(float).eps * mags * (1.0 + span)
+    start = np.maximum(2, np.ceil(cycles / 3.0)).astype(np.int64)
+    vals, deltas, _, mags = refine_rows(f, a[rows], b[rows], start[rows], max_points // 32,
+                                        tol, ids=rows, atol=tol, absolute=True)
+    values[rows] = vals[:, 0]
+    errs[rows] = deltas[:, 0] + np.finfo(float).eps * mags[:, 0] * (1.0 + span[rows])
+    return values, errs
 
 
 def osc_integral(f, a: float, b: float, phase_span: float, tol: float = 1e-9,

@@ -108,6 +108,13 @@ class TestExitCodes:
          "profile 'power' needs alpha=<value>"),
         (["propagate", "--n", "3", "--profile", "gaussian:width=0", "--t", "1",
           "--x", "1"], "gaussian needs width > 0, got 0"),
+        # a grid count below 1
+        (["propagate", "--n", "3", "--profile", "bump", "--t", "1:2:0", "--x", "1"],
+         "grid '1:2:0' needs a count >= 1, got 0"),
+        (["propagate", "--n", "3", "--profile", "bump", "--t", "1", "--x", "1:2:0"],
+         "grid '1:2:0' needs a count >= 1, got 0"),
+        (["blowup", "--n", "3", "--sigma", "1", "--q", "4", "--tgrid", "0.5:0.9:0"],
+         "grid '0.5:0.9:0' needs a count >= 1, got 0"),
     ])
     def test_bad_input_is_two_with_one_error_line(self, argv, message, tmp_path,
                                                    capsys):
@@ -181,8 +188,9 @@ class TestHelpers:
             and g[-1] == pytest.approx(100.0)
 
     def test_emit_csv_rejects_empty(self, tmp_path):
-        with pytest.raises(SystemExit):
+        with pytest.raises(ValueError, match="no rows to write"):
             cli.emit_csv([], ["a"], str(tmp_path / "x.csv"))
+        assert not (tmp_path / "x.csv").exists()
 
     def test_float_formatting_roundtrip(self):
         for v in (1.0 / 3.0, 2.0 ** -40, 1e300):

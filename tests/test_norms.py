@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from disperse_lab import norms, profiles, special
+from disperse_lab import norms, profiles, quadrature, special
 from disperse_lab.norms import (
     DivergentNormError,
     NormReport,
@@ -284,15 +284,14 @@ class TestBatchedPanels:
         # several node blocks, at 256 each panel is a block of its own
         edges = np.array(norms._octave_edges(4))
         a, b = edges[:-1], edges[1:]
-        assert a.size * 4 * 24 > 2 * norms._PANEL_BLOCK
+        assert a.size * 4 * 24 > 2 * quadrature._BLOCK_NODES
         for sub, sel in ((4, np.arange(a.size)), (32, np.array([3, 100, 240])),
                          (256, np.array([0, 120, 121, 240]))):
-            width = (b[sel] - a[sel]) / sub
-            sums = norms._level_sums(_cols, a[sel], width, sub)
+            args = (a[sel], b[sel], np.full(sel.size, sub), 24)
+            sums, _ = quadrature.gl_rows(_cols, *args)
             assert sums.shape == (sel.size, 3)
             for c in range(3):
-                one = norms._level_sums(lambda x: _cols(x)[c], a[sel], width, sub)
-                mag = norms._level_sums(lambda x: np.abs(_cols(x)[c]), a[sel], width, sub)
+                one, mag = quadrature.gl_rows(lambda x: _cols(x)[c], *args, absolute=True)
                 assert one.shape == (sel.size, 1)
                 assert np.all(np.abs(sums[:, c] - one[:, 0]) <= 1e-15 * mag[:, 0]), (sub, c)
 
@@ -300,13 +299,13 @@ class TestBatchedPanels:
         # beyond the cutoff eta r is constant, so (eta r)' is rounding noise
         # and no relative test can pass; the floor stops that column early
         p = profiles.herglotz(1.0, 3)
-        driver, level = norms._panel_integrals, norms._level_sums
+        driver, level = norms._panel_integrals, quadrature.gl_rows
         default = inspect.signature(driver).parameters["floor"].default
         calls, widest = [], []
 
-        def spy_level(f, a, width, sub):
-            widest.append(sub)
-            return level(f, a, width, sub)
+        def spy_level(f, a, b, npanels, nodes, ids, absolute=False):
+            widest.append(int(npanels.max()))
+            return level(f, a, b, npanels, nodes, ids, absolute)
 
         def spy(f, edges, floor=default):
             out = driver(f, edges, np.logical_and(floor, spy.use_floor))
@@ -335,7 +334,7 @@ class TestBatchedPanels:
             return max(widest)
 
         # refined alone, it stops below the 256-subpanel cap
-        monkeypatch.setattr(norms, "_level_sums", spy_level)
+        monkeypatch.setattr(quadrature, "gl_rows", spy_level)
         assert widest_for(True) < 256 and widest_for(False) == 256
         # beside an unfloored copy of itself, each column keeps its own floor
         # and its own stopping point: each matches its refinement alone
@@ -422,7 +421,7 @@ class TestBatchedPanels:
 
     def test_integrand_calls_hold_at_most_one_block(self, monkeypatch):
         # whatever the number of columns, an integrand call receives at most
-        # _PANEL_BLOCK = 2^13 nodes, so memory stays flat as columns are added
+        # _BLOCK_NODES = 2^13 nodes, so memory stays flat as columns are added
         driver = norms._panel_integrals
         sizes = []
 
@@ -439,7 +438,7 @@ class TestBatchedPanels:
                 norm_X(p, n)
                 for m in range(n + 1):
                     norm_Ym(p, n, m)
-        assert norms._PANEL_BLOCK == 1 << 13
+        assert quadrature._BLOCK_NODES == 1 << 13
         assert sizes and max(sizes) <= 1 << 13
         # levels fill their blocks: 4 subpanels pack 85 whole panels
         assert max(sizes) == 85 * 4 * 24

@@ -1,14 +1,18 @@
-"""Composite row sums; steepest-descent tails: stationary points on rays,
-one-ray rows unchanged; the line fit."""
+"""Composite row sums and their panel doubling; steepest-descent tails:
+stationary points on rays, one-ray rows unchanged; the line fit; one
+Gauss-Legendre rule cache."""
 
+import ast
 import cmath
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
-from disperse_lab.quadrature import (_BLOCK_NODES, _composite_rows, gl_nodes,
+from disperse_lab import quadrature
+from disperse_lab.quadrature import (_BLOCK_NODES, gl_nodes, gl_rows, osc_integral,
                                     osc_integral_rows, rotated_tail, trapezoid)
 
 
@@ -125,56 +129,177 @@ class TestRotatedTail:
             rotated_tail(_one, 0.0, np.array([1.0, 0.0]), c2=0.0)
 
 
-def _composite_rows_1d(f, a, b, npanels, rows, nodes=32, absolute=False):
-    """_composite_rows as it stood when integrands returned one value per
-    node: the one-integrand path must keep this arithmetic bit for bit."""
-    x, w = gl_nodes(nodes)
-    counts = npanels[rows]
-    first = np.zeros(rows.size + 1, dtype=np.int64)
-    np.cumsum(counts, out=first[1:])
-    width = (b[rows] - a[rows]) / counts
-    sums = np.zeros(rows.size, dtype=complex)
-    mags = np.zeros(rows.size)
-    step = max(1, _BLOCK_NODES // nodes)
-    for g0 in range(0, int(first[-1]), step):
-        g = np.arange(g0, min(g0 + step, int(first[-1])))
-        loc = np.searchsorted(first, g, side="right") - 1
-        half = 0.5 * width[loc]
-        mid = a[rows[loc]] + (g - first[loc] + 0.5) * width[loc]
-        vals = f((mid[:, None] + half[:, None] * x).ravel(), np.repeat(rows[loc], nodes))
-        panel = np.sum(half[:, None] * w * vals.reshape(-1, nodes), axis=1)
-        held = np.arange(loc[0], loc[-1] + 1)
-        start = np.maximum(first[held] - g0, 0)
-        sums[held] += np.add.reduceat(panel, start)
-        if absolute:
-            mags[held] += np.add.reduceat(half * (np.abs(vals).reshape(-1, nodes) @ w), start)
-    return (sums, mags) if absolute else sums
+def _exact_rows(v):
+    """Correctly rounded sums along the last axis of a real 2-D array."""
+    return np.array([math.fsum(row) for row in v])
+
+
+def _per_panel_sums(f, a, b, npanels, rows, nodes):
+    """gl_rows by a loop over single panels, every w f term added exactly:
+    (sums, sums of |w f|), each (rows, C).  With dyadic panel widths its
+    nodes are those of gl_rows bit for bit, so only the sums can differ."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    sums, mags = [], []
+    for r in rows:
+        width = (b[r] - a[r]) / npanels[r]
+        terms = np.concatenate([0.5 * width * w * np.atleast_2d(
+            f(a[r] + (j + 0.5) * width + 0.5 * width * x, np.full(nodes, r)))
+            for j in range(npanels[r])], axis=1)       # (C, panels * nodes)
+        sums.append(_exact_rows(terms.real) + 1j * _exact_rows(terms.imag))
+        mags.append(_exact_rows(np.abs(terms)))
+    return np.array(sums), np.array(mags)
 
 
 class TestCompositeRows:
-    # rows of very different sizes, some spanning several node blocks
-    a = np.array([0.0, 0.5, 1.0, 3.0, 10.0])
-    b = np.array([0.5, 2.0, 7.0, 3.5, 90.0])
-    npanels = np.array([3, 40, 700, 1, 1500])
-    rows = np.array([0, 1, 2, 3, 4])
+    # rows of very different sizes, some spanning several node blocks;
+    # every panel width is a power of two
+    a = np.array([0.0, 0.5, 1.0, 3.0, 10.0, 2.0, -1.0])
+    b = np.array([0.375, 1.75, 6.46875, 3.5, 103.75, 34.0, 1.0])
+    npanels = np.array([3, 40, 700, 1, 1500, 2048, 512])
 
     @staticmethod
     def _f(x, row):
-        return np.exp(1j * x * x) / (1.0 + x) * (row + 1.0)
+        return np.exp(1j * x * x) / (1.0 + x * x) * (row + 1.0)
 
-    def test_one_column_path_is_unchanged(self):
-        f = self._f
-        for sel in (self.rows, np.array([2, 3])):
-            for nodes in (24, 32):
-                args = (f, self.a, self.b, self.npanels, sel, nodes)
-                got, got_mag = _composite_rows(*args, absolute=True)
-                ref, ref_mag = _composite_rows_1d(*args, absolute=True)
-                assert np.array_equal(got, ref) and np.array_equal(got_mag, ref_mag)
-                assert np.array_equal(_composite_rows(*args), _composite_rows_1d(*args))
+    @staticmethod
+    def _cols(x, row):
+        return np.stack([np.exp(1j * x * x) / (1.0 + x * x), np.abs(np.sin(3.0 * x)),
+                         np.cos(x) * np.exp(-0.1 * np.abs(x)) * row])
+
+    def test_kernel_matches_per_panel_loop(self):
+        # chunks of 1 (odd counts), 4 and 256 panels; ragged rows that span
+        # several blocks, one column and three
+        for f in (self._f, self._cols):
+            for sel in (np.arange(7), np.array([1, 2, 4]), np.array([6, 5]), np.array([3])):
+                for nodes in (24, 32):
+                    args = (f, self.a[sel], self.b[sel], self.npanels[sel], nodes, sel)
+                    got, got_mag = gl_rows(*args, absolute=True)
+                    ref, ref_mag = _per_panel_sums(f, self.a, self.b, self.npanels, sel, nodes)
+                    assert got.shape == ref.shape == (sel.size, 1 if f is self._f else 3)
+                    assert np.all(np.abs(got - ref) <= 1e-15 * ref_mag), (sel, nodes)
+                    assert np.all(np.abs(got_mag - ref_mag) <= 1e-15 * ref_mag), (sel, nodes)
+                    plain, none = gl_rows(*args)
+                    assert none is None and np.array_equal(plain, got)
         empty = np.array([], dtype=int)
-        assert _composite_rows(f, self.a, self.b, self.npanels, empty).shape == (0,)
+        assert gl_rows(self._f, self.a[empty], self.b[empty], self.npanels[empty],
+                       32, empty)[0].shape == (0, 1)
 
     def test_trapezoid(self):
         x = np.geomspace(1.0, 8.0, 301)
         assert trapezoid(x ** 2, x) == pytest.approx((8.0 ** 3 - 1.0) / 3.0, rel=1e-4)
         assert trapezoid([1.0, 3.0], [0.0, 2.0]) == 4.0
+
+
+def _counted(f):
+    """f(x, row) that records the nodes it receives per row and per call."""
+    def g(x, row):
+        g.sizes.append(x.size)
+        np.add.at(g.per_row, row, 1)
+        return f(x, row)
+    g.sizes, g.per_row = [], np.zeros(8, dtype=np.int64)
+    return g
+
+
+class TestOscillatoryRows:
+    def test_row_past_the_cap_stops_after_one_rule(self):
+        # row 1 starts at 100 panels; doubling would pass max_points // 32
+        f = _counted(lambda x, row: np.exp(1j * x))
+        vals, errs = osc_integral_rows(f, 0.0, 1.0, [1.0, 600.0 * math.pi], max_points=5000)
+        assert f.per_row[1] == 100 * 32
+        assert math.isinf(errs[1]) and errs[0] <= 1e-9
+        assert vals[1] == pytest.approx((np.exp(1j) - 1.0) / 1j, rel=1e-12)
+
+    def test_empty_intervals_are_zero(self):
+        f = _counted(lambda x, row: np.exp(1j * x))
+        vals, errs = osc_integral_rows(f, [1.0, 0.0, 2.0], [1.0, 1.0, 1.0], 1.0)
+        assert vals[0] == vals[2] == 0.0 and errs[0] == errs[2] == 0.0
+        assert abs(vals[1] - (np.exp(1j) - 1.0) / 1j) <= errs[1] <= 1e-9
+        assert f.per_row[[0, 2]].sum() == 0
+        assert osc_integral(lambda x: x, 1.0, 1.0, 1.0) == (0.0, 0.0)
+
+    def test_converged_row_is_not_evaluated_again(self):
+        # a smooth row converges after one doubling, a kinked one runs on;
+        # each row receives the nodes of its own one-row refinement
+        funcs = (lambda x: np.exp(1j * x), lambda x: np.abs(x - 0.3) + 0j,
+                 lambda x: np.cos(40.0 * x) + 0j)
+        f = _counted(lambda x, row: np.choose(row, [fn(x) for fn in funcs]))
+        span = [1.0, 1.0, 40.0]
+        vals, errs = osc_integral_rows(f, 0.0, 1.0, span, tol=1e-12, max_points=40_000)
+        for r, fn in enumerate(funcs):
+            alone = _counted(lambda x, row: fn(x))
+            (val,), (err,) = osc_integral_rows(alone, 0.0, 1.0, span[r], tol=1e-12,
+                                               max_points=40_000)
+            assert f.per_row[r] == alone.per_row[0], r
+            assert abs(vals[r] - val) <= 1e-14 * max(1.0, abs(val)) and errs[r] == pytest.approx(err)
+        assert f.per_row[0] == (2 + 4) * 32 < f.per_row[2] < f.per_row[1]
+
+    def test_calls_hold_at_most_one_block(self):
+        # a jump never agrees at tol 1e-15, so the row runs to max_points
+        f = _counted(lambda x, row: np.where(x < 1.0 / 3.0, 1.0, 0.0) + 0j)
+        val, err = osc_integral(lambda x: f(x, np.zeros(x.size, dtype=int)), 0.0, 1.0, 1.0,
+                                tol=1e-15)
+        assert max(f.sizes) == _BLOCK_NODES
+        # 2, 4, .. 16384 panels: the last rule is the largest within 600,000 nodes
+        assert sum(f.sizes) == 32 * (2 * 16384 - 2)
+        assert 1e-15 < err < 1e-4 and val == pytest.approx(1.0 / 3.0, abs=err)
+
+
+def _kinked(x, row):
+    # a smooth column, and a column with a kink at 0.3 + 0.1 row
+    return np.stack([np.exp(1j * x) * x, np.abs(x - 0.3 - 0.1 * row) + 0j])
+
+
+class TestRefineRows:
+    def test_matches_entry_by_entry_loop(self):
+        # each entry keeps the rule, |change| and sum |w f| of the level at
+        # which it agreed, as if refined alone: rows 0 and 1 converge, row 2
+        # stops at the cap with its kink column live, and row 3 starts past
+        # the cap, so it is never doubled
+        a, b = np.array([0.0, 0.5, 0.0, 0.0]), np.array([1.0, 2.0, 3.0, 1.0])
+        start, cap, tol = np.array([2, 3, 40, 100]), 128, 1e-7
+        vals, deltas, live, mags = quadrature.refine_rows(
+            _kinked, a, b, start, cap, tol, ids=np.arange(4), atol=tol, absolute=True)
+        assert vals.shape == deltas.shape == live.shape == mags.shape == (4, 2)
+        for i in range(4):
+            def rule(n):
+                return gl_rows(_kinked, a[i:i + 1], b[i:i + 1], np.array([n]), 32,
+                               np.array([i]), absolute=True)
+            for c in range(2):
+                n = start[i]
+                v, m = (s[0, c] for s in rule(n))
+                d, agreed = math.inf, False
+                while not agreed and 2 * n <= cap:
+                    n *= 2
+                    cur, m = (s[0, c] for s in rule(n))
+                    d, v = abs(cur - v), cur
+                    agreed = d <= max(tol * abs(cur), tol)
+                assert live[i, c] == (not agreed), (i, c)
+                assert abs(vals[i, c] - v) <= 1e-14 * m and abs(mags[i, c] - m) <= 1e-14 * m
+                assert deltas[i, c] == d or abs(deltas[i, c] - d) <= 1e-14 * m, (i, c)
+        assert live[:, 1].tolist() == [False, False, True, True] and not live[:2].any()
+        assert np.isinf(deltas[3]).all() and np.isfinite(deltas[:3]).all()
+
+    def test_nan_is_never_converged(self):
+        # a NaN entry runs to the cap and is reported there; the rows beside
+        # it converge, also where the column's total would set a floor
+        f = lambda x, row: np.where(row == 1, np.nan, np.cos(x))
+        for floor in (0.0, 1e-13):
+            vals, deltas, live, _ = quadrature.refine_rows(
+                f, np.zeros(2), np.ones(2), 2, 64, 1e-12, ids=np.arange(2), floor=floor)
+            assert live[:, 0].tolist() == [False, True] and np.isnan(deltas[1, 0])
+            assert vals[0, 0] == pytest.approx(math.sin(1.0), rel=1e-14)
+
+
+def test_gauss_legendre_rules_come_from_quadrature():
+    # quadrature holds the package's only Gauss-Legendre rule cache
+    names = {"leggauss", "gl_nodes"}
+    src = Path(quadrature.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        if path.name == "quadrature.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        used |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                 for alias in node.names}
+        assert not used & names, path.name
