@@ -17,6 +17,7 @@ import numpy as np
 
 from . import special
 from .decay import DecayFit, _envelope_fit
+from .profiles import require_finite
 from .quadrature import osc_integral, rotated_tail, trapezoid
 
 INF = math.inf
@@ -115,8 +116,12 @@ def _contour_integral_large_x(delta: float, n: int, x_abs: float, t: float,
 def singular_psi(delta: float, n: int, x_abs: float, t: float = 0.0) -> complex:
     """psi(x, t) = |x|^{(2-n)/2} int_1^2 e^{-i t w^2}(w-1)^{-delta} J_nu(w|x|) dw."""
     SingularDensity(delta)
+    require_finite("singular_psi", x_abs=x_abs, t=t)
     if x_abs <= 0:
         raise ValueError("need x_abs > 0")
+    # the large-x contour's stationary phase t (x/2t)^2
+    if t != 0 and not math.isfinite(x_abs * x_abs / (4.0 * abs(t))):
+        raise ValueError(f"phase x_abs^2/(4t) overflows at x_abs={x_abs:g}, t={t:g}")
     if t < 0:   # J_nu and the density are real, so psi(x, -t) = conj psi(x, t)
         return singular_psi(delta, n, x_abs, -t).conjugate()
     cycles = (3.0 * abs(t) + x_abs) / (2.0 * math.pi)
@@ -199,9 +204,17 @@ def delta_limit_consistency(n: int, x_abs: float, delta: float = 0.05) -> float:
 # necessary conditions
 # ---------------------------------------------------------------------------
 
+def _require_exponents(**exps):
+    """ValueError naming every NaN exponent; inf stands for L^inf."""
+    bad = [f"{k}={v:g}" for k, v in exps.items() if math.isnan(v)]
+    if bad:
+        raise ValueError(f"exponents must be numbers or inf, got {', '.join(bad)}")
+
+
 def necessary_p_bound(r: float, n: int) -> float:
     """p >= 2r / (2n - r(n-1))_+ for r > 2n/(n+1); INF when the positive
     part vanishes (no finite p admits the estimate)."""
+    _require_exponents(r=r)
     if not (r > 2.0 * n / (n + 1.0)):
         raise ValueError(
             f"bound applies for r > 2n/(n+1) = {2.0 * n / (n + 1.0):g}; "
@@ -249,6 +262,7 @@ def lpq_region(delta: float, n: int, p: float, q: float) -> LpqVerdict:
     """Membership psi in L^p_t L^q_x per the closed-form region (strict
     inequalities), with the binding constraint identified."""
     SingularDensity(delta)
+    _require_exponents(p=p, q=q)
     qt = _q_threshold(delta, n)
     if not (q > qt):
         return LpqVerdict(p, q, delta, n, False,

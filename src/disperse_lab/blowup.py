@@ -66,9 +66,10 @@ def _bessel_split_integral(n: int, sigma: float, c, quad: float,
     every entry of the array c; returns (values, error_estimates) per entry.
 
     Head by phase-resolved panels; beyond r0 (where c*r >= 10) the Bessel
-    factor is replaced by its oscillatory splitting and each piece is pushed
-    onto a steepest-descent ray.  quad may be negative (defocusing side);
-    quad = 0 is rejected.
+    factor is replaced by its oscillatory splitting and both pieces run on
+    steepest-descent rays, the e^{-icr} one through its stationary point
+    r = c/(2|quad|) where that lies beyond r0.  quad may be negative
+    (defocusing side); quad = 0 is rejected.
     """
     if quad == 0.0:
         raise ValueError("quadratic phase must be nonzero")
@@ -76,11 +77,9 @@ def _bessel_split_integral(n: int, sigma: float, c, quad: float,
     coeffs = special.alpha_coeffs(n, K)
     c = np.array(c, dtype=float, ndmin=1)
     aq = abs(quad)
-    conj = quad < 0.0
 
-    # start the rotated tails beyond the splitting region (c*r >= 10) and the
-    # stationary point r = c/(2|quad|) of the defocusing-phase piece
-    r0 = np.maximum(np.maximum(r_lo, 10.0 / c), c / (2.0 * aq) + 1.0)
+    # start the rotated tails beyond the splitting region (c*r >= 10)
+    r0 = np.maximum(r_lo, 10.0 / c)
 
     def head_f(r, row):
         return (r ** (n / 2.0 - sigma) * special.bessel_j(nu, c[row] * r)
@@ -91,33 +90,35 @@ def _bessel_split_integral(n: int, sigma: float, c, quad: float,
 
     # z^{n/2} J_nu(z) = A_n + e^{iz} B_n + e^{-iz} conj(B_n), so the tail
     # pieces carry r^{-sigma} c^{-n/2} B_n(c r), which is one power of r,
-    # e^{-i(n-1)pi/4} c^{-1/2} r^{(n-1)/2-sigma}, times the Hankel sum at c r
+    # e^{-i(n-1)pi/4} c^{-1/2} r^{(n-1)/2-sigma}, times the Hankel sum at c r;
+    # rows [0, m) carry e^{icr} B_n, rows [m, 2m) e^{-icr} conj(B_n)
+    m = c.size
     cb = coeffs.prefactor * c ** -0.5
+    row_c, row_cb = np.concatenate([c, c]), np.concatenate([cb, np.conj(cb)])
     p = (n - 1) / 2.0 - sigma
 
-    def h2(r, row):
-        return cb[row] * r ** p * special.hankel_sum(coeffs.alpha, c[row] * r)
+    def h(r, row):
+        z = row_c[row] * r
+        out = np.empty(r.shape, dtype=complex)
+        up = row < m
+        out[up] = special.hankel_sum(coeffs.alpha, z[up])
+        out[~up] = special.hankel_sum(np.conj(coeffs.alpha), z[~up])
+        return row_cb[row] * out * r ** p
 
-    def h3(r, row):
-        return np.conj(cb[row]) * r ** p * special.hankel_sum(np.conj(coeffs.alpha), c[row] * r)
-
-    if not conj:
-        t2, e2 = rotated_tail(h2, r0, c, c2=aq)
-        t3, e3 = rotated_tail(h3, r0, -c, c2=aq)
-    else:
-        # int h e^{-i(aq r^2 -+ c r)} = conj(int conj(h) e^{i(aq r^2 +- c r)})
-        u2, e2 = rotated_tail(lambda r, row: np.conj(h3(np.conj(r), row)), r0, -c,
-                              c2=aq)
-        u3, e3 = rotated_tail(lambda r, row: np.conj(h2(np.conj(r), row)), r0, c,
-                              c2=aq)
-        t2, t3 = np.conj(u2), np.conj(u3)
+    # the integrand is real but for e^{i quad r^2}, so on the defocusing side
+    # (quad < 0) the tail is the conjugate of the tail at |quad|
+    tails, e_tails = rotated_tail(h, np.concatenate([r0, r0]), np.concatenate([c, -c]),
+                                  c2=aq)
+    tail = tails[:m] + tails[m:]
+    if quad < 0.0:
+        tail = np.conj(tail)
 
     # the omitted terms, at most 2 c^{-n/2} r^{-sigma} |alpha_{K+1}| (c r)^{(n-1)/2-K-1},
     # integrated over [r0, inf): near the stationary point the phase barely turns
     trunc_coef = abs(special._hankel_symbol_float(nu, K + 1)) / 2.0 ** (K + 1) / special.SQRT_2PI
     trunc = (2.0 * c ** (-n / 2.0) * r0 ** (-sigma) * trunc_coef
              * (c * r0) ** ((n - 1) / 2.0 - K - 1) * r0 / (K + sigma - (n - 1) / 2.0))
-    return head + t2 + t3, e_head + e2 + e3 + trunc
+    return head + tail, e_head + e_tails[:m] + e_tails[m:] + trunc
 
 
 def _chirp_values(datum: ChirpDatum, t: float, x_abs,

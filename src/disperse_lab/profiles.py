@@ -66,10 +66,11 @@ def fd_derivatives(f, k: int, r, h_scale: float = 0.02, r_min=None):
     return out
 
 
-def _require_finite(family: str, **params):
+def require_finite(what: str, **params):
+    """ValueError naming every parameter that is NaN or infinite."""
     bad = [f"{k}={v:g}" for k, v in params.items() if not math.isfinite(v)]
     if bad:
-        raise ValueError(f"{family} needs finite parameters, got {', '.join(bad)}")
+        raise ValueError(f"{what} needs finite parameters, got {', '.join(bad)}")
 
 
 @dataclass
@@ -141,7 +142,7 @@ class RadialProfile:
 
 def bump(a: float = 1.0, b: float = 2.0, omega: float = 0.0) -> RadialProfile:
     """C_c^infty bump on [a, b], normalized to peak value 1."""
-    _require_finite("bump", a=a, b=b, omega=omega)
+    require_finite("bump", a=a, b=b, omega=omega)
     if not b > a >= 0:
         raise ValueError("need 0 <= a < b")
     peak = ((b - a) / 2.0) ** 2
@@ -187,7 +188,7 @@ def bump(a: float = 1.0, b: float = 2.0, omega: float = 0.0) -> RadialProfile:
 
 def gaussian(width: float = 1.0, omega: float = 0.0) -> RadialProfile:
     """exp(-(r/width)^2); numerically compact."""
-    _require_finite("gaussian", width=width, omega=omega)
+    require_finite("gaussian", width=width, omega=omega)
     if not width > 0:
         raise ValueError(f"gaussian needs width > 0, got {width:g}")
 
@@ -213,7 +214,7 @@ def gaussian(width: float = 1.0, omega: float = 0.0) -> RadialProfile:
 
 def power(alpha: float, omega: float = 0.0) -> RadialProfile:
     """(1+r)^{-alpha} with closed-form derivatives and analytic tail."""
-    _require_finite("power", alpha=alpha, omega=omega)
+    require_finite("power", alpha=alpha, omega=omega)
 
     def env(r):
         return (1.0 + np.asarray(r, dtype=float)) ** (-alpha)
@@ -245,7 +246,7 @@ def herglotz(omega: float, n: int, K: int = 8) -> RadialProfile:
     up to the truncation error of the order-K asymptotic series, where
     eta(r) = omega^{-n/2} r^{1-n} (A_n(omega r)/2 + B_n(omega r)).
     """
-    _require_finite("herglotz", omega=omega, n=n, K=K)
+    require_finite("herglotz", omega=omega, n=n, K=K)
     if omega == 0:
         raise ValueError("herglotz envelope needs omega != 0")
     if n != int(n) or K != int(K):

@@ -9,10 +9,15 @@ The primary path evaluates the 1D oscillatory representation
 
 splitting the Bessel kernel into its smooth-compact and oscillatory-
 asymptotic parts beyond the compact region so every numerical piece is
-non-oscillatory after contour rotation.  For unbounded data at |x|/sqrt(t)
-<= 2 the integral beyond the profile's tail_start runs on steepest-descent
-rays through tail_fn and the complex J_nu, at a cost that does not grow with
-t.  An exact spectral oracle (n = 3) serves as an independent check.
+non-oscillatory after contour rotation.  For unbounded data the real-axis
+head covers rho in [0, rho_a], rho_a = 1.5 tail_start/gamma, where the
+envelope may differ from tail_fn.  At |x|/sqrt(t) <= 2 everything beyond it
+runs on steepest-descent rays through tail_fn and the complex J_nu, at a
+cost that does not grow with t.  At |x|/sqrt(t) > 2 the head goes on, as a
+second row, to max(rho_a, _Z_SPLIT/beta), where the Hankel series of
+e^{+-iz} hold; both series tails run on rays, the e^{-iz} one through its
+stationary point (beta - gamma omega)/2, at a cost that does not grow with
+|x|.  An exact spectral oracle (n = 3) serves as an independent check.
 """
 
 from __future__ import annotations
@@ -24,8 +29,8 @@ from typing import Optional
 import numpy as np
 
 from . import special
-from .profiles import RadialProfile, fd_derivatives
-from .quadrature import composite_gl, osc_integral, refine_rows, rotated_tail
+from .profiles import RadialProfile, fd_derivatives, require_finite
+from .quadrature import composite_gl, osc_integral, osc_integral_rows, refine_rows, rotated_tail
 
 
 class DivergentTailError(ValueError):
@@ -41,8 +46,12 @@ class EvalPoint:
     def __post_init__(self):
         if int(self.n) != self.n or self.n < 2:
             raise ValueError("dimension must be an integer >= 2")
+        require_finite("evaluation point", x_abs=self.x_abs, t=self.t)
         if not (self.x_abs > 0 and self.t > 0):
             raise ValueError("need x_abs > 0 and t > 0")
+        if not math.isfinite(self.x_abs * self.x_abs / (4.0 * self.t)):
+            raise ValueError(f"phase x_abs^2/(4t) overflows at x_abs={self.x_abs:g}, "
+                             f"t={self.t:g}")
 
 
 @dataclass
@@ -96,38 +105,46 @@ def evolve_radial(profile: RadialProfile, pt: EvalPoint, tol: float = 1e-9,
             f"tail exponent {profile.tail_alpha} <= (n-3)/2 = {(n - 3) / 2.0}: "
             "representation integral not convergent")
 
-    # if rotate, only [0, rho0], where the envelope may differ from tail_fn,
-    # stays on the real axis; the rest runs on rays with the exact J_nu, so
-    # nothing is truncated and nothing grows with t
-    rotate = beta <= _BETA_ROTATE
-    rho0 = profile.tail_start * 1.5 / gamma
-    a3 = gamma * profile.omega - beta
-    if not rotate:
-        rho0 = max(rho0, 1.0, _Z_SPLIT / beta, -a3 / 2.0 + 1.0)
+    # [0, rho_a] holds the band where the envelope may differ from tail_fn
+    rho_a = profile.tail_start * 1.5 / gamma
+    span_coef = abs(profile.omega) * gamma + beta
 
-    span = rho0 ** 2 + (abs(profile.omega) * gamma + beta) * rho0
-    head, err = osc_integral(lambda rho: g(rho) * np.exp(1j * rho * rho),
-                             0.0, rho0, span, tol)
-    if rotate:
+    def f(rho):
+        return g(rho) * np.exp(1j * rho * rho)
+
+    if beta <= _BETA_ROTATE:
+        # everything beyond rho_a runs on rays with the exact J_nu, so
+        # nothing is truncated and nothing grows with t
+        head, err = osc_integral(f, 0.0, rho_a, rho_a ** 2 + span_coef * rho_a, tol)
+
         def h(rho, row):
             r = gamma * rho
             return profile.tail_fn(r) * r ** (n / 2.0) * special.bessel_j_c(nu, beta * rho)
 
-        (tail,), (e_tail,) = rotated_tail(h, rho0, profile.omega * gamma)
+        (tail,), (e_tail,) = rotated_tail(h, rho_a, profile.omega * gamma)
         return ComplexAmplitude(pref * (head + tail), abs(pref) * (err + e_tail))
 
+    # the head goes on to where the Hankel series hold (z >= _Z_SPLIT), as a
+    # second row so the band's refinement does not spread over it; both
+    # series tails run on rays, the e^{-iz} one through its stationary point
+    rho0 = max(rho_a, _Z_SPLIT / beta)
+    lo, hi = np.array([0.0, rho_a]), np.array([rho_a, rho0])
+    heads, errs = osc_integral_rows(lambda rho, row: f(rho), lo, hi,
+                                    hi ** 2 - lo ** 2 + span_coef * (hi - lo), tol)
+
     coeffs = special.alpha_coeffs(n, K)
-    a2 = gamma * profile.omega + beta
     cn = c ** (-n / 2.0)
 
-    def h2(rho, row):
-        return cn * profile.tail_fn(gamma * rho) * special.splitting_B_series(coeffs, beta * rho)
+    def h(rho, row):
+        # row 0 carries e^{iz} B_n, row 1 e^{-iz} conj(B_n)
+        series = np.empty(rho.shape, dtype=complex)
+        up = row == 0
+        series[up] = special.splitting_B_series(coeffs, beta * rho[up])
+        series[~up] = special.splitting_B_series_conj(coeffs, beta * rho[~up])
+        return cn * profile.tail_fn(gamma * rho) * series
 
-    def h3(rho, row):
-        return cn * profile.tail_fn(gamma * rho) * special.splitting_B_series_conj(coeffs, beta * rho)
-
-    (t2,), (e2,) = rotated_tail(h2, rho0, a2)
-    (t3,), (e3,) = rotated_tail(h3, rho0, a3)
+    omega_g = gamma * profile.omega
+    tails, e_tails = rotated_tail(h, rho0, np.array([omega_g + beta, omega_g - beta]))
 
     # truncation of the asymptotic Bessel series, integrated over the tail
     zmin = beta * rho0
@@ -135,8 +152,8 @@ def evolve_radial(profile: RadialProfile, pt: EvalPoint, tol: float = 1e-9,
     trunc = (2.0 * cn * abs(complex(profile.tail_fn(complex(gamma * rho0))))
              * trunc_coef * zmin ** ((n - 1) / 2.0 - K - 1))
 
-    val = head + t2 + t3
-    total_err = abs(pref) * (err + e2 + e3 + trunc)
+    val = heads.sum() + tails.sum()
+    total_err = abs(pref) * (errs.sum() + e_tails.sum() + trunc)
     return ComplexAmplitude(pref * val, total_err)
 
 

@@ -2,9 +2,10 @@
 Fresnel tail integrals.
 
 Bessel values come from scipy.special: the Cephes j0/j1 at orders 0 and 1
-for z <= 100, the spherical Bessel function at half-integer order, and the
-AMOS routine (jv) at every other order, beyond z = 100 and at complex
-argument.  The iterated Fresnel integrals Xi^m_a(s) are one call of
+for z <= 100, the spherical Bessel function at half-integer order from 3/2,
+and the AMOS routine (jv) at every other order, beyond z = 100 and at
+complex argument.  J_{1/2}(z) = sin z sqrt(2/(pi z)) is in closed form, at
+real and complex z.  The iterated Fresnel integrals Xi^m_a(s) are one call of
 quadrature.rotated_tail for every real s and a: its rays pass the
 stationary point -a/2 when it lies beyond s.
 """
@@ -90,9 +91,10 @@ def bessel_j(nu: float, z):
     """Bessel function of the first kind J_nu(z) for z >= 0, nu >= -1/2.
 
     Orders 0 and 1 (n = 2, 4) go through Cephes j0/j1 for z <= _CEPHES_MAX;
-    half-integer orders nu >= 1/2 (odd dimension) through the spherical
-    Bessel function, sqrt(2z/pi) j_{nu-1/2}(z); every other order and
-    argument through the AMOS routine behind scipy.special.jv.
+    nu = 1/2 (n = 3) is the closed form sin z sqrt(2/(pi z)); half-integer
+    orders nu >= 3/2 through the spherical Bessel function,
+    sqrt(2z/pi) j_{nu-1/2}(z); every other order and argument through the
+    AMOS routine behind scipy.special.jv.
     """
     if nu < -0.5:
         raise ValueError(f"order {nu} < -1/2 not supported")
@@ -100,7 +102,10 @@ def bessel_j(nu: float, z):
     if np.any(z < 0):
         raise ValueError("bessel_j requires z >= 0")
     ell = nu - 0.5
-    if ell >= 0 and ell == int(ell):
+    if ell == 0:
+        # sin 0 = 0 times a finite stand-in root at z = 0: no warning
+        out = np.sin(z) * np.sqrt(2.0 / math.pi / np.where(z > 0, z, 1.0))
+    elif ell > 0 and ell == int(ell):
         out = np.sqrt(2.0 * z / math.pi) * spherical_jn(int(ell), z)
     elif nu == 0.0 or nu == 1.0:
         out = np.asarray((j0 if nu == 0.0 else j1)(z))
@@ -113,8 +118,10 @@ def bessel_j(nu: float, z):
 
 
 def bessel_j_c(nu: float, z):
-    """J_nu(z) for complex z (principal branch, off the cut z <= 0)."""
-    out = jv(nu, np.atleast_1d(np.asarray(z, dtype=complex)))
+    """J_nu(z) for complex z (principal branch, off the cut z <= 0); J_{1/2}
+    in closed form, every other order through AMOS jv."""
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    out = np.sin(z) * np.sqrt(2.0 / math.pi / z) if nu == 0.5 else jv(nu, z)
     return out if out.shape != (1,) else complex(out[0])
 
 

@@ -111,6 +111,23 @@ class TestEvaluation:
             singular_psi(1.2, 3, 1.0, 0.0)
         with pytest.raises(ValueError):
             singular_psi(0.5, 3, -1.0, 0.0)
+        for x, t in ((math.nan, 1.0), (math.inf, 0.0), (1.0, math.nan), (1.0, -math.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                singular_psi(0.5, 3, x, t)
+        # these returned NaN: the stationary point x/2t of the contour overflows
+        for x, t in ((1e5, 1e-300), (1e300, 1.0)):
+            with pytest.raises(ValueError, match="overflows"):
+                singular_psi(0.5, 3, x, t)
+
+    def test_exponents_must_be_numbers(self):
+        for p, q in ((math.nan, 4.0), (4.0, math.nan)):
+            with pytest.raises(ValueError, match="numbers"):
+                lpq_region(0.5, 3, p, q)
+        with pytest.raises(ValueError, match="numbers"):
+            necessary_p_bound(math.nan, 3)
+        # inf stands for L^inf
+        assert lpq_region(0.5, 3, INF, INF).member
+        assert necessary_p_bound(INF, 3) == INF
 
 
 class TestRates:

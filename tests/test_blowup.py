@@ -2,11 +2,15 @@
 
 import math
 
+import cmath
+
 import mpmath
 import numpy as np
 import pytest
+from scipy.special import hankel1e, hankel2e, jv
 
 from disperse_lab import blowup
+from disperse_lab.quadrature import refine_rows, rotated_tail
 from disperse_lab.blowup import (
     ChirpDatum,
     SelfSimilarFrame,
@@ -152,6 +156,56 @@ class TestSplitIntegralReference:
         (got,), (err,) = blowup._bessel_split_integral(n, sigma, [k * z], k * k, 1.0)
         want = _one_ray_reference(n, sigma, k * z, k * k, 1.0, z)
         assert abs(got - want) <= err + 1e-14 * abs(want)
+
+
+def _defocusing_reference(n, sigma, t, x, R):
+    """psi(x, t) of the chirped datum at t > 1, built without blowup: the radial
+    kernel (2t)^{-1} e^{-in pi/4} |x|^{(2-n)/2} e^{i|x|^2/4t} against
+    r^{n/2-sigma} J_nu(xr/2t) e^{i(1/4t - 1/4) r^2} over r >= 1, by a
+    real-axis Gauss-Legendre rule to R and, beyond R, H^(1) and H^(2)
+    (J_nu = (H^(1) + H^(2))/2) on steepest-descent rays."""
+    nu, c, q = (n - 2) / 2.0, x / (2.0 * t), 1.0 / (4.0 * t) - 0.25
+    p = n / 2.0 - sigma
+
+    def f(r):
+        return r ** p * jv(nu, c * r) * np.exp(1j * q * r * r)
+
+    # one 32-node panel per cycle, doubled until two rules agree
+    cycles = int((abs(q) * R * R + c * R) / (2.0 * math.pi)) + 1
+    vals, _, live, _ = refine_rows(f, np.array([1.0]), np.array([R]), cycles, 8 * cycles, 1e-12)
+    assert not live.any()
+
+    # int h e^{-i(|q| r^2 -+ c r)} = conj(int conj(h) e^{i(|q| r^2 +- c r)})
+    def h(r, row):
+        hk = np.where(row == 0, hankel1e(nu, c * r), hankel2e(nu, c * r))
+        return r ** p * hk / 2.0
+
+    tails, _ = rotated_tail(lambda r, row: np.conj(h(np.conj(r), row)), (R, R), (-c, c),
+                            c2=abs(q))
+    val = vals[0, 0] + np.conj(tails.sum())
+    return (x ** ((2 - n) / 2.0) / (2.0 * t) * cmath.exp(1j * (x * x / (4.0 * t) - n * math.pi / 4.0))
+            * val)
+
+
+class TestDefocusingSide:
+    """At t > 1 the chirp phase 1/4t - 1/4 is negative and the tails are
+    conjugates of the focusing-side rays."""
+
+    @pytest.mark.parametrize("n,sigma", [(2, 1.05), (3, 1.95)])
+    @pytest.mark.parametrize("t,x", [(1.5, 40.0), (1.5, 10.0), (3.0, 20.0)])
+    def test_matches_real_axis_reference(self, n, sigma, t, x):
+        want = _defocusing_reference(n, sigma, t, x, 300.0)
+        # the reference does not depend on where the real-axis rule stops
+        assert abs(_defocusing_reference(n, sigma, t, x, 200.0) - want) <= 1e-12 * abs(want)
+        got = chirp_solution(ChirpDatum(n, sigma), t, x)
+        assert abs(got.value - want) <= got.err_est + 1e-9 * abs(want)
+
+    def test_stationary_point_beyond_splitting_is_certified(self):
+        # the e^{-icr} tail's stationary point c/(2|quad|) = 600 lies far
+        # beyond r0 = 10/c; its rays pass it
+        amp = chirp_solution(ChirpDatum(3, 2.0), 0.5, 600.0)
+        assert math.isfinite(amp.err_est)
+        assert amp.err_est <= 1e-9 * abs(amp.value)
 
 
 class TestLrMembership:

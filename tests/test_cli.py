@@ -148,6 +148,25 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["appendix", "--mode", "psi", "--n", "3", "--t", "nan"],
+         "singular_psi needs finite parameters, got t=nan"),
+        (["propagate", "--n", "3", "--profile", "power:alpha=1.2", "--t", "1",
+          "--x", "1e300"], "phase x_abs^2/(4t) overflows at x_abs=1e+300, t=1"),
+        (["appendix", "--mode", "psi", "--n", "3", "--x", "inf"],
+         "singular_psi needs finite parameters, got x_abs=inf"),
+        (["propagate", "--n", "3", "--profile", "power:alpha=1.2", "--t", "inf",
+          "--x", "1"], "evaluation point needs finite parameters, got t=inf"),
+        (["appendix", "--mode", "region", "--n", "3", "--p", "nan"],
+         "exponents must be numbers or inf, got p=nan"),
+    ])
+    def test_non_finite_point_is_two(self, argv, message, tmp_path, capsys):
+        # these ended in a traceback, or printed NaN or a verdict with exit 0
+        code = cli.main(argv + ["--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o.csv").exists()
+
     def test_verify_fast_passes(self):
         proc = subprocess.run(
             [sys.executable, "-m", "disperse_lab.cli", "verify",

@@ -7,8 +7,10 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import hankel1e, hankel2e
 
 from disperse_lab import profiles, propagator, special
+from disperse_lab.quadrature import osc_integral, rotated_tail
 from disperse_lab.propagator import (
     ComplexAmplitude,
     DivergentTailError,
@@ -178,10 +180,16 @@ class TestTailValidation:
             EvalPoint(1, 1.0, 1.0)
         with pytest.raises(ValueError):
             EvalPoint(3, 1.0, -0.5)
+        for x, t in ((math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                EvalPoint(3, x, t)
+        # x^2/4t overflows although x and t are finite
+        with pytest.raises(ValueError, match="overflows"):
+            EvalPoint(3, 1e200, 1e-200)
 
 
-def _counted(prof):
-    """prof with envelope and tail_fn wrapped to count evaluation points."""
+def _counted(prof, fields=("envelope", "tail_fn")):
+    """prof with the named fields wrapped to count evaluation points."""
     box = [0]
 
     def wrap(fn):
@@ -190,8 +198,7 @@ def _counted(prof):
             return fn(r)
         return counted
 
-    return dataclasses.replace(prof, envelope=wrap(prof.envelope),
-                               tail_fn=wrap(prof.tail_fn)), box
+    return dataclasses.replace(prof, **{f: wrap(getattr(prof, f)) for f in fields}), box
 
 
 class TestRotatedHead:
@@ -219,6 +226,63 @@ class TestRotatedHead:
             evolve_radial(counted, EvalPoint(3, 0.3, t))
             counts.append(box[0])
         assert max(counts) <= 2 * min(counts), counts
+
+
+class TestLargeBeta:
+    """For x/sqrt(t) > 2 the head ends at max(1.5 tail_start/gamma, 10/beta)
+    and both Hankel-series tails run on rays, the e^{-iz} one through its
+    stationary point, so nothing beyond 1.5 tail_start costs more at large x."""
+
+    @pytest.mark.parametrize("prof,fields", [
+        (profiles.power(1.2), ("envelope", "tail_fn")),
+        # the Herglotz cutoff band 1/2 < omega r < 1 is not analytic, so it
+        # stays on the real axis, where J_nu(beta rho) turns x/t times
+        (profiles.herglotz_pair(1.0, 3)[0], ("tail_fn",)),
+        (profiles.herglotz_pair(1.0, 3)[1], ("tail_fn",)),
+    ], ids=["power1.2", "herglotz+", "herglotz-"])
+    def test_evaluations_flat_in_x(self, prof, fields):
+        counts = []
+        for x in (1e2, 1e3, 1e4):
+            counted, box = _counted(prof, fields)
+            amp = evolve_radial(counted, EvalPoint(3, x, 1.0))
+            assert amp.err_est <= 1e-6 * abs(amp.value)
+            counts.append(box[0])
+        assert max(counts) <= 2 * min(counts), counts
+
+    @pytest.mark.parametrize("x,t", [(1e3, 1.0), (1e4, 1.0), (1e6, 1.0), (1.0, 1e-8)])
+    def test_far_points_are_certified(self, x, t):
+        # the phase beta^2/4 at the stationary point rounds to eps beta^2/4,
+        # and the estimate says so: 2e-4 of |psi| at beta = 1e6
+        amp = evolve_radial(profiles.power(1.2), EvalPoint(3, x, t))
+        assert amp.err_est <= 1e-3 * abs(amp.value)
+
+
+def _exact_hankel_reference(prof, pt):
+    """psi from a real-axis head to z = 3 and, beyond it, the exact Hankel
+    functions, J_nu = (H^(1) + H^(2))/2, as two rotated_tail rows: no
+    series is truncated and the split differs from evolve_radial's."""
+    n = pt.n
+    nu = special.order_from_dim(n)
+    gamma, beta = 2.0 * math.sqrt(pt.t), pt.x_abs / math.sqrt(pt.t)
+    rho0 = max(1.5 * prof.tail_start / gamma, 3.0 / beta)
+
+    def g(rho):
+        r = gamma * rho
+        return (prof.phi_rad(r) * r ** (n / 2.0) * special.bessel_j(nu, beta * rho)
+                * np.exp(1j * rho * rho))
+
+    span = rho0 ** 2 + (abs(prof.omega) * gamma + beta) * rho0
+    head, e_head = osc_integral(g, 0.0, rho0, span, 1e-13)
+
+    def h(rho, row):
+        z = beta * rho
+        hk = np.where(row == 0, hankel1e(nu, z), hankel2e(nu, z))
+        return prof.tail_fn(gamma * rho) * (gamma * rho) ** (n / 2.0) * hk / 2.0
+
+    og = gamma * prof.omega
+    tails, e_tails = rotated_tail(h, rho0, np.array([og + beta, og - beta]))
+    pref = propagator._prefactor(n, pt.x_abs, pt.t)
+    return pref * (head + tails.sum()), abs(pref) * (e_head + e_tails.sum())
 
 
 _HONEST = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -275,6 +339,22 @@ class TestHonestySweeps:
             mp.setattr(propagator, "_BETA_ROTATE", 0.0)
             real = evolve_radial(prof, pt)
         assert abs(rot.value - real.value) <= rot.err_est + real.err_est + 1e-14 * abs(real.value)
+
+    @_HONEST
+    @given(which=st.sampled_from(["power", "herglotz+", "herglotz-"]),
+           n=st.sampled_from([2, 3, 4, 5]), lbeta=st.floats(math.log10(2.0), 4.0),
+           lt=st.floats(-2.0, 4.0))
+    def test_large_beta_against_exact_hankel(self, which, n, lbeta, lt):
+        # x/t = beta/sqrt(t) <= 1e5 keeps the Herglotz band's real-axis
+        # head within max_points
+        prof = {"power": profiles.power(1.3),
+                "herglotz+": profiles.herglotz_pair(1.0, n)[0],
+                "herglotz-": profiles.herglotz_pair(1.0, n)[1]}[which]
+        t = 10.0 ** lt
+        pt = EvalPoint(n, 10.0 ** lbeta * math.sqrt(t), t)
+        amp = evolve_radial(prof, pt)
+        want, e_want = _exact_hankel_reference(prof, pt)
+        assert abs(amp.value - want) <= amp.err_est + e_want + 1e-14 * abs(want)
 
     # Below t = L/k_max ~ 1.43 no oracle mode travels around the domain;
     # below width 0.8 the oracle's grid resolves a bump only to ~1e-11.

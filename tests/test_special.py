@@ -3,9 +3,12 @@
 import cmath
 import math
 
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
+from scipy.special import jv, spherical_jn
 
 from disperse_lab import special
 
@@ -55,6 +58,22 @@ class TestBessel:
                 got = special.bessel_j_c(nu, z)
                 want = complex(mpmath.besselj(nu, z))
                 assert abs(got - want) <= 1e-10 * max(abs(want), 1.0)
+
+    def test_half_order_closed_form_matches_spherical_jn(self):
+        z = np.concatenate([[0.0], np.geomspace(1e-300, 1e-3, 50),
+                            np.linspace(0.0, 1e5, 200_001)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = special.bessel_j(0.5, z)
+            assert special.bessel_j(0.5, 0.0) == 0.0
+        want = np.sqrt(2.0 * z / math.pi) * spherical_jn(0, z)
+        assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+
+    def test_half_order_closed_form_matches_jv_off_the_axis(self):
+        rng = np.random.default_rng(5)
+        z = rng.uniform(1e-3, 1e3, 5000) + 1j * rng.uniform(-20.0, 20.0, 5000)
+        want = jv(0.5, z)
+        assert np.all(np.abs(special.bessel_j_c(0.5, z) - want) <= 1e-13 * np.abs(want))
 
     def test_origin(self):
         assert special.bessel_j(0.0, 0.0) == pytest.approx(1.0)
