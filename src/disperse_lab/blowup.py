@@ -18,7 +18,7 @@ import numpy as np
 from . import special
 from .decay import DecayFit, _envelope_fit
 from .propagator import ComplexAmplitude, _prefactor
-from .quadrature import composite_gl, osc_integral_rows, rotated_tail, trapezoid
+from .quadrature import osc_integral_rows, refine_rows, rotated_tail
 
 INF = math.inf
 
@@ -88,27 +88,21 @@ def _bessel_split_integral(n: int, sigma: float, c, quad: float,
     span = aq * (r0 * r0 - r_lo * r_lo) + c * (r0 - r_lo) + 2.0
     head, e_head = osc_integral_rows(head_f, r_lo, r0, span, tol)
 
-    # z^{n/2} J_nu(z) = A_n + e^{iz} B_n + e^{-iz} conj(B_n), so the tail
-    # pieces carry r^{-sigma} c^{-n/2} B_n(c r), which is one power of r,
-    # e^{-i(n-1)pi/4} c^{-1/2} r^{(n-1)/2-sigma}, times the Hankel sum at c r;
-    # rows [0, m) carry e^{icr} B_n, rows [m, 2m) e^{-icr} conj(B_n)
+    # z^{n/2} J_nu(z) = A_n + e^{iz} B_n + e^{-iz} conj(B_n), so the tail pieces
+    # carry r^{-sigma} c^{-n/2} B_n(c r) = e^{-i(n-1)pi/4} c^{-1/2} r^{(n-1)/2-sigma}
+    # times the Hankel sum at c r; rows [0, m) carry e^{icr} B_n, rows [m, 2m)
+    # e^{-icr} conj(B_n), whose sum is at -c r as conj(alpha_k) = (-1)^k alpha_k
     m = c.size
     cb = coeffs.prefactor * c ** -0.5
-    row_c, row_cb = np.concatenate([c, c]), np.concatenate([cb, np.conj(cb)])
+    row_c, row_cb = np.concatenate([c, -c]), np.concatenate([cb, np.conj(cb)])
     p = (n - 1) / 2.0 - sigma
 
     def h(r, row):
-        z = row_c[row] * r
-        out = np.empty(r.shape, dtype=complex)
-        up = row < m
-        out[up] = special.hankel_sum(coeffs.alpha, z[up])
-        out[~up] = special.hankel_sum(np.conj(coeffs.alpha), z[~up])
-        return row_cb[row] * out * r ** p
+        return row_cb[row] * special.hankel_sum(coeffs.alpha, row_c[row] * r) * r ** p
 
     # the integrand is real but for e^{i quad r^2}, so on the defocusing side
     # (quad < 0) the tail is the conjugate of the tail at |quad|
-    tails, e_tails = rotated_tail(h, np.concatenate([r0, r0]), np.concatenate([c, -c]),
-                                  c2=aq)
+    tails, e_tails = rotated_tail(h, np.concatenate([r0, r0]), row_c, c2=aq)
     tail = tails[:m] + tails[m:]
     if quad < 0.0:
         tail = np.conj(tail)
@@ -208,11 +202,14 @@ def select_annulus(profile: LimitProfile, frac: float = 0.5) -> Tuple[float, flo
 # ---------------------------------------------------------------------------
 
 def annulus_lq(datum: ChirpDatum, t: float, q: float, r1: float, r2: float,
-               npanels: int = 8, nodes: int = 16) -> float:
-    """(int over R1 k_t <= ... annulus |psi|^q dx)^{1/q}, radial part only
-    (the constant angular measure drops out of growth-exponent fits)."""
+               tol: float = 1e-9) -> float:
+    """(int over R1 k_t <= ... annulus |psi|^q dx)^{1/q}, radial part only (angular
+    measure dropped), on 16-node z-panels doubled from one to 64 until two rules
+    agree to tol relative; a q or norm not positive and finite is a ValueError."""
     if not q > 0:
         raise ValueError(f"need q > 0, got {q:g}")
+    if math.isinf(q):
+        raise ValueError(f"need finite q, got {q:g}")
     frame = SelfSimilarFrame(t)
 
     def density(z):
@@ -220,7 +217,12 @@ def annulus_lq(datum: ChirpDatum, t: float, q: float, r1: float, r2: float,
         a = np.abs(_chirp_values(datum, t, xx)[0])
         return a ** q * xx ** (datum.n - 1) * 2.0 * t * frame.k
 
-    return float(composite_gl(density, r1, r2, npanels, nodes).real) ** (1.0 / q)
+    with np.errstate(all="ignore"):     # extreme q over- or underflows: checked below
+        vals = refine_rows(density, np.array([r1]), np.array([r2]), 1, 64, tol, nodes=16)[0]
+        norm = float(vals[0, 0] ** (1.0 / q))
+    if not 0.0 < norm < INF:
+        raise ValueError(f"annulus L^q norm at q = {q:g} is {norm:g}, not a positive finite number")
+    return norm
 
 
 def lq_annulus_growth(datum: ChirpDatum, q: float,
@@ -258,18 +260,14 @@ def lq_blowup_threshold(datum: ChirpDatum) -> float:
 
 
 def lr_membership(datum: ChirpDatum, r: float) -> Tuple[bool, float]:
-    """Whether the datum lies in L^r, by radial quadrature with the exact
-    power-law tail: finite iff sigma > n/r; value is the radial integral
-    int_1^infty r^{n-1-sigma r} dr (angular factor dropped)."""
+    """Whether the datum lies in L^r (iff sigma > n/r), and the radial integral
+    int_1^infty r^{n-1-sigma r} dr = 1/(sigma r - n) in closed form (angular factor dropped)."""
     if not (r > 0):
         raise ValueError("need r > 0")
     p = datum.n - 1 - datum.sigma * r
     if p >= -1.0:
         return False, INF
-    rs = np.linspace(1.0, 8.0, 2001)
-    body = float(trapezoid(rs ** p, rs))
-    tail = -(8.0 ** (p + 1)) / (p + 1)
-    return True, body + tail
+    return True, -1.0 / (p + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -180,11 +180,12 @@ def hankel_sum(alpha, z):
     """sum_k alpha_k z^{-k} by Horner's rule in 1/z, up to the last nonzero
     alpha_k (at odd n the Hankel series terminates)."""
     last = max(k for k, a in enumerate(alpha) if a != 0)
-    w = 1.0 / np.asarray(z, dtype=complex)
-    acc = np.full(w.shape, alpha[last], dtype=complex)
-    for a in reversed(alpha[:last]):
-        acc *= w
-        acc += a
+    acc = np.full(np.shape(z), alpha[last], dtype=complex)
+    if last:
+        w = 1.0 / np.asarray(z, dtype=complex)
+        for a in reversed(alpha[:last]):
+            acc *= w
+            acc += a
     return acc
 
 

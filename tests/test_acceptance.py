@@ -206,7 +206,7 @@ def test_criterion_5_decay_rates(capsys):
             "; ".join(notes))
 
 
-def test_criterion_6_selfsimilar_collapse_and_lq(capsys):
+def test_criterion_6_selfsimilar_collapse_and_lq(capsys, monkeypatch):
     t0 = time.monotonic()
     ok = True
     notes = []
@@ -222,6 +222,15 @@ def test_criterion_6_selfsimilar_collapse_and_lq(capsys):
             ok = False
             notes.append(f"collapse n{n}: {dists}")
 
+    # psi points the L^q fits evaluate, printed beside the seconds
+    points = [0]
+    chirp_values = blowup._chirp_values
+
+    def counted(datum, t, x_abs, tol=1e-9):
+        points[0] += np.size(x_abs)
+        return chirp_values(datum, t, x_abs, tol)
+
+    monkeypatch.setattr(blowup, "_chirp_values", counted)
     worst = 0.0
     for n, sigmas in ((2, (0.8, 1.0, 1.3)), (3, (1.5, 2.0, 2.4))):
         for sigma in sigmas:
@@ -240,7 +249,7 @@ def test_criterion_6_selfsimilar_collapse_and_lq(capsys):
                     ok = False
                     notes.append(f"n{n} s{sigma} q{q:.2f}: "
                                  f"{fit.fitted_exponent:+.3f} want {want:+.3f}")
-    notes.insert(0, f"worst L^q exponent err {worst:.3f}")
+    notes.insert(0, f"worst L^q exponent err {worst:.3f}, {points[0]} psi points")
     verdict(capsys, 6, "self-similar collapse and annulus L^q growth", ok,
             t0, 300.0, "; ".join(notes))
 

@@ -7,6 +7,7 @@ import cmath
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.special import hankel1e, hankel2e, jv
 
 from disperse_lab import blowup
@@ -114,13 +115,50 @@ class TestLqGrowth:
         dens = (np.abs([s.value for s in singles]) ** q * xs ** (n - 1)
                 * 2.0 * t * frame.k)
         want = float(np.sum(np.repeat(half, nodes) * np.tile(w, npanels) * dens)) ** (1.0 / q)
-        got = annulus_lq(datum, t, q, r1, r2, npanels, nodes)
+        got = annulus_lq(datum, t, q, r1, r2)
         assert got == pytest.approx(want, rel=1e-10)
 
     def test_norm_positive_on_annulus(self):
         datum = ChirpDatum(3, 2.0)
         val = annulus_lq(datum, 0.9, 4.0, 0.3, 2.0)
         assert val > 0
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(n=st.sampled_from([2, 3, 4, 5]),
+           sigma=st.sampled_from([0.3, 0.5, 1.05, 1.5, 1.9, 1.95, 2.5]),
+           lu=st.floats(-5.0, math.log10(0.3)),
+           annulus=st.sampled_from([(0.5, 2.5), (0.3, 2.0), (0.1, 5.0)]))
+    def test_refined_rule_matches_fine_composite_rule(self, n, sigma, lu, annulus):
+        assume((n - 3) / 2.0 < sigma < n)
+        datum, t = ChirpDatum(n, sigma), 1.0 - 10.0 ** lu
+        q = 2.0 * lq_blowup_threshold(datum)
+        r1, r2 = annulus
+        # 32 panels of 16 nodes, built without annulus_lq
+        frame = SelfSimilarFrame(t)
+        x, w = np.polynomial.legendre.leggauss(16)
+        edges = np.linspace(r1, r2, 33)
+        half = 0.5 * (edges[1:] - edges[:-1])
+        z = (0.5 * (edges[1:] + edges[:-1])[:, None] + half[:, None] * x).ravel()
+        xs = frame.x_of_z(z)
+        dens = np.abs(blowup._chirp_values(datum, t, xs)[0]) ** q * xs ** (n - 1) * 2.0 * t * frame.k
+        want = float(np.sum(np.repeat(half, 16) * np.tile(w, 32) * dens)) ** (1.0 / q)
+        assert annulus_lq(datum, t, q, r1, r2) == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("n,sigma", [(2, 1.05), (3, 1.95)])
+    @pytest.mark.parametrize("u", [2e-4, 3e-3, 5e-2])
+    def test_workload_annulus_takes_at_most_48_points(self, n, sigma, u, monkeypatch):
+        # the one- and two-panel 16-node rules already agree here: 16 + 32 points
+        points = []
+        chirp_values = blowup._chirp_values
+
+        def counted(datum, t, x_abs, tol=1e-9):
+            points.append(np.size(x_abs))
+            return chirp_values(datum, t, x_abs, tol)
+
+        monkeypatch.setattr(blowup, "_chirp_values", counted)
+        datum = ChirpDatum(n, sigma)
+        assert annulus_lq(datum, 1.0 - u, 2.0 * lq_blowup_threshold(datum), 0.5, 2.5) > 0
+        assert sum(points) <= 48
 
 
 def _one_ray_reference(n, sigma, c, q, r_lo, z):
@@ -217,11 +255,17 @@ class TestLrMembership:
                 member, _ = lr_membership(datum, r)
                 assert member == (sigma > n / r)
 
-    def test_divergent_case_skips_quadrature(self, monkeypatch):
-        def no_quadrature(*args, **kwargs):
-            raise AssertionError("quadrature computed for a divergent integral")
-        monkeypatch.setattr(blowup, "trapezoid", no_quadrature)
+    def test_divergent_case_skips_quadrature(self):
         assert lr_membership(ChirpDatum(3, 2.0), 1.2) == (False, math.inf)
+
+    @pytest.mark.parametrize("n,sigma,r,exact", [
+        (3, 1.95, 2.0, 10.0 / 9.0), (3, 2.0, 6.0, 1.0 / 9.0),
+        (2, 1.2, 3.0, 0.625), (5, 2.5, 2.5, 0.8),
+    ])
+    def test_convergent_value_is_exact(self, n, sigma, r, exact):
+        # int_1^inf x^p dx = -1/(p+1) for p = n - 1 - sigma r < -1
+        member, val = lr_membership(ChirpDatum(n, sigma), r)
+        assert member and val == pytest.approx(exact, rel=1e-15)
 
     def test_runs_without_numpy_trapezoid(self, monkeypatch):
         # numpy >= 1.24 is the declared floor; np.trapezoid needs numpy 2.0

@@ -115,6 +115,13 @@ class TestExitCodes:
          "grid '1:2:0' needs a count >= 1, got 0"),
         (["blowup", "--n", "3", "--sigma", "1", "--q", "4", "--tgrid", "0.5:0.9:0"],
          "grid '0.5:0.9:0' needs a count >= 1, got 0"),
+        # these exited 0 with an L^q norm of 1, inf and 0
+        (["blowup", "--n", "3", "--sigma", "1.95", "--q", "inf", "--tgrid", "0.9"],
+         "need finite q, got inf"),
+        (["blowup", "--n", "3", "--sigma", "1.95", "--q", "1e300", "--tgrid", "0.9"],
+         "annulus L^q norm at q = 1e+300 is inf, not a positive finite number"),
+        (["blowup", "--n", "3", "--sigma", "1.95", "--q", "1e-300", "--tgrid", "0.9"],
+         "annulus L^q norm at q = 1e-300 is 0, not a positive finite number"),
     ])
     def test_bad_input_is_two_with_one_error_line(self, argv, message, tmp_path,
                                                    capsys):
