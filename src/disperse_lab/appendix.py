@@ -4,7 +4,9 @@ The datum  phi(x) = |x|^{(2-n)/2} int_1^2 (w-1)^{-delta} J_{(n-2)/2}(w|x|) dw
 (0 < delta < 1) evolves as the same integral with an extra e^{-i t w^2}
 factor.  Its spatial decay exponent (1-n)/2 - (1-delta) and temporal decay
 exponent delta - 1 at small |x| pin down the necessary condition
-p >= 2r / (2n - r(n-1))_+ for space-time estimates with L^r data.
+p >= 2r / (2n - r(n-1))_+ for space-time estimates with L^r data.  The
+integral runs on the direct rule up to 200 cycles, and beyond on rays: with
+the exact J_nu up to |x| = 40, with special.hankel_tail's Hankel pieces past.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from .quadrature import osc_integral, rotated_tail, trapezoid
 
 INF = math.inf
 
-_DIRECT_CYCLE_CUT = 4000.0     # direct quadrature until this many oscillations
+_DIRECT_CYCLE_CUT = 200.0      # direct quadrature up to this many oscillations
+_HANKEL_X_CUT = 40.0           # beyond it the rays take the Hankel series
 
 
 @dataclass(frozen=True)
@@ -32,9 +35,6 @@ class SingularDensity:
     def __post_init__(self):
         if not (0.0 < self.delta < 1.0):
             raise ValueError(f"need 0 < delta < 1, got {self.delta}")
-
-    def __call__(self, w):
-        return np.asarray(w - 1.0, dtype=float) ** (-self.delta)
 
 
 def _direct_integral(delta: float, n: int, x_abs: float, t: float,
@@ -58,83 +58,77 @@ def _direct_integral(delta: float, n: int, x_abs: float, t: float,
     return osc_integral(f, 0.0, 1.0, span, tol)
 
 
-def _endpoint_rows(g, delta: float, a: float, t: float, conj: bool):
-    """int_1^2 (w-1)^{-delta} g(w) e^{i(a w + t w^2)} dw, or with conj its
-    complex conjugate, as rotated_tail's row 0 (from w = 1, endpoint power
-    delta) minus row 1 (from w = 2, the power carried by the integrand).
-    Returns (value, error estimate)."""
+def _contour_integral_large_t(delta: float, n: int, x_abs: float,
+                              t: float) -> Tuple[complex, float]:
+    """Exact-J_nu rays: the conjugate of int_1^2 (w-1)^{-delta} J_nu(w x)
+    e^{itw^2} dw as rotated_tail's row 0 (from w = 1, endpoint power delta)
+    minus row 1 (from w = 2, the power in the integrand), while J_nu stays
+    tame on the short rays (x << t).  Returns (value, error estimate)."""
+    nu = special.order_from_dim(n)
+
     def h(w, row):
-        out = g(w)
+        out = special.bessel_j_c(nu, w * x_abs)
         far = row == 1
         out[far] *= (w[far] - 1.0) ** -delta
         return out
 
-    vals, errs = rotated_tail(h, (1.0, 2.0), a, c2=t, delta=(delta, 0.0))
-    val = complex(vals[0] - vals[1])
-    return (val.conjugate() if conj else val), float(errs.sum())
+    vals, errs = rotated_tail(h, (1.0, 2.0), 0.0, c2=t, delta=(delta, 0.0))
+    return complex(vals[0] - vals[1]).conjugate(), float(errs.sum())
 
 
-def _contour_integral_large_t(delta: float, n: int, x_abs: float,
+def _contour_integral_large_x(delta: float, n: int, x_abs: float,
                               t: float) -> Tuple[complex, float]:
-    """Large-t regime (no stationary phase in [1, 2]): both endpoints on
-    descent rays of e^{-itw^2}; valid while the Bessel factor stays tame on
-    the short rays (x_abs << t).  Returns (value, error estimate)."""
-    nu = special.order_from_dim(n)
-    return _endpoint_rows(lambda w: special.bessel_j_c(nu, w * x_abs), delta,
-                          0.0, t, conj=True)
+    """Hankel rays: the conjugate of the integral is four hankel_tail rows
+    at c2 = t, b = +-x from w = 1 (endpoint power delta) minus the same from
+    w = 2 (the power in the amplitude); the e^{-iwx} rows pass x/2t on rays.
+    At t = 0 the integral is twice the real part of the e^{iwx} rows.
+    Returns (value, error estimate), the series truncation included."""
+    b = np.array([x_abs] if t == 0 else [x_abs, -x_abs])
+    b, start = np.tile(b, 2), np.repeat((1.0, 2.0), b.size)
+    far = start == 2.0
 
+    def amp(w, row):
+        # (w x)^{-n/2} times the z^{(n-1)/2} of the Hankel piece
+        out, on = (w * x_abs) ** -0.5, far[row]
+        out[on] *= (w[on] - 1.0) ** -delta
+        return out
 
-def _contour_integral_large_x(delta: float, n: int, x_abs: float, t: float,
-                              K: int = 8) -> Tuple[complex, float]:
-    """Large-x regime: split (w x)^{n/2} J_nu into e^{+-i w x} pieces, each
-    with both endpoints on descent rays.  The + piece at t > 0 has its
-    stationary point x/2t beyond w = 2 (x > 4t): its rays appear in both
-    rows and cancel.  Returns (value, error estimate), the estimate holding
-    the truncation of the Hankel series after K terms."""
-    if x_abs <= 4.0 * t:
-        raise ValueError("large-x contour needs x > 4t (no interior saddle)")
-    coeffs = special.alpha_coeffs(n, K)
-
-    def piece(series):
-        return lambda w: (w * x_abs) ** (-n / 2.0) * series(coeffs, w * x_abs)
-
-    # e^{i(xw - tw^2)}: directly at t = 0, else as the conjugate of e^{i(tw^2 - xw)}
+    vals, errs = special.hankel_tail(n, amp, b, start, 0.0, c2=t,
+                                     delta=np.where(far, 0.0, delta), s=0.5)
+    val = vals[~far].sum() - vals[far].sum()
     if t == 0:
-        plus = _endpoint_rows(piece(special.splitting_B_series), delta, x_abs, 0.0,
-                              conj=False)
-    else:
-        plus = _endpoint_rows(piece(special.splitting_B_series_conj), delta, -x_abs,
-                              t, conj=True)
-    minus = _endpoint_rows(piece(special.splitting_B_series), delta, x_abs, t, conj=True)
-    # the truncated series miss J_nu(w x) by at most 2 |alpha_{K+1}| (w x)^{-K-3/2},
-    # and int_1^2 (w-1)^{-delta} dw = 1/(1-delta)
-    trunc = (2.0 * abs(special._hankel_symbol_float(special.order_from_dim(n), K + 1))
-             / 2.0 ** (K + 1) / special.SQRT_2PI * x_abs ** (-K - 1.5) / (1.0 - delta))
-    return plus[0] + minus[0], plus[1] + minus[1] + trunc
+        return complex(2.0 * val.real), 2.0 * float(errs.sum())
+    return val.conjugate(), float(errs.sum())
+
+
+def _singular_integral(delta: float, n: int, x_abs: float,
+                       t: float) -> Tuple[complex, float]:
+    """singular_psi's integral and its error estimate, for t >= 0."""
+    if (3.0 * t + x_abs) / (2.0 * math.pi) <= _DIRECT_CYCLE_CUT:
+        return _direct_integral(delta, n, x_abs, t)
+    if x_abs <= _HANKEL_X_CUT:
+        return _contour_integral_large_t(delta, n, x_abs, t)
+    return _contour_integral_large_x(delta, n, x_abs, t)
 
 
 def singular_psi(delta: float, n: int, x_abs: float, t: float = 0.0) -> complex:
-    """psi(x, t) = |x|^{(2-n)/2} int_1^2 e^{-i t w^2}(w-1)^{-delta} J_nu(w|x|) dw."""
+    """psi(x, t) = |x|^{(2-n)/2} int_1^2 e^{-i t w^2}(w-1)^{-delta} J_nu(w|x|) dw.
+
+    Three regimes on two cuts: the direct rule while the phase makes at most
+    _DIRECT_CYCLE_CUT = 200 cycles over [1, 2]; beyond that, steepest-descent
+    rays with the exact complex J_nu while |x| <= _HANKEL_X_CUT = 40, and the
+    Hankel-series rays of special.hankel_tail for larger |x| at every t.
+    """
     SingularDensity(delta)
     require_finite("singular_psi", x_abs=x_abs, t=t)
     if x_abs <= 0:
         raise ValueError("need x_abs > 0")
-    # the large-x contour's stationary phase t (x/2t)^2
+    # the Hankel rays' stationary phase t (x/2t)^2
     if t != 0 and not math.isfinite(x_abs * x_abs / (4.0 * abs(t))):
         raise ValueError(f"phase x_abs^2/(4t) overflows at x_abs={x_abs:g}, t={t:g}")
-    if t < 0:   # J_nu and the density are real, so psi(x, -t) = conj psi(x, t)
-        return singular_psi(delta, n, x_abs, -t).conjugate()
-    cycles = (3.0 * abs(t) + x_abs) / (2.0 * math.pi)
-    if cycles <= _DIRECT_CYCLE_CUT or (x_abs <= 40.0 and abs(t) > 50.0):
-        if abs(t) > 50.0 and x_abs <= 40.0 and cycles > 200.0:
-            val, _ = _contour_integral_large_t(delta, n, x_abs, t)
-        else:
-            val, _ = _direct_integral(delta, n, x_abs, t)
-    elif x_abs > 4.0 * abs(t) and x_abs >= 30.0:
-        val, _ = _contour_integral_large_x(delta, n, x_abs, t)
-    else:
-        val, _ = _direct_integral(delta, n, x_abs, t)
-    return x_abs ** ((2 - n) / 2.0) * val
+    # J_nu and the density are real, so psi(x, -t) = conj psi(x, t)
+    val, _ = _singular_integral(delta, n, x_abs, abs(t))
+    return x_abs ** ((2 - n) / 2.0) * (val.conjugate() if t < 0 else val)
 
 
 def singular_phi(delta: float, n: int, x_abs: float) -> complex:

@@ -4,7 +4,9 @@ The datum  phi(x) = e^{-i|x|^2/4} 1_{|x|>=1} |x|^{-sigma}  focuses at t = 1:
 near the focusing time the solution concentrates on an annulus of radius
 ~ k_t, with modulus ~ k_t^{sigma-n} and a universal limit profile V(z).
 The resulting L^q growth rates rule out space-time (Strichartz) estimates
-with data measured in L^r for every r > 2.
+with data measured in L^r for every r > 2.  The solution is a real-axis head
+plus, beyond Bessel argument 10, the two Hankel pieces of the kernel as one
+special.hankel_tail call.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 from . import special
 from .decay import DecayFit, _envelope_fit
 from .propagator import ComplexAmplitude, _prefactor
-from .quadrature import osc_integral_rows, refine_rows, rotated_tail
+from .quadrature import osc_integral_rows, refine_rows
 
 INF = math.inf
 
@@ -59,22 +61,20 @@ class SelfSimilarFrame:
         return 2.0 * self.t * self.k * np.asarray(z, dtype=float)
 
 
-def _bessel_split_integral(n: int, sigma: float, c, quad: float,
-                           r_lo: float, tol: float = 1e-9, K: int = 8
-                           ) -> Tuple[np.ndarray, np.ndarray]:
+def _bessel_split_integral(n: int, sigma: float, c, quad: float, r_lo: float,
+                           tol: float = 1e-9) -> Tuple[np.ndarray, np.ndarray]:
     """int_{r_lo}^infty r^{n/2-sigma} J_{(n-2)/2}(c r) e^{i quad r^2} dr for
     every entry of the array c; returns (values, error_estimates) per entry.
 
     Head by phase-resolved panels; beyond r0 (where c*r >= 10) the Bessel
-    factor is replaced by its oscillatory splitting and both pieces run on
-    steepest-descent rays, the e^{-icr} one through its stationary point
-    r = c/(2|quad|) where that lies beyond r0.  quad may be negative
-    (defocusing side); quad = 0 is rejected.
+    factor is replaced by its Hankel pieces, one special.hankel_tail call
+    for both, the e^{-icr} one through its stationary point r = c/(2|quad|)
+    where that lies beyond r0.  quad may be negative (defocusing side);
+    quad = 0 is rejected.
     """
     if quad == 0.0:
         raise ValueError("quadratic phase must be nonzero")
     nu = special.order_from_dim(n)
-    coeffs = special.alpha_coeffs(n, K)
     c = np.array(c, dtype=float, ndmin=1)
     aq = abs(quad)
 
@@ -88,31 +88,23 @@ def _bessel_split_integral(n: int, sigma: float, c, quad: float,
     span = aq * (r0 * r0 - r_lo * r_lo) + c * (r0 - r_lo) + 2.0
     head, e_head = osc_integral_rows(head_f, r_lo, r0, span, tol)
 
-    # z^{n/2} J_nu(z) = A_n + e^{iz} B_n + e^{-iz} conj(B_n), so the tail pieces
-    # carry r^{-sigma} c^{-n/2} B_n(c r) = e^{-i(n-1)pi/4} c^{-1/2} r^{(n-1)/2-sigma}
-    # times the Hankel sum at c r; rows [0, m) carry e^{icr} B_n, rows [m, 2m)
-    # e^{-icr} conj(B_n), whose sum is at -c r as conj(alpha_k) = (-1)^k alpha_k
+    # r^{n/2-sigma} J_nu(c r) = r^{-sigma} c^{-n/2} z^{n/2} J_nu(z): rows [0, m)
+    # (e^{icr}) and [m, 2m) (e^{-icr}) carry c^{-1/2} r^{(n-1)/2-sigma}
     m = c.size
-    cb = coeffs.prefactor * c ** -0.5
-    row_c, row_cb = np.concatenate([c, -c]), np.concatenate([cb, np.conj(cb)])
+    row_c, row_scale = np.concatenate([c, -c]), np.tile(c ** -0.5, 2)
     p = (n - 1) / 2.0 - sigma
 
-    def h(r, row):
-        return row_cb[row] * special.hankel_sum(coeffs.alpha, row_c[row] * r) * r ** p
+    def amp(r, row):
+        return row_scale[row] * r ** p
 
+    tails, e_tails = special.hankel_tail(n, amp, row_c, np.concatenate([r0, r0]), 0.0,
+                                         c2=aq, s=-p)
     # the integrand is real but for e^{i quad r^2}, so on the defocusing side
     # (quad < 0) the tail is the conjugate of the tail at |quad|
-    tails, e_tails = rotated_tail(h, np.concatenate([r0, r0]), row_c, c2=aq)
     tail = tails[:m] + tails[m:]
     if quad < 0.0:
         tail = np.conj(tail)
-
-    # the omitted terms, at most 2 c^{-n/2} r^{-sigma} |alpha_{K+1}| (c r)^{(n-1)/2-K-1},
-    # integrated over [r0, inf): near the stationary point the phase barely turns
-    trunc_coef = abs(special._hankel_symbol_float(nu, K + 1)) / 2.0 ** (K + 1) / special.SQRT_2PI
-    trunc = (2.0 * c ** (-n / 2.0) * r0 ** (-sigma) * trunc_coef
-             * (c * r0) ** ((n - 1) / 2.0 - K - 1) * r0 / (K + sigma - (n - 1) / 2.0))
-    return head + tail, e_head + e_tails[:m] + e_tails[m:] + trunc
+    return head + tail, e_head + e_tails[:m] + e_tails[m:]
 
 
 def _chirp_values(datum: ChirpDatum, t: float, x_abs,

@@ -159,10 +159,6 @@ class DiscreteMeasure:
         if not self.components:
             raise ValueError("measure needs at least one component")
 
-    @property
-    def omegas(self):
-        return [p.omega for _, p in self.components]
-
     def amplitude(self, n: int, x_abs: float, t: float) -> complex:
         return sum(w * evolve_radial(p, EvalPoint(n, x_abs, t)).value
                    for w, p in self.components)
@@ -287,7 +283,7 @@ class GjReport:
 
 
 def gj_integral_check(profile: RadialProfile, n: int, m: int,
-                      pts: Sequence[EvalPoint], K: int = 8) -> GjReport:
+                      pts: Sequence[EvalPoint]) -> GjReport:
     """Checks  int |g_j^{(m)}(rho)| drho  against the closed-form majorants
 
       j=1, m<n :  |x|^{(n-2)/2} (sqrt t)^{m-n+2} sum_{k<=m} int |phi^{(k)}| r^{n-m+k-1},
@@ -307,7 +303,7 @@ def gj_integral_check(profile: RadialProfile, n: int, m: int,
         if pt.n != n:
             raise ValueError("probe point dimension mismatch")
         gamma, beta, c = _frame(pt)
-        dec = decompose_g(profile, pt, K=K)
+        dec = decompose_g(profile, pt)
         r_hi = profile.support if profile.support is not None else 200.0
         r_turn = 1.0 / c                       # r where the compact piece ends
 

@@ -14,17 +14,17 @@ head covers rho in [0, rho_a], rho_a = 1.5 tail_start/gamma, where the
 envelope may differ from tail_fn.  At |x|/sqrt(t) <= 2 everything beyond it
 runs on steepest-descent rays through tail_fn and the complex J_nu, at a
 cost that does not grow with t.  At |x|/sqrt(t) > 2 the head goes on, as a
-second row, to max(rho_a, _Z_SPLIT/beta), where the Hankel series of
-e^{+-iz} hold; both series tails run on rays, the e^{-iz} one through its
-stationary point (beta - gamma omega)/2, at a cost that does not grow with
-|x|.  An exact spectral oracle (n = 3) serves as an independent check.
+second row, to max(rho_a, _Z_SPLIT/beta), where the Hankel series hold;
+beyond it the e^{+-iz} pieces are one special.hankel_tail call, whose e^{-iz}
+row passes its stationary point (beta - gamma omega)/2 on rays, at a cost
+that does not grow with |x|.  An exact spectral oracle (n = 3) serves as an
+independent check.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -78,8 +78,8 @@ def _prefactor(n: int, x_abs, t: float):
             * np.exp(1j * (x_abs ** 2 / (4.0 * t) - n * math.pi / 4.0)))
 
 
-def evolve_radial(profile: RadialProfile, pt: EvalPoint, tol: float = 1e-9,
-                  K: int = 8) -> ComplexAmplitude:
+def evolve_radial(profile: RadialProfile, pt: EvalPoint,
+                  tol: float = 1e-9) -> ComplexAmplitude:
     """psi(x, t) via the oscillatory representation formula."""
     n = pt.n
     nu = special.order_from_dim(n)
@@ -132,29 +132,17 @@ def evolve_radial(profile: RadialProfile, pt: EvalPoint, tol: float = 1e-9,
     heads, errs = osc_integral_rows(lambda rho, row: f(rho), lo, hi,
                                     hi ** 2 - lo ** 2 + span_coef * (hi - lo), tol)
 
-    coeffs = special.alpha_coeffs(n, K)
+    # (gamma rho)^{n/2} J_nu(beta rho) = c^{-n/2} z^{n/2} J_nu(z); the tail
+    # carries c^{-n/2} tail_fn z^{(n-1)/2}, and |tail_fn| does not increase
     cn = c ** (-n / 2.0)
 
-    def h(rho, row):
-        # row 0 carries e^{iz} B_n, row 1 e^{-iz} conj(B_n)
-        series = np.empty(rho.shape, dtype=complex)
-        up = row == 0
-        series[up] = special.splitting_B_series(coeffs, beta * rho[up])
-        series[~up] = special.splitting_B_series_conj(coeffs, beta * rho[~up])
-        return cn * profile.tail_fn(gamma * rho) * series
+    def amp(rho, row):
+        return cn * profile.tail_fn(gamma * rho) * (beta * rho) ** ((n - 1) / 2.0)
 
-    omega_g = gamma * profile.omega
-    tails, e_tails = rotated_tail(h, rho0, np.array([omega_g + beta, omega_g - beta]))
-
-    # truncation of the asymptotic Bessel series, integrated over the tail
-    zmin = beta * rho0
-    trunc_coef = abs(special._hankel_symbol_float(nu, K + 1)) / 2.0 ** (K + 1) / special.SQRT_2PI
-    trunc = (2.0 * cn * abs(complex(profile.tail_fn(complex(gamma * rho0))))
-             * trunc_coef * zmin ** ((n - 1) / 2.0 - K - 1))
-
+    tails, e_tails = special.hankel_tail(n, amp, (beta, -beta), rho0, gamma * profile.omega,
+                                         s=-(n - 1) / 2.0)
     val = heads.sum() + tails.sum()
-    total_err = abs(pref) * (errs.sum() + e_tails.sum() + trunc)
-    return ComplexAmplitude(pref * val, total_err)
+    return ComplexAmplitude(pref * val, abs(pref) * (errs.sum() + e_tails.sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +217,7 @@ class GDecomposition:
         return fd_derivatives(fn, m, rho, h_scale=0.005)[m]
 
 
-def decompose_g(profile: RadialProfile, pt: EvalPoint, K: int = 8) -> GDecomposition:
+def decompose_g(profile: RadialProfile, pt: EvalPoint) -> GDecomposition:
     """Linear-phase-removed integrand pieces g_{j,a_j}."""
     n = pt.n
     nu = special.order_from_dim(n)
@@ -238,6 +226,7 @@ def decompose_g(profile: RadialProfile, pt: EvalPoint, K: int = 8) -> GDecomposi
     a1 = gamma * profile.omega
     a2 = gamma * (profile.omega + pt.x_abs / (2.0 * pt.t))
     a3 = gamma * (profile.omega - pt.x_abs / (2.0 * pt.t))
+    K = special.HANKEL_K
 
     def g1(rho):
         rho = np.abs(np.asarray(rho, dtype=float))
@@ -267,7 +256,7 @@ def _abs_integral(fn, rho_hi: float) -> float:
     return float(composite_gl(lambda rho: np.abs(fn(rho)), 0.0, rho_hi, 2 * npanels).real)
 
 
-def solution_bound(profile: RadialProfile, pt: EvalPoint, m: int, K: int = 8) -> float:
+def solution_bound(profile: RadialProfile, pt: EvalPoint, m: int) -> float:
     """Computable right side of the pointwise estimate
 
         |psi| <= C_{m-1} |x|^{(2-n)/2} t^{-1/2}
@@ -277,7 +266,7 @@ def solution_bound(profile: RadialProfile, pt: EvalPoint, m: int, K: int = 8) ->
     if m < 0 or m > n:
         raise ValueError(f"need 0 <= m <= n, got m={m}")
     gamma, beta, c = _frame(pt)
-    dec = decompose_g(profile, pt, K=K)
+    dec = decompose_g(profile, pt)
 
     sup = profile.support if profile.support is not None else None
     g1_hi = 1.0 / beta * 1.05

@@ -147,10 +147,11 @@ def osc_integral_rows(f, a, b, phase_span, tol: float = 1e-9,
     `row` oscillates with total phase variation phase_span[row].
 
     f receives the nodes of many rows at once, with the row index of each
-    node.  Each row starts from about one 32-node panel per three cycles and
-    refine_rows doubles its panels until two successive rules agree to
-    tol * max(1, |last|), or until the next rule would exceed max_points
-    nodes.  The error estimate adds to |last - previous| a rounding term,
+    node.  Each row starts from about one 32-node panel per three cycles, but
+    no more than max_points nodes, and refine_rows doubles its panels until
+    two successive rules agree to tol * max(1, |last|), or until the next
+    rule would exceed max_points nodes; a row that never doubles estimates
+    inf.  The error estimate adds to |last - previous| a rounding term,
     eps * sum |weight * f| * (1 + phase_span) on the last rule.
 
     Returns (values, error_estimates), one entry per row.
@@ -161,8 +162,9 @@ def osc_integral_rows(f, a, b, phase_span, tol: float = 1e-9,
     errs = np.zeros(a.size)
     rows = np.flatnonzero(b > a)
     cycles = np.maximum(span / (2.0 * math.pi), 1.0)
-    start = np.maximum(2, np.ceil(cycles / 3.0)).astype(np.int64)
-    vals, deltas, _, mags = refine_rows(f, a[rows], b[rows], start[rows], max_points // 32,
+    cap = max_points // 32
+    start = np.minimum(np.maximum(2, np.ceil(cycles / 3.0)), cap).astype(np.int64)
+    vals, deltas, _, mags = refine_rows(f, a[rows], b[rows], start[rows], cap,
                                         tol, ids=rows, atol=tol, absolute=True)
     values[rows] = vals[:, 0]
     errs[rows] = deltas[:, 0] + np.finfo(float).eps * mags[:, 0] * (1.0 + span[rows])

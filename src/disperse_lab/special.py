@@ -1,5 +1,6 @@
-"""Bessel functions, the smooth/oscillatory splitting A_n/B_n and iterated
-Fresnel tail integrals.
+"""Bessel functions, the smooth/oscillatory splitting A_n/B_n, its Hankel
+pieces on tails (hankel_tail, for propagator, blowup and appendix) and
+iterated Fresnel tail integrals.
 
 Bessel values come from scipy.special: the Cephes j0/j1 at orders 0 and 1
 for z <= 100, the spherical Bessel function at half-integer order from 3/2,
@@ -19,11 +20,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import j0, j1, jv, spherical_jn
+from scipy.special import beta, j0, j1, jv, spherical_jn
 
 from .quadrature import rotated_tail
-
-SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 # ---------------------------------------------------------------------------
 # cutoff function chi
@@ -72,14 +71,6 @@ def hankel_symbol(two_nu_sq4: int, k: int) -> Fraction:
     for i in range(1, k + 1):
         num *= two_nu_sq4 - (2 * i - 1) ** 2
     return Fraction(num, 4 ** k * math.factorial(k))
-
-
-def _hankel_symbol_float(nu: float, k: int) -> float:
-    four_nu2 = 4.0 * nu * nu
-    out = 1.0
-    for i in range(1, k + 1):
-        out *= (four_nu2 - (2 * i - 1) ** 2) / (4.0 * i)
-    return out
 
 
 # Cephes j0/j1 cost a tenth of jv per point, but their phase reduction
@@ -142,11 +133,8 @@ class SplittingCoeffs:
     alpha: tuple          # complex alpha_0 .. alpha_K
     prefactor: complex    # e^{-i(n-1)pi/4}
 
-    @property
-    def nu(self) -> float:
-        return (self.n - 2) / 2.0
 
-
+@lru_cache(maxsize=None)
 def alpha_coeffs(n: int, K: int) -> SplittingCoeffs:
     """Coefficients alpha_k = (2 pi)^{-1/2} (nu, k) (i/2)^k with nu=(n-2)/2."""
     if n < 2 or int(n) != n:
@@ -154,10 +142,8 @@ def alpha_coeffs(n: int, K: int) -> SplittingCoeffs:
     if K < 0:
         raise ValueError("need K >= 0")
     four_nu2 = (n - 2) ** 2
-    alpha = []
-    for k in range(K + 1):
-        sym = hankel_symbol(four_nu2, k)
-        alpha.append((1.0 / SQRT_2PI) * float(sym) * (0.5j) ** k)
+    alpha = [(1.0 / math.sqrt(2.0 * math.pi)) * float(hankel_symbol(four_nu2, k)) * (0.5j) ** k
+             for k in range(K + 1)]
     pref = cmath.exp(-1j * (n - 1) * math.pi / 4.0)
     return SplittingCoeffs(n=int(n), K=int(K), alpha=tuple(alpha), prefactor=pref)
 
@@ -218,6 +204,43 @@ def splitting_B(n: int, K: int, z):
         w = 1.0 - cutoff_chi(z[live])
         out[live] = w * splitting_B_series(coeffs, z[live].astype(complex))
     return complex(out[0]) if scalar else out
+
+
+HANKEL_K = 8    # Hankel terms kept by hankel_tail and the pointwise bounds
+
+
+def hankel_tail(n: int, amp, b, rho0, a, c2: float = 1.0, delta=0.0, s: float = 0.0):
+    """Per row (b, rho0, a, delta), one Hankel piece of z^{n/2} J_nu(z),
+    z = |b| rho, on a tail, by one rotated_tail call for all rows:
+
+        int_rho0^inf (rho - rho0)^{-delta} amp(rho, row) P_b
+            sum_{k<=8} alpha_k (b rho)^{-k} e^{i(c2 rho^2 + (a + b) rho)} drho.
+
+    P_b = e^{-+i(n-1)pi/4}: b > 0 is the e^{iz} B_n piece, b < 0 the e^{-iz}
+    conj(B_n) one, whose sum is at -z as conj(alpha_k) = (-1)^k alpha_k.
+    amp carries z^{(n-1)/2} and the caller's factor, takes complex rho and
+    obeys |amp(rho)| <= |amp(rho0)| (rho0/rho)^s.  Returns (values, errors);
+    the errors add the truncation |alpha_9| (|b| rho)^{-9} |amp(rho)|,
+    integrated over the tail in closed form.
+    """
+    coeffs = alpha_coeffs(n, HANKEL_K + 1)
+    alpha, omitted = coeffs.alpha[:-1], abs(coeffs.alpha[-1])
+    b, rho0, a, delta = (np.array(v, dtype=float, ndmin=1)
+                         for v in np.broadcast_arrays(b, rho0, a, delta))
+    pref = np.where(b > 0, coeffs.prefactor, np.conj(coeffs.prefactor))
+
+    def h(rho, row):
+        return amp(rho, row) * pref[row] * hankel_sum(alpha, b[row] * rho)
+
+    values, errs = rotated_tail(h, rho0, a + b, c2, delta)
+    if omitted:
+        # int_rho0^inf (rho - rho0)^{-delta} (rho0/rho)^{9+s} drho
+        #   = rho0^{1-delta} B(1 - delta, 8 + s + delta)
+        decay = HANKEL_K + s + delta
+        span = np.where(decay > 0, rho0 ** (1.0 - delta) * beta(1.0 - delta, decay), math.inf)
+        errs = errs + (np.abs(amp(rho0.astype(complex), np.arange(b.size))) * omitted
+                       * (np.abs(b) * rho0) ** -(HANKEL_K + 1.0) * span)
+    return values, errs
 
 
 def k_max(z: float) -> int:

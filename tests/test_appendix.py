@@ -1,13 +1,15 @@
 """Endpoint-singular frequency superposition: growth rates and L^pL^q region."""
 
 import cmath
+import json
 import math
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from disperse_lab import appendix, special
+from disperse_lab import appendix, cli, special
 from disperse_lab.quadrature import osc_integral
 from disperse_lab.appendix import (
     delta_limit_consistency,
@@ -128,6 +130,56 @@ class TestEvaluation:
         # inf stands for L^inf
         assert lpq_region(0.5, 3, INF, INF).member
         assert necessary_p_bound(INF, 3) == INF
+
+
+def direct_reference(delta, n, x, t):
+    """_direct_integral's integrand at tol 1e-13, with room for the 3e4
+    cycles the ray regimes reach: (value, error estimate)."""
+    nu = special.order_from_dim(n)
+    pw = 1.0 / (1.0 - delta)
+
+    def f(v):
+        w = 1.0 + v ** pw
+        return special.bessel_j(nu, w * x) * np.exp(-1j * t * w * w) / (1.0 - delta)
+
+    return osc_integral(f, 0.0, 1.0, 3.0 * t + x + 2.0, 1e-13, max_points=8_000_000)
+
+
+_CUT = 2.0 * math.pi * 200.0        # x + 3t at the direct rule's last cycle
+_MAX = 2.0 * math.pi * 3e4
+
+
+class TestRayRegimes:
+    """Past 200 cycles singular_psi runs on rays: the exact J_nu up to
+    x = 40, the Hankel series beyond, at any t."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(2, 5), delta=st.floats(0.05, 0.95),
+           lx=st.floats(-2.0, math.log10(0.99 * _MAX)), u=st.floats(0.0, 1.0),
+           at_zero=st.booleans())
+    def test_against_direct_reference(self, n, delta, lx, u, at_zero):
+        x = 10.0 ** lx
+        if at_zero and x > _CUT:
+            t = 0.0
+        else:
+            lo, hi = max(_CUT - x, 0.03) / 3.0 * 1.001, (_MAX - x) / 3.0
+            t = lo * (hi / lo) ** u
+        assert (3.0 * t + x) / (2.0 * math.pi) > appendix._DIRECT_CYCLE_CUT
+        got, err = appendix._singular_integral(delta, n, x, t)
+        want, want_err = direct_reference(delta, n, x, t)
+        assert abs(got - want) <= err + want_err
+        assert singular_psi(delta, n, x, t) == x ** ((2 - n) / 2.0) * got
+
+    def test_cli_probe_far_past_the_direct_rule(self, tmp_path):
+        # about 30,000 cycles: the direct rule returned an unresolved value here
+        out = tmp_path / "psi.json"
+        assert cli.main(["appendix", "--mode", "psi", "--n", "3", "--x", "1e5",
+                         "--t", "3e4", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        want, want_err = direct_reference(0.5, 3, 1e5, 3e4)
+        got = complex(doc["re"], doc["im"]) * 1e5 ** 0.5
+        assert abs(got - want) <= want_err
+        assert abs(got - want) <= 1e-10 * abs(want)
 
 
 class TestRates:

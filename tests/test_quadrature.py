@@ -209,6 +209,16 @@ class TestOscillatoryRows:
         assert math.isinf(errs[1]) and errs[0] <= 1e-9
         assert vals[1] == pytest.approx((np.exp(1j) - 1.0) / 1j, rel=1e-12)
 
+    def test_first_rule_stays_within_max_points(self):
+        # 1e8 cycles ask for 3.3e7 panels; the row starts at the cap instead,
+        # never doubles and says so with an infinite estimate
+        f = _counted(lambda x, row: np.exp(1j * x))
+        vals, errs = osc_integral_rows(f, 0.0, 1.0, [1.0, 2.0 * math.pi * 1e8],
+                                       max_points=40_000)
+        assert f.per_row[1] <= 40_000
+        assert math.isinf(errs[1]) and errs[0] <= 1e-9
+        assert f.per_row[0] + f.per_row[1] == sum(f.sizes)
+
     def test_empty_intervals_are_zero(self):
         f = _counted(lambda x, row: np.exp(1j * x))
         vals, errs = osc_integral_rows(f, [1.0, 0.0, 2.0], [1.0, 1.0, 1.0], 1.0)
@@ -290,16 +300,30 @@ class TestRefineRows:
             assert vals[0, 0] == pytest.approx(math.sin(1.0), rel=1e-14)
 
 
-def test_gauss_legendre_rules_come_from_quadrature():
-    # quadrature holds the package's only Gauss-Legendre rule cache
-    names = {"leggauss", "gl_nodes"}
+def _names_outside(*owners):
+    """{module file: names it uses} for every package module but owners."""
     src = Path(quadrature.__file__).parent
+    out = {}
     for path in sorted(src.glob("*.py")):
-        if path.name == "quadrature.py":
+        if path.name in owners:
             continue
         tree = ast.parse(path.read_text())
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         used |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
         used |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                  for alias in node.names}
-        assert not used & names, path.name
+        out[path.name] = used
+    return out
+
+
+def test_gauss_legendre_rules_come_from_quadrature():
+    # quadrature holds the package's only Gauss-Legendre rule cache
+    for name, used in _names_outside("quadrature.py").items():
+        assert not used & {"leggauss", "gl_nodes"}, name
+
+
+def test_hankel_tail_rows_come_from_special():
+    # special.hankel_tail forms every Hankel tail row and its truncation term;
+    # the Herglotz envelope in profiles is a profile, not a tail
+    for name, used in _names_outside("special.py", "profiles.py").items():
+        assert not used & {"alpha_coeffs", "hankel_sum"}, name

@@ -8,9 +8,10 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from scipy.special import jv, spherical_jn
+from scipy.special import hankel1e, hankel2e, jv, spherical_jn
 
 from disperse_lab import special
+from disperse_lab.quadrature import rotated_tail
 
 
 def residual_envelope_slope(n, K, z_lo=20.0, z_hi=160.0, per_octave=24):
@@ -168,6 +169,73 @@ class TestSplittingSeries:
                 want = _series_by_powers(coeffs, z, conj)
                 got = fn(coeffs, z)
                 assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want)), (K, conj)
+
+
+def _exact_hankel_rows(n, amp, b, rho0, c2, delta):
+    """The rows of special.hankel_tail with the series replaced by the exact
+    Hankel functions: z^{n/2} H^{(1)}(z) e^{-iz} / 2 for b > 0 and
+    z^{n/2} H^{(2)}(z) e^{iz} / 2 for b < 0, z = |b| rho."""
+    nu = special.order_from_dim(n)
+    b = np.asarray(b, dtype=float)
+
+    def h(rho, row):
+        z = np.abs(b[row]) * rho
+        exact = np.where(b[row] > 0, hankel1e(nu, z), hankel2e(nu, z))
+        return amp(rho, row) * np.sqrt(z) * exact / 2.0
+
+    return rotated_tail(h, rho0, b, c2, delta)
+
+
+class TestHankelTail:
+    """hankel_tail against exact Hankel rows at |b| rho0 = 10, where the
+    truncation of the series after K = 8 terms dominates the error."""
+
+    @pytest.mark.parametrize("n,sigma", [(2, 1.05), (4, 2.5)])
+    @pytest.mark.parametrize("quad", [0.5, -0.5])
+    def test_focusing_layout(self, n, sigma, quad):
+        # blowup's tails: rows +-c from r0 at c2 = |quad|, amplitude
+        # c^{-1/2} r^{(n-1)/2-sigma}; the stationary point c/(2|quad|) = 10
+        # lies beyond r0, and at quad < 0 the tail is the conjugate
+        c, r0, p = 10.0, 1.0, (n - 1) / 2.0 - sigma
+        b = (c, -c)
+
+        def amp(r, row):
+            return c ** -0.5 * r ** p
+
+        got, err = special.hankel_tail(n, amp, b, r0, 0.0, c2=abs(quad), s=-p)
+        want, want_err = _exact_hankel_rows(n, amp, b, r0, abs(quad), 0.0)
+        if quad < 0:
+            got, want = np.conj(got), np.conj(want)
+        miss = np.abs(got - want)
+        assert np.all(miss <= err + want_err), (miss, err)
+        # the truncation, not the rays, is what the estimate measures here
+        assert np.all(miss >= 1e3 * want_err)
+        total = abs(got.sum() - want.sum())
+        assert total <= err.sum() + want_err.sum()
+
+    @pytest.mark.parametrize("n", [2, 4])
+    @pytest.mark.parametrize("t", [0.0, 3.0])
+    def test_finite_interval_contour(self, n, t):
+        # appendix's Hankel rays: int_1^2 (w-1)^{-delta} as rows from w = 1
+        # with the endpoint power minus rows from w = 2 with the power in the
+        # amplitude; at t = 3 the e^{-iwx} rows pass x/2t = 5/3 on rays, and
+        # at t = 0 only the e^{iwx} rows exist (c2 = 0 needs a + b > 0)
+        x, delta = 10.0, 0.4
+        b = np.array([x] if t == 0 else [x, -x])
+        b, start = np.tile(b, 2), np.repeat((1.0, 2.0), b.size)
+        far = start == 2.0
+        dl = np.where(far, 0.0, delta)
+
+        def amp(w, row):
+            out, on = (w * x) ** -0.5, far[row]
+            out[on] *= (w[on] - 1.0) ** -delta
+            return out
+
+        got, err = special.hankel_tail(n, amp, b, start, 0.0, c2=t, delta=dl, s=0.5)
+        want, want_err = _exact_hankel_rows(n, amp, b, start, t, dl)
+        assert np.all(np.abs(got - want) <= err + want_err)
+        interval = lambda v: v[~far].sum() - v[far].sum()
+        assert abs(interval(got) - interval(want)) <= err.sum() + want_err.sum()
 
 
 def _xi_moments(m, a, s):
