@@ -204,17 +204,23 @@ def annulus_lq(datum: ChirpDatum, t: float, q: float, r1: float, r2: float,
         raise ValueError(f"need finite q, got {q:g}")
     frame = SelfSimilarFrame(t)
 
+    def checked(norm):
+        if not 0.0 < norm < INF:
+            raise ValueError(f"annulus L^q norm at q = {q:g} is {norm:g}, not a positive finite number")
+        return norm
+
     def density(z):
         xx = frame.x_of_z(z)
         a = np.abs(_chirp_values(datum, t, xx)[0])
-        return a ** q * xx ** (datum.n - 1) * 2.0 * t * frame.k
+        out = a ** q * xx ** (datum.n - 1) * 2.0 * t * frame.k
+        if not np.isfinite(out).all():
+            # an inf or NaN rule never agrees with the next: stop at the first
+            checked(float(np.sum(out)))
+        return out
 
-    with np.errstate(all="ignore"):     # extreme q over- or underflows: checked below
+    with np.errstate(all="ignore"):     # extreme q over- or underflows: checked
         vals = refine_rows(density, np.array([r1]), np.array([r2]), 1, 64, tol, nodes=16)[0]
-        norm = float(vals[0, 0] ** (1.0 / q))
-    if not 0.0 < norm < INF:
-        raise ValueError(f"annulus L^q norm at q = {q:g} is {norm:g}, not a positive finite number")
-    return norm
+        return checked(float(vals[0, 0] ** (1.0 / q)))
 
 
 def lq_annulus_growth(datum: ChirpDatum, q: float,

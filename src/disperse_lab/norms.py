@@ -11,10 +11,13 @@ All panels of a norm are rows of one quadrature.refine_rows call (through
 integrands are columns evaluated on the same nodes from one derivative
 stack per node (`RadialProfile.derivs`): norm_X's three integrands come from
 orders 0..1, norm_Ym's integrals (k = k_lo..m) from orders 0..m.  Only the
-averaged-mass supremum of Y_n is a second call.  A column stops refining a row
-once its own rules agree; the plain integrals (first X2 term, Y_m terms)
-also stop at the rounding floor of their total, the supremands, which
-weight small z up, do not.
+averaged-mass supremum of Y_n is a second call.  Every panel starts at one
+24-node rule and doubles its subpanels up to 256; the head panel
+[0, 2^K_MIN] is integrated in s = sqrt(r), where the r^{-1/2} of the X2
+integrand at even n is smooth.  A column stops refining a row once its own
+rules agree; the plain integrals (first X2 term, Y_m terms) also stop at the
+rounding floor of their total, the supremands, which weight small z up, do
+not.
 """
 
 from __future__ import annotations
@@ -120,14 +123,25 @@ def _aggregate_octaves(increments, per_octave: int):
 def _panel_integrals(f, edges, floor=False):
     """(integrals, unconverged), each (panels, C), of the columns of f(r), a
     (C, r.size) array (1-D: one column), over the panels between edges: one
-    quadrature.refine_rows call with 24 nodes and 4 to 256 subpanels
+    quadrature.refine_rows call with 24 nodes and 1 to 256 subpanels
     (|.|-type integrands have kinks), rtol 1e-10 and, where floor (one flag
     or one per column) is set, a floor of _NOISE times the column's summed
     coarse |values|.  unconverged marks the entries left at 256 subpanels.
+
+    The first panel is integrated in s = sqrt(r), dr = 2 s ds (row 0 of the
+    refine_rows ids), so integrands like r^{-1/2} at 0 (|(f r^{(n-1)/2})'|
+    at even n) are smooth in s.
     """
     edges = np.asarray(edges, dtype=float)
-    vals, _, live, _ = refine_rows(f, edges[:-1], edges[1:], 4, 256, 1e-10, nodes=24,
-                                   floor=np.where(floor, _NOISE, 0.0))
+    a, b = edges[:-1].copy(), edges[1:].copy()
+    a[0], b[0] = math.sqrt(a[0]), math.sqrt(b[0])
+
+    def g(x, row):
+        head = row == 0
+        return f(np.where(head, x * x, x)) * np.where(head, 2.0 * x, 1.0)
+
+    vals, _, live, _ = refine_rows(g, a, b, 1, 256, 1e-10, nodes=24,
+                                   ids=np.arange(a.size), floor=np.where(floor, _NOISE, 0.0))
     return vals, live
 
 

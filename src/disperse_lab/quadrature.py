@@ -132,13 +132,17 @@ def trapezoid(y, x) -> float:
 
 def linear_fit(x, y):
     """(slope, intercept, slope standard error) of the least-squares line
-    through the 1-D samples (x, y), by the closed form:
+    through the 1-D arrays (x, y), by the closed form in centred sums:
     stderr = sqrt((1 - r^2) S_yy / S_xx / (N - 2))."""
-    sxx, sxy, _, syy = np.cov(x, y, bias=True).flat
+    n = x.size
+    xm, ym = float(x.sum()) / n, float(y.sum()) / n
+    dx, dy = x - xm, y - ym
+    # the sums over n, as numpy's biased covariance forms them
+    sxx, sxy, syy = (float(u @ v) * (1.0 / n) for u, v in ((dx, dx), (dx, dy), (dy, dy)))
     slope = sxy / sxx
     r = min(abs(sxy) / math.sqrt(sxx * syy), 1.0) if syy > 0 else 0.0
-    stderr = math.sqrt((1 - r ** 2) * syy / sxx / (x.size - 2)) if x.size > 2 else 0.0
-    return slope, np.mean(y) - slope * np.mean(x), stderr
+    stderr = math.sqrt((1 - r ** 2) * syy / sxx / (n - 2)) if n > 2 else 0.0
+    return slope, ym - slope * xm, stderr
 
 
 def osc_integral_rows(f, a, b, phase_span, tol: float = 1e-9,

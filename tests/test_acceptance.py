@@ -139,11 +139,26 @@ def test_criterion_3_propagator_oracle(capsys):
             30.0, "; ".join(notes))
 
 
-def test_criterion_4_norm_thresholds(capsys):
+def test_criterion_4_norm_thresholds(capsys, monkeypatch):
     t0 = time.monotonic()
     ok = True
     worst = 0.0
     notes = []
+
+    # octave nodes the scans evaluate and the panel entries left at the cap,
+    # printed beside the seconds
+    nodes, capped = [0], [0]
+    panel_integrals = norms._panel_integrals
+
+    def counted(f, edges, floor=False):
+        def g(r):
+            nodes[0] += r.size
+            return f(r)
+        out = panel_integrals(g, edges, floor)
+        capped[0] += int(out[1].sum())
+        return out
+
+    monkeypatch.setattr(norms, "_panel_integrals", counted)
     for n in (2, 3, 4):
         cases = [("power", "X", (n - 1) / 2.0),
                  ("oscillating_power", "X", (n + 1) / 2.0)]
@@ -158,7 +173,8 @@ def test_criterion_4_norm_thresholds(capsys):
             if err > 0.05:
                 ok = False
                 notes.append(f"n{n} {family}/{which}: got {got} want {expect}")
-    notes.insert(0, f"worst offset {worst:.3f}")
+    notes.insert(0, f"worst offset {worst:.3f}, {nodes[0]} octave nodes, "
+                    f"{capped[0]} capped panels")
     verdict(capsys, 4, "norm membership thresholds", ok, t0, 60.0,
             "; ".join(notes))
 

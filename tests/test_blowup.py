@@ -160,6 +160,21 @@ class TestLqGrowth:
         assert annulus_lq(datum, 1.0 - u, 2.0 * lq_blowup_threshold(datum), 0.5, 2.5) > 0
         assert sum(points) <= 48
 
+    def test_overflowing_q_fails_at_the_first_rule(self, monkeypatch):
+        # |psi|^q is inf at q = 1e300: the error comes from the first 16-node
+        # rule, not after 64 panels (2032 points) of NaN changes
+        points = []
+        chirp_values = blowup._chirp_values
+
+        def counted(datum, t, x_abs, tol=1e-9):
+            points.append(np.size(x_abs))
+            return chirp_values(datum, t, x_abs, tol)
+
+        monkeypatch.setattr(blowup, "_chirp_values", counted)
+        with pytest.raises(ValueError, match="at q = 1e[+]300 is inf, not a positive finite"):
+            annulus_lq(ChirpDatum(3, 1.95), 0.999, 1e300, 0.5, 2.5)
+        assert sum(points) == 16
+
 
 def _one_ray_reference(n, sigma, c, q, r_lo, z):
     """int_{r_lo}^inf r^{n/2-sigma} J_{(n-2)/2}(c r) e^{iqr^2} dr on the one

@@ -199,14 +199,19 @@ def _gl_rule(f, lo, hi, sub):
 
 
 def _per_panel_loop(f, edges):
-    """The per-panel refinement the batched driver replaced: 24 nodes, 4 to
-    256 subpanels, stop at relative agreement 1e-10.  (values, stuck)."""
+    """The per-panel refinement the batched driver replaced: 24 nodes, 1 to
+    256 subpanels, stop at relative agreement 1e-10, the head panel in
+    s = sqrt(r).  (values, stuck)."""
     vals, stuck = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        sub, prev, done = 4, _gl_rule(f, lo, hi, 4), False
+    for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+        g = f
+        if i == 0:
+            g = lambda s: 2.0 * s * f(s * s)
+            lo, hi = math.sqrt(lo), math.sqrt(hi)
+        sub, prev, done = 1, _gl_rule(g, lo, hi, 1), False
         while sub < 256 and not done:
             sub *= 2
-            cur = _gl_rule(f, lo, hi, sub)
+            cur = _gl_rule(g, lo, hi, sub)
             done = abs(cur - prev) <= 1e-10 * max(abs(cur), 1e-300)
             prev = cur
         vals.append(prev)
@@ -490,3 +495,47 @@ class TestBatchedPanels:
         rep = NormReport(x1=0.0, x2=0.0, ym=[])
         assert math.isfinite(norm_Ym(oscillating_power(3.5), 3, 3, report=rep))
         assert rep.unconverged_panels > 0
+
+
+class TestOctaveRule:
+    def test_converged_panels_take_rules_of_one_and_two_subpanels(self, monkeypatch):
+        # every panel of power(1.5) at n = 3 converges at its first doubling:
+        # 241 panels of 24 nodes at 1 and 2 subpanels are 17,352 nodes (a
+        # start at 4 subpanels took 69,408)
+        level = quadrature.gl_rows
+        nodes = [0]
+
+        def counted(f, a, b, npanels, nodes_per=32, ids=None, absolute=False):
+            nodes[0] += int(np.sum(npanels)) * nodes_per
+            return level(f, a, b, npanels, nodes_per, ids, absolute)
+
+        monkeypatch.setattr(quadrature, "gl_rows", counted)
+        rep = NormReport(x1=0.0, x2=0.0, ym=[])
+        assert all(math.isfinite(v) for v in norm_X(profiles.power(1.5), 3, report=rep))
+        assert rep.unconverged_panels == 0
+        assert 0 < nodes[0] <= 241 * 24 * 3
+
+    @pytest.mark.parametrize("alpha", [0.6, 1.5, 3.0])
+    def test_head_panel_is_exact_at_even_n(self, alpha, monkeypatch):
+        # at n = 2, |(f r^{1/2})'| ~ r^{-1/2} at 0; in s = sqrt(r) the head
+        # panel [0, eps] is smooth and gives (1 + eps)^{-alpha} eps^{1/2}
+        driver = norms._panel_integrals
+        calls = []
+
+        def spy(f, edges, floor=False):
+            calls.append(driver(f, edges, floor))
+            return calls[-1]
+
+        monkeypatch.setattr(norms, "_panel_integrals", spy)
+        norm_X(profiles.power(alpha), 2)
+        (vals, capped), = calls
+        eps = 2.0 ** norms.K_MIN
+        want = (1.0 + eps) ** -alpha * math.sqrt(eps)
+        assert vals[0, 1].real == pytest.approx(want, rel=1e-15, abs=0.0)
+        assert not capped[0].any()
+
+    def test_power_at_n2_caps_only_its_kink_row(self):
+        # (f r^{1/2})' of power(0.6) changes sign at r = 5, so the X2
+        # integrand, its modulus, has a kink there; the head row is no longer
+        # capped
+        assert norm_report(profiles.power(0.6), 2).unconverged_panels == 1

@@ -300,6 +300,28 @@ class TestRefineRows:
             assert vals[0, 0] == pytest.approx(math.sin(1.0), rel=1e-14)
 
 
+class TestLinearFit:
+    def test_matches_polyfit_and_stderr_formula(self):
+        # slope and intercept against np.polyfit; the standard error against
+        # sqrt((1 - r^2) S_yy / S_xx / (N - 2)) from np.corrcoef and np.var
+        rng = np.random.default_rng(11)
+        for size in (3, 12, 40):
+            x = np.sort(rng.uniform(-2.0, 3.0, size))
+            for noise in (0.0, 1e-9, 0.3, 1.0):
+                y = 0.8 * x - 1.3 + noise * rng.standard_normal(size)
+                slope, intercept, stderr = quadrature.linear_fit(x, y)
+                want = np.polyfit(x, y, 1)
+                assert abs(slope - want[0]) <= 1e-13 * max(abs(want[0]), 1.0)
+                assert abs(intercept - want[1]) <= 1e-13 * max(abs(want[1]), 1.0)
+                if noise > 0.1:
+                    # 1 - r^2 cancels as the points near a line (at noise
+                    # 1e-9 it is rounding noise), so compare on the slope's scale
+                    r = min(abs(np.corrcoef(x, y)[0, 1]), 1.0)
+                    ref = math.sqrt((1.0 - r * r) * np.var(y) / np.var(x) / (size - 2))
+                    assert abs(stderr - ref) <= 1e-13 * max(abs(slope), 1.0)
+        assert quadrature.linear_fit(np.array([0.0, 1.0]), np.array([1.0, 3.0])) == (2.0, 1.0, 0.0)
+
+
 def _names_outside(*owners):
     """{module file: names it uses} for every package module but owners."""
     src = Path(quadrature.__file__).parent
