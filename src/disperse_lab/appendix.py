@@ -18,6 +18,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from . import special
+from .blowup import scaling_p
 from .decay import DecayFit, _envelope_fit
 from .profiles import require_finite
 from .quadrature import osc_integral, rotated_tail, trapezoid
@@ -175,8 +176,7 @@ def lr_membership(delta: float, n: int, r: float) -> bool:
     return delta < (n + 1) / 2.0 - n / r
 
 
-def lr_membership_quadrature(delta: float, n: int, r: float,
-                             x_max: float = 1e5) -> bool:
+def lr_membership_quadrature(delta: float, n: int, r: float) -> bool:
     """Same verdict from the decay data: |phi|^r |x|^{n-1} integrates at
     infinity iff the fitted envelope exponent e satisfies e*r + n < 0."""
     fit = phi_space_fit(delta, n)
@@ -276,13 +276,8 @@ def min_scaling_p(n: int, r: float, q_grid: Sequence[float],
         if not lr_membership(delta, n, r):
             continue
         for q in q_grid:
-            iv = (1.0 / r if not math.isinf(r) else 0.0) \
-                - (1.0 / q if not math.isinf(q) else 0.0)
-            ip = 0.5 * n * iv
-            if ip < 0.0 or ip > 1.0:
-                continue
-            p = INF if ip == 0.0 else 1.0 / ip
-            if lpq_region(delta, n, p, q).member:
+            p = scaling_p(n, q, r)
+            if not math.isnan(p) and lpq_region(delta, n, p, q).member:
                 best = min(best, p)
     return best
 

@@ -157,16 +157,30 @@ def cmd_norm(args) -> int:
     return 0
 
 
+def _measure_components(entries) -> list:
+    """(weight, profile) pairs from the --measure JSON list."""
+    if not isinstance(entries, list):
+        raise ValueError("--measure expects a JSON list of components")
+    comps = []
+    for i, e in enumerate(entries):
+        e = e if isinstance(e, dict) else {}
+        if not (isinstance(e.get("family"), str) and isinstance(e.get("params", {}), dict)):
+            raise ValueError(f"--measure entry {i} needs a 'family' name "
+                             "and an optional 'params' object")
+        weight = (e.get("weight_re"), e.get("weight_im", 0.0))
+        if not all(type(w) in (int, float) for w in weight):
+            raise ValueError(f"--measure entry {i} needs numbers weight_re "
+                             f"and weight_im, got {weight[0]!r} and {weight[1]!r}")
+        params = ",".join(f"{k}={v}" for k, v in e.get("params", {}).items())
+        comps.append((complex(*weight), profiles.from_spec(f"{e['family']}:{params}")))
+    return comps
+
+
 def cmd_decay(args) -> int:
     if args.measure:
         with open(args.measure) as fh:
             entries = json.load(fh)
-        comps = []
-        for e in entries:
-            params = ",".join(f"{k}={v}" for k, v in e.get("params", {}).items())
-            prof = profiles.from_spec(f"{e['family']}:{params}")
-            comps.append((complex(e["weight_re"], e.get("weight_im", 0.0)), prof))
-        measure = decay.DiscreteMeasure(comps)
+        measure = decay.DiscreteMeasure(_measure_components(entries))
         rep = decay.superposition_bound(measure, args.n, m=args.m)
         emit_json({
             "n": rep.n, "m": rep.m,
@@ -176,6 +190,8 @@ def cmd_decay(args) -> int:
             "linearity_err": rep.linearity_err,
         }, args.out)
         return 0
+    if args.profile is None:
+        raise ValueError("decay needs --profile or --measure")
     profile = profiles.from_spec(args.profile)
     if args.mode == "time":
         fit = decay.time_decay_fit(profile, args.n, args.m, x_abs=args.x_abs)
@@ -205,6 +221,10 @@ def cmd_blowup(args) -> int:
 
 
 def cmd_gate(args) -> int:
+    if args.n < 2:
+        raise ValueError(f"dimension must be an integer >= 2, got {args.n}")
+    if not args.r >= 1.0:
+        raise ValueError(f"exponent r must be >= 1 (inf allowed), got {args.r:g}")
     if args.p is not None and args.q is not None:
         v = blowup.strichartz_gate(args.n, args.p, args.q, args.r)
         emit_json({"n": v.n, "p": v.p, "q": v.q, "r": v.r,

@@ -11,15 +11,15 @@ import json
 import math
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import norms
 from .norms import DivergentNormError
 from .profiles import RadialProfile
-from .propagator import EvalPoint, _abs_integral, _frame, decompose_g, evolve_radial
-from .quadrature import composite_gl, linear_fit
+from .propagator import EvalPoint, evolve_radial, g_abs_integrals
+from .quadrature import linear_fit
 
 
 # ---------------------------------------------------------------------------
@@ -264,16 +264,6 @@ def theorem_constants(profile: RadialProfile, n: int, m: int,
 # integrand-piece domination
 # ---------------------------------------------------------------------------
 
-def _weighted_l1(profile: RadialProfile, k: int, p: float, lo: float,
-                 hi: float) -> float:
-    """int_lo^hi |phi^{(k)}(r)| r^p dr."""
-    if hi <= lo:
-        return 0.0
-    f = lambda r: np.abs(profile.deriv(k, r)) * np.asarray(r, float) ** p
-    npanels = max(32, int(8 * (hi - lo)))
-    return float(composite_gl(f, lo, hi, min(npanels, 4096)).real)
-
-
 @dataclass
 class GjReport:
     n: int
@@ -293,49 +283,47 @@ def gj_integral_check(profile: RadialProfile, n: int, m: int,
       j=2,3    :  |x|^{-1/2} (sqrt t)^{1+m} sum_{k<=m} int |phi^{(k)}| r^{(n-1)/2-m+k},
                   integrated over r >= t/|x|.
 
+    The left sides are propagator.g_abs_integrals; per point, both right
+    sides are one norms.certified_integrals call on one derivative stack
+    per node, with 2t/|x|, t/|x| and the support as panel edges.  All are
+    certified on the octave panels and read inf when divergent (ratio 0).
+
     Records per-point ratios lhs/rhs and their maximum.
     """
     if not (0 <= m <= n):
         raise ValueError(f"need 0 <= m <= n, got {m}")
+    k = np.arange(m + 1)
+    # exponents p_k of r on the two sides (j = 1, then j = 2, 3)
+    p1 = np.where(k == 0, 1.0, k - 1.0) if m == n else n - m + k - 1.0
+    p23 = (n - 1) / 2.0 - m + k
     rows = []
     max_ratio = 0.0
     for pt in pts:
         if pt.n != n:
             raise ValueError("probe point dimension mismatch")
-        gamma, beta, c = _frame(pt)
-        dec = decompose_g(profile, pt)
-        r_hi = profile.support if profile.support is not None else 200.0
-        r_turn = 1.0 / c                       # r where the compact piece ends
-
-        # compact piece
-        lhs1 = _abs_integral(lambda rho: dec.deriv(1, m, rho),
-                             min(1.05 / beta, r_hi / gamma))
+        x, t = pt.x_abs, pt.t
+        r_turn = 2.0 * t / x                    # r where the compact piece ends
         if m < n:
-            rhs1 = (pt.x_abs ** ((n - 2) / 2.0)
-                    * math.sqrt(pt.t) ** (m - n + 2)
-                    * sum(_weighted_l1(profile, k, n - m + k - 1, 0.0,
-                                       min(r_turn, r_hi))
-                          for k in range(m + 1)))
+            w1 = np.full(m + 1, x ** ((n - 2) / 2.0) * math.sqrt(t) ** (m - n + 2))
         else:
-            rhs1 = (pt.x_abs ** ((n - 2) / 2.0) * pt.t
-                    * sum(_weighted_l1(profile, k, k - 1, 0.0,
-                                       min(r_turn, r_hi))
-                          for k in range(1, n + 1))
-                    + pt.x_abs ** ((n + 2) / 2.0) / pt.t
-                    * _weighted_l1(profile, 0, 1.0, 0.0, min(r_turn, r_hi)))
+            w1 = np.where(k == 0, x ** ((n + 2) / 2.0) / t, x ** ((n - 2) / 2.0) * t)
+        w23 = x ** -0.5 * math.sqrt(t) ** (1 + m)
 
-        # oscillating pieces, supported on beta*rho >= 1/2
-        rho_hi = r_hi / gamma
-        lhs2 = _abs_integral(lambda rho: dec.deriv(2, m, rho), rho_hi)
-        lhs3 = _abs_integral(lambda rho: dec.deriv(3, m, rho), rho_hi)
-        rhs23 = (pt.x_abs ** (-0.5) * math.sqrt(pt.t) ** (1 + m)
-                 * sum(_weighted_l1(profile, k, (n - 1) / 2.0 - m + k,
-                                    0.5 / c, r_hi)
-                       for k in range(m + 1)))
+        def columns(r):
+            d = np.abs(profile.derivs(m, r))
+            return np.concatenate([
+                np.where(r <= r_turn, w1[:, None] * d * r ** p1[:, None], 0.0),
+                np.where(r >= 0.5 * r_turn, w23 * d * r ** p23[:, None], 0.0)])
 
-        for j, lhs, rhs in ((1, lhs1, rhs1), (2, lhs2, rhs23), (3, lhs3, rhs23)):
-            ratio = 0.0 if lhs == 0.0 else lhs / max(rhs, 1e-300)
-            rows.append((pt, j, lhs, rhs, ratio))
+        support = math.inf if profile.support is None else profile.support
+        totals, _, deltas = norms.certified_integrals(columns, [0.5 * r_turn, r_turn, support])
+        rhs = totals + deltas
+        rhs1, rhs23 = float(rhs[:m + 1].sum()), float(rhs[m + 1:].sum())
+        lhs = g_abs_integrals(profile, pt, m)
+
+        for j, lhs_j, rhs_j in zip((1, 2, 3), lhs.tolist(), (rhs1, rhs23, rhs23)):
+            ratio = 0.0 if lhs_j == 0.0 or math.isinf(rhs_j) else lhs_j / max(rhs_j, 1e-300)
+            rows.append((pt, j, lhs_j, rhs_j, ratio))
             max_ratio = max(max_ratio, ratio)
     return GjReport(n=n, m=m, rows=rows, max_ratio=max_ratio)
 

@@ -1,10 +1,12 @@
-"""Weighted radial norms, membership classification, Herglotz decomposition.
+"""Weighted radial norms, membership classification, certified integrals.
 
 The X = X1 + X2 and Y_m scales are computed on a geometric grid of octave
 panels z = 2^k, k = -20..40.  Each integral or supremand is accumulated per
 octave; the octave statistics drive a finite/divergent verdict: a term whose
 per-octave contribution keeps growing (or stops decaying) along the grid is
 certified divergent, otherwise the geometric tail is extrapolated.
+`certified_integrals` gives that verdict for plain integrals int_0^inf; it
+serves norm_Ym and the pointwise bounds of propagator and decay.
 
 All panels of a norm are rows of one quadrature.refine_rows call (through
 `_panel_integrals`), the package's one panel-doubling loop, and its
@@ -23,13 +25,13 @@ not.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
-from .profiles import RadialProfile, power, bump, herglotz, herglotz_pair
+from .profiles import RadialProfile, power, bump, herglotz
 from .quadrature import linear_fit, refine_rows
 
 K_MIN, K_MAX = -20, 40
@@ -49,7 +51,6 @@ class NormReport:
     x1: float
     x2: float
     ym: list
-    sup_probe_log: list = field(default_factory=list)
     unconverged_panels: int = 0     # norm_X/norm_Ym panels left at the subpanel cap
 
     @property
@@ -107,26 +108,31 @@ def oscillating_power(alpha: float) -> RadialProfile:
 # octave machinery
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def _octave_edges(per_octave: int = 1):
-    return [0.0] + [2.0 ** (k / per_octave)
-                    for k in range(per_octave * K_MIN, per_octave * K_MAX + 1)]
+    """0, then 2^{k/per_octave} up to 2^K_MAX from 2^K_MIN; read-only."""
+    edges = np.array([0.0] + [2.0 ** (k / per_octave)
+                              for k in range(per_octave * K_MIN, per_octave * K_MAX + 1)])
+    edges.flags.writeable = False
+    return edges
 
 
-def _aggregate_octaves(increments, per_octave: int):
-    """Collapse fine panel increments (head panel first) to per-octave sums."""
-    inc = np.asarray(increments, dtype=float)
-    body = inc[1:]
-    octaves = body.reshape(-1, per_octave).sum(axis=1)
-    return np.concatenate([[inc[0]], octaves])
+def _octave_of(edges, per_octave: int):
+    """Octave index of each panel between edges, which refine
+    _octave_edges(per_octave): 0 for the head panel [0, 2^K_MIN], then one
+    index per octave; np.bincount(index, increments) sums each octave."""
+    grid = _octave_edges(per_octave)
+    return (np.searchsorted(grid, edges[:-1], side="right") + per_octave - 2) // per_octave
 
 
 def _panel_integrals(f, edges, floor=False):
-    """(integrals, unconverged), each (panels, C), of the columns of f(r), a
-    (C, r.size) array (1-D: one column), over the panels between edges: one
-    quadrature.refine_rows call with 24 nodes and 1 to 256 subpanels
-    (|.|-type integrands have kinks), rtol 1e-10 and, where floor (one flag
-    or one per column) is set, a floor of _NOISE times the column's summed
-    coarse |values|.  unconverged marks the entries left at 256 subpanels.
+    """(integrals, unconverged, deltas), each (panels, C), of the columns of
+    f(r), a (C, r.size) array (1-D: one column), over the panels between
+    edges: one quadrature.refine_rows call with 24 nodes and 1 to 256
+    subpanels (|.|-type integrands have kinks), rtol 1e-10 and, where floor
+    (one flag or one per column) is set, a floor of _NOISE times the
+    column's summed coarse |values|.  unconverged marks the entries left at
+    256 subpanels; deltas holds each entry's last |change|.
 
     The first panel is integrated in s = sqrt(r), dr = 2 s ds (row 0 of the
     refine_rows ids), so integrands like r^{-1/2} at 0 (|(f r^{(n-1)/2})'|
@@ -140,9 +146,26 @@ def _panel_integrals(f, edges, floor=False):
         head = row == 0
         return f(np.where(head, x * x, x)) * np.where(head, 2.0 * x, 1.0)
 
-    vals, _, live, _ = refine_rows(g, a, b, 1, 256, 1e-10, nodes=24,
-                                   ids=np.arange(a.size), floor=np.where(floor, _NOISE, 0.0))
-    return vals, live
+    vals, deltas, live, _ = refine_rows(g, a, b, 1, 256, 1e-10, nodes=24,
+                                        ids=np.arange(a.size), floor=np.where(floor, _NOISE, 0.0))
+    return vals, live, deltas
+
+
+def certified_integrals(f, ends=(), per_octave: int = 4):
+    """(totals, capped, deltas), each (C,): int_0^inf of each column of
+    f(r), a (C, r.size) array of |.|-type integrands, certified on the
+    octave panels of one floored _panel_integrals call.  totals[c] is the
+    octave sum plus the geometric tail beyond 2^K_MAX, or math.inf where the
+    octave increments certify divergence; capped[c] counts the panels left
+    at the subpanel cap and deltas[c] sums their last |change|.  The ends
+    (> 0) below 2^K_MAX, a support or the end of an interval an integrand
+    is cut to, are panel edges: a cut inside a panel would stall at the cap.
+    """
+    edges = np.union1d(_octave_edges(per_octave), [e for e in ends if e < 2.0 ** K_MAX])
+    inc, capped, deltas = _panel_integrals(f, edges, floor=True)
+    octave = _octave_of(edges, per_octave)
+    totals = np.array([_certify_integral(np.bincount(octave, col)) for col in inc.real.T])
+    return totals, capped.sum(axis=0), np.where(capped, deltas, 0.0).sum(axis=0)
 
 
 def _fit_slope(vals) -> float:
@@ -154,13 +177,14 @@ def _fit_slope(vals) -> float:
     return float(linear_fit(np.flatnonzero(live).astype(float), np.log2(vals[live]))[0])
 
 
-def _beyond_grid_tail(increments, support_cut: Optional[int] = None):
+def _beyond_grid_tail(increments):
     """(finite?, extrapolated remainder beyond the last octave)."""
     inc = np.asarray(increments, dtype=float)
     tailwin = inc[-_FIT_WINDOW:]
-    # increments at the rounding-noise floor carry no divergence signal
+    # increments at the rounding-noise floor (zero beyond a support) carry
+    # no divergence signal
     floor = _NOISE * max(abs(float(inc.sum())), float(np.max(np.abs(inc))), 1e-300)
-    if np.max(np.abs(tailwin)) <= max(floor, 1e-300) or (support_cut is not None):
+    if np.max(np.abs(tailwin)) <= max(floor, 1e-300):
         return True, 0.0
     slope = _fit_slope(tailwin)
     if slope > _SLOPE_DIV_INT:
@@ -169,12 +193,10 @@ def _beyond_grid_tail(increments, support_cut: Optional[int] = None):
     return True, float(tailwin[-1] * rho / (1.0 - rho)) if rho < 1.0 else 0.0
 
 
-def _certify_integral(increments, support_cut: Optional[int] = None):
-    """(finite?, total value) from per-octave integral increments."""
-    ok, tail = _beyond_grid_tail(increments, support_cut)
-    if not ok:
-        return False, math.inf
-    return True, float(np.sum(increments)) + tail
+def _certify_integral(increments) -> float:
+    """Total from per-octave integral increments; math.inf when divergent."""
+    ok, tail = _beyond_grid_tail(increments)
+    return float(np.sum(increments)) + tail if ok else math.inf
 
 
 def _certify_sup(probes, octave_probes=None):
@@ -226,49 +248,34 @@ def norm_X(profile: RadialProfile, n: int, report: Optional[NormReport] = None,
             np.abs(d1 * (h * r) + d0 * ((n - 1) / 2.0 * h)),
             np.where(r > edges[1], a0 * t, 0.0)])
 
-    inc, capped = _panel_integrals(columns, edges, floor=(False, True, False))
+    inc, capped, _ = _panel_integrals(columns, edges, floor=(False, True, False))
     inc1, incd, inct = inc.real.T
     if report is not None:
         report.unconverged_panels += int(capped.sum())
 
-    cut = _support_cut(profile, edges)
     zs = np.array(edges[1:])
     at_octave = slice(0, None, P)          # head edge, then octave edges
 
     # X1: supremand probed on the fine grid, certified per octave
     sup1 = np.cumsum(inc1) * zs ** ((1 - n) / 2.0)
     ok1, x1 = _certify_sup(sup1, sup1[at_octave])
-    if report is not None:
-        report.sup_probe_log.extend(("x1", z, v) for z, v in zip(zs, sup1))
 
     # X2 first term: plain integral to infinity
-    ok2a, i2 = _certify_integral(_aggregate_octaves(incd, P), cut)
+    octave = _octave_of(edges, P)
+    i2 = _certify_integral(np.bincount(octave, incd))
 
     # X2 second term: sup_z z * (tail integral beyond z); reverse cumsum
     # keeps the far-tail remainders free of cancellation
-    tail_beyond = np.cumsum(inct[::-1])[::-1] - inct
-    if cut is None:
-        okt, beyond_grid = _beyond_grid_tail(_aggregate_octaves(inct, P)[1:], None)
-        if not okt:
-            return x1 if ok1 else math.inf, math.inf
-        tail_beyond = tail_beyond + beyond_grid
+    okt, beyond_grid = _beyond_grid_tail(np.bincount(octave, inct)[1:])
+    if not okt:
+        return x1 if ok1 else math.inf, math.inf
+    tail_beyond = np.cumsum(inct[::-1])[::-1] - inct + beyond_grid
     sup2 = np.maximum(zs * tail_beyond, 0.0)
     ok2b, s2 = _certify_sup(sup2, sup2[at_octave])
-    if report is not None:
-        report.sup_probe_log.extend(("x2sup", z, v) for z, v in zip(zs, sup2))
 
     x1v = x1 if ok1 else math.inf
-    x2v = (i2 + s2) if (ok2a and ok2b) else math.inf
+    x2v = (i2 + s2) if ok2b else math.inf
     return x1v, x2v
-
-
-def _support_cut(profile, edges):
-    if profile.support is None:
-        return None
-    for i, z in enumerate(edges[1:]):
-        if z >= profile.support:
-            return i
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +291,6 @@ def norm_Ym(profile: RadialProfile, n: int, m: int, per_octave: int = 4,
     if m < 0 or m > n:
         raise ValueError(f"need 0 <= m <= n, got {m}")
     P = per_octave
-    edges = _octave_edges(P)
-    cut = _support_cut(profile, edges)
     k_lo = 1 if m == n else 0
 
     def integrands(r):
@@ -297,20 +302,17 @@ def norm_Ym(profile: RadialProfile, n: int, m: int, per_octave: int = 4,
             weight = weight * r
         return out
 
-    inc, capped = _panel_integrals(integrands, edges, floor=True)
-    total = 0.0
-    for c in range(inc.shape[1]):
-        ok, val = _certify_integral(_aggregate_octaves(inc[:, c].real, P), cut)
-        if not ok:
-            break
-        total += val
+    totals, capped, _ = certified_integrals(integrands, per_octave=P)
+    total = sum(totals.tolist())
     if report is not None:
         # the columns up to the first divergent one, as refined one by one
-        report.unconverged_panels += int(capped[:, :c + 1].sum())
-    if not ok:
+        upto = int(np.argmax(np.isinf(totals))) + 1 if math.isinf(total) else totals.size
+        report.unconverged_panels += int(capped[:upto].sum())
+    if math.isinf(total):
         return math.inf
     if m == n:
-        inc, capped = _panel_integrals(lambda r: profile.deriv(0, r) * r, edges)
+        edges = _octave_edges(P)
+        inc, capped, _ = _panel_integrals(lambda r: profile.deriv(0, r) * r, edges)
         if report is not None:
             report.unconverged_panels += int(capped.sum())
         zs = np.array(edges[1:])
@@ -363,10 +365,3 @@ def empirical_threshold(scan: list) -> float:
     if not div or not fin:
         raise ValueError("scan does not bracket the threshold")
     return 0.5 * (max(div) + min(fin))
-
-
-def herglotz_decompose(omega: float, n: int, K: int = 8):
-    """RadialProfile pair (eta, +omega carrier), (conj eta, -omega carrier)."""
-    if omega == 0:
-        raise ValueError("omega must be nonzero")
-    return herglotz_pair(omega, n, K)

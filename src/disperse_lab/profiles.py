@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .special import alpha_coeffs, cutoff_chi, hankel_sum, splitting_A, splitting_B_series
+from .special import alpha_coeffs, hankel_sum, splitting_A, splitting_B, splitting_B_series
 
 # offsets of the 7-point stencils, for derivative orders up to 6
 _FD_OFFSETS = np.arange(-3, 4)
@@ -261,11 +261,7 @@ def herglotz(omega: float, n: int, K: int = 8) -> RadialProfile:
         pos = r > 0
         rp = r[pos]
         z = w * rp
-        bpart = np.zeros(rp.shape, dtype=complex)
-        live = z > 0.5
-        if np.any(live):
-            bpart[live] = ((1.0 - cutoff_chi(z[live]))
-                           * splitting_B_series(coeffs, z[live].astype(complex)))
+        bpart = splitting_B(n, K, z)
         # the compact part enters with the carrier removed so that
         # eta e^{i w r} + conj(eta) e^{-i w r} reproduces A + e^{iz}B + c.c.
         out[pos] = (w ** (-n / 2.0) * rp ** (1.0 - n)

@@ -28,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import special
+from . import norms, special
 from .profiles import RadialProfile, fd_derivatives, require_finite
-from .quadrature import composite_gl, osc_integral, osc_integral_rows, refine_rows, rotated_tail
+from .quadrature import osc_integral, osc_integral_rows, refine_rows, rotated_tail
 
 
 class DivergentTailError(ValueError):
@@ -248,41 +248,45 @@ def decompose_g(profile: RadialProfile, pt: EvalPoint) -> GDecomposition:
     return GDecomposition(pt=pt, a1=a1, a2=a2, a3=a3, g1=g1, g2=g2, g3=g3, g=g)
 
 
-def _abs_integral(fn, rho_hi: float) -> float:
-    """int_0^rho_hi |fn| by composite panels (no convergence check)."""
-    if rho_hi <= 0:
-        return 0.0
-    npanels = max(16, int(rho_hi * 8))
-    return float(composite_gl(lambda rho: np.abs(fn(rho)), 0.0, rho_hi, 2 * npanels).real)
+def g_abs_integrals(profile: RadialProfile, pt: EvalPoint, m: int) -> np.ndarray:
+    """int_0^inf |g_j^{(m)}(rho)| drho for j = 1, 2, 3: the columns of one
+    norms.certified_integrals call over rho, certified on the octave panels
+    and inf where divergent.  Supported data are integrated up to the
+    support's image rho = support/gamma, where the stencil of g_j^{(m)}
+    would otherwise smear past the support; that end and the cutoff ends
+    1/(2 beta) and 1/beta are panel edges.  A panel left at the subpanel
+    cap adds its last |change|, so each value errs upward."""
+    gamma, beta, _ = _frame(pt)
+    dec = decompose_g(profile, pt)
+    hi = math.inf if profile.support is None else profile.support / gamma
+
+    def columns(rho):
+        out = np.zeros((3, rho.size))
+        live = rho <= hi
+        out[:, live] = np.abs([dec.deriv(j, m, rho[live]) for j in (1, 2, 3)])
+        return out
+
+    totals, _, deltas = norms.certified_integrals(columns, [0.5 / beta, 1.0 / beta, hi])
+    return totals + deltas
 
 
 def solution_bound(profile: RadialProfile, pt: EvalPoint, m: int) -> float:
     """Computable right side of the pointwise estimate
 
         |psi| <= C_{m-1} |x|^{(2-n)/2} t^{-1/2}
-                 (delta_{m,n} |g1^{(n-1)}(0)| + sum_j int |g_j^{(m)}|).
+                 (delta_{m,n} |g1^{(n-1)}(0)| + sum_j int |g_j^{(m)}|),
+
+    with the integrals of g_abs_integrals, certified on the octave panels;
+    inf when one of them diverges.
     """
     n = pt.n
     if m < 0 or m > n:
         raise ValueError(f"need 0 <= m <= n, got m={m}")
-    gamma, beta, c = _frame(pt)
-    dec = decompose_g(profile, pt)
-
-    sup = profile.support if profile.support is not None else None
-    g1_hi = 1.0 / beta * 1.05
-    if sup is not None:
-        g1_hi = min(g1_hi, sup / gamma)
-    tail_hi = sup / gamma if sup is not None else max(40.0, 40.0 / beta)
-
-    total = 0.0
-    total += _abs_integral(lambda rho: dec.deriv(1, m, rho), g1_hi)
-    lo = 0.5 / beta
-    for j in (2, 3):
-        if tail_hi > lo:
-            total += _abs_integral(lambda rho: dec.deriv(j, m, rho), tail_hi)
+    total = float(np.sum(g_abs_integrals(profile, pt, m)))
     boundary = 0.0
     if m == n:
         # one-sided value of g1^{(n-1)} at rho = 0 (g1 is even in rho)
+        dec = decompose_g(profile, pt)
         boundary = abs(complex(np.asarray(dec.deriv(1, n - 1, 0.08)).ravel()[0]))
         boundary = max(boundary, abs(complex(np.asarray(dec.deriv(1, n - 1, 0.02)).ravel()[0])))
     const = special.solution_constant(m)

@@ -118,7 +118,8 @@ def refine_rows(f, a, b, start, cap, rtol: float, nodes: int = 32, ids=None,
 
 def composite_gl(f, a: float, b: float, npanels: int, nodes: int = 32):
     """Composite Gauss-Legendre sum, as a complex number; f must accept an
-    ndarray."""
+    ndarray.  A fixed rule checks no convergence, so no module calls it;
+    perfbench/spans.py traces it by name."""
     sums, _ = gl_rows(f, np.array([a], dtype=float), np.array([b], dtype=float),
                       np.array([npanels]), nodes)
     return complex(sums[0, 0])

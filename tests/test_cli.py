@@ -174,6 +174,31 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize("argv, measure, message", [
+        # the decay probes ended in a TypeError, KeyError, TypeError and
+        # AttributeError traceback
+        (["decay", "--n", "3"], None, "decay needs --profile or --measure"),
+        (["decay", "--n", "3"], [{"weight_re": 1.0}],
+         "--measure entry 0 needs a 'family' name and an optional 'params' object"),
+        (["decay", "--n", "3"], [{"family": "bump", "weight_re": "1"}],
+         "--measure entry 0 needs numbers weight_re and weight_im, got '1' and 0.0"),
+        (["decay", "--n", "3"], {"family": "bump", "weight_re": 1.0},
+         "--measure expects a JSON list of components"),
+        # the gate probes exited 0 with an empty or vacuous table
+        (["gate", "--n", "3", "--r", "nan"], None, "exponent r must be >= 1 (inf allowed), got nan"),
+        (["gate", "--n", "3", "--r", "0.5"], None, "exponent r must be >= 1 (inf allowed), got 0.5"),
+        (["gate", "--n", "0", "--r", "3"], None, "dimension must be an integer >= 2, got 0"),
+    ])
+    def test_bad_decay_or_gate_request_is_two(self, argv, measure, message, tmp_path,
+                                              capsys):
+        if measure is not None:
+            (tmp_path / "m.json").write_text(json.dumps(measure))
+            argv = argv + ["--measure", str(tmp_path / "m.json")]
+        code = cli.main(argv + ["--out", str(tmp_path / "o.json")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o.json").exists()
+
     def test_verify_fast_passes(self):
         proc = subprocess.run(
             [sys.executable, "-m", "disperse_lab.cli", "verify",

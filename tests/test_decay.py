@@ -129,6 +129,16 @@ class TestIntegrandEstimates:
         assert rep.max_ratio == pytest.approx(want, rel=0.2)
 
 
+class TestCertifiedMajorants:
+    def test_divergent_right_side_is_inf(self):
+        # |phi| r^{(n-1)/2} ~ r^{-0.2} is not integrable: the j = 2, 3 rows
+        # read an infinite right side and ratio 0; the j = 1 side is finite
+        rep = gj_integral_check(profiles.power(1.2), 3, 0, [EvalPoint(3, 1.0, 1.0)])
+        rows = {j: (rhs, ratio) for _, j, _, rhs, ratio in rep.rows}
+        assert rows[2] == rows[3] == (math.inf, 0.0)
+        assert math.isfinite(rows[1][0]) and 0.0 < rows[1][1] <= 1.0
+
+
 class TestFitMechanics:
     def test_grid_validation(self):
         with pytest.raises(ValueError):

@@ -13,7 +13,6 @@ from disperse_lab.norms import (
     NormReport,
     FamilySpec,
     empirical_threshold,
-    herglotz_decompose,
     membership_scan,
     norm_report,
     norm_X,
@@ -149,7 +148,7 @@ class TestThresholds:
 class TestHerglotzDecomposition:
     @pytest.mark.parametrize("n,omega", [(2, 1.0), (3, 1.0), (3, 2.0)])
     def test_reconstructs_bessel_mode(self, n, omega):
-        pair = herglotz_decompose(omega, n, K=6)
+        pair = profiles.herglotz_pair(omega, n, K=6)
         nu = special.order_from_dim(n)
         for r in (50.0, 120.0):
             got = sum(complex(np.asarray(q.phi_rad(r)).ravel()[0])
@@ -159,7 +158,7 @@ class TestHerglotzDecomposition:
 
     def test_component_tail_size(self):
         # each component decays like r^{(1-n)/2}
-        (eta, _) = herglotz_decompose(1.0, 3)
+        (eta, _) = profiles.herglotz_pair(1.0, 3)
         r = np.array([40.0, 160.0])
         vals = np.abs(np.asarray(eta.phi_rad(r)))
         ratio = vals[1] / vals[0]
@@ -167,7 +166,50 @@ class TestHerglotzDecomposition:
 
     def test_rejects_zero_frequency(self):
         with pytest.raises(ValueError):
-            herglotz_decompose(0.0, 3)
+            profiles.herglotz_pair(0.0, 3)
+
+
+class TestCertifiedIntegrals:
+    def test_cut_at_an_end_converges(self):
+        # r e^{-r} cut to r <= 3: with 3 as a panel edge every panel converges
+        # to the exact total; a cut inside a panel stalls it at the cap, and
+        # its last change, added to the total, errs upward
+        cut = lambda r: np.where(r <= 3.0, r * np.exp(-r), 0.0)
+        want = 1.0 - 4.0 * math.exp(-3.0)
+        (total,), (capped,), (delta,) = norms.certified_integrals(cut, [3.0])
+        assert capped == 0 and delta == 0.0
+        assert total == pytest.approx(want, rel=1e-14)
+        (total,), (capped,), (delta,) = norms.certified_integrals(cut)
+        assert capped == 1 and total + delta >= want
+
+    def test_divergent_column_is_inf(self):
+        # (1 + r)^{-0.9} is not integrable; (1 + r)^{-1.5}, its neighbour
+        # column, integrates to 2 with the extrapolated tail beyond 2^K_MAX
+        totals, capped, _ = norms.certified_integrals(
+            lambda r: np.stack([(1.0 + r) ** -0.9, (1.0 + r) ** -1.5]))
+        assert totals[0] == math.inf
+        assert totals[1] == pytest.approx(2.0, rel=1e-13)
+        assert not capped.any()
+
+    def test_norm_and_bounds_integrate_through_it(self, monkeypatch):
+        # norm_Ym's integrals, the bound's sum_j int |g_j^{(m)}| and, per
+        # point, gj_integral_check's right sides are one call each
+        from disperse_lab import decay, propagator
+        helper = norms.certified_integrals
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return helper(*args, **kwargs)
+
+        monkeypatch.setattr(norms, "certified_integrals", spy)
+        pt = propagator.EvalPoint(3, 1.0, 1.0)
+        for run, want in ((lambda: norm_Ym(profiles.power(3.0), 3, 2), 1),
+                          (lambda: propagator.solution_bound(profiles.bump(), pt, 1), 1),
+                          (lambda: decay.gj_integral_check(profiles.bump(), 3, 1, [pt, pt]), 4)):
+            calls.clear()
+            run()
+            assert len(calls) == want
 
 
 class TestOscillatingPower:
@@ -270,7 +312,7 @@ class TestBatchedPanels:
                 norm_X(p, n)
                 norm_Ym(p, n, n)
             assert [c[0] for c in calls] == [(False, True, False), (True,) * n, (False,)]
-            for i, (floors, (got, stuck), loops) in enumerate(calls):
+            for i, (floors, (got, stuck, _), loops) in enumerate(calls):
                 for c, (floored, (ref, ref_stuck, scale)) in enumerate(zip(floors, loops)):
                     if floored:
                         # a floored column stops within the noise floor of its total
@@ -343,9 +385,9 @@ class TestBatchedPanels:
         assert widest_for(True) < 256 and widest_for(False) == 256
         # beside an unfloored copy of itself, each column keeps its own floor
         # and its own stopping point: each matches its refinement alone
-        pair, pair_stuck = driver(lambda r: f(r)[[1, 1]], edges, (True, False))
+        pair, pair_stuck, _ = driver(lambda r: f(r)[[1, 1]], edges, (True, False))
         for c, floor in enumerate((True, False)):
-            alone, alone_stuck = driver(lambda r: f(r)[1], edges, floor)
+            alone, alone_stuck, _ = driver(lambda r: f(r)[1], edges, floor)
             assert np.array_equal(pair_stuck[:, c], alone_stuck[:, 0]), c
             assert np.allclose(pair[:, c], alone[:, 0], rtol=1e-15, atol=0.0), c
 
@@ -457,7 +499,7 @@ class TestBatchedPanels:
                           deriv_fn=lambda k, r: np.stack([step(r)] + [0.0 * r] * k),
                           support=2.0)
         edges = norms._octave_edges(4)
-        got, stuck = norms._panel_integrals(lambda r: step(r) * r, edges)
+        got, stuck, _ = norms._panel_integrals(lambda r: step(r) * r, edges)
         (i,) = np.flatnonzero(stuck)
         assert edges[i] < jump < edges[i + 1]
         assert got[i] == pytest.approx(
@@ -528,7 +570,7 @@ class TestOctaveRule:
 
         monkeypatch.setattr(norms, "_panel_integrals", spy)
         norm_X(profiles.power(alpha), 2)
-        (vals, capped), = calls
+        (vals, capped, _), = calls
         eps = 2.0 ** norms.K_MIN
         want = (1.0 + eps) ** -alpha * math.sqrt(eps)
         assert vals[0, 1].real == pytest.approx(want, rel=1e-15, abs=0.0)

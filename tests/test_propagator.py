@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
 from scipy.special import hankel1e, hankel2e
 
 from disperse_lab import profiles, propagator, special
@@ -149,6 +150,40 @@ class TestSolutionBound:
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
             solution_bound(profiles.bump(), EvalPoint(3, 1.0, 1.0), 4)
+
+
+class TestCertifiedBound:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_dominates_modulus(self, n):
+        # unbounded data too: power(2.5) at n = 4, m = 0 and both Herglotz
+        # members at m = 0 have divergent integrals and read inf
+        eta, mirror = profiles.herglotz_pair(1.0, n)
+        for prof in (profiles.bump(1.0, 2.0), profiles.gaussian(1.0),
+                     profiles.power(2.5), eta, mirror):
+            for x, t, orders in ((0.7, 0.3, (0, 1)), (5.0, 4.0, (0,))):
+                pt = EvalPoint(n, x, t)
+                psi = abs(evolve_radial(prof, pt).value)
+                for m in orders:
+                    assert solution_bound(prof, pt, m) >= psi, (prof.label, x, t, m)
+
+    def test_divergent_integral_is_inf(self):
+        # |g_2| ~ rho^{-0.2}: the integral diverges (a cut at rho = 40 read 43.98)
+        assert solution_bound(profiles.power(1.2), EvalPoint(3, 1.0, 1.0), 0) == math.inf
+
+    @pytest.mark.parametrize("x, t", [(4.0, 0.5), (1.0, 1.0)])
+    def test_matches_quad_reference(self, x, t):
+        # sum_j int_0^inf |g_j| by scipy's quad, split at the cutoff ends
+        # 1/(2 beta) and 1/beta (a cut at rho = 40 read 0.4403 at (4, 0.5))
+        pt = EvalPoint(3, x, t)
+        dec = decompose_g(profiles.power(2.5), pt)
+        beta = x / math.sqrt(t)
+        total = 0.0
+        for g in (dec.g1, dec.g2, dec.g3):
+            for a, b in ((0.0, 0.5 / beta), (0.5 / beta, 1.0 / beta), (1.0 / beta, math.inf)):
+                total += quad(lambda rho: abs(complex(g(rho))), a, b,
+                              epsabs=0.0, epsrel=1e-13, limit=500)[0]
+        want = special.solution_constant(0) / math.sqrt(x * t) * total
+        assert solution_bound(profiles.power(2.5), pt, 0) == pytest.approx(want, rel=1e-8)
 
 
 class TestMass:
