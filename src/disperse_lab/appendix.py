@@ -27,6 +27,7 @@ INF = math.inf
 
 _DIRECT_CYCLE_CUT = 200.0      # direct quadrature up to this many oscillations
 _HANKEL_X_CUT = 40.0           # beyond it the rays take the Hankel series
+_TOL = 1e-10                   # each regime's rule agrees to this relative
 
 
 @dataclass(frozen=True)
@@ -39,7 +40,7 @@ class SingularDensity:
 
 
 def _direct_integral(delta: float, n: int, x_abs: float, t: float,
-                     tol: float = 1e-10) -> Tuple[complex, float]:
+                     tol: float = _TOL) -> Tuple[complex, float]:
     """int_1^2 e^{-i t w^2} (w-1)^{-delta} J_nu(w x) dw and its error
     estimate.
 
@@ -73,7 +74,7 @@ def _contour_integral_large_t(delta: float, n: int, x_abs: float,
         out[far] *= (w[far] - 1.0) ** -delta
         return out
 
-    vals, errs = rotated_tail(h, (1.0, 2.0), 0.0, c2=t, delta=(delta, 0.0))
+    vals, errs = rotated_tail(h, (1.0, 2.0), 0.0, c2=t, delta=(delta, 0.0), tol=_TOL)
     return complex(vals[0] - vals[1]).conjugate(), float(errs.sum())
 
 
@@ -95,7 +96,7 @@ def _contour_integral_large_x(delta: float, n: int, x_abs: float,
         return out
 
     vals, errs = special.hankel_tail(n, amp, b, start, 0.0, c2=t,
-                                     delta=np.where(far, 0.0, delta), s=0.5)
+                                     delta=np.where(far, 0.0, delta), s=0.5, tol=_TOL)
     val = vals[~far].sum() - vals[far].sum()
     if t == 0:
         return complex(2.0 * val.real), 2.0 * float(errs.sum())

@@ -98,7 +98,7 @@ def _bessel_split_integral(n: int, sigma: float, c, quad: float, r_lo: float,
         return row_scale[row] * r ** p
 
     tails, e_tails = special.hankel_tail(n, amp, row_c, np.concatenate([r0, r0]), 0.0,
-                                         c2=aq, s=-p)
+                                         c2=aq, s=-p, tol=tol)
     # the integrand is real but for e^{i quad r^2}, so on the defocusing side
     # (quad < 0) the tail is the conjugate of the tail at |quad|
     tail = tails[:m] + tails[m:]

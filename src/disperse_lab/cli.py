@@ -231,6 +231,9 @@ def cmd_gate(args) -> int:
                    "permitted": v.permitted, "binding": v.binding,
                    "p_bound": v.p_bound, "scaling_ok": v.scaling_ok}, args.out)
         return 0
+    if math.isinf(args.r):
+        # 2/p + n/q = 0 leaves only p = q = inf, which JSON cannot hold
+        raise ValueError("at r = inf the only scaling pair is p = q = inf; give --p and --q")
     qg = list(np.geomspace(max(args.r * 1.01, 1.01), 200.0, 40))
     table = []
     for q in qg:

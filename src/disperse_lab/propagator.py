@@ -121,7 +121,7 @@ def evolve_radial(profile: RadialProfile, pt: EvalPoint,
             r = gamma * rho
             return profile.tail_fn(r) * r ** (n / 2.0) * special.bessel_j_c(nu, beta * rho)
 
-        (tail,), (e_tail,) = rotated_tail(h, rho_a, profile.omega * gamma)
+        (tail,), (e_tail,) = rotated_tail(h, rho_a, profile.omega * gamma, tol=tol)
         return ComplexAmplitude(pref * (head + tail), abs(pref) * (err + e_tail))
 
     # the head goes on to where the Hankel series hold (z >= _Z_SPLIT), as a
@@ -140,7 +140,7 @@ def evolve_radial(profile: RadialProfile, pt: EvalPoint,
         return cn * profile.tail_fn(gamma * rho) * (beta * rho) ** ((n - 1) / 2.0)
 
     tails, e_tails = special.hankel_tail(n, amp, (beta, -beta), rho0, gamma * profile.omega,
-                                         s=-(n - 1) / 2.0)
+                                         s=-(n - 1) / 2.0, tol=tol)
     val = heads.sum() + tails.sum()
     return ComplexAmplitude(pref * val, abs(pref) * (errs.sum() + e_tails.sum()))
 

@@ -1,12 +1,16 @@
 """Quadrature helpers, each evaluating many integrals (rows) at once.
 
 gl_rows, the one composite Gauss-Legendre kernel, and refine_rows, which
-doubles each row's panels until two successive rules agree, serve the
-oscillatory heads, the norms octave panels and the mass integrals.
-rotated_tail, the one steepest-descent rule, integrates tails
+doubles each row's panels until two successive rules agree (the first two
+in one kernel call), serve the oscillatory heads, the norms octave panels,
+the mass integrals and the rays.  rotated_tail, the one steepest-descent
+rule, integrates tails
 int_rho0^inf (rho - rho0)^{-delta} h(rho) exp(i (c2 rho^2 + a rho)) drho
 with 0 <= delta < 1: the unbounded tails of propagator and blowup, the
-iterated Fresnel integrals of special and the contours of appendix.
+iterated Fresnel integrals of special and the contours of appendix.  Its
+rays are graded rows of one refine_rows call, lengthened until their end
+term is below eps of their value, so each estimate is the last change of
+the rule it returns, its truncation and its rounding.
 """
 
 from __future__ import annotations
@@ -22,6 +26,9 @@ import numpy as np
 def gl_nodes(npts: int):
     return np.polynomial.legendre.leggauss(npts)
 
+
+_EPS = np.finfo(float).eps
+_ROT = cmath.exp(1j * math.pi / 4.0)
 
 # an integrand call receives at most this many nodes, whatever the number of
 # rows or the size of one row's rule, so memory stays flat; 2^14 read slower
@@ -44,8 +51,9 @@ def gl_rows(f, a, b, npanels, nodes: int = 32, ids=None, absolute: bool = False)
 
     f(x), or f(x, ids[i]) on row i's nodes where ids is given, returns one
     value per node or a (C, x.size) array.  Rows are cut into chunks of L
-    panels, L the largest power of two dividing every count; a block of at
-    most _BLOCK_NODES nodes holds whole chunks, summed by one matmul.
+    panels, L the largest power of two dividing every count; the fewest
+    blocks of at most _BLOCK_NODES nodes, as even as whole chunks allow,
+    each summed by one matmul.
     """
     if not a.size:
         return np.zeros((0, 1)), (np.zeros((0, 1)) if absolute else None)
@@ -65,7 +73,10 @@ def gl_rows(f, a, b, npanels, nodes: int = 32, ids=None, absolute: bool = False)
         start = a[owner] + (np.arange(owner.size) - first[owner]) * chunk * width
     half = 0.5 * width
     sums, mags = [], []
-    per = max(1, _BLOCK_NODES // centre.size)
+    # even blocks: a call that needs two holds no fuller block than it must
+    # (fuller blocks of the norms integrands fault more pages in)
+    blocks = -(-start.size // max(1, _BLOCK_NODES // centre.size))
+    per = -(-start.size // blocks)
     for i in range(0, start.size, per):
         s = slice(i, i + per)
         pts = (start[s, None] + centre * width[s, None] + half[s, None] * x).ravel()
@@ -81,38 +92,50 @@ def gl_rows(f, a, b, npanels, nodes: int = 32, ids=None, absolute: bool = False)
 
 
 def refine_rows(f, a, b, start, cap, rtol: float, nodes: int = 32, ids=None,
-                atol: float = 0.0, floor=0.0, absolute: bool = False):
+                atol=0.0, floor=0.0, absolute: bool = False):
     """Double the panels of every row of gl_rows (f, a, b, nodes, ids as
     there) from start[row]: an entry (row, column) freezes once two
-    successive rules agree, |cur - prev| <= max(rtol |cur|, atol,
-    floor[column] * the column's summed |first rule|, unless NaN), and a
-    row is evaluated again while an entry is live and its count can double
-    within cap.  A NaN change never agrees.
+    successive rules agree, |cur - prev| <= max(rtol |cur|, atol (one value
+    or one per row), floor[column] * the column's summed |first rule|), and
+    a row is evaluated again while an entry is live and its count can double
+    within cap.  A NaN change never agrees.  The first two rules are one
+    kernel call: each row at its start count, and its two halves at the
+    same count (the second rule), so every row keeps its count's chunking.
 
     Returns (values, deltas, live, mags), each (rows, C): each entry's last
     rule, |cur - prev| of its last two (inf if never doubled), the entries
     left live at the cap, and with absolute the last rule's sums of |w f|.
     """
-    count = np.full(a.size, start, dtype=np.int64)
-    vals, mags = gl_rows(f, a, b, count, nodes, ids, absolute)
-    bound = np.fmax(atol, floor * np.abs(vals).sum(axis=0))
+    m = a.size
+    count = np.full(m, start, dtype=np.int64)
+    pos = np.flatnonzero(2 * count <= cap)
+    h = pos.size
+    lo, hi = a[pos], b[pos]
+    mid = 0.5 * (lo + hi)
+    both = np.concatenate([np.arange(m), pos, pos])
+    sums, mags = gl_rows(f, np.concatenate([a, lo, mid]), np.concatenate([b, mid, hi]),
+                         count[both], nodes, None if ids is None else ids[both], absolute)
+    vals, cur = sums[:m], sums[m:m + h] + sums[m + h:]
+    mag = mags[m:m + h] + mags[m + h:] if absolute else None
+    mags = mags[:m] if absolute else None
+    bound = np.broadcast_to(np.fmax(np.reshape(atol, (-1, 1)), floor * np.abs(vals).sum(axis=0)),
+                            vals.shape)
     deltas = np.full(vals.shape, math.inf)
     live = np.ones(vals.shape, dtype=bool)
-    pos = np.arange(a.size)
-    go = 2 * count <= cap
-    while (pos := pos[go]).size:
+    while pos.size:
         # a slice while every row goes on, so the updates below are views
-        k = pos if pos.size < a.size else slice(None)
+        k = pos if pos.size < m else slice(None)
         count[k] = n = 2 * count[k]
-        cur, mag = gl_rows(f, a[k], b[k], n, nodes, None if ids is None else ids[k], absolute)
+        if cur is None:
+            cur, mag = gl_rows(f, a[k], b[k], n, nodes, None if ids is None else ids[k], absolute)
         prev, was = vals[k], live[k]
         change = np.abs(cur - prev)
         vals[k] = np.where(was, cur, prev)
         deltas[k] = np.where(was, change, deltas[k])
         if absolute:
             mags[k] = np.where(was, mag, mags[k])
-        live[k] = was = was & ~(change <= np.maximum(rtol * np.abs(cur), bound))
-        go = was.any(axis=1) & (2 * n <= cap)
+        live[k] = was = was & ~(change <= np.maximum(rtol * np.abs(cur), bound[k]))
+        pos, cur = pos[was.any(axis=1) & (2 * n <= cap)], None
     return vals, deltas, live, mags
 
 
@@ -133,16 +156,17 @@ def trapezoid(y, x) -> float:
 
 def linear_fit(x, y):
     """(slope, intercept, slope standard error) of the least-squares line
-    through the 1-D arrays (x, y), by the closed form in centred sums:
-    stderr = sqrt((1 - r^2) S_yy / S_xx / (N - 2))."""
+    through the 1-D arrays (x, y), by the closed form in centred sums; the
+    standard error is sqrt(sum (dy - slope dx)^2 / (N - 2) / S_xx), from the
+    residuals, so a near-exact line keeps its digits."""
     n = x.size
     xm, ym = float(x.sum()) / n, float(y.sum()) / n
     dx, dy = x - xm, y - ym
     # the sums over n, as numpy's biased covariance forms them
-    sxx, sxy, syy = (float(u @ v) * (1.0 / n) for u, v in ((dx, dx), (dx, dy), (dy, dy)))
+    sxx, sxy = (float(dx @ v) * (1.0 / n) for v in (dx, dy))
     slope = sxy / sxx
-    r = min(abs(sxy) / math.sqrt(sxx * syy), 1.0) if syy > 0 else 0.0
-    stderr = math.sqrt((1 - r ** 2) * syy / sxx / (n - 2)) if n > 2 else 0.0
+    res = dy - slope * dx
+    stderr = math.sqrt(float(res @ res) / (n - 2) / (n * sxx)) if n > 2 else 0.0
     return slope, ym - slope * xm, stderr
 
 
@@ -169,10 +193,11 @@ def osc_integral_rows(f, a, b, phase_span, tol: float = 1e-9,
     cycles = np.maximum(span / (2.0 * math.pi), 1.0)
     cap = max_points // 32
     start = np.minimum(np.maximum(2, np.ceil(cycles / 3.0)), cap).astype(np.int64)
-    vals, deltas, _, mags = refine_rows(f, a[rows], b[rows], start[rows], cap,
-                                        tol, ids=rows, atol=tol, absolute=True)
-    values[rows] = vals[:, 0]
-    errs[rows] = deltas[:, 0] + np.finfo(float).eps * mags[:, 0] * (1.0 + span[rows])
+    if rows.size:
+        vals, deltas, _, mags = refine_rows(f, a[rows], b[rows], start[rows], cap,
+                                            tol, ids=rows, atol=tol, absolute=True)
+        values[rows] = vals[:, 0]
+        errs[rows] = deltas[:, 0] + _EPS * mags[:, 0] * (1.0 + span[rows])
     return values, errs
 
 
@@ -188,21 +213,19 @@ def osc_integral(f, a: float, b: float, phase_span: float, tol: float = 1e-9,
     return complex(values[0]), float(errs[0])
 
 
-@lru_cache(maxsize=1)
-def _ray_rule():
-    """Nodes u on [0, 1] and weights (full, check) of rotated_tail's rule:
-    three panels of 96 nodes, and 48 for the check."""
-    x, w = gl_nodes(96)
-    x2, w2 = gl_nodes(48)
-    edges = np.array([0.0, 0.15, 0.5, 1.0])
-    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
-    u = mid[:, None] + half[:, None] * np.concatenate([x, x2])
-    full = half[:, None] * np.concatenate([w, 0.0 * w2])
-    low = half[:, None] * np.concatenate([0.0 * w, w2])
-    return u, full, low
+# a ray's panels in tau/tau*, graded toward its start, where an endpoint power
+# or a branch point of h sits; each starts as one 16-node panel and doubles to
+# at most _RAY_CAP subpanels
+_RAY_EDGES = np.array([0.0, 1e-3, 0.02, 0.15, 0.5, 1.0])
+_RAY_CAP = 32
+# a ray first ends where c2 tau^2 + c tau = 45 (e^{-45} of the exponential at
+# its start), and doubles in length, at most _RAY_DOUBLINGS times, while its
+# end term is above eps of its value
+_RAY_DECAY = 45.0
+_RAY_DOUBLINGS = 6
 
 
-def rotated_tail(h, rho0, a, c2: float = 1.0, delta=0.0):
+def rotated_tail(h, rho0, a, c2: float = 1.0, delta=0.0, tol: float = 1e-9):
     """int_rho0^inf (rho - rho0)^{-delta} h(rho, row) e^{i(c2 rho^2 + a rho)} drho
     for every row, with rho0, a and delta in [0, 1) given per row, by
     numerical steepest descent on rays from p along +-d, d = e^{i pi/4}:
@@ -210,15 +233,25 @@ def rotated_tail(h, rho0, a, c2: float = 1.0, delta=0.0):
     beyond rho0, ray(rho0, -d) - ray(rho_s, -d) + ray(rho_s, d), at a cost
     that does not grow with rho_s.  c2 = 0 needs a > 0 on every row.
 
-    On the ray from rho0, tau = tau* u^{1/(1-delta)} turns
-    tau^{-delta} dtau into tau*^{1-delta}/(1-delta) du, so the endpoint power
-    is never formed; on the rays from rho_s it is evaluated directly.
-    h receives the nodes of many rows at once, with the row index of each
-    node; it must accept complex input and be analytic (and at most
-    polynomially growing) where the rays sweep, below [rho0, rho_s] too.
-    The error estimate holds a rounding term, eps times the sum of
-    |weight * integrand| scaled by the phase, so lost digits show in it.
+    A ray rho = p + tau (+-d), tau in [0, tau*] with c2 tau*^2 + c tau* =
+    _RAY_DECAY (c its linear decay rate), is tau = tau* u on u in [0, 1];
+    its _RAY_EDGES panels are rows of one refine_rows call (16 nodes, ids =
+    ray, rtol tol as in osc_integral_rows), and its value is their sum.
+    On the ray from rho0 with delta > 0, tau = tau* u^q, q = k/(1-delta),
+    turns tau^{-delta} dtau into tau*^{1-delta} q u^{k-1} du, so the
+    endpoint power is never formed; k = 1 unless delta < 2/3, where the
+    least k with q >= 3 keeps h's Taylor terms u^{jq} smooth; the panels
+    are the same in tau.  On the rays from rho_s the power is evaluated
+    directly.  A ray whose end term (twice the integrand at its end L over
+    its decay rate there) is above eps of its value gains the panel [L, 2L],
+    refined to tol of the ray's value, and so on.  h receives the nodes of
+    many rows at once, with the row index of each node; it must accept
+    complex input and be analytic (and at most polynomially growing) where
+    the rays sweep, below [rho0, rho_s] too.
 
+    The error estimate adds per ray the panels' last |change|, the end term
+    and a rounding term, eps * sum |weight * integrand| times the bound
+    1 + |exponent| + c2 p^2 + |a p| on the ray, so lost digits show in it.
     Returns (values, error_estimates), one entry per row.
     """
     rho0, a, delta = (np.array(v, dtype=float, ndmin=1)
@@ -229,72 +262,91 @@ def rotated_tail(h, rho0, a, c2: float = 1.0, delta=0.0):
         raise ValueError("need c2 > 0, or c2 = 0 with a > 0")
     stat = a < -2.0 * c2 * rho0
     seg = np.flatnonzero(stat)
-    rho_s = -a[seg] / (2.0 * c2)
+    n, m = rho0.size, seg.size
     # rays: one from each rho0, then ray(rho_s, -d) and ray(rho_s, d) for the
-    # rows in seg; s is a ray's direction sign, k its sign in the sum times s
-    row = np.concatenate([np.arange(rho0.size), seg, seg])
+    # rows in seg; s is a ray's direction sign.  The sum takes the ray from
+    # rho0 with sign s and both rays from rho_s with sign +1
+    row = np.concatenate([np.arange(n), seg, seg])
+    rho_s = -a[seg] / (2.0 * c2)
     p = np.concatenate([rho0, rho_s, rho_s])
-    s = np.concatenate([np.where(stat, -1.0, 1.0), -np.ones(seg.size), np.ones(seg.size)])
-    k = np.where(np.arange(row.size) < rho0.size, s, 1.0)
+    s = np.ones(row.size)
+    s[:n][stat] = -1.0
+    s[n:n + m] = -1.0
+    # the exponent at p + tau s d is phi0 - (1 - i) c tau - c2 tau^2, with
+    # c = s (2 c2 p + a)/sqrt 2 >= 0 the linear decay rate along the ray
     a = a[row]
+    c = s * (2.0 * c2 * p + a) * math.sqrt(0.5)
+    # tau* solves c2 tau^2 + c tau = _RAY_DECAY; 2 D/(c + root) never
+    # cancels (it is D/c at c2 = 0)
+    tau_star = 2.0 * _RAY_DECAY / (c + np.sqrt(c * c + 4.0 * _RAY_DECAY * c2))
+    step = s * _ROT
+    lin = c * complex(-1.0, 1.0)
+    # the exponent's rounding bound on the ray: its largest part c2 p^2 +
+    # |a p| may have cancelled in phi0
+    big = 1.0 + 2.0 * (c2 * p * p + np.abs(a * p))
 
-    c = s * (2.0 * c2 * p + a) / math.sqrt(2.0)   # linear decay rate along ray
-    # tau* solves c2 tau^2 + c tau = 45 (integrand ~ e^{-45} at the far end);
-    # c >= 0 on every ray, so 90/(c + root) never cancels (it is 45/c at
-    # c2 = 0); (root - c)/(2 c2) is kept where it loses under 1e-9, so the
-    # rays of rows with c2 not tiny against c^2 keep their nodes bit for bit
-    root = np.sqrt(c * c + 180.0 * c2)
-    tau_star = 90.0 / (c + root)
-    wide = 180.0 * c2 >= 1e-6 * c * c
-    tau_star[wide] = (-c[wide] + root[wide]) / (2.0 * c2)
-    rot = cmath.exp(1j * math.pi / 4.0)
-    phi0 = 1j * (c2 * p * p + a * p)
-    lin = s * (2.0 * c2 * p + a) * complex(-1.0, 1.0) / math.sqrt(2.0)
-    big = c2 * p * p + np.abs(a * p)
-
-    # the rays from rho0 of rows with delta > 0 take the substitution, and
-    # (rho - rho0)^{-delta} = tau^{-delta} (s d)^{-delta} on them; the rays
-    # from rho_s of those rows take the power at each node
-    powered = delta.any()
-    scale = tau_star
+    # the ray from rho0 of a row with delta > 0 takes the substitution, where
+    # (rho - rho0)^{-delta} = tau^{-delta} (s d)^{-delta}; its rays from
+    # rho_s take the power at each node
+    powered = bool(delta.any())
+    q = np.ones(row.size)
     if powered:
         d_ray = delta[row]
-        sub = (d_ray > 0) & (np.arange(row.size) < rho0.size)
+        sub = np.zeros(row.size, dtype=bool)
+        sub[:n] = delta > 0
         direct = (d_ray > 0) & ~sub
-        scale = tau_star.copy()
-        scale[sub] = tau_star[sub] ** (1.0 - d_ray[sub]) / (1.0 - d_ray[sub])
-        pw = 1.0 / (1.0 - d_ray)
-        off = p - rho0[row]
+        jac = np.where(sub, np.maximum(1.0, np.ceil(3.0 * (1.0 - d_ray) - 1e-9)) - 1.0, 0.0)
+        q[sub] = (jac[sub] + 1.0) / (1.0 - d_ray[sub])
+    end, length = np.zeros(row.size), tau_star.copy()
 
-    u, full, low = _ray_rule()
-    total = np.empty(row.size, dtype=complex)
-    check = np.empty(row.size, dtype=complex)
-    mag = np.empty(row.size)
-    step = max(1, _BLOCK_NODES // u.size)
-    for b in range(0, row.size, step):
-        r = np.arange(b, min(b + step, row.size))
-        tau = tau_star[r, None, None] * u
+    def f(u, ray):
+        # the integrand over du but for the ray's constant factor, the scale
+        # of du times e^{phi0}
+        tau = tau_star[ray] * (u ** q[ray] if powered else u)
+        out = h(p[ray] + tau * step[ray], row[ray]) * np.exp((lin[ray] - c2 * tau) * tau)
         if powered:
-            q = sub[r]
-            tau[q] = tau_star[r[q], None, None] * u ** pw[r[q], None, None]
-        rho = p[r, None, None] + tau * (s[r, None, None] * rot)
-        arg = phi0[r, None, None] + lin[r, None, None] * tau - c2 * tau * tau
-        vals = h(rho.ravel(), np.repeat(row[r], u.size)).reshape(tau.shape) * np.exp(arg)
-        if powered:
-            q = direct[r]
-            dist = off[r[q], None, None] + tau[q] * (s[r[q], None, None] * rot)
-            vals[q] *= dist ** -d_ray[r[q], None, None]
-        total[r] = scale[r] * np.sum(vals * full, axis=(1, 2))
-        check[r] = scale[r] * np.sum(vals * low, axis=(1, 2))
-        # a value's rounding error is about eps times its exponent, whose
-        # largest part, c2 p^2 + |a p|, may have cancelled in phi0
-        mag[r] = scale[r] * np.sum(np.abs(vals) * full * (1.0 + np.abs(arg)
-                                   + big[r, None, None]), axis=(1, 2))
-    err = np.abs(total - check) + np.finfo(float).eps * mag
+            out *= u ** jac[ray]
+            on = direct[ray]
+            off = p[ray[on]] - rho0[row[ray[on]]] + tau[on] * step[ray[on]]
+            out[on] *= off ** -d_ray[ray[on]]
+        return out
+
+    # the rays' graded panels in u, the same in tau for every q; a ray
+    # whose end term is above eps of its value is extended by one panel
+    # [L, 2L] in tau, to tol of the ray's value, as often as _RAY_DOUBLINGS.
+    # Per ray, in units of du: the panels' summed values, last changes and
+    # sums of |w f|
+    lo, hi = _RAY_EDGES[:-1] ** (1.0 / q[:, None]), _RAY_EDGES[1:] ** (1.0 / q[:, None])
+    total = np.zeros(row.size, dtype=complex)
+    change, mag = np.zeros(row.size), np.zeros(row.size)
+    todo, atol = np.arange(row.size), 0.0
+    for _ in range(_RAY_DOUBLINGS + 1):
+        vals, deltas, _, mags = refine_rows(f, lo.ravel(), hi.ravel(), 1, _RAY_CAP, tol, nodes=16,
+                                            ids=np.repeat(todo, lo.shape[1]), atol=atol,
+                                            absolute=True)
+        for acc, v in ((total, vals), (change, deltas), (mag, mags)):
+            acc[todo] += v.reshape(todo.size, -1).sum(axis=1)
+        # the tail beyond the end L: twice |integrand| at the end u = hi over
+        # its decay rate r there, with dtau/du = q L / u; a bound while |h|
+        # grows slower than tau^{r L / 2}
+        ell, u_end = length[todo], hi[:, -1]
+        rate = c[todo] + 2.0 * c2 * ell
+        end[todo] = 2.0 * np.abs(f(u_end, todo)) * u_end / (q[todo] * ell * rate)
+        todo = todo[end[todo] > _EPS * np.abs(total[todo])]
+        if not todo.size:
+            break
+        lo = ((length[todo] / tau_star[todo]) ** (1.0 / q[todo]))[:, None]
+        length[todo] *= 2.0
+        hi = ((length[todo] / tau_star[todo]) ** (1.0 / q[todo]))[:, None]
+        atol = tol * np.abs(total[todo])
+    scale = tau_star * (np.where(sub, tau_star ** -d_ray * q, 1.0) if powered else 1.0)
+    err = scale * (change + end + _EPS * (big + (math.sqrt(2.0) * c + c2 * length) * length) * mag)
+    total *= scale * np.exp(1j * p * (c2 * p + a))
     if powered:
         # the substitution's scale and the phase (s d)^{-delta} add a few roundings
-        err[sub] += 4.0 * np.finfo(float).eps * np.abs(total[sub])
+        err[sub] += 4.0 * _EPS * np.abs(total[sub])
         total[sub] *= np.exp(-1j * math.pi / 4.0 * d_ray[sub] * np.where(s[sub] > 0, 1.0, -3.0))
-    values = np.zeros(rho0.size, dtype=complex)
-    np.add.at(values, row, k * total)
-    return rot * values, np.bincount(row, weights=err, minlength=rho0.size)
+    values, errs = s[:n] * total[:n], err[:n]
+    values[seg] += total[n:n + m] + total[n + m:]
+    errs[seg] += err[n:n + m] + err[n + m:]
+    return _ROT * values, errs

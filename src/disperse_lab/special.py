@@ -209,9 +209,10 @@ def splitting_B(n: int, K: int, z):
 HANKEL_K = 8    # Hankel terms kept by hankel_tail and the pointwise bounds
 
 
-def hankel_tail(n: int, amp, b, rho0, a, c2: float = 1.0, delta=0.0, s: float = 0.0):
+def hankel_tail(n: int, amp, b, rho0, a, c2: float = 1.0, delta=0.0, s: float = 0.0,
+                tol: float = 1e-9):
     """Per row (b, rho0, a, delta), one Hankel piece of z^{n/2} J_nu(z),
-    z = |b| rho, on a tail, by one rotated_tail call for all rows:
+    z = |b| rho, on a tail, by one rotated_tail call for all rows (to tol):
 
         int_rho0^inf (rho - rho0)^{-delta} amp(rho, row) P_b
             sum_{k<=8} alpha_k (b rho)^{-k} e^{i(c2 rho^2 + (a + b) rho)} drho.
@@ -232,7 +233,7 @@ def hankel_tail(n: int, amp, b, rho0, a, c2: float = 1.0, delta=0.0, s: float = 
     def h(rho, row):
         return amp(rho, row) * pref[row] * hankel_sum(alpha, b[row] * rho)
 
-    values, errs = rotated_tail(h, rho0, a + b, c2, delta)
+    values, errs = rotated_tail(h, rho0, a + b, c2, delta, tol)
     if omitted:
         # int_rho0^inf (rho - rho0)^{-delta} (rho0/rho)^{9+s} drho
         #   = rho0^{1-delta} B(1 - delta, 8 + s + delta)
@@ -265,18 +266,23 @@ def splitting_residual(n: int, K: int, z: float) -> float:
 # iterated Fresnel integrals Xi^m_a
 # ---------------------------------------------------------------------------
 
+_FRESNEL_TOL = 1e-11    # the Fresnel iterates' rays agree to this relative
+
+
 def fresnel_xi(m: int, a: float, s):
     """Xi^m_a(s) = int_s^inf (rho - s)^m / m! e^{i(rho^2 + a rho)} drho, the
-    m-fold iterated tail integral of e^{i(rho^2 + a rho)}; any real s.  A
-    stationary point -a/2 beyond s is passed on rays."""
-    if m < 0 or int(m) != m:
-        raise ValueError("need integer m >= 0")
+    m-fold iterated tail integral of e^{i(rho^2 + a rho)}; any real s, and
+    0 <= m <= 170, past which m! overflows a float.  One rotated_tail row
+    per s, to _FRESNEL_TOL; a stationary point -a/2 beyond s is passed on
+    rays."""
+    if m < 0 or int(m) != m or m > 170:
+        raise ValueError(f"need integer 0 <= m <= 170 (m! overflows a float past 170), got {m}")
     s = np.asarray(s, dtype=float)
-    scalar = s.ndim == 0
-    s = np.atleast_1d(s)
+    rows = np.atleast_1d(s)
     fact = math.factorial(m)
-    out, _ = rotated_tail(lambda rho, row: (rho - s[row]) ** m / fact, s, a)
-    return complex(out[0]) if scalar else out
+    out, _ = rotated_tail(lambda rho, row: (rho - rows[row]) ** m / fact, rows, a,
+                          tol=_FRESNEL_TOL)
+    return complex(out[0]) if s.ndim == 0 else out
 
 
 _A_GRID = (-100.0, -10.0, -1.0, 0.0, 1.0, 10.0, 100.0)

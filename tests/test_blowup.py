@@ -161,8 +161,9 @@ class TestLqGrowth:
         assert sum(points) <= 48
 
     def test_overflowing_q_fails_at_the_first_rule(self, monkeypatch):
-        # |psi|^q is inf at q = 1e300: the error comes from the first 16-node
-        # rule, not after 64 panels (2032 points) of NaN changes
+        # |psi|^q is inf at q = 1e300: the error comes from the first kernel
+        # call (the 16-node rule and its two halves, 16 + 32 points), not
+        # after 64 panels (2032 points) of NaN changes
         points = []
         chirp_values = blowup._chirp_values
 
@@ -173,7 +174,7 @@ class TestLqGrowth:
         monkeypatch.setattr(blowup, "_chirp_values", counted)
         with pytest.raises(ValueError, match="at q = 1e[+]300 is inf, not a positive finite"):
             annulus_lq(ChirpDatum(3, 1.95), 0.999, 1e300, 0.5, 2.5)
-        assert sum(points) == 16
+        assert sum(points) == 16 + 32
 
 
 def _one_ray_reference(n, sigma, c, q, r_lo, z):

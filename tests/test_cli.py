@@ -44,6 +44,15 @@ class TestFormats:
         doc = json.loads(out.read_text())
         assert doc["permitted"] is True
 
+    def test_fresnel_at_large_m(self, tmp_path):
+        # Xi^100_0(0) = Gamma(101/2) e^{i pi 101/4} / (2 100!); it printed
+        # -3.65e-96 (1 + i), off by 4.45x, with exit code 0
+        assert cli.main(["special", "--mode", "fresnel", "--m", "100",
+                         "--out", str(tmp_path / "f.json")]) == 0
+        data = json.loads((tmp_path / "f.json").read_text())
+        want = math.gamma(50.5) / (2.0 * math.factorial(100)) * complex(-1.0, -1.0) / math.sqrt(2.0)
+        assert abs(complex(data["re"], data["im"]) - want) <= 1e-12 * abs(want)
+
     def test_norm_scan_marks_divergence(self, tmp_path):
         proc, out = run_cli(["norm", "--family", "power", "--n", "3",
                              "--which", "X", "--scan", "alpha=0.6:1.4:0.4"],
@@ -122,6 +131,9 @@ class TestExitCodes:
          "annulus L^q norm at q = 1e+300 is inf, not a positive finite number"),
         (["blowup", "--n", "3", "--sigma", "1.95", "--q", "1e-300", "--tgrid", "0.9"],
          "annulus L^q norm at q = 1e-300 is 0, not a positive finite number"),
+        # m! overflows a float: this was a traceback
+        (["special", "--mode", "fresnel", "--m", "171"],
+         "need integer 0 <= m <= 170 (m! overflows a float past 170), got 171"),
     ])
     def test_bad_input_is_two_with_one_error_line(self, argv, message, tmp_path,
                                                    capsys):
@@ -188,6 +200,9 @@ class TestExitCodes:
         (["gate", "--n", "3", "--r", "nan"], None, "exponent r must be >= 1 (inf allowed), got nan"),
         (["gate", "--n", "3", "--r", "0.5"], None, "exponent r must be >= 1 (inf allowed), got 0.5"),
         (["gate", "--n", "0", "--r", "3"], None, "dimension must be an integer >= 2, got 0"),
+        # this printed "p": Infinity (not JSON) and a numpy RuntimeWarning
+        (["gate", "--n", "3", "--r", "inf"], None,
+         "at r = inf the only scaling pair is p = q = inf; give --p and --q"),
     ])
     def test_bad_decay_or_gate_request_is_two(self, argv, measure, message, tmp_path,
                                               capsys):

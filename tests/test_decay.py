@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -139,6 +140,19 @@ class TestCertifiedMajorants:
         assert math.isfinite(rows[1][0]) and 0.0 < rows[1][1] <= 1.0
 
 
+def _residual_stderr(x, y):
+    """The least-squares slope's standard error at 50 digits, from the
+    residuals: sqrt(sum r^2 / (N - 2) / S_xx)."""
+    with mpmath.workdps(50):
+        x, y = [mpmath.mpf(float(v)) for v in x], [mpmath.mpf(float(v)) for v in y]
+        n = len(x)
+        xm, ym = sum(x) / n, sum(y) / n
+        sxx = sum((u - xm) ** 2 for u in x)
+        slope = sum((u - xm) * (v - ym) for u, v in zip(x, y)) / sxx
+        ss = sum((v - ym - slope * (u - xm)) ** 2 for u, v in zip(x, y))
+        return float(mpmath.sqrt(ss / (n - 2) / sxx))
+
+
 class TestFitMechanics:
     def test_grid_validation(self):
         with pytest.raises(ValueError):
@@ -148,7 +162,11 @@ class TestFitMechanics:
 
     def test_linear_fit_matches_linregress(self):
         # the closed form replaces scipy.stats.linregress, which costs about
-        # half a second to import
+        # half a second to import: slope and intercept match it at every
+        # noise, and the standard error where the points scatter.  Near an
+        # exact line linregress's sqrt((1 - r^2) S_yy / S_xx / (N - 2)) is
+        # rounding noise (1 - r^2 cancels), so there the standard error is
+        # checked against the residuals of the fit summed at 50 digits
         from scipy import stats
         rng = np.random.default_rng(7)
         for size in (3, 8, 25):
@@ -156,6 +174,11 @@ class TestFitMechanics:
             for noise in (0.0, 1e-9, 0.3):
                 y = -1.5 * x + 0.2 + noise * rng.standard_normal(size)
                 ref = stats.linregress(x, y)
-                got = quadrature.linear_fit(x, y)
-                for v, r in zip(got, (ref.slope, ref.intercept, ref.stderr)):
+                slope, intercept, stderr = quadrature.linear_fit(x, y)
+                for v, r in ((slope, ref.slope), (intercept, ref.intercept)):
                     assert abs(v - r) <= 1e-15 * max(abs(r), 1.0)
+                if noise >= 0.3:
+                    assert abs(stderr - ref.stderr) <= 1e-15 * max(ref.stderr, 1.0)
+                else:
+                    want = _residual_stderr(x, y)
+                    assert abs(stderr - want) <= 1e-5 * want + 1e-15, (size, noise)

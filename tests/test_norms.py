@@ -487,8 +487,9 @@ class TestBatchedPanels:
                     norm_Ym(p, n, m)
         assert quadrature._BLOCK_NODES == 1 << 13
         assert sizes and max(sizes) <= 1 << 13
-        # levels fill their blocks: 4 subpanels pack 85 whole panels
-        assert max(sizes) == 85 * 4 * 24
+        # a call's blocks are equal: the first call of each refinement (241
+        # octave panels and their halves, 24 nodes each) is three blocks of 241
+        assert sizes.count(241 * 24) >= 3
 
     def test_cap_is_reported(self):
         # a jump inside a panel: composite rules converge only like h, so

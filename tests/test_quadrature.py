@@ -1,6 +1,6 @@
 """Composite row sums and their panel doubling; steepest-descent tails:
-stationary points on rays, one-ray rows unchanged; the line fit; one
-Gauss-Legendre rule cache."""
+stationary points on rays, one-ray rows against mpmath, rays as rows of the
+one doubling driver; the line fit; one Gauss-Legendre rule cache."""
 
 import ast
 import cmath
@@ -16,31 +16,21 @@ from disperse_lab.quadrature import (_BLOCK_NODES, gl_nodes, gl_rows, osc_integr
                                     osc_integral_rows, rotated_tail, trapezoid)
 
 
-def _one_ray(h, rho0, a, c2, nodes=96):
-    """The one-ray rule for rows with no stationary point beyond rho0, as it
-    stood before rows that pass one were put on rays: rho = rho0 + tau
-    e^{i pi/4} on [0, tau*], three panels, full rule and half-size check
-    rule.  (values, |full - check|) per row."""
-    rho0, a = (np.array(v, dtype=float, ndmin=1) for v in np.broadcast_arrays(rho0, a))
-    c = (2.0 * c2 * rho0 + a) / math.sqrt(2.0)
-    tau_star = (-c + np.sqrt(c * c + 180.0 * c2)) / (2.0 * c2)
-    rot = cmath.exp(1j * math.pi / 4.0)
-    phi0 = 1j * (c2 * rho0 * rho0 + a * rho0)
-    lin = (2.0 * c2 * rho0 + a) * complex(-1.0, 1.0) / math.sqrt(2.0)
-    x, w = gl_nodes(nodes)
-    x2, w2 = gl_nodes(nodes // 2)
-    edges = np.array([0.0, 0.15, 0.5, 1.0])
-    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
-    u = mid[:, None] + half[:, None] * np.concatenate([x, x2])
-    full = half[:, None] * np.concatenate([w, 0.0 * w2])
-    low = half[:, None] * np.concatenate([0.0 * w, w2])
-    tau = tau_star[:, None, None] * u
-    rho = rho0[:, None, None] + tau * rot
-    vals = h(rho.ravel()).reshape(tau.shape) * np.exp(
-        phi0[:, None, None] + lin[:, None, None] * tau - c2 * tau * tau)
-    total = tau_star * np.sum(vals * full, axis=(1, 2))
-    check = tau_star * np.sum(vals * low, axis=(1, 2))
-    return rot * total, np.abs(total - check)
+def _mp_ray(rho0, a, c2):
+    """int_rho0^inf (1 + rho)^{-3/2} e^{i(c2 rho^2 + a rho)} drho per row on
+    the one ray rho = rho0 + tau e^{i pi/4}, by mpmath at 30 digits: the
+    reference for rows with no stationary point beyond rho0."""
+    out = []
+    with mpmath.workdps(30):
+        d = mpmath.expjpi(mpmath.mpf(1) / 4)
+        for r0, ai in zip(rho0, a):
+            r0, ai = mpmath.mpf(float(r0)), mpmath.mpf(float(ai))
+
+            def f(tau):
+                r = r0 + tau * d
+                return (1 + r) ** -1.5 * mpmath.expj(c2 * r * r + ai * r) * d
+            out.append(complex(mpmath.quad(f, [0, 1, 3, 10, mpmath.inf])))
+    return np.array(out)
 
 
 def _h(rho):
@@ -53,21 +43,22 @@ def _one(rho, row):
 
 class TestRotatedTail:
     @pytest.mark.parametrize("c2", [1.0, 0.3])
-    def test_one_ray_rows_are_unchanged(self, c2):
-        # rows without a stationary point beyond rho0 keep the one-ray rule
-        # bit for bit, also in a batch with rows that pass a stationary point
+    def test_one_ray_rows_against_mpmath(self, c2):
+        # rows without a stationary point beyond rho0 take one ray, also in
+        # a batch with rows that pass a stationary point: each agrees with
+        # mpmath on that ray within its estimate, and the estimate is tight
         rho0 = np.array([1.0, 2.5, 0.2, 1.0, 3.0])
         a = np.array([0.5, -4.0, 3.0, -30.0, -1.0]) * c2
         vals, errs = rotated_tail(lambda r, row: _h(r), rho0, a, c2=c2)
         one = np.array([0, 1, 2, 4])
-        want, diff = _one_ray(_h, rho0[one], a[one], c2)
-        assert np.array_equal(vals[one], want)
-        assert np.all((diff <= errs[one]) & (errs[one] <= diff + 1e-12 * np.abs(want)))
+        want = _mp_ray(rho0[one], a[one], c2)
+        assert np.all(np.abs(vals[one] - want) <= errs[one])
+        assert np.all(errs[one] <= 1e-12 * np.abs(want))
 
     @pytest.mark.parametrize("c2", [1.0, 0.25])
     def test_stationary_point_on_rays(self, c2):
         # int_rho0^inf with the stationary point rho_s inside: against the
-        # real-axis segment up to rho_s + 1 and the one-ray rule beyond it
+        # real-axis segment up to rho_s + 1 and mpmath on one ray beyond it
         rho0 = np.array([1.0, 0.5, 4.0])
         a = -2.0 * c2 * np.array([20.0, 3.0, 60.0])
         vals, errs = rotated_tail(lambda r, row: _h(r), rho0, a, c2=c2)
@@ -76,9 +67,8 @@ class TestRotatedTail:
         seg, seg_err = osc_integral_rows(
             lambda r, row: _h(r) * np.exp(1j * (c2 * r * r + a[row] * r)),
             rho0, rho1, span, tol=1e-13, max_points=2_000_000)
-        tail, tail_err = _one_ray(_h, rho1, a, c2)
-        ref = seg + tail
-        assert np.all(np.abs(vals - ref) <= errs + seg_err + tail_err + 1e-14 * np.abs(ref))
+        ref = seg + _mp_ray(rho1, a, c2)
+        assert np.all(np.abs(vals - ref) <= errs + seg_err + 1e-14 * np.abs(ref))
         assert np.all(errs <= 1e-11 * np.abs(ref))
 
     def test_error_covers_phase_rounding(self):
@@ -99,18 +89,56 @@ class TestRotatedTail:
     def test_endpoint_power_closed_forms(self, delta):
         # int_0^inf rho^{-delta} e^{i a rho} drho = Gamma(1-delta) a^{delta-1} e^{i pi (1-delta)/2}
         # int_0^inf rho^{-delta} e^{i rho^2} drho = Gamma((1-delta)/2) e^{i pi (1-delta)/4} / 2
-        a = (0.5, 3.0, 100.0)
-        got, err = rotated_tail(_one, 0.0, np.array(a), c2=0.0, delta=delta)
-        (got2,), (err2,) = rotated_tail(_one, 0.0, 0.0, c2=1.0, delta=delta)
-        got, err = np.append(got, got2), np.append(err, err2)
+        # each within its estimate; at tol 1e-12 the estimate is within
+        # 1e-12 relative (the fixed rule it replaced read 4.4e-6 at 0.99)
+        a = np.array([1.0, 0.5, 3.0, 100.0])
         with mpmath.workdps(30):
             d = mpmath.mpf(delta)
             want = np.array([complex(mpmath.gamma(1 - d) * mpmath.mpf(ai) ** (d - 1)
                                      * mpmath.expjpi((1 - d) / 2)) for ai in a]
                             + [complex(mpmath.gamma((1 - d) / 2) * mpmath.expjpi((1 - d) / 4) / 2)])
-        assert np.all(np.abs(got - want) <= err)
-        if delta in (0.5, 0.9):
-            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+        for tol in (1e-9, 1e-12):
+            got, err = rotated_tail(_one, 0.0, a, c2=0.0, delta=delta, tol=tol)
+            (got2,), (err2,) = rotated_tail(_one, 0.0, 0.0, c2=1.0, delta=delta, tol=tol)
+            got, err = np.append(got, got2), np.append(err, err2)
+            assert np.all(np.abs(got - want) <= err), tol
+        assert np.all(err <= 1e-12 * np.abs(want))
+
+    def test_rays_are_rows_of_refine_rows(self, monkeypatch):
+        # a ray's graded panels are rows of one refine_rows call: on a
+        # smooth ray every panel agrees at its first comparison, so the ray
+        # costs one kernel call of 5 panels and their halves at 16 nodes,
+        # and one call at its end node for its end term
+        calls = []
+        refine = quadrature.refine_rows
+
+        def spy(f, a, b, *args, **kw):
+            calls.append(a.size)
+            return refine(f, a, b, *args, **kw)
+        monkeypatch.setattr(quadrature, "refine_rows", spy)
+        g = _counted(lambda r, row: _h(r))
+        (got,), (err,) = rotated_tail(g, 1.0, 0.5)
+        assert calls == [5] and g.sizes == [3 * 5 * 16, 1]
+        assert abs(got - _mp_ray([1.0], [0.5], 1.0)[0]) <= err <= 1e-13
+
+    def test_growing_h_lengthens_the_ray(self, monkeypatch):
+        # rho^20 e^{-tau^2} is ~2e-9 of the ray's value at tau* = sqrt 45, so
+        # the ray gains [L, 2L]; without that panel its end term must still
+        # cover the truncation.  Closed form Gamma(21/2) e^{i pi 21/4} / 2
+        want = math.gamma(10.5) * cmath.exp(1j * math.pi * 21.0 / 4.0) / 2.0
+        calls = []
+        refine = quadrature.refine_rows
+
+        def spy(f, a, b, *args, **kw):
+            calls.append(a.size)
+            return refine(f, a, b, *args, **kw)
+        monkeypatch.setattr(quadrature, "refine_rows", spy)
+        (got,), (err,) = rotated_tail(lambda r, row: r ** 20, 0.0, 0.0)
+        assert calls == [5, 1]
+        assert abs(got - want) <= err <= 1e-12 * abs(want)
+        monkeypatch.setattr(quadrature, "_RAY_DOUBLINGS", 0)
+        (cut,), (cut_err,) = rotated_tail(lambda r, row: r ** 20, 0.0, 0.0)
+        assert 1e-10 * abs(want) < abs(cut - want) <= cut_err
 
     def test_tiny_c2_keeps_the_ray_length(self):
         # 180 c2 far below c^2 must not cancel tau* to 0: against the c2 = 0
@@ -183,6 +211,15 @@ class TestCompositeRows:
         empty = np.array([], dtype=int)
         assert gl_rows(self._f, self.a[empty], self.b[empty], self.npanels[empty],
                        32, empty)[0].shape == (0, 1)
+
+    def test_blocks_of_a_call_are_equal(self):
+        # 723 one-panel rows of 24 nodes need three blocks of at most 2^13
+        # nodes: three of 241 rows, not 341, 341 and 41
+        g = _counted(lambda x, row: np.cos(x) + 0j)
+        sums, _ = gl_rows(g, np.zeros(723), np.ones(723), np.ones(723, dtype=np.int64), 24,
+                          np.arange(723) % 8)
+        assert g.sizes == [241 * 24] * 3
+        assert np.all(np.abs(sums - math.sin(1.0)) <= 1e-15)
 
     def test_trapezoid(self):
         x = np.geomspace(1.0, 8.0, 301)
@@ -298,6 +335,28 @@ class TestRefineRows:
                 f, np.zeros(2), np.ones(2), 2, 64, 1e-12, ids=np.arange(2), floor=floor)
             assert live[:, 0].tolist() == [False, True] and np.isnan(deltas[1, 0])
             assert vals[0, 0] == pytest.approx(math.sin(1.0), rel=1e-14)
+
+    def test_first_two_rules_are_one_kernel_call(self):
+        # each row at its start count and its two halves at the same count
+        # (the rule at twice the count) go to one integrand call, so rows
+        # that agree at their first comparison cost one call
+        g = _counted(lambda x, row: np.cos(x) + 0j)
+        a, b = np.zeros(2), np.array([1.0, 2.0])
+        vals, deltas, live, _ = quadrature.refine_rows(g, a, b, 2, 64, 1e-12, ids=np.arange(2))
+        assert g.sizes == [3 * 2 * 2 * 32] and not live.any()
+        want, _ = gl_rows(lambda x, row: np.cos(x) + 0j, a, b, np.array([4, 4]), 32, np.arange(2))
+        assert np.all(np.abs(vals - want) <= 1e-15) and np.all(deltas <= 1e-12)
+
+    def test_atol_per_row(self):
+        # a row's own atol can freeze it at its first comparison while the
+        # row beside it, with atol 0, doubles until two rules agree
+        f = lambda x, row: np.cos(20.0 * x) + 0j
+        a, b = np.zeros(2), np.ones(2)
+        vals, deltas, live, _ = quadrature.refine_rows(f, a, b, 1, 64, 1e-14, nodes=8,
+                                                       ids=np.arange(2), atol=np.array([1.0, 0.0]))
+        two, _ = gl_rows(f, a[:1], b[:1], np.array([2]), 8, np.arange(1))
+        assert vals[0, 0] == pytest.approx(two[0, 0], rel=1e-15) and 0.0 < deltas[0, 0] <= 1.0
+        assert abs(vals[1, 0] - math.sin(20.0) / 20.0) <= 1e-14 and not live.any()
 
 
 class TestLinearFit:

@@ -293,6 +293,25 @@ class TestFresnel:
                 got = complex(special.fresnel_xi(m, a, s))
                 assert abs(got - want) <= 1e-11 * abs(want), (a, s)
 
+    @pytest.mark.parametrize("m", [0, 10, 20, 40, 60, 100])
+    def test_origin_within_estimate(self, m, monkeypatch):
+        # Xi^m_0(0) = Gamma((m+1)/2) e^{i pi (m+1)/4} / (2 m!): the rays grow
+        # past the peak of rho^m e^{-tau^2} (the fixed ray length read 0.78
+        # relative at m = 100), and the value lies within the estimate of
+        # its rotated_tail call
+        calls = []
+
+        def spy(*args, **kw):
+            calls.append(rotated_tail(*args, **kw))
+            return calls[-1]
+        monkeypatch.setattr(special, "rotated_tail", spy)
+        got = complex(special.fresnel_xi(m, 0.0, 0.0))
+        ((val,), (err,)), = calls
+        with mpmath.workdps(30):
+            want = complex(mpmath.gamma(mpmath.mpf(m + 1) / 2) * mpmath.expjpi(mpmath.mpf(m + 1) / 4)
+                           / (2 * mpmath.factorial(m)))
+        assert got == val and abs(got - want) <= err <= 1e-10 * abs(want)
+
     def test_large_s_asymptotics(self):
         s = 50.0
         for k in range(4):
