@@ -49,11 +49,18 @@ def _json_default(o):
     raise TypeError(f"unserializable {type(o)}")
 
 
+def _constant(name: str) -> str:
+    """json.dumps writes a non-finite float as NaN, Infinity or -Infinity,
+    which RFC 8259 JSON has not: infinities become strings, NaN an error."""
+    if name == "NaN":
+        raise ValueError("result is NaN, which JSON cannot hold")
+    return "inf" if name == "Infinity" else "-inf"
+
+
 def emit_json(obj, out: Optional[str]) -> None:
-    def roundtrip(x):
-        # floats at 17 significant digits survive the round trip bit-exactly
-        return json.loads(json.dumps(x, default=_json_default))
-    _write(json.dumps(roundtrip(obj), indent=2, sort_keys=False) + "\n", out)
+    # floats at 17 significant digits survive the round trip bit-exactly
+    doc = json.loads(json.dumps(obj, default=_json_default), parse_constant=_constant)
+    _write(json.dumps(doc, indent=2, sort_keys=False, allow_nan=False) + "\n", out)
 
 
 def _write(text: str, out: Optional[str]) -> None:
@@ -232,7 +239,7 @@ def cmd_gate(args) -> int:
                    "p_bound": v.p_bound, "scaling_ok": v.scaling_ok}, args.out)
         return 0
     if math.isinf(args.r):
-        # 2/p + n/q = 0 leaves only p = q = inf, which JSON cannot hold
+        # 2/p + n/q = 0 leaves only p = q = inf: no table of pairs to scan
         raise ValueError("at r = inf the only scaling pair is p = q = inf; give --p and --q")
     qg = list(np.geomspace(max(args.r * 1.01, 1.01), 200.0, 40))
     table = []

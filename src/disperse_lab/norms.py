@@ -33,6 +33,7 @@ import numpy as np
 
 from .profiles import RadialProfile, power, bump, herglotz
 from .quadrature import linear_fit, refine_rows
+from .special import leibniz
 
 K_MIN, K_MAX = -20, 40
 _SLOPE_DIV_INT = -0.02     # log2 increment slope above this -> divergent
@@ -77,13 +78,6 @@ class FamilySpec:
         raise ValueError(f"unknown family {self.family!r}")
 
 
-@lru_cache(maxsize=None)
-def _leibniz(k: int):
-    """[m, j] = C(m, j) i^{m-j}: orders 0..k of e^{ir} g from those of g."""
-    return np.array([[math.comb(m, j) * 1j ** (m - j) for j in range(k + 1)]
-                     for m in range(k + 1)])
-
-
 def oscillating_power(alpha: float) -> RadialProfile:
     """f(r) = e^{ir}(1+r)^{-alpha} with Leibniz closed-form derivatives."""
     base = power(alpha)
@@ -93,7 +87,7 @@ def oscillating_power(alpha: float) -> RadialProfile:
         return np.exp(1j * r) * base.envelope(r)
 
     def deriv(k, r):
-        return np.exp(1j * r) * (_leibniz(k) @ base.deriv_fn(k, r))
+        return leibniz(1j ** np.arange(k + 1)[:, None] * np.exp(1j * r), base.deriv_fn(k, r))
 
     def tail(r):
         r = np.asarray(r, dtype=complex)

@@ -2,68 +2,27 @@
 
 A profile is an envelope phi_omega together with a linear carrier frequency
 omega; the full radial datum is phi(x) = phi_omega(|x|) e^{i omega |x|}.
-Derivatives come as stacks: deriv_fn(k, r) returns the envelope and its
-derivatives of orders 0..k at the 1-D nodes r as one (k+1, r.size) array,
-so a caller that needs several orders evaluates the profile once per node.
-Built-in families compute their shared factors once per node (one power,
-one exponential, one Bell or Hermite recurrence); a profile without
-deriv_fn falls back to a 7-point finite-difference stencil whose points
-serve every order.  Families with a power-law tail also expose an analytic
-continuation used by the contour-rotated tail quadrature.
+Derivatives come as exact stacks: deriv_fn(k, r) returns the envelope and
+its derivatives of orders 0..k at the 1-D nodes r as one (k+1, r.size)
+array, so a caller that needs several orders evaluates the profile once per
+node.  Built-in families compute their shared factors once per node (one
+power, one exponential, one Bell or Hermite recurrence); the Herglotz
+stack is the Leibniz product of the stacks of the cutoff chi, the Bessel
+series and the Hankel power sum (special.splitting_stacks).
+Families with a power-law tail also expose an analytic continuation used
+by the contour-rotated tail quadrature.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
 
-from .special import alpha_coeffs, hankel_sum, splitting_A, splitting_B, splitting_B_series
-
-# offsets of the 7-point stencils, for derivative orders up to 6
-_FD_OFFSETS = np.arange(-3, 4)
-
-
-@lru_cache(maxsize=None)
-def _fd_weights(k: int, shift: int = 0):
-    # solve Vandermonde system for the k-th derivative on offsets -3..3 + shift
-    A = np.vander((_FD_OFFSETS + shift).astype(float), 7, increasing=True).T
-    b = np.zeros(7)
-    b[k] = math.factorial(k)
-    return np.linalg.solve(A, b)
-
-
-@lru_cache(maxsize=None)
-def _fd_table(k: int):
-    """Weights [order 1..k, shift 0..3, offset] of the stencils."""
-    return np.array([[_fd_weights(m, s) for s in range(4)] for m in range(1, k + 1)])
-
-
-def fd_derivatives(f, k: int, r, h_scale: float = 0.02, r_min=None):
-    """Orders 0..k (k <= 6) of f at r, shape (k+1,) + r.shape, by 7-point
-    differences from one set of stencil evaluations: central unless a node
-    would fall below r_min, where the stencil moves right by whole steps.
-
-    Step balances truncation against roundoff; adequate for the <=1e-4
-    consistency the profile contract asks for.  Row 0 is f(r) itself.
-    """
-    r = np.asarray(r, dtype=float)
-    if k == 0:
-        return np.asarray(f(r))[None]
-    h = h_scale * (1.0 + np.abs(r))
-    shift = (np.zeros(r.shape, dtype=int) if r_min is None
-             else np.clip(np.ceil(3.0 - (r - r_min) / h), 0, 3).astype(int))
-    table = _fd_table(k)
-    out = np.zeros((k + 1,) + r.shape, dtype=complex)
-    for j, off in enumerate(_FD_OFFSETS):
-        fj = f(r + (off + shift) * h)
-        out[1:] += table[:, shift, j] * fj
-        np.copyto(out[:1], fj, where=off + shift == 0)
-    out[1:] /= h ** np.arange(1, k + 1).reshape((k,) + (1,) * r.ndim)
-    return out
+from .special import (alpha_coeffs, exp_stack, leibniz, splitting_A, splitting_B,
+                      splitting_B_series, splitting_stacks)
 
 
 def require_finite(what: str, **params):
@@ -77,13 +36,12 @@ def require_finite(what: str, **params):
 class RadialProfile:
     """Envelope + carrier; the datum is phi(x) = envelope(|x|) e^{i omega |x|}.
 
-    deriv_fn(k, r), when given, maps 1-D float nodes r to the (k+1, r.size)
-    stack of the envelope's derivatives of orders 0..k; row 0 is the
-    envelope."""
+    deriv_fn(k, r) maps 1-D float nodes r >= 0 to the exact (k+1, r.size)
+    stack of the envelope's derivatives of orders 0..k (row 0 the envelope)."""
     label: str
     omega: float
     envelope: Callable[[np.ndarray], np.ndarray]
-    deriv_fn: Optional[Callable[[int, np.ndarray], np.ndarray]] = None
+    deriv_fn: Callable[[int, np.ndarray], np.ndarray]
     support: Optional[float] = None          # numerically compact beyond this
     tail_alpha: Optional[float] = None       # |phi^{(k)}| <= C (1+r)^{-alpha-k}
     # tail_fn equals envelope on [tail_start, inf) and is analytic, polynomially
@@ -94,8 +52,6 @@ class RadialProfile:
     def derivs(self, k: int, r):
         """Orders 0..k of the envelope at r, shape (k+1,) + r.shape."""
         r = np.asarray(r, dtype=float)
-        if self.deriv_fn is None:
-            return fd_derivatives(self.envelope, k, r)
         return np.asarray(self.deriv_fn(k, r.ravel())).reshape((k + 1,) + r.shape)
 
     def deriv(self, k: int, r):
@@ -112,8 +68,7 @@ class RadialProfile:
             label=f"{self.label}~dilated{lam}",
             omega=lam * base.omega,
             envelope=lambda r: base.envelope(lam * np.asarray(r, dtype=float)),
-            deriv_fn=(None if base.deriv_fn is None else lambda k, r:
-                      lam ** np.arange(k + 1.0)[:, None] * base.deriv_fn(k, lam * r)),
+            deriv_fn=lambda k, r: lam ** np.arange(k + 1.0)[:, None] * base.deriv_fn(k, lam * r),
             support=None if base.support is None else base.support / lam,
             tail_alpha=base.tail_alpha,
             tail_fn=(None if base.tail_fn is None
@@ -127,8 +82,7 @@ class RadialProfile:
             label=f"{self.label}~scaled",
             omega=base.omega,
             envelope=lambda r: factor * base.envelope(r),
-            deriv_fn=(None if base.deriv_fn is None
-                      else lambda k, r: factor * base.deriv_fn(k, r)),
+            deriv_fn=lambda k, r: factor * base.deriv_fn(k, r),
             support=base.support,
             tail_alpha=base.tail_alpha,
             tail_fn=None if base.tail_fn is None else (lambda r: factor * base.tail_fn(r)),
@@ -155,9 +109,8 @@ def bump(a: float = 1.0, b: float = 2.0, omega: float = 0.0) -> RadialProfile:
         out[inside] = np.exp(1.0 - peak / q)
         return out
 
-    # exact derivatives: with u = peak/q and partial fractions
-    # u = peak/(b-a) [(r-a)^{-1} + (b-r)^{-1}], the chain rule for e^{1-u}
-    # reduces to the complete Bell recurrence over the u^{(j)}
+    # exact derivatives: e^{1-u} with u = peak/q, whose partial fractions
+    # u = peak/(b-a) [(r-a)^{-1} + (b-r)^{-1}] give the stack of 1 - u
     cpf = peak / (b - a)
 
     def deriv(k, r):
@@ -169,17 +122,11 @@ def bump(a: float = 1.0, b: float = 2.0, omega: float = 0.0) -> RadialProfile:
         da, db = ri - a, b - ri
         ia, ib = 1.0 / da, 1.0 / db
         pa, pb = ia, ib
-        phi = [None]  # phi^{(j)} for j >= 1, phi = 1 - u
+        phi = [1.0 - peak / (da * db)]
         for j in range(1, k + 1):
             pa, pb = pa * ia, pb * ib
             phi.append(-cpf * math.factorial(j) * ((-1.0) ** j * pa + pb))
-        bell = [np.ones(ri.shape)]
-        for kk in range(1, k + 1):
-            acc = np.zeros(ri.shape)
-            for j in range(kk):
-                acc += math.comb(kk - 1, j) * bell[j] * phi[kk - j]
-            bell.append(acc)
-        out[:, inside] = np.exp(1.0 - peak / (da * db)) * np.array(bell)
+        out[:, inside] = exp_stack(phi)
         return out
 
     return RadialProfile(label=f"bump[{a},{b}]", omega=omega, envelope=env,
@@ -277,29 +224,15 @@ def herglotz(omega: float, n: int, K: int = 8) -> RadialProfile:
         z = w * r
         return w ** (-n / 2.0) * r ** (1.0 - n) * splitting_B_series(coeffs, z)
 
-    # beyond the cutoff region the envelope is the exact power sum
-    # sum_k d_k r^{p-k}; closed-form derivatives avoid the cancellation
-    # noise of finite differences at large r
-    p = (1.0 - n) / 2.0
-    dk = [w ** (-n / 2.0) * coeffs.prefactor * a * w ** ((n - 1) / 2.0 - k)
-          for k, a in enumerate(coeffs.alpha)]
-
     def deriv(m, r):
-        out = np.empty((m + 1, r.size), dtype=complex)
-        far = w * r >= 1.0
-        if np.any(far):
-            # order j: r^{p-j} sum_k d_k (p-k)(p-k-1)..(p-k-j+1) r^{-k}
-            rf = r[far]
-            rp = rf ** p
-            coef = dk
-            for j in range(m + 1):
-                out[j, far] = hankel_sum(coef, rf) * rp
-                rp = rp / rf
-                coef = [c * (p - k - j) for k, c in enumerate(coef)]
-        if not np.all(far):
-            # env is its r = 0 limit below 0, so no node may fall there
-            out[:, ~far] = fd_derivatives(env, m, r[~far], h_scale=0.004, r_min=0.0)
-        return out
+        # w^{n/2-1+j} [chi (Q/2) e^{-iz} + (1 - chi) z^{1-n} B]^{(j)}, z = w r,
+        # with Q = z^{1-n/2} J_nu(z) a power series in z^2, regular at 0
+        z = w * r
+        a, b = splitting_stacks(n, K, m, z, shift=n - 1.0)
+        near = np.flatnonzero(z < 1.0)
+        carrier = (-1j) ** np.arange(m + 1)[:, None] * np.exp(-1j * z[near])
+        b[:, near] += leibniz(carrier, 0.5 * a[:, near])
+        return w ** (n / 2.0 - 1.0 + np.arange(m + 1))[:, None] * b
 
     return RadialProfile(label=f"herglotz[w={omega},n={n}]", omega=omega,
                          envelope=env, deriv_fn=deriv, support=None,
@@ -322,12 +255,9 @@ def herglotz_pair(omega: float, n: int, K: int = 8):
         r = np.asarray(r, dtype=complex)
         return w ** (-n / 2.0) * r ** (1.0 - n) * splitting_B_series_conj(coeffs, w * r)
 
-    def conj_deriv(m, r):
-        return np.conj(base.deriv_fn(m, r))
-
     mirror = RadialProfile(label=f"herglotz-conj[w={omega},n={n}]", omega=-omega,
-                           envelope=conj_env, deriv_fn=conj_deriv, support=None,
-                           tail_alpha=(n - 1) / 2.0, tail_fn=conj_tail,
+                           envelope=conj_env, deriv_fn=lambda m, r: np.conj(base.deriv_fn(m, r)),
+                           support=None, tail_alpha=(n - 1) / 2.0, tail_fn=conj_tail,
                            tail_start=1.0 / w)
     return base, mirror
 

@@ -27,9 +27,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import comb
 
 from . import norms, special
-from .profiles import RadialProfile, fd_derivatives, require_finite
+from .profiles import RadialProfile, require_finite
 from .quadrature import osc_integral, osc_integral_rows, refine_rows, rotated_tail
 
 
@@ -207,55 +208,40 @@ class GDecomposition:
     a1: float
     a2: float
     a3: float
-    g1: callable
-    g2: callable
-    g3: callable
-    g: callable               # full integrand sampler
-
-    def deriv(self, j: int, m: int, rho):
-        fn = (self.g1, self.g2, self.g3)[j - 1]
-        return fd_derivatives(fn, m, rho, h_scale=0.005)[m]
+    derivs: callable          # derivs(m, rho): order m of g1, g2, g3, shape (3, rho.size)
 
 
 def decompose_g(profile: RadialProfile, pt: EvalPoint) -> GDecomposition:
-    """Linear-phase-removed integrand pieces g_{j,a_j}."""
+    """Linear-phase-removed integrand pieces g_{j,a_j} at rho >= 0:
+    c^{-n/2} phi_omega(gamma rho) times A_n, B_n and conj(B_n) at beta rho.
+    Order m is the top Leibniz row of one envelope stack with the splitting
+    stacks (special.splitting_stacks); at rho = 0, the one-sided limit."""
     n = pt.n
-    nu = special.order_from_dim(n)
     gamma, beta, c = _frame(pt)
     cn = c ** (-n / 2.0)
     a1 = gamma * profile.omega
     a2 = gamma * (profile.omega + pt.x_abs / (2.0 * pt.t))
     a3 = gamma * (profile.omega - pt.x_abs / (2.0 * pt.t))
-    K = special.HANKEL_K
 
-    def g1(rho):
-        rho = np.abs(np.asarray(rho, dtype=float))
-        return profile.envelope(gamma * rho) * special.splitting_A(n, beta * rho) * cn
+    def derivs(m, rho):
+        # sum_j C(m, j) gamma^j phi^{(j)}(gamma rho) beta^{m-j} s^{(m-j)}(beta rho)
+        rho = np.asarray(rho, dtype=float).ravel()
+        j = np.arange(m + 1)
+        env = (cn * comb(m, j) * gamma ** j * beta ** (m - j))[:, None] * profile.derivs(m, gamma * rho)
+        a, b = (s[::-1] for s in special.splitting_stacks(n, special.HANKEL_K, m, beta * rho))
+        return np.array([(env * a).sum(0), (env * b).sum(0), (env * b.conj()).sum(0)])
 
-    def g2(rho):
-        rho = np.abs(np.asarray(rho, dtype=float))
-        return profile.envelope(gamma * rho) * special.splitting_B(n, K, beta * rho) * cn
-
-    def g3(rho):
-        rho = np.abs(np.asarray(rho, dtype=float))
-        return profile.envelope(gamma * rho) * np.conj(special.splitting_B(n, K, beta * rho)) * cn
-
-    def g(rho):
-        rho = np.asarray(rho, dtype=float)
-        r = gamma * rho
-        return profile.phi_rad(r) * r ** (n / 2.0) * special.bessel_j(nu, beta * rho)
-
-    return GDecomposition(pt=pt, a1=a1, a2=a2, a3=a3, g1=g1, g2=g2, g3=g3, g=g)
+    return GDecomposition(pt=pt, a1=a1, a2=a2, a3=a3, derivs=derivs)
 
 
 def g_abs_integrals(profile: RadialProfile, pt: EvalPoint, m: int) -> np.ndarray:
     """int_0^inf |g_j^{(m)}(rho)| drho for j = 1, 2, 3: the columns of one
-    norms.certified_integrals call over rho, certified on the octave panels
-    and inf where divergent.  Supported data are integrated up to the
-    support's image rho = support/gamma, where the stencil of g_j^{(m)}
-    would otherwise smear past the support; that end and the cutoff ends
-    1/(2 beta) and 1/beta are panel edges.  A panel left at the subpanel
-    cap adds its last |change|, so each value errs upward."""
+    norms.certified_integrals call over rho on the exact stacks of
+    decompose_g, certified on the octave panels and inf where divergent.
+    Supported data vanish beyond the support's image rho = support/gamma,
+    so the columns are zero there without an evaluation; that end and the
+    cutoff ends 1/(2 beta) and 1/beta are panel edges.  A panel left at the
+    subpanel cap adds its last |change|, so each value errs upward."""
     gamma, beta, _ = _frame(pt)
     dec = decompose_g(profile, pt)
     hi = math.inf if profile.support is None else profile.support / gamma
@@ -263,7 +249,7 @@ def g_abs_integrals(profile: RadialProfile, pt: EvalPoint, m: int) -> np.ndarray
     def columns(rho):
         out = np.zeros((3, rho.size))
         live = rho <= hi
-        out[:, live] = np.abs([dec.deriv(j, m, rho[live]) for j in (1, 2, 3)])
+        out[:, live] = np.abs(dec.derivs(m, rho[live]))
         return out
 
     totals, _, deltas = norms.certified_integrals(columns, [0.5 / beta, 1.0 / beta, hi])
@@ -283,12 +269,7 @@ def solution_bound(profile: RadialProfile, pt: EvalPoint, m: int) -> float:
     if m < 0 or m > n:
         raise ValueError(f"need 0 <= m <= n, got m={m}")
     total = float(np.sum(g_abs_integrals(profile, pt, m)))
-    boundary = 0.0
-    if m == n:
-        # one-sided value of g1^{(n-1)} at rho = 0 (g1 is even in rho)
-        dec = decompose_g(profile, pt)
-        boundary = abs(complex(np.asarray(dec.deriv(1, n - 1, 0.08)).ravel()[0]))
-        boundary = max(boundary, abs(complex(np.asarray(dec.deriv(1, n - 1, 0.02)).ravel()[0])))
+    boundary = abs(decompose_g(profile, pt).derivs(n - 1, 0.0)[0, 0]) if m == n else 0.0
     const = special.solution_constant(m)
     return float(const * pt.x_abs ** ((2 - n) / 2.0) / math.sqrt(pt.t)
                  * (boundary + total))

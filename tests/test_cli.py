@@ -64,6 +64,37 @@ class TestFormats:
         assert vals[0.6] == "DIV"
         assert float(vals[1.4]) > 0
 
+    @pytest.mark.parametrize("argv, key, want", [
+        # these printed "p_bound": Infinity and "p": Infinity, "q": Infinity
+        (["gate", "--n", "3", "--r", "3", "--p", "2", "--q", "1.5"], "p_bound", "inf"),
+        (["appendix", "--mode", "region", "--n", "3", "--delta", "0.5", "--p", "inf",
+          "--q", "inf"], "q", "inf"),
+    ])
+    def test_json_is_strict_with_inf_as_string(self, argv, key, want, tmp_path):
+        def no_constants(name):
+            raise ValueError(f"{name} is not JSON")
+        assert cli.main(argv + ["--out", str(tmp_path / "o.json")]) == 0
+        doc = json.loads((tmp_path / "o.json").read_text(), parse_constant=no_constants)
+        assert doc[key] == want
+
+    def test_nan_in_json_is_two_with_one_error_line(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli.special, "splitting_residual", lambda n, K, z: math.nan)
+        code = cli.main(["special", "--mode", "splitting", "--z", "5",
+                         "--out", str(tmp_path / "o.json")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: result is NaN, which JSON cannot hold\n"
+        assert not (tmp_path / "o.json").exists()
+
+    def test_norm_order_seven(self, tmp_path):
+        # orders above 6 ended in an IndexError traceback from the stencils
+        proc, out = run_cli(["norm", "--family", "herglotz:n=7", "--n", "7",
+                             "--which", "Y7"], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        with open(out) as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["which", "value"] and rows[1][0] == "Y7"
+        assert math.isfinite(float(rows[1][1])) and float(rows[1][1]) > 0
+
     def test_appendix_psi_near_delta_one_is_finite(self, tmp_path):
         proc, out = run_cli(["appendix", "--mode", "psi", "--delta", "0.99",
                              "--n", "3", "--x", "3", "--t", "1e5"], tmp_path)

@@ -88,8 +88,9 @@ class TestDivergenceCertification:
         assert math.isfinite(norm_Ym(profiles.power(4.0), 3, 1))
 
     def test_missing_tail_descriptor_rejected(self):
-        bare = RadialProfile(label="bare", omega=0.0,
-                             envelope=lambda r: 1.0 / (1.0 + np.asarray(r) ** 2))
+        tailed = profiles.power(2.0)
+        bare = RadialProfile(label="bare", omega=0.0, envelope=tailed.envelope,
+                             deriv_fn=tailed.deriv_fn)
         with pytest.raises(DivergentNormError):
             norm_X(bare, 3)
 

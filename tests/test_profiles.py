@@ -57,8 +57,8 @@ class TestTailFnContract:
 
 class TestHerglotzDerivNearZero:
     """For omega r < 1/2 the envelope is omega^{-n/2} r^{1-n} e^{-i omega r}
-    (omega r)^{n/2} J_nu(omega r) / 2; its finite-difference derivatives must
-    not reach below r = 0, where the envelope is held at its limit."""
+    (omega r)^{n/2} J_nu(omega r) / 2, whose Bessel factor the stack takes
+    as a power series in (omega r)^2, regular down to r = 0."""
 
     @pytest.mark.parametrize("n,omega", [(2, 1.0), (3, 1.0), (3, 2.5), (4, 1.0)])
     def test_matches_closed_form(self, n, omega):
@@ -79,7 +79,10 @@ class TestHerglotzDerivNearZero:
             want = [complex(mpmath.diff(closed, mpmath.mpf(r), k)) for r in rs]
             scale = max(abs(complex(mpmath.diff(closed, mpmath.mpf(0.1), j)))
                         for j in range(k + 1))
-            assert np.all(np.abs(got - want) <= 1e-4 * scale), k
+            assert np.all(np.abs(got - want) <= 1e-11 * scale), k
+        # at r = 0 the stack is the envelope's limit, the series' leading term
+        lead = omega ** (n / 2 - 1) / (2 ** (n / 2) * math.gamma(n / 2))
+        assert p.derivs(0, 0.0)[0] == pytest.approx(lead, rel=1e-14)
 
 
 # -- derivative stacks ---------------------------------------------------------
@@ -121,33 +124,18 @@ def _bump_k(a, b, k, r, absolute=False):
     return out
 
 
-def _fd_k(f, k, r, h_scale, r_min=None):
-    # one 7-point stencil for order k, moved right where it would reach below r_min
-    if k == 0:
-        return f(r)
-    h = h_scale * (1.0 + np.abs(r))
-    shift = 0 if r_min is None else np.clip(np.ceil(3.0 - (r - r_min) / h), 0, 3).astype(int)
-    weights = np.array([profiles._fd_weights(k, s) for s in range(4)])
-    acc = np.zeros(r.shape, dtype=complex)
-    for j, off in enumerate(range(-3, 4)):
-        acc += weights[shift, j] * f(r + (off + shift) * h)
-    return acc / h ** k
-
-
 def _herglotz_k(omega, n, k, r, K=8):
-    # far (omega r >= 1): term by term power sum; near: the shifted stencil
+    # term by term power sum where omega r >= 1 (nan below, where the
+    # mpmath test holds the stack)
     w, p = abs(omega), (1.0 - n) / 2.0
     coeffs = special.alpha_coeffs(n, K)
-    far = w * r >= 1.0
     out = np.zeros(r.shape, dtype=complex)
     for j, a in enumerate(coeffs.alpha):
         coef = w ** (-n / 2.0) * coeffs.prefactor * a * w ** ((n - 1) / 2.0 - j)
         for i in range(k):
             coef *= p - j - i
-        out[far] += coef * r[far] ** (p - j - k)
-    env = profiles.herglotz(omega, n, K).envelope
-    out[~far] = _fd_k(env, k, r[~far], 0.004, 0.0)
-    return out
+        out += coef * r ** (p - j - k)
+    return np.where(w * r >= 1.0, out, np.nan)
 
 
 def _stack_cases():
@@ -174,13 +162,7 @@ def _stack_cases():
                     (label + "~scale", p.scale(0.6 - 1.3j),
                      lambda k, r, ref=ref: (0.6 - 1.3j) * ref(k, r),
                      lambda k, r, mag=mag: abs(0.6 - 1.3j) * mag(k, r))]
-    fallback = []
-    for label, p, _, _ in cases[:4]:
-        ref = lambda k, r, p=p: _fd_k(p.envelope, k, r, 0.02)
-        fallback.append((label + "~fd", profiles.RadialProfile(
-            label=label, omega=0.0, envelope=p.envelope), ref,
-            lambda k, r, ref=ref: np.abs(ref(k, r))))
-    return cases + wrapped + fallback
+    return cases + wrapped
 
 
 _R = np.concatenate([np.geomspace(1e-3, 60.0, 37), [0.52, 0.9, 0.999, 1.0, 1.001, 1.1, 1.75,
@@ -189,7 +171,7 @@ _R = np.concatenate([np.geomspace(1e-3, 60.0, 37), [0.52, 0.9, 0.999, 1.0, 1.001
 
 class TestDerivativeStacks:
     """deriv_fn(k, r) returns orders 0..k at once; each row must be that
-    order's own closed form, and row 0 the envelope."""
+    order's own closed form where it has one, and row 0 the envelope."""
 
     @pytest.mark.parametrize("label,p,ref,mag", _stack_cases(),
                              ids=[c[0] for c in _stack_cases()])
@@ -198,12 +180,17 @@ class TestDerivativeStacks:
         assert stack.shape == (5, _R.size)
         for k in range(5):
             want = ref(k, _R)
-            assert np.all(np.abs(stack[k] - want) <= 1e-13 * mag(k, _R)), (label, k)
+            ok = ~np.isnan(want)
+            assert np.all(np.abs(stack[k] - want)[ok] <= 1e-13 * mag(k, _R)[ok]), (label, k)
             assert np.array_equal(p.deriv(k, _R), p.derivs(k, _R)[k]), (label, k)
             # a stack up to order k is the first k + 1 rows of a longer one
             assert np.array_equal(p.derivs(k, _R), stack[:k + 1]), (label, k)
         env = p.envelope(_R)
-        assert np.all(np.abs(stack[0] - env) <= 1e-13 * np.abs(env)), label
+        # the Herglotz envelope forms 1 - chi by subtraction, which costs it
+        # 1.7e-13 relative at omega r = 0.52 (n = 4); the stack forms the
+        # product and the mpmath test holds it to the closed form
+        tol = 1e-12 if label.startswith("herglotz") else 1e-13
+        assert np.all(np.abs(stack[0] - env) <= tol * np.abs(env)), label
         # scalar and N-d input keep their shape
         assert p.derivs(2, 0.7).shape == (3,)
         assert p.derivs(1, _R[:6].reshape(2, 3)).shape == (2, 2, 3)
@@ -234,8 +221,7 @@ def _mp_herglotz(omega, n, K=8):
 
 
 def _mp_cases():
-    """(label, profile, mpmath closed form of the envelope, nodes, by finite
-    differences?)."""
+    """(label, profile, mpmath closed form of the envelope, nodes)."""
     a, b = mpmath.mpf(0.5), mpmath.mpf(2)
     power = lambda r: (1 + r) ** mpmath.mpf(-1.3)
     osc = lambda r: mpmath.exp(1j * r) * (1 + r) ** mpmath.mpf(-2)
@@ -243,56 +229,43 @@ def _mp_cases():
     bump = lambda r: mpmath.exp(1 - ((b - a) / 2) ** 2 / ((r - a) * (b - r)))
     lam, c = mpmath.mpf(0.37), mpmath.mpc(0.6, -1.3)
     smooth = (0.3, 1.1, 4.0)
-    # omega r = 1 splits the Herglotz stacks: stencils below, power sums above
-    across = (0.9, 0.999, 1.001, 1.1, 4.0)
-    out = [("power", profiles.power(1.3), power, smooth, False),
-           ("oscillating_power", oscillating_power(2.0), osc, smooth, False),
-           ("gaussian", profiles.gaussian(0.7), gauss, smooth, False),
-           ("bump", profiles.bump(0.5, 2.0), bump, (0.7, 1.1, 1.6), False),
-           ("power~dilate", profiles.power(1.3).dilate(0.37), lambda r: power(lam * r),
-            smooth, False),
+    # below, inside and beyond the cutoff band 1/2 < omega r < 1
+    across = (0.1, 0.45, 0.52, 0.75, 0.9, 0.999, 1.001, 1.1, 4.0)
+    out = [("power", profiles.power(1.3), power, smooth),
+           ("oscillating_power", oscillating_power(2.0), osc, smooth),
+           ("gaussian", profiles.gaussian(0.7), gauss, smooth),
+           ("bump", profiles.bump(0.5, 2.0), bump, (0.7, 1.1, 1.6)),
+           ("power~dilate", profiles.power(1.3).dilate(0.37), lambda r: power(lam * r), smooth),
            ("bump~scale", profiles.bump(0.5, 2.0).scale(0.6 - 1.3j), lambda r: c * bump(r),
-            (0.7, 1.1, 1.6), False),
-           ("power~fd", profiles.RadialProfile("fd", 0.0, profiles.power(1.3).envelope),
-            power, smooth, True),
-           ("oscillating_power~fd", profiles.RadialProfile(
-               "fd", 0.0, oscillating_power(2.0).envelope), osc, smooth, True)]
+            (0.7, 1.1, 1.6))]
     for n in (2, 3, 4):
         plus, minus = profiles.herglotz_pair(1.0, n)
         env = _mp_herglotz(1.0, n)
-        out += [(f"herglotz{n}", plus, env, across, None),
-                (f"herglotz{n}~mirror", minus, lambda r, env=env: mpmath.conj(env(r)),
-                 across, None)]
-    herg = _mp_herglotz(1.0, 3)
-    out += [("herglotz3~dilate", profiles.herglotz(1.0, 3).dilate(2.5),
-             lambda r: herg(mpmath.mpf(2.5) * r), (0.36, 0.399, 0.401, 0.44, 1.6), None),
-            ("herglotz3~scale", profiles.herglotz(1.0, 3).scale(0.6 - 1.3j),
-             lambda r: c * herg(r), across, None)]
+        for label, p, closed in ((f"herglotz{n}", plus, env),
+                                 (f"herglotz{n}~mirror", minus,
+                                  lambda r, env=env: mpmath.conj(env(r)))):
+            out += [(label, p, closed, across),
+                    (label + "~dilate", p.dilate(2.5),
+                     lambda r, closed=closed: closed(mpmath.mpf(2.5) * r),
+                     tuple(z / 2.5 for z in across)),
+                    (label + "~scale", p.scale(0.6 - 1.3j),
+                     lambda r, closed=closed: c * closed(r), across)]
     return out
 
 
 class TestDerivativeStacksAgainstMpmath:
     """Orders 0..4 of every family and wrapper against mpmath.diff of the
-    closed-form envelope, relative to the largest order at r: to 1e-11 where
-    the stack is analytic, to 1e-4 where it is a finite-difference stencil
-    (the fallback, and Herglotz below omega r = 1).  In the cutoff band
-    1/2 < omega r < 1 the stencil's O(h^4) truncation of order 4 reaches
-    1.7e-2 (the dilated member at omega r = 0.998); that order is held to
-    2e-2 there."""
+    closed-form envelope, relative to the largest order at r, to 1e-11:
+    the Herglotz members below, inside and beyond the cutoff band
+    1/2 < omega r < 1 too, where the stack is the Leibniz product of the
+    stacks of chi, the Bessel series and the Hankel power sum."""
 
-    @pytest.mark.parametrize("label,p,closed,rs,fd", _mp_cases(),
+    @pytest.mark.parametrize("label,p,closed,rs", _mp_cases(),
                              ids=[c[0] for c in _mp_cases()])
-    def test_matches_mpmath(self, label, p, closed, rs, fd):
-        lam = 2.5 if "dilate" in label else 1.0     # omega r of a Herglotz node
+    def test_matches_mpmath(self, label, p, closed, rs):
         with mpmath.workdps(40):
             for r in rs:
                 got = p.derivs(4, np.array([r]))[:, 0]
                 want = [complex(mpmath.diff(closed, mpmath.mpf(r), k)) for k in range(5)]
                 scale = max(abs(v) for v in want)
-                if fd is None:
-                    fd_r = lam * r < 1.0
-                    band = 0.5 < lam * r < 1.0
-                else:
-                    fd_r, band = fd, False
-                tol = np.array([1e-4] * 4 + [2e-2 if band else 1e-4]) if fd_r else 1e-11
-                assert np.all(np.abs(got - want) <= tol * scale), (label, r)
+                assert np.all(np.abs(got - want) <= 1e-11 * scale), (label, r)

@@ -4,6 +4,7 @@ import cmath
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -122,10 +123,12 @@ class TestDecomposition:
         pt = EvalPoint(n, 3.0, 0.4)
         dec = decompose_g(prof, pt)
         for rho in (0.6, 1.1, 2.0):
-            total = (cmath.exp(1j * dec.a1 * rho) * complex(np.asarray(dec.g1(rho)).ravel()[0])
-                     + cmath.exp(1j * dec.a2 * rho) * complex(np.asarray(dec.g2(rho)).ravel()[0])
-                     + cmath.exp(1j * dec.a3 * rho) * complex(np.asarray(dec.g3(rho)).ravel()[0]))
-            want = complex(np.asarray(dec.g(rho)).ravel()[0])
+            g1, g2, g3 = dec.derivs(0, rho)[:, 0]
+            total = (cmath.exp(1j * dec.a1 * rho) * g1 + cmath.exp(1j * dec.a2 * rho) * g2
+                     + cmath.exp(1j * dec.a3 * rho) * g3)
+            r = 2.0 * math.sqrt(pt.t) * rho
+            want = complex(prof.phi_rad(r) * r ** (n / 2.0)
+                           * special.bessel_j((n - 2) / 2.0, pt.x_abs / math.sqrt(pt.t) * rho))
             assert abs(total - want) <= 1e-8 * max(1.0, abs(want))
 
     def test_compact_piece_vanishes_beyond_turning_point(self):
@@ -135,7 +138,79 @@ class TestDecomposition:
         gamma = 2.0 * math.sqrt(pt.t)
         beta = pt.x_abs / math.sqrt(pt.t)
         rho = 1.2 / beta  # argument beta*rho > 1: compact splitting part is 0
-        assert abs(complex(np.asarray(dec.g1(rho)).ravel()[0])) == 0.0
+        assert dec.derivs(0, rho)[0, 0] == 0.0
+
+
+def _mp_chi(z):
+    if z <= 0.5:
+        return mpmath.mpf(1)
+    if z >= 1:
+        return mpmath.mpf(0)
+    # S(u) = f(u) / (f(u) + f(1 - u)), f(u) = e^{-1/u}, at u = 2(1 - z)
+    u = 2 * (1 - z)
+    return mpmath.exp(-1 / u) / (mpmath.exp(-1 / u) + mpmath.exp(-1 / (1 - u)))
+
+
+def _mp_envelopes(n):
+    """label -> (profile, mpmath closed form of its envelope)."""
+    a, b = mpmath.mpf(0.5), mpmath.mpf(2)
+    nu = mpmath.mpf(n - 2) / 2
+    coeffs = special.alpha_coeffs(n, 8)
+
+    def herglotz(r):
+        # omega = 1: chi(r) r^{-nu} J_nu(r) e^{-ir} / 2 + (1 - chi(r)) r^{1-n} B_n(r),
+        # with the r = 0 limit of r^{-nu} J_nu
+        q = 1 / (2 ** nu * mpmath.gamma(nu + 1)) if r == 0 else mpmath.besselj(nu, r) / r ** nu
+        out = _mp_chi(r) * q * mpmath.exp(-1j * r) / 2
+        if r > 0.5:
+            out += (1 - _mp_chi(r)) * coeffs.prefactor * sum(
+                mpmath.mpc(al) * r ** ((1 - mpmath.mpf(n)) / 2 - k)
+                for k, al in enumerate(coeffs.alpha))
+        return out
+
+    return {
+        "bump": (profiles.bump(0.5, 2.0), lambda r: mpmath.exp(
+            1 - ((b - a) / 2) ** 2 / ((r - a) * (b - r))) if a < r < b else mpmath.mpf(0)),
+        "gaussian": (profiles.gaussian(1.0), lambda r: mpmath.exp(-r * r)),
+        "power": (profiles.power(2.5), lambda r: (1 + r) ** mpmath.mpf(-2.5)),
+        "herglotz": (profiles.herglotz(1.0, n), herglotz),
+    }
+
+
+class TestGStacks:
+    """Orders 0..n of g1, g2, g3 (decompose_g) against mpmath.diff of their
+    closed forms c^{-n/2} phi(gamma rho) A_n, B_n and conj(B_n) at beta rho,
+    with the exact J_nu: at rho = 0 (one-sided), below, at both ends of and
+    inside the cutoff band [1/(2 beta), 1/beta], and beyond it; to 1e-12 of
+    the largest order of each piece at rho."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("label", ["bump", "gaussian", "power", "herglotz"])
+    def test_matches_mpmath(self, n, label):
+        pt = EvalPoint(n, 0.7, 0.3)
+        gamma, beta = 2.0 * math.sqrt(pt.t), pt.x_abs / math.sqrt(pt.t)
+        prof, env = _mp_envelopes(n)[label]
+        dec = decompose_g(prof, pt)
+        with mpmath.workdps(40):
+            nu, cn = mpmath.mpf(n - 2) / 2, (pt.x_abs / (2 * mpmath.mpf(pt.t))) ** (-mpmath.mpf(n) / 2)
+            coeffs = special.alpha_coeffs(n, 8)
+
+            def series(z):
+                return coeffs.prefactor * sum(mpmath.mpc(al) * z ** ((mpmath.mpf(n) - 1) / 2 - k)
+                                              for k, al in enumerate(coeffs.alpha))
+
+            pieces = (lambda z: _mp_chi(z) * z ** (mpmath.mpf(n) / 2) * mpmath.besselj(nu, z),
+                      lambda z: (1 - _mp_chi(z)) * series(z) if z > 0.5 else mpmath.mpf(0),
+                      lambda z: mpmath.conj((1 - _mp_chi(z)) * series(z)) if z > 0.5 else mpmath.mpf(0))
+            for z in (0.0, 0.3, 0.5, 0.52, 0.75, 0.9, 1.0, 1.5):
+                rho = z / beta
+                got = np.array([dec.derivs(m, rho)[:, 0] for m in range(n + 1)])
+                for j, piece in enumerate(pieces):
+                    g = lambda s, piece=piece: cn * env(gamma * s) * piece(beta * s)
+                    want = [complex(v) for v in mpmath.diffs(g, mpmath.mpf(rho), n,
+                                                             direction=1 if rho == 0 else 0)]
+                    scale = max(abs(v) for v in want)
+                    assert np.all(np.abs(got[:, j] - want) <= 1e-12 * scale), (label, n, z, j)
 
 
 class TestSolutionBound:
@@ -151,19 +226,27 @@ class TestSolutionBound:
         with pytest.raises(ValueError):
             solution_bound(profiles.bump(), EvalPoint(3, 1.0, 1.0), 4)
 
+    def test_order_seven(self):
+        # orders above 6 ended in an IndexError from the 7-point stencils
+        pt = EvalPoint(7, 1.0, 1.0)
+        bound = solution_bound(profiles.bump(1.0, 2.0), pt, 7)
+        assert math.isfinite(bound)
+        assert bound >= abs(evolve_radial(profiles.bump(1.0, 2.0), pt).value)
+
 
 class TestCertifiedBound:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_dominates_modulus(self, n):
-        # unbounded data too: power(2.5) at n = 4, m = 0 and both Herglotz
-        # members at m = 0 have divergent integrals and read inf
+        # every order m <= n; unbounded data too: power(2.5) at n = 4, m = 0
+        # and both Herglotz members at m = 0 have divergent integrals and
+        # read inf
         eta, mirror = profiles.herglotz_pair(1.0, n)
         for prof in (profiles.bump(1.0, 2.0), profiles.gaussian(1.0),
                      profiles.power(2.5), eta, mirror):
-            for x, t, orders in ((0.7, 0.3, (0, 1)), (5.0, 4.0, (0,))):
+            for x, t in ((0.7, 0.3), (5.0, 4.0)):
                 pt = EvalPoint(n, x, t)
                 psi = abs(evolve_radial(prof, pt).value)
-                for m in orders:
+                for m in range(n + 1):
                     assert solution_bound(prof, pt, m) >= psi, (prof.label, x, t, m)
 
     def test_divergent_integral_is_inf(self):
@@ -178,9 +261,9 @@ class TestCertifiedBound:
         dec = decompose_g(profiles.power(2.5), pt)
         beta = x / math.sqrt(t)
         total = 0.0
-        for g in (dec.g1, dec.g2, dec.g3):
+        for j in range(3):
             for a, b in ((0.0, 0.5 / beta), (0.5 / beta, 1.0 / beta), (1.0 / beta, math.inf)):
-                total += quad(lambda rho: abs(complex(g(rho))), a, b,
+                total += quad(lambda rho: abs(dec.derivs(0, rho)[j, 0]), a, b,
                               epsabs=0.0, epsrel=1e-13, limit=500)[0]
         want = special.solution_constant(0) / math.sqrt(x * t) * total
         assert solution_bound(profiles.power(2.5), pt, 0) == pytest.approx(want, rel=1e-8)

@@ -156,6 +156,38 @@ def _series_by_powers(coeffs, z, conj=False):
     return pref * z ** ((coeffs.n - 1) / 2.0) * acc
 
 
+class TestDerivativeStackHelpers:
+    def test_cutoff_chi_stack_against_mpmath(self):
+        # orders 0..9 on (1/2, 1), to 1e-12 of the largest order; the stack of
+        # 1 - chi holds the small values near z = 1/2 without cancellation
+        def chi(z):
+            u = 2 * (1 - z)
+            return mpmath.exp(-1 / u) / (mpmath.exp(-1 / u) + mpmath.exp(-1 / (1 - u)))
+
+        zs = np.concatenate([np.linspace(0.5005, 0.9995, 21), [0.52, 0.98]])
+        got, rest = special.cutoff_chi_stack(9, zs)
+        assert np.allclose(got[0], special.cutoff_chi(zs), rtol=0, atol=1e-15)
+        with mpmath.workdps(40):
+            for i, z in enumerate(zs):
+                want = [mpmath.diff(chi, mpmath.mpf(z), k) for k in range(10)]
+                scale = float(max(abs(v) for v in want))
+                assert np.all(np.abs(got[:, i] - [float(v) for v in want]) <= 1e-12 * scale), z
+                assert abs(rest[0, i] - float(1 - want[0])) <= 1e-14 * float(1 - want[0]), z
+                assert np.array_equal(rest[1:, i], -got[1:, i])
+
+    def test_power_sum_at_zero_and_leibniz(self):
+        # sum z^{2i}/i! = e^{z^2}, whose orders at 0 are 1, 0, 2, 0, 12, 0, 120
+        d = [1.0 / math.factorial(i) for i in range(24)]
+        stack = special.power_sum(d, 0.0, 2.0, 6, np.array([0.0, 0.3]))
+        assert np.allclose(stack[:, 0], [1, 0, 2, 0, 12, 0, 120], rtol=1e-15, atol=0)
+        # e^{z^2} from exp_stack of the stack of z^2, and e^{2 z^2} as a product
+        sq = np.array([[0.09], [0.6], [2.0]] + [[0.0]] * 4)
+        e = special.exp_stack(sq)
+        assert np.allclose(e[:, 0], stack[:, 1], rtol=1e-13, atol=0)
+        assert np.allclose(special.leibniz(e, e)[:, 0], special.exp_stack(2 * sq)[:, 0],
+                           rtol=1e-13, atol=0)
+
+
 class TestSplittingSeries:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_horner_matches_term_by_term_sum(self, n):
