@@ -80,12 +80,13 @@ def gl_rows(f, a, b, npanels, nodes: int = 32, ids=None, absolute: bool = False)
     for i in range(0, start.size, per):
         s = slice(i, i + per)
         pts = (start[s, None] + centre * width[s, None] + half[s, None] * x).ravel()
-        vals = f(pts) if ids is None else f(pts, np.repeat(ids[s], centre.size))
+        vals = f(pts) if ids is None else f(pts, ids[s].repeat(centre.size))
         vals = vals.reshape(-1, pts.size // centre.size, centre.size)
         sums.append((vals @ w) * half[s])
         if absolute:
             mags.append((np.abs(vals) @ w) * half[s])
-    out = [np.concatenate(parts, axis=1) for parts in ((sums, mags) if absolute else (sums,))]
+    out = [parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+           for parts in ((sums, mags) if absolute else (sums,))]
     if first is not None:
         out = [np.add.reduceat(total, first, axis=1) for total in out]
     return out[0].T, (out[1].T if absolute else None)
@@ -95,10 +96,12 @@ def refine_rows(f, a, b, start, cap, rtol: float, nodes: int = 32, ids=None,
                 atol=0.0, floor=0.0, absolute: bool = False):
     """Double the panels of every row of gl_rows (f, a, b, nodes, ids as
     there) from start[row]: an entry (row, column) freezes once two
-    successive rules agree, |cur - prev| <= max(rtol |cur|, atol (one value
-    or one per row), floor[column] * the column's summed |first rule|), and
-    a row is evaluated again while an entry is live and its count can double
-    within cap.  A NaN change never agrees.  The first two rules are one
+    successive rules agree, |cur - prev| <= max(rtol |cur|, bound), and a
+    row is evaluated again while an entry is live and its count can double
+    within cap.  A NaN change never agrees.  The bound is atol (one value,
+    or one per row as a (rows, 1) column), raised where floor (one value or
+    one per column) is nonzero to floor[column] * the column's summed
+    |first rule|, which makes it (1 or rows, C).  The first two rules are one
     kernel call: each row at its start count, and its two halves at the
     same count (the second rule), so every row keeps its count's chunking.
 
@@ -118,23 +121,28 @@ def refine_rows(f, a, b, start, cap, rtol: float, nodes: int = 32, ids=None,
     vals, cur = sums[:m], sums[m:m + h] + sums[m + h:]
     mag = mags[m:m + h] + mags[m + h:] if absolute else None
     mags = mags[:m] if absolute else None
-    bound = np.broadcast_to(np.fmax(np.reshape(atol, (-1, 1)), floor * np.abs(vals).sum(axis=0)),
-                            vals.shape)
+    bound = np.asarray(atol).reshape(-1, 1)
+    if np.count_nonzero(floor):
+        bound = np.fmax(bound, floor * np.abs(vals).sum(axis=0))
     deltas = np.full(vals.shape, math.inf)
     live = np.ones(vals.shape, dtype=bool)
     while pos.size:
         # a slice while every row goes on, so the updates below are views
         k = pos if pos.size < m else slice(None)
         count[k] = n = 2 * count[k]
-        if cur is None:
+        # the fused call's second rule meets every entry live
+        fresh = cur is not None
+        if not fresh:
             cur, mag = gl_rows(f, a[k], b[k], n, nodes, None if ids is None else ids[k], absolute)
         prev, was = vals[k], live[k]
         change = np.abs(cur - prev)
-        vals[k] = np.where(was, cur, prev)
-        deltas[k] = np.where(was, change, deltas[k])
+        vals[k] = cur if fresh else np.where(was, cur, prev)
+        deltas[k] = change if fresh else np.where(was, change, deltas[k])
         if absolute:
-            mags[k] = np.where(was, mag, mags[k])
-        live[k] = was = was & ~(change <= np.maximum(rtol * np.abs(cur), bound[k]))
+            mags[k] = mag if fresh else np.where(was, mag, mags[k])
+        # fmax: a NaN atol leaves rtol |cur|
+        limit = np.fmax(rtol * np.abs(cur), bound[k] if len(bound) > 1 else bound)
+        live[k] = was = was & ~(change <= limit)
         pos, cur = pos[was.any(axis=1) & (2 * n <= cap)], None
     return vals, deltas, live, mags
 
@@ -170,6 +178,12 @@ def linear_fit(x, y):
     return slope, ym - slope * xm, stderr
 
 
+def _rows(*args):
+    """The arguments (numbers or 1-D arrays) as float arrays of one length."""
+    args = [np.array(v, dtype=float, ndmin=1) for v in args]
+    return np.broadcast_arrays(*args) if len({v.size for v in args}) > 1 else args
+
+
 def osc_integral_rows(f, a, b, phase_span, tol: float = 1e-9,
                       max_points: int = 600_000):
     """Integrate f(x, row) over [a[row], b[row]] for every row, where row
@@ -185,16 +199,15 @@ def osc_integral_rows(f, a, b, phase_span, tol: float = 1e-9,
 
     Returns (values, error_estimates), one entry per row.
     """
-    a, b, span = (np.array(v, dtype=float, ndmin=1)
-                  for v in np.broadcast_arrays(a, b, phase_span))
+    a, b, span = _rows(a, b, phase_span)
     values = np.zeros(a.size, dtype=complex)
     errs = np.zeros(a.size)
     rows = np.flatnonzero(b > a)
-    cycles = np.maximum(span / (2.0 * math.pi), 1.0)
-    cap = max_points // 32
-    start = np.minimum(np.maximum(2, np.ceil(cycles / 3.0)), cap).astype(np.int64)
     if rows.size:
-        vals, deltas, _, mags = refine_rows(f, a[rows], b[rows], start[rows], cap,
+        cap = max_points // 32
+        cycles = np.maximum(span[rows] / (2.0 * math.pi), 1.0)
+        start = np.minimum(np.maximum(2, np.ceil(cycles / 3.0)), cap).astype(np.int64)
+        vals, deltas, _, mags = refine_rows(f, a[rows], b[rows], start, cap,
                                             tol, ids=rows, atol=tol, absolute=True)
         values[rows] = vals[:, 0]
         errs[rows] = deltas[:, 0] + _EPS * mags[:, 0] * (1.0 + span[rows])
@@ -254,8 +267,7 @@ def rotated_tail(h, rho0, a, c2: float = 1.0, delta=0.0, tol: float = 1e-9):
     1 + |exponent| + c2 p^2 + |a p| on the ray, so lost digits show in it.
     Returns (values, error_estimates), one entry per row.
     """
-    rho0, a, delta = (np.array(v, dtype=float, ndmin=1)
-                      for v in np.broadcast_arrays(rho0, a, delta))
+    rho0, a, delta = _rows(rho0, a, delta)
     if not ((delta >= 0.0) & (delta < 1.0)).all():
         raise ValueError("need 0 <= delta < 1")
     if c2 < 0 or (c2 == 0 and not np.all(a > 0)):
@@ -315,30 +327,31 @@ def rotated_tail(h, rho0, a, c2: float = 1.0, delta=0.0, tol: float = 1e-9):
     # whose end term is above eps of its value is extended by one panel
     # [L, 2L] in tau, to tol of the ray's value, as often as _RAY_DOUBLINGS.
     # Per ray, in units of du: the panels' summed values, last changes and
-    # sums of |w f|
-    lo, hi = _RAY_EDGES[:-1] ** (1.0 / q[:, None]), _RAY_EDGES[1:] ** (1.0 / q[:, None])
+    # sums of |w f|.  k indexes the rays in todo, a slice in the first round
+    edges = _RAY_EDGES ** (1.0 / q[:, None])
+    lo, hi = edges[:, :-1], edges[:, 1:]
     total = np.zeros(row.size, dtype=complex)
     change, mag = np.zeros(row.size), np.zeros(row.size)
-    todo, atol = np.arange(row.size), 0.0
+    todo, k, atol = np.arange(row.size), slice(None), 0.0
+    ids = todo.repeat(lo.shape[1])
     for _ in range(_RAY_DOUBLINGS + 1):
-        vals, deltas, _, mags = refine_rows(f, lo.ravel(), hi.ravel(), 1, _RAY_CAP, tol, nodes=16,
-                                            ids=np.repeat(todo, lo.shape[1]), atol=atol,
-                                            absolute=True)
+        vals, deltas, _, mags = refine_rows(f, lo.ravel(), hi.ravel(), 1, _RAY_CAP, tol,
+                                            nodes=16, ids=ids, atol=atol, absolute=True)
         for acc, v in ((total, vals), (change, deltas), (mag, mags)):
-            acc[todo] += v.reshape(todo.size, -1).sum(axis=1)
+            acc[k] += v.reshape(todo.size, -1).sum(axis=1)
         # the tail beyond the end L: twice |integrand| at the end u = hi over
         # its decay rate r there, with dtau/du = q L / u; a bound while |h|
         # grows slower than tau^{r L / 2}
-        ell, u_end = length[todo], hi[:, -1]
-        rate = c[todo] + 2.0 * c2 * ell
-        end[todo] = 2.0 * np.abs(f(u_end, todo)) * u_end / (q[todo] * ell * rate)
-        todo = todo[end[todo] > _EPS * np.abs(total[todo])]
+        ell, u_end = length[k], hi[:, -1]
+        rate = c[k] + 2.0 * c2 * ell
+        end[k] = 2.0 * np.abs(f(u_end, todo)) * u_end / (q[k] * ell * rate)
+        todo = k = todo[end[k] > _EPS * np.abs(total[k])]
         if not todo.size:
             break
-        lo = ((length[todo] / tau_star[todo]) ** (1.0 / q[todo]))[:, None]
-        length[todo] *= 2.0
-        hi = ((length[todo] / tau_star[todo]) ** (1.0 / q[todo]))[:, None]
-        atol = tol * np.abs(total[todo])
+        lo = ((length[k] / tau_star[k]) ** (1.0 / q[k]))[:, None]
+        length[k] *= 2.0
+        hi = ((length[k] / tau_star[k]) ** (1.0 / q[k]))[:, None]
+        ids, atol = todo, tol * np.abs(total[k])
     scale = tau_star * (np.where(sub, tau_star ** -d_ray * q, 1.0) if powered else 1.0)
     err = scale * (change + end + _EPS * (big + (math.sqrt(2.0) * c + c2 * length) * length) * mag)
     total *= scale * np.exp(1j * p * (c2 * p + a))

@@ -259,7 +259,9 @@ def splitting_B(n: int, K: int, z):
     out = np.zeros(z.shape, dtype=complex)
     live = z > 0.5
     if np.any(live):
-        w = 1.0 - cutoff_chi(z[live])
+        # 1 - chi(z) = chi(3/2 - z), never by subtraction (3/2 - z is exact
+        # in the band 1/2 < z < 1)
+        w = cutoff_chi(1.5 - z[live])
         out[live] = w * splitting_B_series(coeffs, z[live].astype(complex))
     return complex(out[0]) if scalar else out
 

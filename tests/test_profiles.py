@@ -186,11 +186,7 @@ class TestDerivativeStacks:
             # a stack up to order k is the first k + 1 rows of a longer one
             assert np.array_equal(p.derivs(k, _R), stack[:k + 1]), (label, k)
         env = p.envelope(_R)
-        # the Herglotz envelope forms 1 - chi by subtraction, which costs it
-        # 1.7e-13 relative at omega r = 0.52 (n = 4); the stack forms the
-        # product and the mpmath test holds it to the closed form
-        tol = 1e-12 if label.startswith("herglotz") else 1e-13
-        assert np.all(np.abs(stack[0] - env) <= tol * np.abs(env)), label
+        assert np.all(np.abs(stack[0] - env) <= 1e-13 * np.abs(env)), label
         # scalar and N-d input keep their shape
         assert p.derivs(2, 0.7).shape == (3,)
         assert p.derivs(1, _R[:6].reshape(2, 3)).shape == (2, 2, 3)

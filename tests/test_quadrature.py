@@ -121,6 +121,27 @@ class TestRotatedTail:
         assert calls == [5] and g.sizes == [3 * 5 * 16, 1]
         assert abs(got - _mp_ray([1.0], [0.5], 1.0)[0]) <= err <= 1e-13
 
+    @pytest.mark.parametrize("a,rays", [([0.5, 1.0], 2), ([0.5, -10.0], 4)])
+    def test_stationary_rays_only_where_a_row_has_one(self, a, rays):
+        # the two rays from rho_s are built for a row with its stationary
+        # point beyond rho0 and for no other: the kernel call holds 5 panels
+        # and their halves per ray, and the end terms one node per ray
+        g = _counted(lambda r, row: _h(r))
+        rotated_tail(g, [1.0, 2.0], a)
+        assert g.sizes == [3 * 5 * 16 * rays, rays]
+
+    def test_scalar_single_and_mixed_inputs_agree(self):
+        # numbers, length-1 arrays and mixed lengths are the same rows, bit
+        # for bit, with and without a stationary row and an endpoint power
+        h = lambda r, row: _h(r)            # noqa: E731
+        one = rotated_tail(h, 1.0, 0.5)
+        for args in (([1.0], [0.5]), (np.array([1.0]), 0.5, 1.0, [0.0])):
+            assert all(np.array_equal(u, v) for u, v in zip(one, rotated_tail(h, *args)))
+        for a, delta in ((0.5, 0.0), (-10.0, 0.3), (np.array([0.5, -10.0]), 0.3)):
+            mixed = rotated_tail(h, [1.0, 2.0], a, delta=delta)
+            full = rotated_tail(h, [1.0, 2.0], np.broadcast_to(a, 2), delta=np.full(2, delta))
+            assert all(np.array_equal(u, v) for u, v in zip(mixed, full)), (a, delta)
+
     def test_growing_h_lengthens_the_ray(self, monkeypatch):
         # rho^20 e^{-tau^2} is ~2e-9 of the ray's value at tau* = sqrt 45, so
         # the ray gains [L, 2L]; without that panel its end term must still
@@ -263,6 +284,9 @@ class TestOscillatoryRows:
         assert abs(vals[1] - (np.exp(1j) - 1.0) / 1j) <= errs[1] <= 1e-9
         assert f.per_row[[0, 2]].sum() == 0
         assert osc_integral(lambda x: x, 1.0, 1.0, 1.0) == (0.0, 0.0)
+        # with every row empty the integrand is never called
+        vals, errs = osc_integral_rows(f, [1.0, 2.0], 1.0, [1.0, 5.0])
+        assert len(f.sizes) == 1 and not vals.any() and not errs.any()
 
     def test_converged_row_is_not_evaluated_again(self):
         # a smooth row converges after one doubling, a kinked one runs on;
@@ -357,6 +381,28 @@ class TestRefineRows:
         two, _ = gl_rows(f, a[:1], b[:1], np.array([2]), 8, np.arange(1))
         assert vals[0, 0] == pytest.approx(two[0, 0], rel=1e-15) and 0.0 < deltas[0, 0] <= 1.0
         assert abs(vals[1, 0] - math.sin(20.0) / 20.0) <= 1e-14 and not live.any()
+
+    def test_bound_shapes_agree(self):
+        # one atol and no floor is the same bound, bit for bit, as that atol
+        # per row or a zero floor per column; rows 2 and 3 cannot double at
+        # once, so the later rounds index the bound by row
+        a, b = np.array([0.0, 0.5, 0.0, 0.0]), np.array([1.0, 2.0, 3.0, 1.0])
+        args = (_kinked, a, b, np.array([2, 3, 40, 100]), 128, 1e-9)
+        one = quadrature.refine_rows(*args, ids=np.arange(4), atol=1e-9, absolute=True)
+        for kw in (dict(atol=np.full(4, 1e-9)), dict(atol=1e-9, floor=np.zeros(2))):
+            got = quadrature.refine_rows(*args, ids=np.arange(4), absolute=True, **kw)
+            assert all(np.array_equal(u, v) for u, v in zip(one, got)), kw
+
+    def test_floor_per_column(self):
+        # a floor on the kinked column freezes it at its first comparison;
+        # the smooth column beside it refines as with no floor
+        a, b = np.array([0.0, 0.5, 0.0]), np.array([1.0, 2.0, 3.0])
+        args = (_kinked, a, b, 2, 128, 1e-12)
+        plain = quadrature.refine_rows(*args, ids=np.arange(3))
+        floored = quadrature.refine_rows(*args, ids=np.arange(3), floor=np.array([0.0, 1e-3]))
+        assert plain[2][:, 1].any() and not floored[2].any()
+        assert all(np.array_equal(u[:, 0], v[:, 0]) for u, v in zip(plain[:3], floored[:3]))
+        assert np.all(floored[1][:, 1] <= 1e-3 * np.abs(floored[0][:, 1]).sum())
 
 
 class TestLinearFit:

@@ -141,6 +141,27 @@ class TestSplitting:
                           1e-12 * z ** (n / 2.0))
                 assert abs(lhs - want) <= tol
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_oscillatory_part_in_band_against_mpmath(self, n):
+        # B_n = (1 - chi) P sum_k alpha_k z^{(n-1)/2-k} to 1e-14 relative in
+        # the cutoff band, down to z = 0.51 where 1 - chi is 2e-19
+        def one_minus_chi(z):
+            u = 2 * (1 - z)
+            return mpmath.exp(-1 / (1 - u)) / (mpmath.exp(-1 / u) + mpmath.exp(-1 / (1 - u)))
+
+        K = special.HANKEL_K
+        with mpmath.workdps(40):
+            alpha = [mpmath.mpf(special.hankel_symbol((n - 2) ** 2, k).numerator)
+                     / special.hankel_symbol((n - 2) ** 2, k).denominator
+                     * (0.5j) ** k / mpmath.sqrt(2 * mpmath.pi) for k in range(K + 1)]
+            pref = mpmath.exp(-1j * (n - 1) * mpmath.pi / 4)
+            for z in (0.51, 0.52, 0.75, 0.99):
+                zm = mpmath.mpf(z)
+                want = complex(one_minus_chi(zm) * pref
+                               * sum(a * zm ** (mpmath.mpf(n - 1) / 2 - k) for k, a in enumerate(alpha)))
+                got = complex(special.splitting_B(n, K, z))
+                assert abs(got - want) <= 1e-14 * abs(want), (n, z, got, want)
+
 
 def _series_by_powers(coeffs, z, conj=False):
     """The splitting series as summed term by term in z^{-k}, every alpha_k

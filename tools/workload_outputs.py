@@ -1,0 +1,88 @@
+#!/usr/bin/env python3
+"""Dump or compare the outputs of the benchmark workloads' ops.
+
+    python3 tools/workload_outputs.py --seed N --out F
+    python3 tools/workload_outputs.py --compare A B
+
+Run from the root of a checkout; the library is imported from ./src and the
+ops are built by perfbench/workloads.py, which this script only reads.  The
+dump is a JSON list with one record per op of the propagate, norms and
+focusing workloads (in op order): workload, op index, kind, group, inputs
+and the repr of the op's output, with every float printed to its shortest
+round-trip form, so two dumps are equal exactly when the outputs are
+bit-identical.  --compare lists the ops whose repr differs and exits 1 if
+any does.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import json
+import sys
+from pathlib import Path
+from types import SimpleNamespace
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("propagate", "norms", "focusing")
+
+
+def dump(seed: int):
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    import run as bench
+    import workloads
+    lib = SimpleNamespace(**{m: importlib.import_module("disperse_lab." + m)
+                             for m in bench.MODULES})
+    records = []
+    with np.printoptions(floatmode="unique", threshold=sys.maxsize):
+        for name in WORKLOADS:
+            wl = workloads.make(lib, name, seed)
+            for i, op in enumerate(wl.ops):
+                try:
+                    out = repr(op.call())
+                except Exception as exc:        # recorded, like the benchmark does
+                    out = f"raised {type(exc).__name__}: {exc}"
+                records.append({"workload": name, "op": i, "kind": op.kind,
+                                "group": op.group, "info": repr(op.info), "output": out})
+    return records
+
+
+def compare(a, b):
+    """Lines naming each op whose output differs between dumps a and b."""
+    key = lambda r: (r["workload"], r["op"])          # noqa: E731
+    old, new = ({key(r): r for r in recs} for recs in (a, b))
+    lines = []
+    for k in sorted(old.keys() | new.keys(), key=lambda k: (WORKLOADS.index(k[0]), k[1])):
+        ra, rb = old.get(k), new.get(k)
+        if ra is None or rb is None:
+            lines.append(f"{k[0]} op {k[1]}: only in {'B' if ra is None else 'A'}")
+        elif ra["output"] != rb["output"] or ra["info"] != rb["info"]:
+            lines.append(f"{k[0]} op {k[1]} {ra['kind']} {ra['group']} {ra['info']}\n"
+                         f"  A: {ra['output']}\n  B: {rb['output']}")
+    return lines
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    group = ap.add_mutually_exclusive_group(required=True)
+    group.add_argument("--seed", type=int)
+    group.add_argument("--compare", nargs=2, metavar=("A", "B"))
+    ap.add_argument("--out", help="file the dump is written to (with --seed)")
+    args = ap.parse_args(argv)
+    if args.compare:
+        a, b = (json.loads(Path(p).read_text()) for p in args.compare)
+        lines = compare(a, b)
+        print("\n".join(lines) if lines else f"all {len(a)} ops identical")
+        if lines:
+            print(f"{len(lines)} of {len(a)} ops differ")
+        return 1 if lines else 0
+    if not args.out:
+        ap.error("--seed needs --out")
+    Path(args.out).write_text(json.dumps(dump(args.seed), indent=0))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
