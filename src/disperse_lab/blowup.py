@@ -5,8 +5,9 @@ near the focusing time the solution concentrates on an annulus of radius
 ~ k_t, with modulus ~ k_t^{sigma-n} and a universal limit profile V(z).
 The resulting L^q growth rates rule out space-time (Strichartz) estimates
 with data measured in L^r for every r > 2.  The solution is a real-axis head
-plus, beyond Bessel argument 10, the two Hankel pieces of the kernel as one
-special.hankel_tail call.
+plus, beyond Bessel argument 10 at even n and max(3, nu) at odd n (where the
+Hankel series is exact), the two Hankel pieces of the kernel as one
+special.hankel_tail call; from r = 0 the head starts with a power series.
 """
 
 from __future__ import annotations
@@ -20,9 +21,11 @@ import numpy as np
 from . import special
 from .decay import DecayFit, _envelope_fit
 from .propagator import ComplexAmplitude, _prefactor
-from .quadrature import osc_integral_rows, refine_rows
+from .quadrature import _EPS, osc_integral_rows, refine_rows
 
 INF = math.inf
+_Z_EXACT = 3.0        # at odd n the head ends at Bessel argument max(_Z_EXACT, nu)
+_ORIGIN_TERMS = 20    # powers of i quad r^2 kept by _origin_series: 1/20! < 1e-18
 
 
 @dataclass(frozen=True)
@@ -61,16 +64,35 @@ class SelfSimilarFrame:
         return 2.0 * self.t * self.k * np.asarray(z, dtype=float)
 
 
+def _origin_series(n: int, sigma: float, c, quad: float, r1):
+    """(values, errors) of int_0^{r1} r^{n/2-sigma} J_nu(c r) e^{i quad r^2} dr
+    for c r1 <= 1, |quad| r1^2 <= 1: sum_{i<16, j<J} b_i c^{2i+nu} (i quad)^j / j!
+    r1^e / e, e = n - sigma + 2i + 2j, b_i = special._bessel_series(n); the error
+    bounds the omitted j >= J = _ORIGIN_TERMS (i >= 16: below 1e-36) and rounding."""
+    b = np.array(special._bessel_series(n))
+    i, j = np.arange(b.size)[:, None], np.arange(_ORIGIN_TERMS)
+    fact = np.cumprod(np.maximum(j, 1), dtype=float)
+    coef = b[:, None] * 1j ** j / (fact * (n - sigma + 2.0 * i + 2.0 * j))
+    w, x = (c * r1) ** 2, quad * r1 * r1
+    wi, xj = w[:, None] ** i.T, x[:, None] ** j
+    scale = c ** special.order_from_dim(n) * r1 ** (n - sigma)
+    mags = np.einsum("ri,ij,rj->r", wi, np.abs(coef), np.abs(xj))
+    omitted = math.e * np.abs(x) ** _ORIGIN_TERMS / (fact[-1] * _ORIGIN_TERMS) * (wi @ np.abs(b))
+    err = scale * (omitted / (n - sigma) + _EPS * (b.size + _ORIGIN_TERMS) * mags)
+    return scale * np.einsum("ri,ij,rj->r", wi, coef, xj), err
+
+
 def _bessel_split_integral(n: int, sigma: float, c, quad: float, r_lo: float,
                            tol: float = 1e-9) -> Tuple[np.ndarray, np.ndarray]:
     """int_{r_lo}^infty r^{n/2-sigma} J_{(n-2)/2}(c r) e^{i quad r^2} dr for
     every entry of the array c; returns (values, error_estimates) per entry.
 
-    Head by phase-resolved panels; beyond r0 (where c*r >= 10) the Bessel
-    factor is replaced by its Hankel pieces, one special.hankel_tail call
-    for both, the e^{-icr} one through its stationary point r = c/(2|quad|)
-    where that lies beyond r0.  quad may be negative (defocusing side);
-    quad = 0 is rejected.
+    Head by phase-resolved panels (from r_lo = 0, _origin_series to
+    min(1/c, |quad|^{-1/2}) first); beyond r0 (c r = 10 at even n,
+    max(_Z_EXACT, nu) at odd n) the Bessel factor is replaced by its Hankel
+    pieces, one special.hankel_tail call for both, the e^{-icr} one through
+    its stationary point r = c/(2|quad|) where that lies beyond r0.  quad
+    may be negative (defocusing side); quad = 0 is rejected.
     """
     if quad == 0.0:
         raise ValueError("quadratic phase must be nonzero")
@@ -78,15 +100,22 @@ def _bessel_split_integral(n: int, sigma: float, c, quad: float, r_lo: float,
     c = np.array(c, dtype=float, ndmin=1)
     aq = abs(quad)
 
-    # start the rotated tails beyond the splitting region (c*r >= 10)
-    r0 = np.maximum(r_lo, 10.0 / c)
+    # the Hankel series is truncated at even n; at odd n it ends at k = (n-3)/2
+    # and is exact, but below z ~ nu its two rows are large and cancel
+    r0 = np.maximum(r_lo, (10.0 if n % 2 == 0 else max(_Z_EXACT, nu)) / c)
 
     def head_f(r, row):
         return (r ** (n / 2.0 - sigma) * special.bessel_j(nu, c[row] * r)
                 * np.exp(1j * quad * r * r))
 
-    span = aq * (r0 * r0 - r_lo * r_lo) + c * (r0 - r_lo) + 2.0
-    head, e_head = osc_integral_rows(head_f, r_lo, r0, span, tol)
+    r1, near, e_near = r_lo, 0.0, 0.0
+    if r_lo == 0.0:
+        # up to r1 the integrand is r^{n-1-sigma} times two power series,
+        # integrated term by term: no panel holds the endpoint power
+        r1 = np.minimum(1.0 / c, aq ** -0.5)      # below r0 >= 3/c
+        near, e_near = _origin_series(n, sigma, c, quad, r1)
+    span = aq * (r0 * r0 - r1 * r1) + c * (r0 - r1) + 2.0
+    head, e_head = osc_integral_rows(head_f, r1, r0, span, tol)
 
     # r^{n/2-sigma} J_nu(c r) = r^{-sigma} c^{-n/2} z^{n/2} J_nu(z): rows [0, m)
     # (e^{icr}) and [m, 2m) (e^{-icr}) carry c^{-1/2} r^{(n-1)/2-sigma}
@@ -104,7 +133,7 @@ def _bessel_split_integral(n: int, sigma: float, c, quad: float, r_lo: float,
     tail = tails[:m] + tails[m:]
     if quad < 0.0:
         tail = np.conj(tail)
-    return head + tail, e_head + e_tails[:m] + e_tails[m:]
+    return head + near + tail, e_head + e_near + e_tails[:m] + e_tails[m:]
 
 
 def _chirp_values(datum: ChirpDatum, t: float, x_abs,

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.special import hankel1e, hankel2e, jv
 
-from disperse_lab import blowup
+from disperse_lab import blowup, special
 from disperse_lab.quadrature import refine_rows, rotated_tail
 from disperse_lab.blowup import (
     ChirpDatum,
@@ -61,6 +61,14 @@ class TestCollapse:
             cur = rescaled_modulus(datum, t, z)
             dists.append(float(np.max(np.abs(cur - lim.v))))
         assert dists[0] > dists[1] > dists[2]
+
+    @pytest.mark.parametrize("n,sigma", [(2, 1.5), (3, 2.5), (5, 4.5), (6, 5.9)])
+    def test_cli_limit_profile_is_certified(self, n, sigma):
+        # sigma != n - 1: the integrand is r^{n-1-sigma} at r = 0, taken by
+        # the series there; panels from r = 0 ran to their cap and read an
+        # error of up to 3e-2 of max V
+        prof = limit_profile(ChirpDatum(n, sigma), np.geomspace(0.05, 20.0, 120), tol=1e-7)
+        assert np.max(prof.err) <= 1e-8 * np.max(prof.v)
 
     def test_solution_rejects_degenerate_times(self):
         datum = ChirpDatum(3, 2.0)
@@ -160,6 +168,23 @@ class TestLqGrowth:
         assert annulus_lq(datum, 1.0 - u, 2.0 * lq_blowup_threshold(datum), 0.5, 2.5) > 0
         assert sum(points) <= 48
 
+    @pytest.mark.parametrize("sigma,cap", [(2.0, 12_000), (1.95, 13_000)])
+    def test_odd_n_annulus_head_ends_at_bessel_argument_3(self, sigma, cap, monkeypatch):
+        # at n = 3 the Hankel rows are exact, so the heads of the 48 annulus
+        # points end at c r = 3: 9,408 bessel_j points at sigma = 2 and 12,992
+        # at 1.95, where they ended at c r = 10 with 28,224 and 43,200
+        points = []
+        bessel_j = special.bessel_j
+
+        def counted(nu, z):
+            points.append(np.size(z))
+            return bessel_j(nu, z)
+
+        monkeypatch.setattr(special, "bessel_j", counted)
+        datum = ChirpDatum(3, sigma)
+        assert annulus_lq(datum, 1.0 - 1e-3, 2.0 * lq_blowup_threshold(datum), 0.5, 2.5) > 0
+        assert sum(points) <= cap
+
     def test_overflowing_q_fails_at_the_first_rule(self, monkeypatch):
         # |psi|^q is inf at q = 1e300: the error comes from the first kernel
         # call (the 16-node rule and its two halves, 16 + 32 points), not
@@ -181,18 +206,21 @@ def _one_ray_reference(n, sigma, c, q, r_lo, z):
     """int_{r_lo}^inf r^{n/2-sigma} J_{(n-2)/2}(c r) e^{iqr^2} dr on the one
     ray r = r_lo + tau e^{i pi/4}, by mpmath with complex besselj.  With
     c = k z and q = k^2 the integrand grows at most by e^{z^2/8} along the
-    ray, which the working precision absorbs."""
+    ray, which the working precision absorbs.  From r_lo = 0 the integrand
+    behaves like tau^{n-1-sigma}, which tanh-sinh misreads near -1; there
+    tau = w^{1/(n-sigma)} makes it tend to a constant at w = 0."""
     with mpmath.workdps(25 + math.ceil(z * z / (8.0 * math.log(10.0)))):
         d = mpmath.expjpi(mpmath.mpf(1) / 4)
         c, q = mpmath.mpf(c), mpmath.mpf(q)
+        p = 1 / (n - mpmath.mpf(sigma)) if r_lo == 0 else mpmath.mpf(1)
 
-        def f(tau):
-            r = r_lo + tau * d
+        def f(w):
+            r = r_lo + w ** p * d
             return (r ** (mpmath.mpf(n) / 2 - sigma) * mpmath.besselj(mpmath.mpf(n - 2) / 2, c * r)
-                    * mpmath.expj(q * r * r) * d)
+                    * mpmath.expj(q * r * r) * d * p * w ** (p - 1))
 
         s = 1 / mpmath.sqrt(q)     # the Gaussian decay length along the ray
-        return complex(mpmath.quad(f, [0, s / 2, s, 2 * s, 4 * s, 10 * s]))
+        return complex(mpmath.quad(f, [(k * s) ** (1 / p) for k in (0, 0.5, 1, 2, 4, 10)]))
 
 
 class TestSplitIntegralReference:
@@ -202,6 +230,13 @@ class TestSplitIntegralReference:
         (3, 1.95, 0.1, 0.3), (3, 1.95, 1e-2, 1.0), (3, 1.95, 1e-4, 3.0),
         (4, 2.5, 1e-4, 3.0), (4, 2.5, 1e-4, 1.0),
         (4, 1.5, 1e-2, 3.0), (4, 1.5, 1e-4, 0.3),
+        # odd n, whose head ends at c r = max(3, nu); at u = 0.8 (k = 1) the
+        # first z of each pair leaves a head on [1, max(3, nu)/z], the second
+        # none (c r_lo = z is past the split, short of the even-n 10)
+        (5, 2.5, 0.8, 2.0), (5, 2.5, 0.8, 5.0), (5, 1.5, 1e-2, 1.0),
+        (7, 3.3, 0.8, 2.0), (7, 3.3, 0.8, 6.0), (7, 2.5, 1e-4, 3.0),
+        (9, 3.3, 0.8, 3.0), (9, 3.3, 0.8, 8.0), (9, 4.5, 1e-3, 1.0),
+        (11, 5.0, 0.8, 4.0), (11, 5.0, 0.8, 6.0), (11, 5.0, 1e-2, 0.3),
     ])
     def test_error_estimate_covers_reference(self, n, sigma, u, z):
         # the focusing frame at t = 1 - u: c = k_t z, q = k_t^2, r from 1;
@@ -210,6 +245,55 @@ class TestSplitIntegralReference:
         (got,), (err,) = blowup._bessel_split_integral(n, sigma, [k * z], k * k, 1.0)
         want = _one_ray_reference(n, sigma, k * z, k * k, 1.0, z)
         assert abs(got - want) <= err + 1e-14 * abs(want)
+
+    @pytest.mark.parametrize("n,sigma,z", [
+        (3, 2.95, 1.0), (3, 2.95, 0.05), (3, 2.5, 4.0), (2, 1.5, 0.3), (2, 1.5, 3.0),
+        (5, 4.5, 0.5), (6, 5.9, 2.0), (7, 3.3, 4.0), (9, 3.3, 2.0), (3, 2.0, 1.0),
+    ])
+    def test_limit_profile_frame_covers_reference(self, n, sigma, z):
+        # from r = 0 with c = z, q = 1: the integrand behaves like r^{n-1-sigma}
+        # at 0, which the series up to r1 = min(1/c, 1) takes in closed form
+        (got,), (err,) = blowup._bessel_split_integral(n, sigma, [z], 1.0, 0.0)
+        want = _one_ray_reference(n, sigma, z, 1.0, 0.0, z)
+        assert abs(got - want) <= err + 1e-14 * abs(want)
+        assert err <= 1e-8 * abs(want)
+
+
+def _sine_reference(c, q, r_lo):
+    """int_{r_lo}^inf r^{3/2-1} J_{1/2}(c r) e^{iqr^2} dr, the n = 3, sigma = 1
+    integral, in closed form: the integrand is sqrt(2/(pi c)) sin(c r) e^{iqr^2},
+    and int_a^inf e^{i(|q| r^2 + b r)} dr = e^{-ib^2/4|q|} sqrt(pi/4|q|) e^{i pi/4}
+    erfc(e^{-i pi/4} sqrt|q| (a + b/2|q|)); q < 0 is its conjugate at -b."""
+    with mpmath.workdps(40):
+        aq, sign = mpmath.mpf(abs(q)), (1 if q > 0 else -1)
+
+        def fresnel(b):
+            b = sign * mpmath.mpf(b)
+            val = (mpmath.expj(-b * b / (4 * aq)) * mpmath.sqrt(mpmath.pi / (4 * aq))
+                   * mpmath.expjpi(mpmath.mpf(1) / 4)
+                   * mpmath.erfc(mpmath.expjpi(-mpmath.mpf(1) / 4) * mpmath.sqrt(aq)
+                                 * (r_lo + b / (2 * aq))))
+            return val if q > 0 else mpmath.conj(val)
+
+        return complex(mpmath.sqrt(2 / (mpmath.pi * c)) * (fresnel(c) - fresnel(-c)) / 2j)
+
+
+class TestSineClosedForm:
+    @pytest.mark.parametrize("r_lo", [0.0, 1.0])
+    @pytest.mark.parametrize("q", [1.0, -1.0, 2.5e-3, -0.3])
+    def test_error_estimate_covers_closed_form(self, r_lo, q):
+        # c on both sides of the odd-n split c r = 3 at r = 1, and past the
+        # even-n 10
+        c = np.array([0.05, 0.7, 2.0, 5.0, 40.0])
+        got, err = blowup._bessel_split_integral(3, 1.0, c, q, r_lo)
+        want = np.array([_sine_reference(cc, q, r_lo) for cc in c])
+        assert np.all(np.abs(got - want) <= err + 1e-14 * np.abs(want))
+
+    @pytest.mark.parametrize("z", [0.3, 2.0])
+    def test_ray_reference_from_zero_matches_closed_form(self, z):
+        # the substituted ray reference that the limit-profile cases rely on
+        want = _sine_reference(z, 1.0, 0.0)
+        assert abs(_one_ray_reference(3, 1.0, z, 1.0, 0.0, z) - want) <= 1e-13 * abs(want)
 
 
 def _defocusing_reference(n, sigma, t, x, R):
@@ -255,8 +339,8 @@ class TestDefocusingSide:
         assert abs(got.value - want) <= got.err_est + 1e-9 * abs(want)
 
     def test_stationary_point_beyond_splitting_is_certified(self):
-        # the e^{-icr} tail's stationary point c/(2|quad|) = 600 lies far
-        # beyond r0 = 10/c; its rays pass it
+        # the e^{-icr} tail's stationary point c/(2|quad|) = 1200 lies far
+        # beyond r0 = 1 (c = 600 is past the split 3/c); its rays pass it
         amp = chirp_solution(ChirpDatum(3, 2.0), 0.5, 600.0)
         assert math.isfinite(amp.err_est)
         assert amp.err_est <= 1e-9 * abs(amp.value)

@@ -1,17 +1,21 @@
 #!/usr/bin/env python3
-"""Fixed-input timings of the quadrature routines and of evolve_radial.
+"""Fixed-input timings of the quadrature routines, evolve_radial and the focusing evaluation.
 
-    python3 tools/bench_layers.py --label NAME [--src DIR] [--out F]
+    python3 tools/bench_layers.py --label NAME [--src DIR --src-label NAME] [--out F]
 
 Times each case below in one process, as the median over ROUNDS rounds; a round
 calls every case once, in turn, so slow phases of a shared machine fall on
-all cases alike.  Next to each timing sit the integrand calls and nodes
-that the case passes through quadrature.gl_rows, counted once, which do not
-depend on the hardware (the end-term calls of rotated_tail do not pass
-through gl_rows and are not counted).  The library is imported from --src
-(default ./src), so the same script times another checkout.  The result is
-stored under --label in the JSON file --out (default BENCH_layers.json),
-next to the results of other labels.
+all cases alike.  With --src the library under DIR is timed too, in
+alternation with this checkout's: within a round each case runs once per
+tree, the tree going first alternating from round to round, so the ratio of
+the two labels holds across the machine's phases (labels recorded in
+different sittings are not comparable).  Each tree's package is imported
+under its own name, so both live in the one process.  Next to each timing
+sit the integrand calls and nodes that the case passes through
+quadrature.gl_rows, counted once, which do not depend on the hardware (the
+end-term calls of rotated_tail do not pass through gl_rows and are not
+counted).  Each tree's result is stored under its label in the JSON file
+--out (default BENCH_layers.json), next to the results of other labels.
 """
 
 from __future__ import annotations
@@ -22,25 +26,54 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse
+import importlib
+import importlib.util
 import json
 import platform
 import statistics
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 ROUNDS = 400
+# the focusing cases: the first 16-node rule of annulus_lq on (0.5, 2.5) and
+# its two halves (48 points) at t = 1 - 1e-3, with the sigma of the focusing
+# benchmark per n; the collapse probes' 25-point grid at sigma = n - 1
+FOCUS_SIGMA = {2: 1.05, 3: 1.95}
+FOCUS_U = 1e-3
+Z_GRID = np.geomspace(0.3, 3.0, 25)
 
 
-def cases(Q, P, profiles):
+def load(src: Path, name: str):
+    """The modules of the package src/disperse_lab, imported as `name`."""
+    pkg = src / "disperse_lab"
+    spec = importlib.util.spec_from_file_location(name, pkg / "__init__.py",
+                                                  submodule_search_locations=[str(pkg)])
+    sys.modules[name] = module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return SimpleNamespace(**{m: importlib.import_module(f"{name}.{m}")
+                              for m in ("quadrature", "propagator", "profiles", "blowup")})
+
+
+def annulus_points():
+    x, _ = np.polynomial.legendre.leggauss(16)
+    return np.concatenate([1.5 + x, 1.0 + 0.5 * x, 2.0 + 0.5 * x])
+
+
+def cases(lib):
     """name -> zero-argument call, with its fixed inputs."""
+    Q, P, B, profiles = lib.quadrature, lib.propagator, lib.blowup, lib.profiles
     one = lambda rho, row: np.ones_like(rho)          # noqa: E731
     pt = P.EvalPoint(3, 1.0, 0.5)
     bump, power = profiles.bump(1.0, 2.0), profiles.power(1.2)
     herglotz = profiles.herglotz_pair(1.0, 3)[0]
+    t = 1.0 - FOCUS_U
+    xs = B.SelfSimilarFrame(t).x_of_z(annulus_points())
+    chirp = {n: B.ChirpDatum(n, s) for n, s in FOCUS_SIGMA.items()}
     return {
         "rotated_tail.one_ray": lambda: Q.rotated_tail(one, 0.5, 1.0),
         "rotated_tail.stationary": lambda: Q.rotated_tail(one, 0.5, -3.0),
@@ -50,6 +83,9 @@ def cases(Q, P, profiles):
         "evolve_radial.compact": lambda: P.evolve_radial(bump, pt),
         "evolve_radial.power_ray": lambda: P.evolve_radial(power, pt),
         "evolve_radial.herglotz": lambda: P.evolve_radial(herglotz, pt),
+        "chirp_values.n2_annulus": lambda: B._chirp_values(chirp[2], t, xs),
+        "chirp_values.n3_annulus": lambda: B._chirp_values(chirp[3], t, xs),
+        "limit_profile.n3": lambda: B.limit_profile(B.ChirpDatum(3, 2.0), Z_GRID),
     }
 
 
@@ -73,23 +109,28 @@ def counts(Q, call):
     return tuple(tally)
 
 
-def measure(src: Path):
-    sys.path.insert(0, str(src))
-    from disperse_lab import profiles, propagator as P, quadrature as Q
-    table = cases(Q, P, profiles)
-    for call in table.values():          # caches and lazy set-up
-        call()
-    secs = {name: [] for name in table}
-    for _ in range(ROUNDS):
-        for name, call in table.items():
-            t0 = time.perf_counter()
+def measure(libs):
+    """Per tree, name -> median time and counts, timed in alternation."""
+    tables = [cases(lib) for lib in libs]
+    for table in tables:                 # caches and lazy set-up
+        for call in table.values():
             call()
-            secs[name].append(time.perf_counter() - t0)
-    out = {}
-    for name, call in table.items():
-        calls, nodes = counts(Q, call)
-        out[name] = {"us": round(statistics.median(secs[name]) * 1e6, 1),
-                     "integrand_calls": calls, "nodes": nodes}
+    secs = [{name: [] for name in table} for table in tables]
+    for r in range(ROUNDS):
+        for name in tables[0]:
+            for k in (range(len(libs)) if r % 2 == 0 else reversed(range(len(libs)))):
+                call = tables[k][name]
+                t0 = time.perf_counter()
+                call()
+                secs[k][name].append(time.perf_counter() - t0)
+    out = []
+    for lib, table, times in zip(libs, tables, secs):
+        rows = {}
+        for name, call in table.items():
+            calls, nodes = counts(lib.quadrature, call)
+            rows[name] = {"us": round(statistics.median(times[name]) * 1e6, 1),
+                          "integrand_calls": calls, "nodes": nodes}
+        out.append(rows)
     return out
 
 
@@ -104,18 +145,32 @@ def host():
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--label", required=True)
-    ap.add_argument("--src", type=Path, default=ROOT / "src")
+    ap.add_argument("--label", required=True, help="label of this checkout's ./src")
+    ap.add_argument("--src", type=Path, default=None,
+                    help="another tree's src directory, timed in alternation")
+    ap.add_argument("--src-label", default=None, help="label of the tree under --src")
     ap.add_argument("--out", type=Path, default=ROOT / "BENCH_layers.json")
     args = ap.parse_args(argv)
-    result = {"host": host(), "rounds": ROUNDS, "cases": measure(args.src)}
+    trees = [(args.label, ROOT / "src")]
+    if args.src is not None:
+        if not args.src_label or args.src_label == args.label:
+            ap.error("--src needs a --src-label other than --label")
+        trees.insert(0, (args.src_label, args.src))
+    libs = [load(src, f"disperse_lab_bench{k}") for k, (_, src) in enumerate(trees)]
+    results = measure(libs)
     doc = json.loads(args.out.read_text()) if args.out.is_file() else {}
-    doc.setdefault("about", __doc__.split("\n\n")[0].strip())
-    doc.setdefault("runs", {})[args.label] = result
+    doc["about"] = __doc__.split("\n\n")[0].strip()
+    labels = [label for label, _ in trees]
+    for label, rows in zip(labels, results):
+        doc.setdefault("runs", {})[label] = {"host": host(), "rounds": ROUNDS,
+                                             "timed_with": [x for x in labels if x != label],
+                                             "cases": rows}
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
-    for name, row in result["cases"].items():
-        print(f"{name:28s} {row['us']:9.1f} us  {row['integrand_calls']:4d} calls "
-              f"{row['nodes']:7d} nodes")
+    print(f"{'case':28s} " + " ".join(f"{label:>12s}" for label in labels) + "   calls   nodes")
+    for name in results[0]:
+        print(f"{name:28s} " + " ".join(f"{rows[name]['us']:9.1f} us" for rows in results)
+              + "".join(f"  {rows[name]['integrand_calls']:4d} {rows[name]['nodes']:7d}"
+                        for rows in results))
     return 0
 
 
