@@ -209,13 +209,14 @@ def _require_exponents(**exps):
 def necessary_p_bound(r: float, n: int) -> float:
     """p >= 2r / (2n - r(n-1))_+ for r > 2n/(n+1); INF when the positive
     part vanishes (no finite p admits the estimate)."""
+    special.order_from_dim(n)               # rejects n that is not an integer >= 2
     _require_exponents(r=r)
     if not (r > 2.0 * n / (n + 1.0)):
         raise ValueError(
             f"bound applies for r > 2n/(n+1) = {2.0 * n / (n + 1.0):g}; "
             "no constraint from this example otherwise")
     if math.isinf(r):
-        return INF if n > 1 else 2.0
+        return INF
     denom = 2.0 * n - r * (n - 1.0)
     return INF if denom <= 0.0 else 2.0 * r / denom
 
@@ -257,6 +258,7 @@ def lpq_region(delta: float, n: int, p: float, q: float) -> LpqVerdict:
     """Membership psi in L^p_t L^q_x per the closed-form region (strict
     inequalities), with the binding constraint identified."""
     SingularDensity(delta)
+    special.order_from_dim(n)
     _require_exponents(p=p, q=q)
     qt = _q_threshold(delta, n)
     if not (q > qt):

@@ -110,7 +110,7 @@ def cmd_special(args) -> int:
 
 
 def cmd_propagate(args) -> int:
-    profile = profiles.from_spec(args.profile)
+    profile = profiles.from_spec(args.profile, args.n)
     ts = _parse_grid(args.t)
     xs = _parse_grid(args.x)
     pts = [(float(t), float(x)) for t in ts for x in xs]
@@ -127,14 +127,6 @@ def cmd_propagate(args) -> int:
     return 0
 
 
-def _norm_value(profile, n: int, which: str) -> float:
-    if which.upper() == "X":
-        return sum(norms.norm_X(profile, n))
-    if which[:1] in ("Y", "y") and which[1:].isdigit():
-        return norms.norm_Ym(profile, n, int(which[1:]))
-    raise ValueError(f"unknown norm {which!r}: expected X or Y0..Yn")
-
-
 def cmd_norm(args) -> int:
     if args.scan:
         key, _, rng = args.scan.partition("=")
@@ -146,26 +138,17 @@ def cmd_norm(args) -> int:
         grid = np.arange(a, b + 1e-12, step)
         if grid.size == 0:
             raise ValueError(f"--scan range {rng!r} is empty: need a <= b")
-        fam, _, rest = args.family.partition(":")
-        kv = dict(item.partition("=")[::2] for item in rest.split(",") if item)
-        omega = float(kv.get("omega", 0.0))
-
-        def one(alpha):
-            spec = norms.FamilySpec(family=fam, alpha=float(alpha), omega=omega)
-            val = _norm_value(spec.build(args.n), args.n, args.which)
-            return (float(alpha), "DIV" if math.isinf(val) else val)
-
-        rows = [one(alpha) for alpha in grid]
-        emit_csv(rows, ["param", "value"], args.out)
+        rows = norms.membership_scan(args.family, args.n, args.which, grid)
+        header = ["param", "value"]
     else:
-        val = _norm_value(profiles.from_spec(args.family), args.n, args.which)
-        emit_csv([(args.which, "DIV" if math.isinf(val) else val)],
-                 ["which", "value"], args.out)
+        val = norms.norm_value(profiles.from_spec(args.family, args.n), args.n, args.which)
+        rows, header = [(args.which, val)], ["which", "value"]
+    emit_csv([(k, "DIV" if math.isinf(v) else v) for k, v in rows], header, args.out)
     return 0
 
 
-def _measure_components(entries) -> list:
-    """(weight, profile) pairs from the --measure JSON list."""
+def _measure_components(entries, n: int) -> list:
+    """(weight, profile) pairs from the --measure JSON list, in dimension n."""
     if not isinstance(entries, list):
         raise ValueError("--measure expects a JSON list of components")
     comps = []
@@ -178,8 +161,7 @@ def _measure_components(entries) -> list:
         if not all(type(w) in (int, float) for w in weight):
             raise ValueError(f"--measure entry {i} needs numbers weight_re "
                              f"and weight_im, got {weight[0]!r} and {weight[1]!r}")
-        params = ",".join(f"{k}={v}" for k, v in e.get("params", {}).items())
-        comps.append((complex(*weight), profiles.from_spec(f"{e['family']}:{params}")))
+        comps.append((complex(*weight), profiles.build(e["family"], e.get("params", {}), n)))
     return comps
 
 
@@ -187,7 +169,7 @@ def cmd_decay(args) -> int:
     if args.measure:
         with open(args.measure) as fh:
             entries = json.load(fh)
-        measure = decay.DiscreteMeasure(_measure_components(entries))
+        measure = decay.DiscreteMeasure(_measure_components(entries, args.n))
         rep = decay.superposition_bound(measure, args.n, m=args.m)
         emit_json({
             "n": rep.n, "m": rep.m,
@@ -199,7 +181,7 @@ def cmd_decay(args) -> int:
         return 0
     if args.profile is None:
         raise ValueError("decay needs --profile or --measure")
-    profile = profiles.from_spec(args.profile)
+    profile = profiles.from_spec(args.profile, args.n)
     if args.mode == "time":
         fit = decay.time_decay_fit(profile, args.n, args.m, x_abs=args.x_abs)
     else:
@@ -338,8 +320,7 @@ def _checks_all() -> List[tuple]:
 
     def threshold_check():
         grid = np.arange(0.8, 1.3, 0.05)
-        spec = norms.FamilySpec(family="power", alpha=1.0, omega=0.0)
-        scan = norms.membership_scan(spec, 3, "X", grid)
+        scan = norms.membership_scan("power", 3, "X", grid)
         thr = norms.empirical_threshold(scan)
         return abs(thr - 1.0) <= 0.051
     checks.append(("x-threshold-n3", threshold_check))

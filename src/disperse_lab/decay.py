@@ -159,10 +159,6 @@ class DiscreteMeasure:
         if not self.components:
             raise ValueError("measure needs at least one component")
 
-    def amplitude(self, n: int, x_abs: float, t: float) -> complex:
-        return sum(w * evolve_radial(p, EvalPoint(n, x_abs, t)).value
-                   for w, p in self.components)
-
 
 @dataclass
 class SuperpositionReport:
@@ -210,13 +206,12 @@ def superposition_bound(measure: DiscreteMeasure, n: int,
     lin_err = 0.0
     samples = []
     for x, t in pts:
-        amp = measure.amplitude(n, x, t)
+        a = _amp(measure, n, x, t)
         # regression guard: scaling a component weight scales its contribution
         w0, p0 = measure.components[0]
         direct = evolve_radial(p0.scale(w0), EvalPoint(n, x, t)).value
         expected = w0 * evolve_radial(p0, EvalPoint(n, x, t)).value
         lin_err = max(lin_err, abs(direct - expected) / max(abs(expected), 1e-300))
-        a = abs(amp)
         samples.append((x, t, a))
         c_space = max(c_space, a / ((1.0 + x) ** ((1 - n) / 2.0) * s_space))
         c_time = max(c_time, a / ((1.0 + t) ** (-m / 2.0) * s_time))

@@ -31,9 +31,9 @@ from typing import Optional
 
 import numpy as np
 
-from .profiles import RadialProfile, power, bump, herglotz
+from . import profiles
+from .profiles import RadialProfile, oscillating_power  # noqa: F401, re-exported
 from .quadrature import linear_fit, refine_rows
-from .special import leibniz
 
 K_MIN, K_MAX = -20, 40
 _SLOPE_DIV_INT = -0.02     # log2 increment slope above this -> divergent
@@ -57,45 +57,6 @@ class NormReport:
     @property
     def x(self) -> float:
         return self.x1 + self.x2
-
-
-@dataclass(frozen=True)
-class FamilySpec:
-    family: str                  # power | oscillating_power | bump | herglotz_envelope
-    alpha: float = 0.0
-    omega: float = 1.0
-    support: tuple = (1.0, 2.0)
-
-    def build(self, n: int) -> RadialProfile:
-        if self.family == "power":
-            return power(self.alpha)
-        if self.family == "oscillating_power":
-            return oscillating_power(self.alpha)
-        if self.family == "bump":
-            return bump(*self.support)
-        if self.family == "herglotz_envelope":
-            return herglotz(self.omega, n)
-        raise ValueError(f"unknown family {self.family!r}")
-
-
-def oscillating_power(alpha: float) -> RadialProfile:
-    """f(r) = e^{ir}(1+r)^{-alpha} with Leibniz closed-form derivatives."""
-    base = power(alpha)
-
-    def env(r):
-        r = np.asarray(r, dtype=float)
-        return np.exp(1j * r) * base.envelope(r)
-
-    def deriv(k, r):
-        return leibniz(1j ** np.arange(k + 1)[:, None] * np.exp(1j * r), base.deriv_fn(k, r))
-
-    def tail(r):
-        r = np.asarray(r, dtype=complex)
-        return np.exp(1j * r) * (1.0 + r) ** (-alpha)
-
-    return RadialProfile(label=f"oscpower[{alpha}]", omega=0.0, envelope=env,
-                         deriv_fn=deriv, support=None, tail_alpha=alpha,
-                         tail_fn=tail)
 
 
 # ---------------------------------------------------------------------------
@@ -330,32 +291,34 @@ def norm_report(profile: RadialProfile, n: int) -> NormReport:
 # membership scans
 # ---------------------------------------------------------------------------
 
-def membership_scan(spec: FamilySpec, n: int, which: str, alphas) -> list:
-    """[(alpha, finite?)] for the requested norm over the parameter grid.
+def norm_value(profile: RadialProfile, n: int, which: str) -> float:
+    """sum(norm_X) for which = 'X', norm_Ym for 'Y0'..'Yn' (either case);
+    math.inf when certified divergent."""
+    tag = which.upper()
+    if tag == "X":
+        return sum(norm_X(profile, n))
+    if tag[:1] == "Y" and tag[1:].isdigit():
+        return norm_Ym(profile, n, int(tag[1:]))
+    raise ValueError(f"unknown norm {which!r}: expected X or Y0..Yn")
 
-    which: 'X', or 'Y0'..'Yn'.
-    """
-    out = []
-    for a in alphas:
-        fam = FamilySpec(family=spec.family, alpha=float(a), omega=spec.omega,
-                         support=spec.support)
-        prof = fam.build(n)
-        if which == "X":
-            x1, x2 = norm_X(prof, n)
-            val = x1 + x2
-        elif which.startswith("Y"):
-            val = norm_Ym(prof, n, int(which[1:]))
-        else:
-            raise ValueError(f"unknown norm tag {which!r}")
-        out.append((float(a), math.isfinite(val)))
-    return out
+
+def membership_scan(spec: str, n: int, which: str, alphas) -> list:
+    """[(alpha, norm_value)] over the grid, for the profile the descriptor
+    spec names with its alpha replaced by each grid point."""
+    family, params = profiles.parse_spec(spec)
+    return [(float(a), norm_value(profiles.build(family, {**params, "alpha": float(a)}, n),
+                                  n, which))
+            for a in alphas]
 
 
 def empirical_threshold(scan: list) -> float:
     """Midpoint between the largest divergent and smallest finite alpha,
-    assuming divergence for small alpha."""
-    div = [a for a, ok in scan if not ok]
-    fin = [a for a, ok in scan if ok]
+    assuming divergence for small alpha.  scan holds (alpha, finite?) pairs
+    or the (alpha, norm_value) pairs of membership_scan."""
+    finite = [(a, v if isinstance(v, (bool, np.bool_)) else math.isfinite(v))
+              for a, v in scan]
+    div = [a for a, ok in finite if not ok]
+    fin = [a for a, ok in finite if ok]
     if not div or not fin:
         raise ValueError("scan does not bracket the threshold")
     return 0.5 * (max(div) + min(fin))

@@ -10,19 +10,22 @@ power, one exponential, one Bell or Hermite recurrence); the Herglotz
 stack is the Leibniz product of the stacks of the cutoff chi, the Bessel
 series and the Hankel power sum (special.splitting_stacks).
 Families with a power-law tail also expose an analytic continuation used
-by the contour-rotated tail quadrature.
+by the contour-rotated tail quadrature.  FAMILIES lists every family with
+its descriptor keys; build makes one at a given dimension.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .special import (alpha_coeffs, exp_stack, leibniz, splitting_A, splitting_B,
-                      splitting_B_series, splitting_stacks)
+from .special import (HANKEL_K, alpha_coeffs, exp_stack, leibniz, splitting_A,
+                      splitting_B, splitting_B_series, splitting_B_series_conj,
+                      splitting_stacks)
 
 
 def require_finite(what: str, **params):
@@ -184,23 +187,46 @@ def power(alpha: float, omega: float = 0.0) -> RadialProfile:
                          tail_fn=tail)
 
 
-def herglotz(omega: float, n: int, K: int = 8) -> RadialProfile:
+def oscillating_power(alpha: float) -> RadialProfile:
+    """f(r) = e^{ir}(1+r)^{-alpha} with Leibniz closed-form derivatives."""
+    base = power(alpha)
+
+    def env(r):
+        r = np.asarray(r, dtype=float)
+        return np.exp(1j * r) * base.envelope(r)
+
+    def deriv(k, r):
+        return leibniz(1j ** np.arange(k + 1)[:, None] * np.exp(1j * r), base.deriv_fn(k, r))
+
+    def tail(r):
+        r = np.asarray(r, dtype=complex)
+        return np.exp(1j * r) * (1.0 + r) ** (-alpha)
+
+    return RadialProfile(label=f"oscpower[{alpha}]", omega=0.0, envelope=env,
+                         deriv_fn=deriv, support=None, tail_alpha=alpha,
+                         tail_fn=tail)
+
+
+def herglotz(omega: float = 1.0, n: Optional[int] = None) -> RadialProfile:
     """Envelope eta_omega of the splitting-based Herglotz decomposition:
 
         r^{(2-n)/2} J_{(n-2)/2}(omega r)
             = eta(r) e^{i omega r} + conj(eta(r)) e^{-i omega r}
 
-    up to the truncation error of the order-K asymptotic series, where
-    eta(r) = omega^{-n/2} r^{1-n} (A_n(omega r)/2 + B_n(omega r)).
+    up to the truncation error of the asymptotic series of HANKEL_K terms,
+    where eta(r) = omega^{-n/2} r^{1-n} (A_n(omega r)/2 + B_n(omega r)).
+    n has no default: omega's default serves the descriptor 'herglotz'.
     """
-    require_finite("herglotz", omega=omega, n=n, K=K)
+    if n is None:
+        raise TypeError("herglotz needs the dimension n")
+    require_finite("herglotz", omega=omega, n=n)
     if omega == 0:
         raise ValueError("herglotz envelope needs omega != 0")
-    if n != int(n) or K != int(K):
-        raise ValueError(f"herglotz needs integer n and K, got n={n:g}, K={K:g}")
-    n, K = int(n), int(K)
+    if n != int(n):
+        raise ValueError(f"herglotz needs integer n, got n={n:g}")
+    n = int(n)
+    coeffs = alpha_coeffs(n, HANKEL_K)
     w = abs(omega)
-    coeffs = alpha_coeffs(n, K)
 
     def env(r):
         r = np.asarray(r, dtype=float)
@@ -208,7 +234,7 @@ def herglotz(omega: float, n: int, K: int = 8) -> RadialProfile:
         pos = r > 0
         rp = r[pos]
         z = w * rp
-        bpart = splitting_B(n, K, z)
+        bpart = splitting_B(n, HANKEL_K, z)
         # the compact part enters with the carrier removed so that
         # eta e^{i w r} + conj(eta) e^{-i w r} reproduces A + e^{iz}B + c.c.
         out[pos] = (w ** (-n / 2.0) * rp ** (1.0 - n)
@@ -228,7 +254,7 @@ def herglotz(omega: float, n: int, K: int = 8) -> RadialProfile:
         # w^{n/2-1+j} [chi (Q/2) e^{-iz} + (1 - chi) z^{1-n} B]^{(j)}, z = w r,
         # with Q = z^{1-n/2} J_nu(z) a power series in z^2, regular at 0
         z = w * r
-        a, b = splitting_stacks(n, K, m, z, shift=n - 1.0)
+        a, b = splitting_stacks(n, HANKEL_K, m, z, shift=n - 1.0)
         near = np.flatnonzero(z < 1.0)
         carrier = (-1j) ** np.arange(m + 1)[:, None] * np.exp(-1j * z[near])
         b[:, near] += leibniz(carrier, 0.5 * a[:, near])
@@ -240,18 +266,17 @@ def herglotz(omega: float, n: int, K: int = 8) -> RadialProfile:
                          tail_start=1.0 / w)
 
 
-def herglotz_pair(omega: float, n: int, K: int = 8):
+def herglotz_pair(omega: float, n: int):
     """The (eta_omega, +omega) and (conj eta_omega, -omega) decomposition pair."""
-    base = herglotz(omega, n, K)
+    base = herglotz(omega, n)
 
     def conj_env(r):
         return np.conj(base.envelope(r))
 
-    coeffs = alpha_coeffs(n, K)
+    coeffs = alpha_coeffs(n, HANKEL_K)
     w = abs(omega)
 
     def conj_tail(r):
-        from .special import splitting_B_series_conj
         r = np.asarray(r, dtype=complex)
         return w ** (-n / 2.0) * r ** (1.0 - n) * splitting_B_series_conj(coeffs, w * r)
 
@@ -262,27 +287,51 @@ def herglotz_pair(omega: float, n: int, K: int = 8):
     return base, mirror
 
 
-def from_spec(spec: str) -> RadialProfile:
-    """Parse 'family:key=val,key=val' CLI profile descriptors."""
-    if ":" in spec:
-        fam, _, rest = spec.partition(":")
-        kv = {}
-        for item in rest.split(","):
-            if not item:
-                continue
+# ---------------------------------------------------------------------------
+# descriptors
+# ---------------------------------------------------------------------------
+
+# family -> builder.  A descriptor's keys are the builder's parameters
+# other than the dimension n, with the builder's defaults; a parameter
+# without a default is a required key.
+FAMILIES = {f.__name__: f for f in (bump, gaussian, power, oscillating_power, herglotz)}
+
+
+def parse_spec(spec: str):
+    """(family, params) of a 'family:key=val,key=val' descriptor."""
+    fam, _, rest = spec.partition(":")
+    params = {}
+    for item in rest.split(","):
+        if item:
             k, _, v = item.partition("=")
-            kv[k.strip()] = float(v)
-    else:
-        fam, kv = spec, {}
-    fam = fam.strip()
-    if fam == "bump":
-        return bump(kv.get("a", 1.0), kv.get("b", 2.0), kv.get("omega", 0.0))
-    if fam == "gaussian":
-        return gaussian(kv.get("width", 1.0), kv.get("omega", 0.0))
-    if fam == "power":
-        if "alpha" not in kv:
-            raise ValueError(f"profile {spec!r} needs alpha=<value>")
-        return power(kv["alpha"], kv.get("omega", 0.0))
-    if fam == "herglotz":
-        return herglotz(kv.get("omega", 1.0), kv.get("n", 3), kv.get("K", 8))
-    raise ValueError(f"unknown profile family {fam!r}")
+            try:
+                params[k.strip()] = float(v)
+            except ValueError:
+                raise ValueError(f"profile {spec!r}: {item!r} is not key=<number>") from None
+    return fam.strip(), params
+
+
+def build(family: str, params: dict, n: int) -> RadialProfile:
+    """The profile of `family` with the keys `params`, in dimension n; any
+    key the family does not take is an error."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown profile family {family!r}")
+    make = FAMILIES[family]
+    sig = inspect.signature(make).parameters
+    keys = [k for k in sig if k != "n"]
+    extra = sorted(set(params) - set(keys))
+    if extra:
+        raise ValueError(f"profile {family!r} takes the keys {', '.join(keys)}; "
+                         f"got {', '.join(map(repr, extra))}")
+    for k in keys:
+        if k not in params and sig[k].default is inspect.Parameter.empty:
+            raise ValueError(f"profile {family!r} needs {k}=<value>")
+    for k, v in params.items():
+        if not isinstance(v, (int, float)) or isinstance(v, bool):
+            raise ValueError(f"profile {family!r} needs a number {k}, got {v!r}")
+    return make(**params, **({"n": n} if "n" in sig else {}))
+
+
+def from_spec(spec: str, n: int) -> RadialProfile:
+    """The profile a 'family:key=val,key=val' CLI descriptor names, in dimension n."""
+    return build(*parse_spec(spec), n)

@@ -164,9 +164,8 @@ def test_criterion_4_norm_thresholds(capsys, monkeypatch):
                  ("oscillating_power", "X", (n + 1) / 2.0)]
         cases += [("power", f"Y{m}", float(n - m)) for m in range(n + 1)]
         for family, which, expect in cases:
-            spec = norms.FamilySpec(family=family)
             grid = np.arange(expect - 0.25, expect + 0.26, 0.1)
-            scan = norms.membership_scan(spec, n, which, grid)
+            scan = norms.membership_scan(family, n, which, grid)
             got = norms.empirical_threshold(scan)
             err = abs(got - expect)
             worst = max(worst, err)

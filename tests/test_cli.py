@@ -8,7 +8,8 @@ import sys
 
 import pytest
 
-from disperse_lab import blowup, cli
+from disperse_lab import blowup, cli, norms, profiles
+from disperse_lab.propagator import EvalPoint, evolve_radial
 
 
 def run_cli(args, tmp_path, name="out"):
@@ -87,7 +88,7 @@ class TestFormats:
 
     def test_norm_order_seven(self, tmp_path):
         # orders above 6 ended in an IndexError traceback from the stencils
-        proc, out = run_cli(["norm", "--family", "herglotz:n=7", "--n", "7",
+        proc, out = run_cli(["norm", "--family", "herglotz", "--n", "7",
                              "--which", "Y7"], tmp_path)
         assert proc.returncode == 0, proc.stderr
         with open(out) as fh:
@@ -188,8 +189,8 @@ class TestExitCodes:
          "bump needs finite parameters, got omega=-inf"),
         (["norm", "--family", "herglotz:omega=nan", "--n", "3", "--which", "X"],
          "herglotz needs finite parameters, got omega=nan"),
-        (["norm", "--family", "herglotz:n=inf", "--n", "3", "--which", "X"],
-         "herglotz needs finite parameters, got n=inf"),
+        (["propagate", "--n", "3", "--profile", "herglotz:omega=inf", "--t", "1", "--x", "1"],
+         "herglotz needs finite parameters, got omega=inf"),
     ])
     def test_non_finite_parameter_is_two(self, argv, message, tmp_path, capsys):
         # these printed X,nan, a NaN row or err_est = nan with exit code 0
@@ -253,6 +254,73 @@ class TestExitCodes:
         assert proc.returncode == 0
         lines = [l for l in proc.stdout.splitlines() if l.strip()]
         assert lines and all(l.startswith("PASS") for l in lines)
+
+
+class TestProfileDescriptors:
+    """One vocabulary of families and keys, built at the command's --n."""
+
+    @staticmethod
+    def _value(argv, tmp_path):
+        assert cli.main(argv + ["--out", str(tmp_path / "o.csv")]) == 0
+        with open(tmp_path / "o.csv") as fh:
+            return list(csv.reader(fh))[1]
+
+    def test_norm_herglotz_takes_the_command_dimension(self, tmp_path):
+        # this printed DIV: the n = 3 envelope judged in X at n = 5
+        row = self._value(["norm", "--family", "herglotz", "--n", "5", "--which", "X"],
+                          tmp_path)
+        assert float(row[1]) == sum(norms.norm_X(profiles.herglotz(1.0, 5), 5))
+        assert math.isfinite(float(row[1]))
+
+    def test_propagate_herglotz_takes_the_command_dimension(self, tmp_path):
+        # this evolved the n = 3 envelope in 2-D
+        row = self._value(["propagate", "--n", "2", "--profile", "herglotz", "--t", "1",
+                           "--x", "1"], tmp_path)
+        want = evolve_radial(profiles.herglotz(1.0, 2), EvalPoint(2, 1.0, 1.0)).value
+        assert complex(float(row[3]), float(row[4])) == want
+
+    def test_oscillating_power_runs_without_scan(self, tmp_path):
+        # this was an unknown profile family outside --scan
+        row = self._value(["norm", "--family", "oscillating_power:alpha=2", "--n", "2",
+                           "--which", "X"], tmp_path)
+        assert float(row[1]) == sum(norms.norm_X(profiles.oscillating_power(2.0), 2))
+
+    @pytest.mark.parametrize("argv, message", [
+        # unknown keys were dropped: these ran as plain bump and gaussian
+        (["norm", "--family", "bump:width=3", "--n", "3", "--which", "X"],
+         "profile 'bump' takes the keys a, b, omega; got 'width'"),
+        (["propagate", "--n", "3", "--profile", "gaussian:alpha=7", "--t", "1", "--x", "1"],
+         "profile 'gaussian' takes the keys width, omega; got 'alpha'"),
+        # this printed the same value on every row
+        (["norm", "--family", "bump", "--n", "3", "--which", "X", "--scan",
+          "alpha=1:1.2:0.2"], "profile 'bump' takes the keys a, b, omega; got 'alpha'"),
+        (["norm", "--family", "herglotz", "--n", "3", "--which", "X", "--scan",
+          "alpha=1:1.2:0.2"], "profile 'herglotz' takes the keys omega; got 'alpha'"),
+        # the dimension is the command's --n, not a key
+        (["norm", "--family", "herglotz:n=5", "--n", "5", "--which", "X"],
+         "profile 'herglotz' takes the keys omega; got 'n'"),
+        (["propagate", "--n", "3", "--profile", "power:alpha", "--t", "1", "--x", "1"],
+         "profile 'power:alpha': 'alpha' is not key=<number>"),
+        # these printed p_bound 0.714 and "spatial q > inf" with exit 0
+        (["appendix", "--mode", "pbound", "--n", "-3", "--r", "5"],
+         "dimension must be an integer >= 2, got -3"),
+        (["appendix", "--mode", "region", "--n", "0"],
+         "dimension must be an integer >= 2, got 0"),
+    ])
+    def test_bad_descriptor_or_dimension_is_two(self, argv, message, tmp_path, capsys):
+        code = cli.main(argv + ["--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_measure_params_must_be_numbers(self, tmp_path, capsys):
+        # the params were formatted into a descriptor and parsed back
+        (tmp_path / "m.json").write_text(json.dumps(
+            [{"family": "bump", "weight_re": 1.0, "params": {"a": "1"}}]))
+        code = cli.main(["decay", "--n", "3", "--measure", str(tmp_path / "m.json"),
+                         "--out", str(tmp_path / "o.json")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: profile 'bump' needs a number a, got '1'\n"
 
 
 class TestDeterminism:

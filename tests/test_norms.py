@@ -11,7 +11,6 @@ from disperse_lab import norms, profiles, quadrature, special
 from disperse_lab.norms import (
     DivergentNormError,
     NormReport,
-    FamilySpec,
     empirical_threshold,
     membership_scan,
     norm_report,
@@ -121,25 +120,30 @@ class TestThresholds:
     def test_x_norm_power_family(self):
         # plain power tails enter X above alpha = (n-1)/2
         n = 3
-        spec = FamilySpec(family="power")
-        scan = membership_scan(spec, n, "X",
+        scan = membership_scan("power", n, "X",
                                np.arange(0.7, 1.35, 0.1))
         assert empirical_threshold(scan) == pytest.approx(1.0, abs=0.06)
 
     def test_x_norm_oscillating_family(self):
         # a unimodular carrier buys one extra power: threshold (n+1)/2
         n = 3
-        spec = FamilySpec(family="oscillating_power")
-        scan = membership_scan(spec, n, "X",
+        scan = membership_scan("oscillating_power", n, "X",
                                np.arange(1.7, 2.35, 0.1))
         assert empirical_threshold(scan) == pytest.approx(2.0, abs=0.06)
 
     def test_ym_power_family(self):
         n = 3
-        spec = FamilySpec(family="power")
-        scan = membership_scan(spec, n, "Y1",
+        scan = membership_scan("power", n, "Y1",
                                np.arange(1.7, 2.35, 0.1))
         assert empirical_threshold(scan) == pytest.approx(2.0, abs=0.06)
+
+    def test_threshold_reads_finite_flags_and_values(self):
+        # (alpha, finite?) pairs, as the benchmark's check builds them, and
+        # the (alpha, norm value) pairs of membership_scan give one answer
+        flags = [(0.8, False), (0.9, False), (1.1, True), (1.2, True)]
+        values = [(0.8, math.inf), (0.9, math.inf), (1.1, 3.5), (1.2, 2.0)]
+        assert empirical_threshold(flags) == empirical_threshold(values) == pytest.approx(1.0)
+        assert empirical_threshold([(a, np.bool_(ok)) for a, ok in flags]) == pytest.approx(1.0)
 
     def test_threshold_requires_bracketing(self):
         with pytest.raises(ValueError):
@@ -149,7 +153,7 @@ class TestThresholds:
 class TestHerglotzDecomposition:
     @pytest.mark.parametrize("n,omega", [(2, 1.0), (3, 1.0), (3, 2.0)])
     def test_reconstructs_bessel_mode(self, n, omega):
-        pair = profiles.herglotz_pair(omega, n, K=6)
+        pair = profiles.herglotz_pair(omega, n)
         nu = special.order_from_dim(n)
         for r in (50.0, 120.0):
             got = sum(complex(np.asarray(q.phi_rad(r)).ravel()[0])

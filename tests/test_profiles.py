@@ -29,16 +29,19 @@ class TestParameterChecks:
         lambda v: profiles.gaussian(1.0, omega=v), lambda v: profiles.bump(v, 2.0),
         lambda v: profiles.bump(1.0, v), lambda v: profiles.bump(1.0, 2.0, v),
         lambda v: profiles.herglotz(v, 3), lambda v: profiles.herglotz(1.0, v),
-        lambda v: profiles.herglotz(1.0, 3, v), lambda v: profiles.herglotz_pair(v, 3)])
+        lambda v: profiles.from_spec(f"power:alpha={v}", 3),
+        lambda v: profiles.herglotz_pair(v, 3)])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_parameter_raises(self, build, value):
         with pytest.raises(ValueError, match="needs finite parameters"):
             build(value)
 
     def test_herglotz_needs_integer_n_and_K(self):
-        with pytest.raises(ValueError, match="integer n and K"):
-            profiles.from_spec("herglotz:n=3.5")
-        assert profiles.from_spec("herglotz:n=4,K=6").label == "herglotz[w=1.0,n=4]"
+        with pytest.raises(ValueError, match="integer n"):
+            profiles.herglotz(1.0, 3.5)
+        with pytest.raises(TypeError, match="dimension n"):
+            profiles.herglotz(1.0)
+        assert profiles.from_spec("herglotz", 4).label == "herglotz[w=1.0,n=4]"
 
 
 class TestTailFnContract:
