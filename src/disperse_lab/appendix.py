@@ -91,7 +91,7 @@ def _contour_integral_large_x(delta: float, n: int, x_abs: float,
 
     def amp(w, row):
         # (w x)^{-n/2} times the z^{(n-1)/2} of the Hankel piece
-        out, on = (w * x_abs) ** -0.5, far[row]
+        out, on = special.cpow(w * x_abs, -0.5), far[row]
         out[on] *= (w[on] - 1.0) ** -delta
         return out
 

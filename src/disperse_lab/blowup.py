@@ -7,13 +7,14 @@ The resulting L^q growth rates rule out space-time (Strichartz) estimates
 with data measured in L^r for every r > 2.  The solution is a real-axis head
 plus, beyond Bessel argument 10 at even n and max(3, nu) at odd n (where the
 Hankel series is exact), the two Hankel pieces of the kernel as one
-special.hankel_tail call; from r = 0 the head starts with a power series.
+special.hankel_tail call; from any r_lo below r1 ~ 1/c a power series precedes the head.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -34,8 +35,7 @@ class ChirpDatum:
     sigma: float
 
     def __post_init__(self):
-        if int(self.n) != self.n or self.n < 2:
-            raise ValueError("dimension must be an integer >= 2")
+        special.order_from_dim(self.n)
         lo = (self.n - 3) / 2.0
         if not (lo < self.sigma < self.n):
             raise ValueError(
@@ -64,22 +64,28 @@ class SelfSimilarFrame:
         return 2.0 * self.t * self.k * np.asarray(z, dtype=float)
 
 
-def _origin_series(n: int, sigma: float, c, quad: float, r1):
-    """(values, errors) of int_0^{r1} r^{n/2-sigma} J_nu(c r) e^{i quad r^2} dr
-    for c r1 <= 1, |quad| r1^2 <= 1: sum_{i<16, j<J} b_i c^{2i+nu} (i quad)^j / j!
-    r1^e / e, e = n - sigma + 2i + 2j, b_i = special._bessel_series(n); the error
-    bounds the omitted j >= J = _ORIGIN_TERMS (i >= 16: below 1e-36) and rounding."""
+@lru_cache(maxsize=None)
+def _origin_table(n: int, sigma: float, sign: float):
+    """_origin_series' b_i (i sign)^j / (j! e) for i < 16, j < J at quad of this
+    sign, and for its error 36 eps times their moduli, then e |b_i| / (J! J (n - sigma))."""
     b = np.array(special._bessel_series(n))
     i, j = np.arange(b.size)[:, None], np.arange(_ORIGIN_TERMS)
     fact = np.cumprod(np.maximum(j, 1), dtype=float)
-    coef = b[:, None] * 1j ** j / (fact * (n - sigma + 2.0 * i + 2.0 * j))
-    w, x = (c * r1) ** 2, quad * r1 * r1
-    wi, xj = w[:, None] ** i.T, x[:, None] ** j
-    scale = c ** special.order_from_dim(n) * r1 ** (n - sigma)
-    mags = np.einsum("ri,ij,rj->r", wi, np.abs(coef), np.abs(xj))
-    omitted = math.e * np.abs(x) ** _ORIGIN_TERMS / (fact[-1] * _ORIGIN_TERMS) * (wi @ np.abs(b))
-    err = scale * (omitted / (n - sigma) + _EPS * (b.size + _ORIGIN_TERMS) * mags)
-    return scale * np.einsum("ri,ij,rj->r", wi, coef, xj), err
+    coef = b[:, None] * (1j * sign) ** j / (fact * (n - sigma + 2.0 * i + 2.0 * j))
+    omitted = math.e * np.abs(b) / (fact[-1] * _ORIGIN_TERMS * (n - sigma))
+    return coef, np.column_stack([_EPS * (b.size + _ORIGIN_TERMS) * np.abs(coef), omitted])
+
+
+def _origin_series(n: int, sigma: float, c, quad: float, r):
+    """(values, errors) per row of S(r) = int_0^r s^{n/2-sigma} J_nu(c s) e^{i quad s^2} ds
+    for c r <= 1, |quad| r^2 <= 1: sum_{i<16, j<J} b_i c^{2i+nu} (i quad)^j / j! r^e / e,
+    e = n - sigma + 2i + 2j, b_i = special._bessel_series(n); the error bounds the
+    omitted j >= J = _ORIGIN_TERMS (i >= 16: below 1e-36) and rounding."""
+    coef, err_coef = _origin_table(n, sigma, math.copysign(1.0, quad))
+    wi = ((c * r) ** 2)[:, None] ** np.arange(coef.shape[0])
+    xj = (abs(quad) * r * r)[:, None] ** np.arange(_ORIGIN_TERMS + 1)
+    scale = c ** special.order_from_dim(n) * r ** (n - sigma)
+    return scale * ((wi @ coef) * xj[:, :-1]).sum(1), scale * ((wi @ err_coef) * xj).sum(1)
 
 
 def _bessel_split_integral(n: int, sigma: float, c, quad: float, r_lo: float,
@@ -87,9 +93,10 @@ def _bessel_split_integral(n: int, sigma: float, c, quad: float, r_lo: float,
     """int_{r_lo}^infty r^{n/2-sigma} J_{(n-2)/2}(c r) e^{i quad r^2} dr for
     every entry of the array c; returns (values, error_estimates) per entry.
 
-    Head by phase-resolved panels (from r_lo = 0, _origin_series to
-    min(1/c, |quad|^{-1/2}) first); beyond r0 (c r = 10 at even n,
-    max(_Z_EXACT, nu) at odd n) the Bessel factor is replaced by its Hankel
+    From any r_lo below r1 = min(1/c, |quad|^{-1/2}), _origin_series gives
+    [r_lo, r1] as S(r1) - S(r_lo), so every head starts near c r = 1; then
+    phase-resolved panels to r0 (c r = 10 at even n, max(_Z_EXACT, nu) at
+    odd n), beyond which the Bessel factor is replaced by its Hankel
     pieces, one special.hankel_tail call for both, the e^{-icr} one through
     its stationary point r = c/(2|quad|) where that lies beyond r0.  quad
     may be negative (defocusing side); quad = 0 is rejected.
@@ -106,25 +113,25 @@ def _bessel_split_integral(n: int, sigma: float, c, quad: float, r_lo: float,
 
     def head_f(r, row):
         return (r ** (n / 2.0 - sigma) * special.bessel_j(nu, c[row] * r)
-                * np.exp(1j * quad * r * r))
+                * np.exp(1j * (quad * r * r)))
 
-    r1, near, e_near = r_lo, 0.0, 0.0
-    if r_lo == 0.0:
-        # up to r1 the integrand is r^{n-1-sigma} times two power series,
-        # integrated term by term: no panel holds the endpoint power
-        r1 = np.minimum(1.0 / c, aq ** -0.5)      # below r0 >= 3/c
-        near, e_near = _origin_series(n, sigma, c, quad, r1)
+    # up to r1 the integrand is r^{n-1-sigma} times two power series, summed
+    # term by term, so no panel holds the branch point r = 0; both ends are
+    # rows of one call, and a row with r1 = r_lo takes S(0) - S(0) = 0
+    m, r1 = c.size, np.maximum(r_lo, np.minimum(1.0 / c, aq ** -0.5))    # below r0 >= 3/c
+    hi = np.where(r1 > r_lo, r1, 0.0)
+    s, e = _origin_series(n, sigma, np.tile(c, 2), quad, np.concatenate([hi, np.minimum(hi, r_lo)]))
+    near, e_near = s[:m] - s[m:], e[:m] + e[m:]
     span = aq * (r0 * r0 - r1 * r1) + c * (r0 - r1) + 2.0
     head, e_head = osc_integral_rows(head_f, r1, r0, span, tol)
 
     # r^{n/2-sigma} J_nu(c r) = r^{-sigma} c^{-n/2} z^{n/2} J_nu(z): rows [0, m)
     # (e^{icr}) and [m, 2m) (e^{-icr}) carry c^{-1/2} r^{(n-1)/2-sigma}
-    m = c.size
     row_c, row_scale = np.concatenate([c, -c]), np.tile(c ** -0.5, 2)
     p = (n - 1) / 2.0 - sigma
 
     def amp(r, row):
-        return row_scale[row] * r ** p
+        return row_scale[row] * special.cpow(r, p)
 
     tails, e_tails = special.hankel_tail(n, amp, row_c, np.concatenate([r0, r0]), 0.0,
                                          c2=aq, s=-p, tol=tol)

@@ -210,8 +210,7 @@ def cmd_blowup(args) -> int:
 
 
 def cmd_gate(args) -> int:
-    if args.n < 2:
-        raise ValueError(f"dimension must be an integer >= 2, got {args.n}")
+    special.order_from_dim(args.n)
     if not args.r >= 1.0:
         raise ValueError(f"exponent r must be >= 1 (inf allowed), got {args.r:g}")
     if args.p is not None and args.q is not None:

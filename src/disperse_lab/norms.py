@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import profiles
+from . import profiles, special
 from .profiles import RadialProfile, oscillating_power  # noqa: F401, re-exported
 from .quadrature import linear_fit, refine_rows
 
@@ -167,8 +167,7 @@ def _certify_sup(probes, octave_probes=None):
 
 
 def _check_args(profile: RadialProfile, n: int):
-    if int(n) != n or n < 2:
-        raise ValueError("dimension must be an integer >= 2")
+    special.order_from_dim(n)
     if profile.support is None and profile.tail_alpha is None:
         raise DivergentNormError(
             f"profile {profile.label}: unbounded support without tail descriptor")

@@ -45,8 +45,7 @@ class EvalPoint:
     t: float
 
     def __post_init__(self):
-        if int(self.n) != self.n or self.n < 2:
-            raise ValueError("dimension must be an integer >= 2")
+        special.order_from_dim(self.n)
         require_finite("evaluation point", x_abs=self.x_abs, t=self.t)
         if not (self.x_abs > 0 and self.t > 0):
             raise ValueError("need x_abs > 0 and t > 0")
@@ -120,7 +119,8 @@ def evolve_radial(profile: RadialProfile, pt: EvalPoint,
 
         def h(rho, row):
             r = gamma * rho
-            return profile.tail_fn(r) * r ** (n / 2.0) * special.bessel_j_c(nu, beta * rho)
+            return (profile.tail_fn(r) * special.cpow(r, n / 2.0)
+                    * special.bessel_j_c(nu, beta * rho))
 
         (tail,), (e_tail,) = rotated_tail(h, rho_a, profile.omega * gamma, tol=tol)
         return ComplexAmplitude(pref * (head + tail), abs(pref) * (err + e_tail))
@@ -138,7 +138,7 @@ def evolve_radial(profile: RadialProfile, pt: EvalPoint,
     cn = c ** (-n / 2.0)
 
     def amp(rho, row):
-        return cn * profile.tail_fn(gamma * rho) * (beta * rho) ** ((n - 1) / 2.0)
+        return cn * profile.tail_fn(gamma * rho) * special.cpow(beta * rho, (n - 1) / 2.0)
 
     tails, e_tails = special.hankel_tail(n, amp, (beta, -beta), rho0, gamma * profile.omega,
                                          s=-(n - 1) / 2.0, tol=tol)

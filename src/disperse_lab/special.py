@@ -175,9 +175,26 @@ def bessel_j_c(nu: float, z):
 
 
 def order_from_dim(n: int) -> float:
-    if int(n) != n or n < 2:
-        raise ValueError(f"dimension must be an integer >= 2, got {n}")
+    """Bessel order (n-2)/2; the package's one check that n is an integer >= 2."""
+    if not (2 <= n < math.inf and int(n) == n):
+        raise ValueError(f"dimension must be an integer >= 2, got {n:g}")
     return (n - 2) / 2.0
+
+
+def cpow(z, p: float):
+    """Principal z^p (numpy's branch), complex z, real p: numpy's integer power
+    at whole p, times one complex sqrt at half-integer p, else |z|^p (cos + i sin)
+    (p arg z) in real arithmetic; numpy's z ** p by a float is 2-4x dearer off 1/2."""
+    z = np.asarray(z, dtype=complex)
+    k = math.floor(p)
+    if p == k:
+        return z ** k
+    if p - k == 0.5:
+        return np.sqrt(z) * z ** k if k else np.sqrt(z)
+    ang, mag, out = p * np.arctan2(z.imag, z.real), np.abs(z) ** p, np.empty_like(z)
+    np.multiply(mag, np.cos(ang), out=out.real)
+    np.multiply(mag, np.sin(ang), out=out.imag)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +212,7 @@ class SplittingCoeffs:
 @lru_cache(maxsize=None)
 def alpha_coeffs(n: int, K: int) -> SplittingCoeffs:
     """Coefficients alpha_k = (2 pi)^{-1/2} (nu, k) (i/2)^k with nu=(n-2)/2."""
-    if n < 2 or int(n) != n:
-        raise ValueError("need integer dimension n >= 2")
+    order_from_dim(n)
     if K < 0:
         raise ValueError("need K >= 0")
     four_nu2 = (n - 2) ** 2
@@ -238,15 +254,13 @@ def splitting_B_series(coeffs: SplittingCoeffs, z):
 
     No cutoff applied; valid for complex z away from the branch cut.
     """
-    z = np.asarray(z, dtype=complex)
-    return coeffs.prefactor * z ** ((coeffs.n - 1) / 2.0) * hankel_sum(coeffs.alpha, z)
+    return coeffs.prefactor * cpow(z, (coeffs.n - 1) / 2.0) * hankel_sum(coeffs.alpha, z)
 
 
 def splitting_B_series_conj(coeffs: SplittingCoeffs, z):
     """Analytic continuation of conj(B_n) off the real axis: conjugate
     coefficients, same powers of z."""
-    z = np.asarray(z, dtype=complex)
-    return (np.conj(coeffs.prefactor) * z ** ((coeffs.n - 1) / 2.0)
+    return (np.conj(coeffs.prefactor) * cpow(z, (coeffs.n - 1) / 2.0)
             * hankel_sum(np.conj(coeffs.alpha), z))
 
 
@@ -320,7 +334,8 @@ def hankel_tail(n: int, amp, b, rho0, a, c2: float = 1.0, delta=0.0, s: float = 
     pref = np.where(b > 0, coeffs.prefactor, np.conj(coeffs.prefactor))
 
     def h(rho, row):
-        return amp(rho, row) * pref[row] * hankel_sum(alpha, b[row] * rho)
+        series = hankel_sum(alpha, b[row] * rho) if any(alpha[1:]) else alpha[0]  # n = 3
+        return amp(rho, row) * pref[row] * series
 
     values, errs = rotated_tail(h, rho0, a + b, c2, delta, tol)
     if omitted:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.special import hankel1e, hankel2e, jv
 
-from disperse_lab import blowup, special
+from disperse_lab import blowup, quadrature, special
 from disperse_lab.quadrature import refine_rows, rotated_tail
 from disperse_lab.blowup import (
     ChirpDatum,
@@ -171,8 +171,9 @@ class TestLqGrowth:
     @pytest.mark.parametrize("sigma,cap", [(2.0, 12_000), (1.95, 13_000)])
     def test_odd_n_annulus_head_ends_at_bessel_argument_3(self, sigma, cap, monkeypatch):
         # at n = 3 the Hankel rows are exact, so the heads of the 48 annulus
-        # points end at c r = 3: 9,408 bessel_j points at sigma = 2 and 12,992
-        # at 1.95, where they ended at c r = 10 with 28,224 and 43,200
+        # points end at c r = 3: 9,408 bessel_j points at sigma = 2 and at
+        # 1.95 (12,992 while the head started at r = 1), where they ended at
+        # c r = 10 with 28,224 and 43,200
         points = []
         bessel_j = special.bessel_j
 
@@ -184,6 +185,27 @@ class TestLqGrowth:
         datum = ChirpDatum(3, sigma)
         assert annulus_lq(datum, 1.0 - 1e-3, 2.0 * lq_blowup_threshold(datum), 0.5, 2.5) > 0
         assert sum(points) <= cap
+
+    @pytest.mark.parametrize("n,sigma", [(2, 1.05), (3, 1.95)])
+    def test_small_u_heads_cost_as_much_as_large_u(self, n, sigma, monkeypatch):
+        # the origin series takes every head from r = 1 to near c r = 1, so
+        # no panel hundreds wide sits next to the branch point r = 0 at small
+        # u: 51,024 nodes at both u at n = 2 and 33,936 at n = 3, where heads
+        # from r = 1 took 122,992 and 50,320 at u = 2e-4
+        datum, points = ChirpDatum(n, sigma), []
+        gl_rows = quadrature.gl_rows
+
+        def counted(f, *args, **kw):
+            def g(x, *rest):
+                points[-1] += x.size
+                return f(x, *rest)
+            return gl_rows(g, *args, **kw)
+
+        monkeypatch.setattr(quadrature, "gl_rows", counted)
+        for u in (2e-4, 0.05):
+            points.append(0)
+            assert annulus_lq(datum, 1.0 - u, 2.0 * lq_blowup_threshold(datum), 0.5, 2.5) > 0
+        assert points[0] <= 1.5 * points[1]
 
     def test_overflowing_q_fails_at_the_first_rule(self, monkeypatch):
         # |psi|^q is inf at q = 1e300: the error comes from the first kernel
@@ -257,6 +279,30 @@ class TestSplitIntegralReference:
         want = _one_ray_reference(n, sigma, z, 1.0, 0.0, z)
         assert abs(got - want) <= err + 1e-14 * abs(want)
         assert err <= 1e-8 * abs(want)
+
+
+class TestOriginSeriesGuard:
+    @pytest.mark.parametrize("n,sigma", [(2, 1.05), (3, 1.95)])
+    @pytest.mark.parametrize("c,q", [(0.99, 0.01), (1.01, 0.01), (0.3, 0.99), (0.3, 1.01)])
+    def test_lower_end_on_both_sides_of_the_series_range(self, n, sigma, c, q, monkeypatch):
+        # from r_lo = 1 the series runs only where c r <= 1 and q r^2 <= 1;
+        # a row past that gets no series term and no series error (its
+        # terms grow there: a first cut read err_est = 1.4e34)
+        rows = []
+        series = blowup._origin_series
+
+        def recorded(n, sigma, cc, quad, r):
+            rows.append((cc, r))
+            return series(n, sigma, cc, quad, r)
+
+        monkeypatch.setattr(blowup, "_origin_series", recorded)
+        (got,), (err,) = blowup._bessel_split_integral(n, sigma, [c], q, 1.0)
+        for cc, r in rows:
+            assert np.all(cc * r <= 1.0) and np.all(q * r * r <= 1.0)
+        want = _one_ray_reference(n, sigma, c, q, 1.0, c / math.sqrt(q))
+        assert abs(got - want) <= err + 1e-14 * abs(want)
+        # the even-n Hankel truncation sets up to 5e-8 of it
+        assert err <= 1e-7 * abs(want)
 
 
 def _sine_reference(c, q, r_lo):

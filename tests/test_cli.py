@@ -121,7 +121,8 @@ class TestExitCodes:
         ("3", "X", "alpha=1:2:-0.5", "--scan step must be positive, got -0.5"),
         ("3", "Z", "alpha=1:2:1", "unknown norm 'Z': expected X or Y0..Yn"),
         ("3", "X", "beta=1:2:1", "--scan expects alpha=a:b:step, got 'beta=1:2:1'"),
-        ("0", "X", "alpha=1:2:1", "dimension must be an integer >= 2"),
+        pytest.param("0", "X", "alpha=1:2:1", "dimension must be an integer >= 2, got 0",
+                     id="0-X-alpha=1:2:1-dimension must be an integer >= 2"),
     ])
     def test_bad_norm_request_is_two_with_message(self, n, which, scan, message,
                                                    tmp_path, capsys):
@@ -312,6 +313,20 @@ class TestProfileDescriptors:
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        # these read "need integer dimension n >= 2" (herglotz), "dimension
+        # must be an integer >= 2" (power) and "..., got 1" (gate)
+        ["norm", "--family", "herglotz", "--n", "1", "--which", "X"],
+        ["norm", "--family", "power:alpha=1.5", "--n", "1", "--which", "X"],
+        ["gate", "--n", "1", "--r", "3"],
+        ["propagate", "--n", "1", "--profile", "bump", "--t", "1", "--x", "1"],
+        ["blowup", "--n", "1", "--sigma", "0.5", "--q", "4"],
+    ])
+    def test_one_message_for_a_bad_dimension(self, argv, tmp_path, capsys):
+        code = cli.main(argv + ["--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: dimension must be an integer >= 2, got 1\n"
 
     def test_measure_params_must_be_numbers(self, tmp_path, capsys):
         # the params were formatted into a descriptor and parsed back

@@ -228,9 +228,10 @@ class TestDimensionCheck:
     @pytest.mark.parametrize("n", [0, 1, 2.5])
     def test_rejects_bad_dimension(self, n):
         p = profiles.power(3.0)
-        with pytest.raises(ValueError, match="dimension must be an integer >= 2"):
+        message = f"^dimension must be an integer >= 2, got {n:g}$"
+        with pytest.raises(ValueError, match=message):
             norm_X(p, n)
-        with pytest.raises(ValueError, match="dimension must be an integer >= 2"):
+        with pytest.raises(ValueError, match=message):
             norm_Ym(p, n, 0)
 
 

@@ -163,6 +163,43 @@ class TestSplitting:
                 assert abs(got - want) <= 1e-14 * abs(want), (n, z, got, want)
 
 
+def _cpow_grid():
+    """|z| from 1e-3 to 1e6 (and 1) at arguments across (-pi, pi), and the
+    negative real axis with +0.0 and -0.0 imaginary parts."""
+    mods = np.concatenate([np.geomspace(1e-3, 1e6, 28), [1.0]])
+    args = np.concatenate([np.linspace(-np.pi, np.pi, 41)[1:-1], [np.pi - 1e-12, 1e-12 - np.pi]])
+    axis = np.empty(2 * mods.size, dtype=complex)
+    axis.real, axis.imag = np.tile(-mods, 2), np.repeat([0.0, -0.0], mods.size)
+    return np.concatenate([(mods[:, None] * np.exp(1j * args)).ravel(), axis])
+
+
+def _mp_power(z, p):
+    """Principal z^p by mpmath; a -0.0 imaginary part takes the side below
+    the cut, as conj((conj z)^p)."""
+    below = math.copysign(1.0, z.imag) < 0
+    w = complex(mpmath.power(mpmath.mpc(z.real, abs(z.imag)), mpmath.mpf(p)))
+    return w.conjugate() if below else w
+
+
+class TestCpow:
+    @pytest.mark.parametrize("p", [-2.2678, -0.95, -0.5, 0.5, 1.5, -2.5, -2.0, -1.0, 0.0, 1.0, 3.0])
+    def test_matches_mpmath_and_numpy(self, p):
+        # a few ulps times the condition number 1 + |p log|z|| of z^p
+        z = _cpow_grid()
+        with mpmath.workdps(30):
+            want = np.array([_mp_power(v, p) for v in z])
+        got = special.cpow(z, p)
+        ulp = np.finfo(float).eps * np.abs(want) * (1.0 + np.abs(p * np.log(np.abs(z))))
+        assert np.all(np.abs(got - want) <= 4.0 * ulp)
+        assert np.all(np.abs(got - z ** p) <= 8.0 * ulp)
+
+    @pytest.mark.parametrize("p", [-0.95, 0.5, 1.5, -2.2678])
+    def test_cut_side_follows_the_sign_of_zero(self, p):
+        above, below = special.cpow(np.array([complex(-4.0, 0.0), complex(-4.0, -0.0)]), p)
+        assert above == pytest.approx(4.0 ** p * cmath.exp(1j * math.pi * p), rel=1e-15)
+        assert below == pytest.approx(above.conjugate(), rel=1e-15)
+
+
 def _series_by_powers(coeffs, z, conj=False):
     """The splitting series as summed term by term in z^{-k}, every alpha_k
     included, as it stood before the Horner evaluation."""

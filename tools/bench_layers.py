@@ -41,10 +41,11 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 ROUNDS = 400
 # the focusing cases: the first 16-node rule of annulus_lq on (0.5, 2.5) and
-# its two halves (48 points) at t = 1 - 1e-3, with the sigma of the focusing
-# benchmark per n; the collapse probes' 25-point grid at sigma = n - 1
+# its two halves (48 points) at t = 1 - u, u = 1e-3 and the small end 2e-4 of
+# the focusing benchmark, with its sigma per n; the collapse probes' 25-point
+# grid at sigma = n - 1
 FOCUS_SIGMA = {2: 1.05, 3: 1.95}
-FOCUS_U = 1e-3
+FOCUS_U = (1e-3, 2e-4)
 Z_GRID = np.geomspace(0.3, 3.0, 25)
 
 
@@ -56,7 +57,8 @@ def load(src: Path, name: str):
     sys.modules[name] = module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return SimpleNamespace(**{m: importlib.import_module(f"{name}.{m}")
-                              for m in ("quadrature", "propagator", "profiles", "blowup")})
+                              for m in ("special", "quadrature", "propagator", "profiles",
+                                        "blowup")})
 
 
 def annulus_points():
@@ -67,17 +69,24 @@ def annulus_points():
 def cases(lib):
     """name -> zero-argument call, with its fixed inputs."""
     Q, P, B, profiles = lib.quadrature, lib.propagator, lib.blowup, lib.profiles
+    # the library's complex power; a tree from before special.cpow used numpy's
+    cpow = getattr(lib.special, "cpow", np.power)
     one = lambda rho, row: np.ones_like(rho)          # noqa: E731
     pt = P.EvalPoint(3, 1.0, 0.5)
     bump, power = profiles.bump(1.0, 2.0), profiles.power(1.2)
     herglotz = profiles.herglotz_pair(1.0, 3)[0]
-    t = 1.0 - FOCUS_U
-    xs = B.SelfSimilarFrame(t).x_of_z(annulus_points())
+    t, t_small = (1.0 - u for u in FOCUS_U)
+    xs, xs_small = (B.SelfSimilarFrame(tt).x_of_z(annulus_points()) for tt in (t, t_small))
     chirp = {n: B.ChirpDatum(n, s) for n, s in FOCUS_SIGMA.items()}
     return {
         "rotated_tail.one_ray": lambda: Q.rotated_tail(one, 0.5, 1.0),
         "rotated_tail.stationary": lambda: Q.rotated_tail(one, 0.5, -3.0),
         "rotated_tail.delta_0.5": lambda: Q.rotated_tail(one, 0.5, 1.0, delta=0.5),
+        # a ray integrand with a non-integer complex power, r^{-0.95}, on one
+        # row and on the 96 Hankel rows of the focusing annulus rule
+        "rotated_tail.power_1row": lambda: Q.rotated_tail(lambda r, row: cpow(r, -0.95), 0.5, 1.0),
+        "rotated_tail.power_96rows": lambda: Q.rotated_tail(lambda r, row: cpow(r, -0.95),
+                                                            np.full(96, 0.5), 1.0),
         "osc_integral.span_20": lambda: Q.osc_integral(lambda x: np.exp(20j * x), 0.0, 1.0, 20.0),
         "osc_integral.empty": lambda: Q.osc_integral(lambda x: np.exp(20j * x), 1.0, 1.0, 0.0),
         "evolve_radial.compact": lambda: P.evolve_radial(bump, pt),
@@ -85,6 +94,8 @@ def cases(lib):
         "evolve_radial.herglotz": lambda: P.evolve_radial(herglotz, pt),
         "chirp_values.n2_annulus": lambda: B._chirp_values(chirp[2], t, xs),
         "chirp_values.n3_annulus": lambda: B._chirp_values(chirp[3], t, xs),
+        "chirp_values.n2_annulus_u2e-4": lambda: B._chirp_values(chirp[2], t_small, xs_small),
+        "chirp_values.n3_annulus_u2e-4": lambda: B._chirp_values(chirp[3], t_small, xs_small),
         "limit_profile.n3": lambda: B.limit_profile(B.ChirpDatum(3, 2.0), Z_GRID),
     }
 
