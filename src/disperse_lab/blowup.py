@@ -4,10 +4,9 @@ The datum  phi(x) = e^{-i|x|^2/4} 1_{|x|>=1} |x|^{-sigma}  focuses at t = 1:
 near the focusing time the solution concentrates on an annulus of radius
 ~ k_t, with modulus ~ k_t^{sigma-n} and a universal limit profile V(z).
 The resulting L^q growth rates rule out space-time (Strichartz) estimates
-with data measured in L^r for every r > 2.  The solution is a real-axis head
-plus, beyond Bessel argument 10 at even n and max(3, nu) at odd n (where the
-Hankel series is exact), the two Hankel pieces of the kernel as one
-special.hankel_tail call; from any r_lo below r1 ~ 1/c a power series precedes the head.
+with data measured in L^r for every r > 2.  The solution is one
+special.bessel_split_integral (a real-axis head, then the two Hankel pieces
+of the kernel), preceded from any r_lo below r1 ~ 1/c by a power series.
 """
 
 from __future__ import annotations
@@ -22,10 +21,9 @@ import numpy as np
 from . import special
 from .decay import DecayFit, _envelope_fit
 from .propagator import ComplexAmplitude, _prefactor
-from .quadrature import _EPS, osc_integral_rows, refine_rows
+from .quadrature import _EPS, refine_rows
 
 INF = math.inf
-_Z_EXACT = 3.0        # at odd n the head ends at Bessel argument max(_Z_EXACT, nu)
 _ORIGIN_TERMS = 20    # powers of i quad r^2 kept by _origin_series: 1/20! < 1e-18
 
 
@@ -94,22 +92,14 @@ def _bessel_split_integral(n: int, sigma: float, c, quad: float, r_lo: float,
     every entry of the array c; returns (values, error_estimates) per entry.
 
     From any r_lo below r1 = min(1/c, |quad|^{-1/2}), _origin_series gives
-    [r_lo, r1] as S(r1) - S(r_lo), so every head starts near c r = 1; then
-    phase-resolved panels to r0 (c r = 10 at even n, max(_Z_EXACT, nu) at
-    odd n), beyond which the Bessel factor is replaced by its Hankel
-    pieces, one special.hankel_tail call for both, the e^{-icr} one through
-    its stationary point r = c/(2|quad|) where that lies beyond r0.  quad
-    may be negative (defocusing side); quad = 0 is rejected.
+    [r_lo, r1] as S(r1) - S(r_lo), so every head starts near c r = 1; from
+    r1 on, one special.bessel_split_integral (its split rule is there).
+    quad may be negative (defocusing side); quad = 0 is rejected.
     """
     if quad == 0.0:
         raise ValueError("quadratic phase must be nonzero")
     nu = special.order_from_dim(n)
     c = np.array(c, dtype=float, ndmin=1)
-    aq = abs(quad)
-
-    # the Hankel series is truncated at even n; at odd n it ends at k = (n-3)/2
-    # and is exact, but below z ~ nu its two rows are large and cancel
-    r0 = np.maximum(r_lo, (10.0 if n % 2 == 0 else max(_Z_EXACT, nu)) / c)
 
     def head_f(r, row):
         return (r ** (n / 2.0 - sigma) * special.bessel_j(nu, c[row] * r)
@@ -118,29 +108,17 @@ def _bessel_split_integral(n: int, sigma: float, c, quad: float, r_lo: float,
     # up to r1 the integrand is r^{n-1-sigma} times two power series, summed
     # term by term, so no panel holds the branch point r = 0; both ends are
     # rows of one call, and a row with r1 = r_lo takes S(0) - S(0) = 0
-    m, r1 = c.size, np.maximum(r_lo, np.minimum(1.0 / c, aq ** -0.5))    # below r0 >= 3/c
+    m, r1 = c.size, np.maximum(r_lo, np.minimum(1.0 / c, abs(quad) ** -0.5))
     hi = np.where(r1 > r_lo, r1, 0.0)
     s, e = _origin_series(n, sigma, np.tile(c, 2), quad, np.concatenate([hi, np.minimum(hi, r_lo)]))
-    near, e_near = s[:m] - s[m:], e[:m] + e[m:]
-    span = aq * (r0 * r0 - r1 * r1) + c * (r0 - r1) + 2.0
-    head, e_head = osc_integral_rows(head_f, r1, r0, span, tol)
 
-    # r^{n/2-sigma} J_nu(c r) = r^{-sigma} c^{-n/2} z^{n/2} J_nu(z): rows [0, m)
-    # (e^{icr}) and [m, 2m) (e^{-icr}) carry c^{-1/2} r^{(n-1)/2-sigma}
-    row_c, row_scale = np.concatenate([c, -c]), np.tile(c ** -0.5, 2)
-    p = (n - 1) / 2.0 - sigma
-
-    def amp(r, row):
-        return row_scale[row] * special.cpow(r, p)
-
-    tails, e_tails = special.hankel_tail(n, amp, row_c, np.concatenate([r0, r0]), 0.0,
-                                         c2=aq, s=-p, tol=tol)
-    # the integrand is real but for e^{i quad r^2}, so on the defocusing side
-    # (quad < 0) the tail is the conjugate of the tail at |quad|
-    tail = tails[:m] + tails[m:]
-    if quad < 0.0:
-        tail = np.conj(tail)
-    return head + near + tail, e_head + e_near + e_tails[:m] + e_tails[m:]
+    # r^{n/2-sigma} J_nu(c r) = r^{-sigma} c^{-n/2} z^{n/2} J_nu(z): both
+    # tail rows of c carry c^{-1/2} r^{(n-1)/2-sigma}, real on the real axis
+    scale, p = np.tile(c ** -0.5, 2), (n - 1) / 2.0 - sigma
+    val, err = special.bessel_split_integral(
+        n, head_f, lambda r, row: scale[row] * special.cpow(r, p), c, r1[:, None],
+        c2=quad, s=-p, tol=tol)
+    return val + (s[:m] - s[m:]), err + (e[:m] + e[m:])
 
 
 def _chirp_values(datum: ChirpDatum, t: float, x_abs,

@@ -13,11 +13,10 @@ non-oscillatory after contour rotation.  For unbounded data the real-axis
 head covers rho in [0, rho_a], rho_a = 1.5 tail_start/gamma, where the
 envelope may differ from tail_fn.  At |x|/sqrt(t) <= 2 everything beyond it
 runs on steepest-descent rays through tail_fn and the complex J_nu, at a
-cost that does not grow with t.  At |x|/sqrt(t) > 2 the head goes on, as a
-second row, to max(rho_a, _Z_SPLIT/beta), where the Hankel series hold;
-beyond it the e^{+-iz} pieces are one special.hankel_tail call, whose e^{-iz}
-row passes its stationary point (beta - gamma omega)/2 on rays, at a cost
-that does not grow with |x|.  An exact spectral oracle (n = 3) serves as an
+cost that does not grow with t.  At |x|/sqrt(t) > 2 the rest is one
+special.bessel_split_integral (its split rule is there), whose e^{-iz} row
+passes its stationary point (beta - gamma omega)/2 on rays, at a cost that
+does not grow with |x|.  An exact spectral oracle (n = 3) serves as an
 independent check.
 """
 
@@ -31,7 +30,7 @@ from scipy.special import comb
 
 from . import norms, special
 from .profiles import RadialProfile, require_finite
-from .quadrature import osc_integral, osc_integral_rows, refine_rows, rotated_tail
+from .quadrature import osc_integral, refine_rows, rotated_tail
 
 
 class DivergentTailError(ValueError):
@@ -60,7 +59,6 @@ class ComplexAmplitude:
     err_est: float
 
 
-_Z_SPLIT = 10.0   # Bessel argument beyond which the truncated splitting is used
 # above this x/sqrt(t), J_nu grows too fast off the real axis for the rays
 _BETA_ROTATE = 2.0
 
@@ -125,25 +123,18 @@ def evolve_radial(profile: RadialProfile, pt: EvalPoint,
         (tail,), (e_tail,) = rotated_tail(h, rho_a, profile.omega * gamma, tol=tol)
         return ComplexAmplitude(pref * (head + tail), abs(pref) * (err + e_tail))
 
-    # the head goes on to where the Hankel series hold (z >= _Z_SPLIT), as a
-    # second row so the band's refinement does not spread over it; both
-    # series tails run on rays, the e^{-iz} one through its stationary point
-    rho0 = max(rho_a, _Z_SPLIT / beta)
-    lo, hi = np.array([0.0, rho_a]), np.array([rho_a, rho0])
-    heads, errs = osc_integral_rows(lambda rho, row: f(rho), lo, hi,
-                                    hi ** 2 - lo ** 2 + span_coef * (hi - lo), tol)
-
-    # (gamma rho)^{n/2} J_nu(beta rho) = c^{-n/2} z^{n/2} J_nu(z); the tail
-    # carries c^{-n/2} tail_fn z^{(n-1)/2}, and |tail_fn| does not increase
+    # beyond the band, special.bessel_split_integral's head and Hankel rays
+    # in z = beta rho: (gamma rho)^{n/2} J_nu(z) = c^{-n/2} z^{n/2} J_nu(z),
+    # so the tail carries c^{-n/2} tail_fn z^{(n-1)/2}; |tail_fn| does not increase
     cn = c ** (-n / 2.0)
 
     def amp(rho, row):
         return cn * profile.tail_fn(gamma * rho) * special.cpow(beta * rho, (n - 1) / 2.0)
 
-    tails, e_tails = special.hankel_tail(n, amp, (beta, -beta), rho0, gamma * profile.omega,
-                                         s=-(n - 1) / 2.0, tol=tol)
-    val = heads.sum() + tails.sum()
-    return ComplexAmplitude(pref * val, abs(pref) * (errs.sum() + e_tails.sum()))
+    (val,), (err,) = special.bessel_split_integral(n, lambda rho, row: f(rho), amp, beta,
+                                                   [0.0, rho_a], gamma * profile.omega,
+                                                   s=-(n - 1) / 2.0, tol=tol)
+    return ComplexAmplitude(pref * val, abs(pref) * err)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Bessel functions, the smooth/oscillatory splitting A_n/B_n, its Hankel
-pieces on tails (hankel_tail, for propagator, blowup and appendix) and
+pieces on tails (hankel_tail), the split-Bessel integral of propagator and
+blowup (bessel_split_integral: a real-axis head, then hankel_tail) and
 iterated Fresnel tail integrals.
 
 Derivatives are exact stacks, (k+1, N) arrays of orders 0..k at N nodes:
@@ -25,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import beta, j0, j1, jv, spherical_jn
 
-from .quadrature import rotated_tail
+from .quadrature import osc_integral_rows, rotated_tail
 
 # ---------------------------------------------------------------------------
 # cutoff function chi
@@ -346,6 +347,36 @@ def hankel_tail(n: int, amp, b, rho0, a, c2: float = 1.0, delta=0.0, s: float = 
         errs = errs + (np.abs(amp(rho0.astype(complex), np.arange(b.size))) * omitted
                        * (np.abs(b) * rho0) ** -(HANKEL_K + 1.0) * span)
     return values, errs
+
+
+def bessel_split_integral(n: int, head, amp, c, edges, a: float = 0.0, c2: float = 1.0,
+                          s: float = 0.0, tol: float = 1e-9):
+    """Per entry i < m of c, int_{edges[i, 0]}^inf f(r) J_nu(c_i r) e^{i(c2 r^2 + a r)} dr:
+    head(r, row), the whole integrand, on real-axis rows i k .. i k + k - 1
+    between the k edges[i] and on to r0 = max(edges[i, -1], z0/c_i), then
+    the two Hankel pieces of z^{n/2} J_nu(z), z = c_i r, as hankel_tail rows
+    i (e^{iz}) and m + i (e^{-iz}) of one call, amp(r, row) = f(r) z^{-1/2}
+    and s as there.  At c2 < 0 the tail is the conjugate of the one at
+    (|c2|, -a), so amp must be real on the real axis.  Returns (values, errors).
+
+    The split: z0 = 10 at even n, where the Hankel series is truncated; at
+    odd n it is exact, and z0 = max(3, sqrt(2) nu) keeps the first ray of an
+    e^{-iz} row with its stationary point beyond r0, which dips to |z| =
+    z0/sqrt(2), out of the band |z| < nu where the two rows are large and cancel.
+    """
+    c = np.array(c, dtype=float, ndmin=1)
+    edges = np.array(edges, dtype=float, ndmin=2)
+    m, k = edges.shape
+    z0 = 10.0 if n % 2 == 0 else max(3.0, math.sqrt(2.0) * order_from_dim(n))
+    r0 = np.maximum(edges[:, -1], z0 / c)
+    lo, hi = edges.ravel(), np.concatenate([edges[:, 1:], r0[:, None]], 1).ravel()
+    span = abs(c2) * (hi * hi - lo * lo) + (abs(a) + c.repeat(k)) * (hi - lo)
+    heads, e_heads = osc_integral_rows(head, lo, hi, span, tol)
+    tails, e_tails = hankel_tail(n, amp, np.concatenate([c, -c]), np.concatenate([r0, r0]),
+                                 a if c2 > 0 else -a, c2=abs(c2), s=s, tol=tol)
+    tail = tails[:m] + tails[m:]
+    return (heads.reshape(m, k).sum(1) + (tail if c2 > 0 else np.conj(tail)),
+            e_heads.reshape(m, k).sum(1) + (e_tails[:m] + e_tails[m:]))
 
 
 def k_max(z: float) -> int:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.special import hankel1e, hankel2e, jv
 
-from disperse_lab import blowup, quadrature, special
+from disperse_lab import blowup, profiles, propagator, quadrature, special
 from disperse_lab.quadrature import refine_rows, rotated_tail
 from disperse_lab.blowup import (
     ChirpDatum,
@@ -305,11 +305,12 @@ class TestOriginSeriesGuard:
         assert err <= 1e-7 * abs(want)
 
 
-def _sine_reference(c, q, r_lo):
-    """int_{r_lo}^inf r^{3/2-1} J_{1/2}(c r) e^{iqr^2} dr, the n = 3, sigma = 1
-    integral, in closed form: the integrand is sqrt(2/(pi c)) sin(c r) e^{iqr^2},
-    and int_a^inf e^{i(|q| r^2 + b r)} dr = e^{-ib^2/4|q|} sqrt(pi/4|q|) e^{i pi/4}
-    erfc(e^{-i pi/4} sqrt|q| (a + b/2|q|)); q < 0 is its conjugate at -b."""
+def _sine_reference(c, q, r_lo, a=0.0):
+    """int_{r_lo}^inf r^{3/2-1} J_{1/2}(c r) e^{i(qr^2 + ar)} dr, the n = 3,
+    sigma = 1 integral, in closed form: the integrand is sqrt(2/(pi c))
+    sin(c r) e^{i(qr^2 + ar)}, and int_a^inf e^{i(|q| r^2 + b r)} dr = e^{-ib^2/4|q|}
+    sqrt(pi/4|q|) e^{i pi/4} erfc(e^{-i pi/4} sqrt|q| (a + b/2|q|)); q < 0 is
+    its conjugate at -b."""
     with mpmath.workdps(40):
         aq, sign = mpmath.mpf(abs(q)), (1 if q > 0 else -1)
 
@@ -321,7 +322,7 @@ def _sine_reference(c, q, r_lo):
                                  * (r_lo + b / (2 * aq))))
             return val if q > 0 else mpmath.conj(val)
 
-        return complex(mpmath.sqrt(2 / (mpmath.pi * c)) * (fresnel(c) - fresnel(-c)) / 2j)
+        return complex(mpmath.sqrt(2 / (mpmath.pi * c)) * (fresnel(a + c) - fresnel(a - c)) / 2j)
 
 
 class TestSineClosedForm:
@@ -340,6 +341,46 @@ class TestSineClosedForm:
         # the substituted ray reference that the limit-profile cases rely on
         want = _sine_reference(z, 1.0, 0.0)
         assert abs(_one_ray_reference(3, 1.0, z, 1.0, 0.0, z) - want) <= 1e-13 * abs(want)
+
+
+class TestOneSplitRule:
+    """special.bessel_split_integral is the one place that splits the Bessel
+    integral: propagate and the chirped datum start their Hankel rows at the
+    same Bessel argument, 10 at even n and max(3, sqrt(2) nu) at odd n."""
+
+    @pytest.mark.parametrize("n,z0", [(2, 10.0), (3, 3.0), (9, 3.5 * math.sqrt(2.0))])
+    def test_both_callers_split_at_one_bessel_argument(self, n, z0, monkeypatch):
+        starts = []
+        tail = special.hankel_tail
+
+        def recorded(n, amp, b, rho0, *args, **kw):
+            starts.append(np.abs(b) * rho0)
+            return tail(n, amp, b, rho0, *args, **kw)
+
+        monkeypatch.setattr(special, "hankel_tail", recorded)
+        propagator.evolve_radial(profiles.power(n / 2.0 + 0.3), propagator.EvalPoint(n, 10.0, 1.0))
+        blowup._bessel_split_integral(n, n - 1.0, [0.5, 2.0], 1.0, 0.0)
+        assert len(starts) == 2
+        for z in starts:
+            assert z == pytest.approx(np.full(z.size, z0), rel=1e-14)
+
+    @pytest.mark.parametrize("q", [1.0, -1.0, -0.3])
+    @pytest.mark.parametrize("a", [0.0, 0.7, -1.3])
+    def test_negative_quadratic_phase_is_the_conjugate(self, q, a):
+        # n = 3, sigma = 1 from r = 1: no origin series, the head and tail of
+        # the one function alone; at q < 0 its tail is the conjugate of the
+        # tail at (|q|, -a)
+        c = np.array([0.05, 0.7, 2.0, 5.0, 40.0])
+        scale = np.tile(c ** -0.5, 2)          # the e^{iz} rows, then the e^{-iz} rows
+
+        def head(r, row):
+            return (r ** 0.5 * special.bessel_j(0.5, c[row] * r)
+                    * np.exp(1j * (q * r * r + a * r)))
+
+        got, err = special.bessel_split_integral(
+            3, head, lambda r, row: scale[row] + 0j * r, c, np.ones((c.size, 1)), a, q)
+        want = np.array([_sine_reference(cc, q, 1.0, a) for cc in c])
+        assert np.all(np.abs(got - want) <= err + 1e-14 * np.abs(want))
 
 
 def _defocusing_reference(n, sigma, t, x, R):

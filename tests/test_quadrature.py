@@ -456,3 +456,14 @@ def test_hankel_tail_rows_come_from_special():
     # the Herglotz envelope in profiles is a profile, not a tail
     for name, used in _names_outside("special.py", "profiles.py").items():
         assert not used & {"alpha_coeffs", "hankel_sum"}, name
+
+
+def test_split_bessel_integral_comes_from_special():
+    # special.bessel_split_integral holds the split rule, the head rows and
+    # the Hankel tail call of propagate and the chirped datum; hankel_tail's
+    # one other caller is the appendix's large-x contour
+    used = _names_outside("special.py", "appendix.py")
+    for name, names in used.items():
+        assert "hankel_tail" not in names, name
+    for name in ("propagator.py", "blowup.py"):
+        assert "osc_integral_rows" not in used[name], name

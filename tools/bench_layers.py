@@ -73,6 +73,7 @@ def cases(lib):
     cpow = getattr(lib.special, "cpow", np.power)
     one = lambda rho, row: np.ones_like(rho)          # noqa: E731
     pt = P.EvalPoint(3, 1.0, 0.5)
+    far = {n: P.EvalPoint(n, 10.0, 1.0) for n in (2, 3)}
     bump, power = profiles.bump(1.0, 2.0), profiles.power(1.2)
     herglotz = profiles.herglotz_pair(1.0, 3)[0]
     t, t_small = (1.0 - u for u in FOCUS_U)
@@ -92,10 +93,14 @@ def cases(lib):
         "evolve_radial.compact": lambda: P.evolve_radial(bump, pt),
         "evolve_radial.power_ray": lambda: P.evolve_radial(power, pt),
         "evolve_radial.herglotz": lambda: P.evolve_radial(herglotz, pt),
+        # beta = 10: the real-axis head, then the Hankel rows from the split
+        "evolve_radial.power_hankel_n2": lambda: P.evolve_radial(power, far[2]),
+        "evolve_radial.power_hankel_n3": lambda: P.evolve_radial(power, far[3]),
         "chirp_values.n2_annulus": lambda: B._chirp_values(chirp[2], t, xs),
         "chirp_values.n3_annulus": lambda: B._chirp_values(chirp[3], t, xs),
         "chirp_values.n2_annulus_u2e-4": lambda: B._chirp_values(chirp[2], t_small, xs_small),
         "chirp_values.n3_annulus_u2e-4": lambda: B._chirp_values(chirp[3], t_small, xs_small),
+        "limit_profile.n2": lambda: B.limit_profile(B.ChirpDatum(2, 1.0), Z_GRID),
         "limit_profile.n3": lambda: B.limit_profile(B.ChirpDatum(3, 2.0), Z_GRID),
     }
 

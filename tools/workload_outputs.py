@@ -11,7 +11,10 @@ focusing workloads (in op order): workload, op index, kind, group, inputs
 and the repr of the op's output, with every float printed to its shortest
 round-trip form, so two dumps are equal exactly when the outputs are
 bit-identical.  --compare lists the ops whose repr differs and exits 1 if
-any does.
+any does; for a moved op whose output carries an error estimate (a
+ComplexAmplitude's err_est, a LimitProfile's err) it prints the largest
+|B - A| / err_est, with A's estimate, and after the list the largest such
+ratio over them.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import json
+import re
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -49,19 +53,53 @@ def dump(seed: int):
     return records
 
 
+def _number(text: str) -> complex:
+    """A number printed by repr, bare or as np.float64(...) / np.complex128(...)."""
+    return complex(re.sub(r"^np\.\w+\((.*)\)$", r"\1", text.strip()))
+
+
+def estimate(output: str):
+    """(values, error estimates) as arrays from the repr of a ComplexAmplitude
+    or a LimitProfile (its v and err), else None."""
+    amp = re.fullmatch(r"ComplexAmplitude\(value=(.*), err_est=(.*)\)", output, re.S)
+    if amp:
+        return np.array([_number(amp[1])]), np.array([_number(amp[2]).real])
+    arrays = [re.search(rf"\b{name}=array\(\[(.*?)\]\)", output, re.S) for name in ("v", "err")]
+    if output.startswith("LimitProfile(") and all(arrays):
+        return tuple(np.array([float(x) for x in m[1].split(",")]) for m in arrays)
+    return None
+
+
+def move_ratio(out_a: str, out_b: str):
+    """Largest |B - A| / (A's err_est) over the entries, or None without estimates."""
+    ea, eb = estimate(out_a), estimate(out_b)
+    if ea is None or eb is None or ea[0].shape != eb[0].shape:
+        return None
+    delta = np.abs(eb[0] - ea[0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(delta == 0.0, 0.0, delta / ea[1])
+    return float(ratio.max())
+
+
 def compare(a, b):
-    """Lines naming each op whose output differs between dumps a and b."""
+    """(lines, ratios): a line naming each op whose output differs between
+    dumps a and b, with its move_ratio where the output carries an estimate,
+    and those ratios."""
     key = lambda r: (r["workload"], r["op"])          # noqa: E731
     old, new = ({key(r): r for r in recs} for recs in (a, b))
-    lines = []
+    lines, ratios = [], []
     for k in sorted(old.keys() | new.keys(), key=lambda k: (WORKLOADS.index(k[0]), k[1])):
         ra, rb = old.get(k), new.get(k)
         if ra is None or rb is None:
             lines.append(f"{k[0]} op {k[1]}: only in {'B' if ra is None else 'A'}")
         elif ra["output"] != rb["output"] or ra["info"] != rb["info"]:
+            ratio = move_ratio(ra["output"], rb["output"])
             lines.append(f"{k[0]} op {k[1]} {ra['kind']} {ra['group']} {ra['info']}\n"
-                         f"  A: {ra['output']}\n  B: {rb['output']}")
-    return lines
+                         f"  A: {ra['output']}\n  B: {rb['output']}"
+                         + ("" if ratio is None else f"\n  |B - A| / err_est(A) = {ratio:.3g}"))
+            if ratio is not None:
+                ratios.append(ratio)
+    return lines, ratios
 
 
 def main(argv=None):
@@ -73,10 +111,13 @@ def main(argv=None):
     args = ap.parse_args(argv)
     if args.compare:
         a, b = (json.loads(Path(p).read_text()) for p in args.compare)
-        lines = compare(a, b)
+        lines, ratios = compare(a, b)
         print("\n".join(lines) if lines else f"all {len(a)} ops identical")
         if lines:
             print(f"{len(lines)} of {len(a)} ops differ")
+        if ratios:
+            print(f"largest |B - A| / err_est(A) over {len(ratios)} moved ops with an "
+                  f"estimate: {max(ratios):.3g}")
         return 1 if lines else 0
     if not args.out:
         ap.error("--seed needs --out")
