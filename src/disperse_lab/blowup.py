@@ -132,8 +132,9 @@ def _chirp_values(datum: ChirpDatum, t: float, x_abs,
         raise ValueError("need x_abs > 0")
     quad = 1.0 / (4.0 * t) - 0.25          # = k_t^2 for t < 1, negative for t > 1
     val, err = _bessel_split_integral(n, datum.sigma, x_abs / (2.0 * t), quad, 1.0, tol=tol)
-    pref = _prefactor(n, x_abs, t) / (2.0 * math.sqrt(t))
-    return pref * val, np.abs(pref) * err
+    pref, rnd = _prefactor(n, x_abs, t)
+    pref = pref / (2.0 * math.sqrt(t))
+    return pref * val, np.abs(pref) * err + rnd * np.abs(pref * val)
 
 
 def chirp_solution(datum: ChirpDatum, t: float, x_abs: float,
@@ -210,8 +211,9 @@ def select_annulus(profile: LimitProfile, frac: float = 0.5) -> Tuple[float, flo
 def annulus_lq(datum: ChirpDatum, t: float, q: float, r1: float, r2: float,
                tol: float = 1e-9) -> float:
     """(int over R1 k_t <= ... annulus |psi|^q dx)^{1/q}, radial part only (angular
-    measure dropped), on 16-node z-panels doubled from one to 64 until two rules
-    agree to tol relative; a q or norm not positive and finite is a ValueError."""
+    measure dropped), on z-panels of the 16-node Gauss and 33-node Kronrod
+    rules, doubled from one to 32 until the two agree to tol relative; a q or
+    norm not positive and finite is a ValueError."""
     if not q > 0:
         raise ValueError(f"need q > 0, got {q:g}")
     if math.isinf(q):
@@ -228,12 +230,12 @@ def annulus_lq(datum: ChirpDatum, t: float, q: float, r1: float, r2: float,
         a = np.abs(_chirp_values(datum, t, xx)[0])
         out = a ** q * xx ** (datum.n - 1) * 2.0 * t * frame.k
         if not np.isfinite(out).all():
-            # an inf or NaN rule never agrees with the next: stop at the first
+            # an inf or NaN sum never agrees with its Gauss part: stop at the first
             checked(float(np.sum(out)))
         return out
 
     with np.errstate(all="ignore"):     # extreme q over- or underflows: checked
-        vals = refine_rows(density, np.array([r1]), np.array([r2]), 1, 64, tol, nodes=16)[0]
+        vals = refine_rows(density, np.array([r1]), np.array([r2]), 1, 32, tol, nodes=16)[0]
         return checked(float(vals[0, 0] ** (1.0 / q)))
 
 

@@ -14,12 +14,12 @@ integrands are columns evaluated on the same nodes from one derivative
 stack per node (`RadialProfile.derivs`): norm_X's three integrands come from
 orders 0..1, norm_Ym's integrals (k = k_lo..m) from orders 0..m.  Only the
 averaged-mass supremum of Y_n is a second call.  Every panel starts at one
-24-node rule and doubles its subpanels up to 256; the head panel
-[0, 2^K_MIN] is integrated in s = sqrt(r), where the r^{-1/2} of the X2
-integrand at even n is smooth.  A column stops refining a row once its own
-rules agree; the plain integrals (first X2 term, Y_m terms) also stop at the
-rounding floor of their total, the supremands, which weight small z up, do
-not.
+24-node Gauss panel nested in its 49-node Kronrod rule and doubles its
+subpanels up to 128; the head panel [0, 2^K_MIN] is integrated in
+s = sqrt(r), where the r^{-1/2} of the X2 integrand at even n is smooth.  A
+column stops refining a row once its own Gauss and Kronrod sums agree; the
+plain integrals (first X2 term, Y_m terms) also stop at the rounding floor
+of their total, the supremands, which weight small z up, do not.
 """
 
 from __future__ import annotations
@@ -83,11 +83,12 @@ def _octave_of(edges, per_octave: int):
 def _panel_integrals(f, edges, floor=False):
     """(integrals, unconverged, deltas), each (panels, C), of the columns of
     f(r), a (C, r.size) array (1-D: one column), over the panels between
-    edges: one quadrature.refine_rows call with 24 nodes and 1 to 256
-    subpanels (|.|-type integrands have kinks), rtol 1e-10 and, where floor
-    (one flag or one per column) is set, a floor of _NOISE times the
-    column's summed coarse |values|.  unconverged marks the entries left at
-    256 subpanels; deltas holds each entry's last |change|.
+    edges: one quadrature.refine_rows call with 24 Gauss nodes (49 Kronrod
+    nodes) and 1 to 128 subpanels (|.|-type integrands have kinks), rtol
+    1e-10 and, where floor (one flag or one per column) is set, a floor of
+    _NOISE times the column's summed coarse |values|.  unconverged marks the
+    entries left at 128 subpanels; deltas holds each entry's last
+    |Kronrod - Gauss|.
 
     The first panel is integrated in s = sqrt(r), dr = 2 s ds (row 0 of the
     refine_rows ids), so integrands like r^{-1/2} at 0 (|(f r^{(n-1)/2})'|
@@ -101,7 +102,7 @@ def _panel_integrals(f, edges, floor=False):
         head = row == 0
         return f(np.where(head, x * x, x)) * np.where(head, 2.0 * x, 1.0)
 
-    vals, deltas, live, _ = refine_rows(g, a, b, 1, 256, 1e-10, nodes=24,
+    vals, deltas, live, _ = refine_rows(g, a, b, 1, 128, 1e-10, nodes=24,
                                         ids=np.arange(a.size), floor=np.where(floor, _NOISE, 0.0))
     return vals, live, deltas
 

@@ -30,7 +30,7 @@ from scipy.special import comb
 
 from . import norms, special
 from .profiles import RadialProfile, require_finite
-from .quadrature import osc_integral, refine_rows, rotated_tail
+from .quadrature import _EPS, osc_integral, refine_rows, rotated_tail
 
 
 class DivergentTailError(ValueError):
@@ -71,9 +71,13 @@ def _frame(pt: EvalPoint):
 
 
 def _prefactor(n: int, x_abs, t: float):
-    """|x|^{(2-n)/2} t^{-1/2} e^{i(|x|^2/4t - n pi/4)}; x_abs may be an array."""
-    return (x_abs ** ((2 - n) / 2.0) / math.sqrt(t)
-            * np.exp(1j * (x_abs ** 2 / (4.0 * t) - n * math.pi / 4.0)))
+    """(p, r): p = |x|^{(2-n)/2} t^{-1/2} e^{i(|x|^2/4t - n pi/4)}, x_abs may
+    be an array, and r a bound on the relative rounding of p and of two more
+    products with it: eps (8 + 2 (|x|^2/4t + n pi/4)), since the rounded
+    phase errs by up to 1.5 eps times its parts."""
+    phase = x_abs ** 2 / (4.0 * t)
+    return (x_abs ** ((2 - n) / 2.0) / math.sqrt(t) * np.exp(1j * (phase - n * math.pi / 4.0)),
+            _EPS * (8.0 + 2.0 * (phase + n * math.pi / 4.0)))
 
 
 def evolve_radial(profile: RadialProfile, pt: EvalPoint,
@@ -82,7 +86,10 @@ def evolve_radial(profile: RadialProfile, pt: EvalPoint,
     n = pt.n
     nu = special.order_from_dim(n)
     gamma, beta, c = _frame(pt)
-    pref = _prefactor(n, pt.x_abs, pt.t)
+    pref, rnd = _prefactor(n, pt.x_abs, pt.t)
+
+    def amplitude(val, err):
+        return ComplexAmplitude(pref * val, abs(pref) * err + rnd * abs(pref * val))
 
     def g(rho):
         r = gamma * rho
@@ -93,7 +100,7 @@ def evolve_radial(profile: RadialProfile, pt: EvalPoint,
         span = rho_max ** 2 + (abs(profile.omega) * gamma + beta) * rho_max
         val, err = osc_integral(lambda rho: g(rho) * np.exp(1j * rho * rho),
                                 0.0, rho_max, span, tol)
-        return ComplexAmplitude(pref * val, abs(pref) * err)
+        return amplitude(val, err)
 
     if profile.tail_alpha is None or profile.tail_fn is None:
         raise DivergentTailError(
@@ -121,7 +128,7 @@ def evolve_radial(profile: RadialProfile, pt: EvalPoint,
                     * special.bessel_j_c(nu, beta * rho))
 
         (tail,), (e_tail,) = rotated_tail(h, rho_a, profile.omega * gamma, tol=tol)
-        return ComplexAmplitude(pref * (head + tail), abs(pref) * (err + e_tail))
+        return amplitude(head + tail, err + e_tail)
 
     # beyond the band, special.bessel_split_integral's head and Hankel rays
     # in z = beta rho: (gamma rho)^{n/2} J_nu(z) = c^{-n/2} z^{n/2} J_nu(z),
@@ -134,7 +141,7 @@ def evolve_radial(profile: RadialProfile, pt: EvalPoint,
     (val,), (err,) = special.bessel_split_integral(n, lambda rho, row: f(rho), amp, beta,
                                                    [0.0, rho_a], gamma * profile.omega,
                                                    s=-(n - 1) / 2.0, tol=tol)
-    return ComplexAmplitude(pref * val, abs(pref) * err)
+    return amplitude(val, err)
 
 
 # ---------------------------------------------------------------------------
@@ -267,11 +274,12 @@ def solution_bound(profile: RadialProfile, pt: EvalPoint, m: int) -> float:
 
 
 def _mass(f, r_max: float, t: float, tol: float = 3e-6) -> float:
-    """int_0^r_max f(r) dr by composite Gauss-Legendre with panel doubling
-    up to 2048 panels, until two rules agree to tol relative; the panel
-    width starts at the interference scale ~4t of the evolved modulus."""
+    """int_0^r_max f(r) dr by composite Gauss-Kronrod with panel doubling
+    up to 1024 panels, until the Gauss and Kronrod sums agree to tol
+    relative; the panel width starts at the interference scale ~4t of the
+    evolved modulus."""
     start = max(8, int(r_max / max(4.0 * t, 0.5)))
-    vals = refine_rows(f, np.zeros(1), np.array([float(r_max)]), start, 2048, tol)[0]
+    vals = refine_rows(f, np.zeros(1), np.array([float(r_max)]), start, 1024, tol)[0]
     return float(vals[0, 0].real)
 
 

@@ -1,9 +1,9 @@
 """Quadrature helpers, each evaluating many integrals (rows) at once.
 
-gl_rows, the one composite Gauss-Legendre kernel, and refine_rows, which
-doubles each row's panels until two successive rules agree (the first two
-in one kernel call), serve the oscillatory heads, the norms octave panels,
-the mass integrals and the rays.  rotated_tail, the one steepest-descent
+gl_rows, the one composite Gauss-Kronrod kernel, and refine_rows, which
+doubles each row's panels until the nested Gauss and Kronrod sums of a
+round agree, serve the oscillatory heads, the norms octave panels, the
+mass integrals and the rays.  rotated_tail, the one steepest-descent
 rule, integrates tails
 int_rho0^inf (rho - rho0)^{-delta} h(rho) exp(i (c2 rho^2 + a rho)) drho
 with 0 <= delta < 1: the unbounded tails of propagator and blowup, the
@@ -22,9 +22,48 @@ from functools import lru_cache
 import numpy as np
 
 
-@lru_cache(maxsize=32)
-def gl_nodes(npts: int):
-    return np.polynomial.legendre.leggauss(npts)
+@lru_cache(maxsize=None)
+def gk_nodes(n: int):
+    """(x, w): the (2n+1)-node Gauss-Kronrod rule on [-1, 1] that nests the
+    n-node Gauss-Legendre rule, w a read-only (2n+1, 2) array of the Kronrod
+    weights and the Gauss weights (zero at the added nodes).  The nodes are
+    the eigenvalues of Laurie's Jacobi-Kronrod matrix (D. P. Laurie, Math.
+    Comp. 66 (1997) 1133-1145; Gautschi's r_kronrod for the Legendre weight,
+    whose diagonal is zero); the Gauss nodes and weights are numpy's
+    leggauss(n)."""
+    b = np.zeros(2 * n + 1)
+    k = np.arange(1, (3 * n + 1) // 2 + 1)
+    b[k] = k * k / (4.0 * k * k - 1.0)
+    s, t = np.zeros(n // 2 + 2), np.zeros(n // 2 + 2)
+    t[1] = b[n + 1]
+    for m in range(n - 1):
+        k = np.arange((m + 1) // 2, -1, -1)
+        s[k + 1] = np.cumsum(b[k + n + 1] * s[k] - b[m - k] * s[k + 1])
+        s, t = t, s
+    s[1:] = s[:-1].copy()
+    for m in range(n - 1, 2 * n - 2):
+        k = np.arange(m + 1 - n, (m - 1) // 2 + 1)
+        j = n - m + k
+        s[j] = np.cumsum(b[m - k] * s[j + 1] - b[k + n + 1] * s[j])
+        if m % 2:
+            b[(m + 1) // 2 + n + 1] = s[j[-1]] / s[j[-1] + 1]
+        s, t = t, s
+    off = np.sqrt(b[1:])
+    # eigenvalues only: eigh's vectors fault in about 0.5 MB more of LAPACK
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    # the Kronrod weights 2 / sum_k p_k(x)^2, p_k the matrix's orthonormal
+    # polynomials: their sum errs by ~eps, where 2 v_0^2 from the
+    # eigenvectors errs by up to 30 eps at n = 32
+    p0, p1, norm = np.zeros(x.size), np.ones(x.size), np.ones(x.size)
+    for k in range(2 * n):
+        p0, p1 = p1, (x * p1 - off[k - 1] * p0) / off[k]
+        norm += p1 * p1
+    w = np.zeros((2 * n + 1, 2))
+    # symmetric, as leggauss makes its rule
+    x, w[:, 0] = 0.5 * (x - x[::-1]), 1.0 / norm + 1.0 / norm[::-1]
+    x[1::2], w[1::2, 1] = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 _EPS = np.finfo(float).eps
@@ -38,28 +77,32 @@ _BLOCK_NODES = 1 << 13
 
 @lru_cache(maxsize=None)
 def _tiled_rule(nodes: int, chunk: int):
-    """Per node of `chunk` panels of a nodes-point Gauss-Legendre rule end
-    to end: panel centre (in panel widths), node and weight on [-1, 1]."""
-    x, w = gl_nodes(nodes)
-    return np.repeat(np.arange(chunk) + 0.5, nodes), np.tile(x, chunk), np.tile(w, chunk)
+    """Per node of `chunk` panels of the gk_nodes(nodes) rule end to end:
+    panel centre (in panel widths) and node on [-1, 1]; and the Kronrod and
+    Gauss weights as one (2, chunk (2 nodes + 1)) array."""
+    x, w = gk_nodes(nodes)
+    return (np.repeat(np.arange(chunk) + 0.5, x.size), np.tile(x, chunk),
+            np.ascontiguousarray(np.tile(w, (chunk, 1)).T))
 
 
 def gl_rows(f, a, b, npanels, nodes: int = 32, ids=None, absolute: bool = False):
-    """(sums, mags), each (rows, C; (0, 1) with no rows): composite
-    Gauss-Legendre sums of f over [a[i], b[i]] with npanels[i] equal panels
-    of `nodes` nodes and, with absolute, of |weight * f| (else None).
+    """(sums, mags): sums (2, rows, C), the composite Kronrod (sums[0]) and
+    Gauss-Legendre (sums[1]) sums of f over [a[i], b[i]] with npanels[i]
+    equal panels of the gk_nodes(nodes) rule, 2 nodes + 1 nodes a panel;
+    mags (rows, C), with absolute, the Kronrod sums of |weight * f| (else
+    None); (2, 0, 1) and (0, 1) with no rows.
 
     f(x), or f(x, ids[i]) on row i's nodes where ids is given, returns one
     value per node or a (C, x.size) array.  Rows are cut into chunks of L
     panels, L the largest power of two dividing every count; the fewest
     blocks of at most _BLOCK_NODES nodes, as even as whole chunks allow,
-    each summed by one matmul.
+    each summed against both weights by one matmul.
     """
     if not a.size:
-        return np.zeros((0, 1)), (np.zeros((0, 1)) if absolute else None)
+        return np.zeros((2, 0, 1)), (np.zeros((0, 1)) if absolute else None)
     # the largest power of two dividing every count, at most one block long
     low = int(np.bitwise_or.reduce(npanels))
-    chunk = min(low & -low, 1 << max(0, (_BLOCK_NODES // nodes).bit_length() - 1))
+    chunk = min(low & -low, 1 << max(0, (_BLOCK_NODES // (2 * nodes + 1)).bit_length() - 1))
     centre, x, w = _tiled_rule(nodes, chunk)
     width = (b - a) / npanels
     start, first = a, None
@@ -82,78 +125,69 @@ def gl_rows(f, a, b, npanels, nodes: int = 32, ids=None, absolute: bool = False)
         pts = (start[s, None] + centre * width[s, None] + half[s, None] * x).ravel()
         vals = f(pts) if ids is None else f(pts, ids[s].repeat(centre.size))
         vals = vals.reshape(-1, pts.size // centre.size, centre.size)
-        sums.append((vals @ w) * half[s])
+        # weights @ values^T forms each sum as a dot product; values @
+        # weights^T with one chunk in the block adds its terms one by one,
+        # up to ten times less accurately
+        sums.append((w @ vals.swapaxes(1, 2)) * half[s])
         if absolute:
-            mags.append((np.abs(vals) @ w) * half[s])
-    out = [parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+            mags.append((np.abs(vals) @ w[0]) * half[s])
+    out = [parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
            for parts in ((sums, mags) if absolute else (sums,))]
     if first is not None:
-        out = [np.add.reduceat(total, first, axis=1) for total in out]
-    return out[0].T, (out[1].T if absolute else None)
+        out = [np.add.reduceat(total, first, axis=-1) for total in out]
+    return out[0].transpose(1, 2, 0), (out[1].T if absolute else None)
 
 
 def refine_rows(f, a, b, start, cap, rtol: float, nodes: int = 32, ids=None,
                 atol=0.0, floor=0.0, absolute: bool = False):
-    """Double the panels of every row of gl_rows (f, a, b, nodes, ids as
-    there) from start[row]: an entry (row, column) freezes once two
-    successive rules agree, |cur - prev| <= max(rtol |cur|, bound), and a
-    row is evaluated again while an entry is live and its count can double
-    within cap.  A NaN change never agrees.  The bound is atol (one value,
-    or one per row as a (rows, 1) column), raised where floor (one value or
-    one per column) is nonzero to floor[column] * the column's summed
-    |first rule|, which makes it (1 or rows, C).  The first two rules are one
-    kernel call: each row at its start count, and its two halves at the
-    same count (the second rule), so every row keeps its count's chunking.
+    """Refine every row of gl_rows (f, a, b, nodes, ids as there) from
+    start[row] panels.  Each round takes an entry's (row, column) Kronrod
+    sum as its value and |Kronrod - Gauss| as its change; the entry freezes
+    once its change is within max(rtol |value|, bound), and a row is
+    evaluated again at twice its panels while an entry is live and the
+    count can double within cap.  A NaN change never agrees.  The bound is
+    atol (one value, or one per row as a (rows, 1) column), raised where
+    floor (one value or one per column) is nonzero to floor[column] * the
+    column's summed |first value|, which makes it (1 or rows, C).
 
-    Returns (values, deltas, live, mags), each (rows, C): each entry's last
-    rule, |cur - prev| of its last two (inf if never doubled), the entries
-    left live at the cap, and with absolute the last rule's sums of |w f|.
+    Returns (values, deltas, live, mags), each (rows, C): each entry's value
+    and change at the round that froze it (else its last), the entries left
+    live at the cap, and with absolute that round's Kronrod sums of |w f|.
     """
-    m = a.size
-    count = np.full(m, start, dtype=np.int64)
-    pos = np.flatnonzero(2 * count <= cap)
-    h = pos.size
-    lo, hi = a[pos], b[pos]
-    mid = 0.5 * (lo + hi)
-    both = np.concatenate([np.arange(m), pos, pos])
-    sums, mags = gl_rows(f, np.concatenate([a, lo, mid]), np.concatenate([b, mid, hi]),
-                         count[both], nodes, None if ids is None else ids[both], absolute)
-    vals, cur = sums[:m], sums[m:m + h] + sums[m + h:]
-    mag = mags[m:m + h] + mags[m + h:] if absolute else None
-    mags = mags[:m] if absolute else None
+    count = np.full(a.size, start, dtype=np.int64)
+    sums, mags = gl_rows(f, a, b, count, nodes, ids, absolute)
+    vals, deltas = sums[0], np.abs(sums[0] - sums[1])
     bound = np.asarray(atol).reshape(-1, 1)
     if np.count_nonzero(floor):
         bound = np.fmax(bound, floor * np.abs(vals).sum(axis=0))
-    deltas = np.full(vals.shape, math.inf)
     live = np.ones(vals.shape, dtype=bool)
-    while pos.size:
-        # a slice while every row goes on, so the updates below are views
-        k = pos if pos.size < m else slice(None)
-        count[k] = n = 2 * count[k]
-        # the fused call's second rule meets every entry live
-        fresh = cur is not None
-        if not fresh:
-            cur, mag = gl_rows(f, a[k], b[k], n, nodes, None if ids is None else ids[k], absolute)
-        prev, was = vals[k], live[k]
-        change = np.abs(cur - prev)
-        vals[k] = cur if fresh else np.where(was, cur, prev)
-        deltas[k] = change if fresh else np.where(was, change, deltas[k])
+    # k indexes the rows of the round, a slice while every row goes on
+    rows, k = np.arange(a.size), slice(None)
+    while True:
+        # fmax: a NaN atol leaves rtol |value|
+        limit = np.fmax(rtol * np.abs(vals[k]), bound[k] if len(bound) > 1 else bound)
+        live[k] = was = live[k] & ~(deltas[k] <= limit)
+        rows = rows[was.any(axis=1) & (2 * count[k] <= cap)]
+        if not rows.size:
+            return vals, deltas, live, mags
+        k = rows if rows.size < a.size else slice(None)
+        count[k] *= 2
+        sums, mag = gl_rows(f, a[k], b[k], count[k], nodes, None if ids is None else ids[k],
+                            absolute)
+        was = live[k]
+        vals[k] = np.where(was, sums[0], vals[k])
+        deltas[k] = np.where(was, np.abs(sums[0] - sums[1]), deltas[k])
         if absolute:
-            mags[k] = mag if fresh else np.where(was, mag, mags[k])
-        # fmax: a NaN atol leaves rtol |cur|
-        limit = np.fmax(rtol * np.abs(cur), bound[k] if len(bound) > 1 else bound)
-        live[k] = was = was & ~(change <= limit)
-        pos, cur = pos[was.any(axis=1) & (2 * n <= cap)], None
-    return vals, deltas, live, mags
+            mags[k] = np.where(was, mag, mags[k])
 
 
 def composite_gl(f, a: float, b: float, npanels: int, nodes: int = 32):
-    """Composite Gauss-Legendre sum, as a complex number; f must accept an
-    ndarray.  A fixed rule checks no convergence, so no module calls it;
-    perfbench/spans.py traces it by name."""
+    """Composite Gauss-Legendre sum (the Gauss column of gl_rows), as a
+    complex number; f must accept an ndarray.  A fixed rule checks no
+    convergence, so no module calls it; perfbench/spans.py traces it by name."""
     sums, _ = gl_rows(f, np.array([a], dtype=float), np.array([b], dtype=float),
                       np.array([npanels]), nodes)
-    return complex(sums[0, 0])
+    return complex(sums[1, 0, 0])
 
 
 def trapezoid(y, x) -> float:
@@ -190,11 +224,12 @@ def osc_integral_rows(f, a, b, phase_span, tol: float = 1e-9,
     `row` oscillates with total phase variation phase_span[row].
 
     f receives the nodes of many rows at once, with the row index of each
-    node.  Each row starts from about one 32-node panel per three cycles, but
-    no more than max_points nodes, and refine_rows doubles its panels until
-    two successive rules agree to tol * max(1, |last|), or until the next
-    rule would exceed max_points nodes; a row that never doubles estimates
-    inf.  The error estimate adds to |last - previous| a rounding term,
+    node.  Each row starts from about one 32-node Gauss panel (65 Kronrod
+    nodes) per three cycles, and refine_rows doubles its panels until the
+    Gauss and Kronrod sums agree to tol * max(1, |value|), or until the next
+    rule would exceed max_points nodes; a row that asks for more panels than
+    that at the start is clipped to the cap and estimates inf.  The error
+    estimate adds to the last |Kronrod - Gauss| a rounding term,
     eps * sum |weight * f| * (1 + phase_span) on the last rule.
 
     Returns (values, error_estimates), one entry per row.
@@ -204,13 +239,15 @@ def osc_integral_rows(f, a, b, phase_span, tol: float = 1e-9,
     errs = np.zeros(a.size)
     rows = np.flatnonzero(b > a)
     if rows.size:
-        cap = max_points // 32
-        cycles = np.maximum(span[rows] / (2.0 * math.pi), 1.0)
-        start = np.minimum(np.maximum(2, np.ceil(cycles / 3.0)), cap).astype(np.int64)
-        vals, deltas, _, mags = refine_rows(f, a[rows], b[rows], start, cap,
+        cap = max_points // 65
+        # two panels, not one: one cost the bump ops 1.5-1.7x for 2% on focusing
+        want = np.maximum(2, np.ceil(np.maximum(span[rows] / (2.0 * math.pi), 1.0) / 3.0))
+        vals, deltas, _, mags = refine_rows(f, a[rows], b[rows],
+                                            np.minimum(want, cap).astype(np.int64), cap,
                                             tol, ids=rows, atol=tol, absolute=True)
         values[rows] = vals[:, 0]
-        errs[rows] = deltas[:, 0] + _EPS * mags[:, 0] * (1.0 + span[rows])
+        errs[rows] = np.where(want > cap, math.inf,
+                              deltas[:, 0] + _EPS * mags[:, 0] * (1.0 + span[rows]))
     return values, errs
 
 
@@ -227,10 +264,10 @@ def osc_integral(f, a: float, b: float, phase_span: float, tol: float = 1e-9,
 
 
 # a ray's panels in tau/tau*, graded toward its start, where an endpoint power
-# or a branch point of h sits; each starts as one 16-node panel and doubles to
-# at most _RAY_CAP subpanels
+# or a branch point of h sits; each starts as one 16-node Gauss panel (33
+# Kronrod nodes) and doubles to at most _RAY_CAP subpanels
 _RAY_EDGES = np.array([0.0, 1e-3, 0.02, 0.15, 0.5, 1.0])
-_RAY_CAP = 32
+_RAY_CAP = 16
 # a ray first ends where c2 tau^2 + c tau = 45 (e^{-45} of the exponential at
 # its start), and doubles in length, at most _RAY_DOUBLINGS times, while its
 # end term is above eps of its value
@@ -248,8 +285,8 @@ def rotated_tail(h, rho0, a, c2: float = 1.0, delta=0.0, tol: float = 1e-9):
 
     A ray rho = p + tau (+-d), tau in [0, tau*] with c2 tau*^2 + c tau* =
     _RAY_DECAY (c its linear decay rate), is tau = tau* u on u in [0, 1];
-    its _RAY_EDGES panels are rows of one refine_rows call (16 nodes, ids =
-    ray, rtol tol as in osc_integral_rows), and its value is their sum.
+    its _RAY_EDGES panels are rows of one refine_rows call (16 Gauss nodes,
+    ids = ray, rtol tol as in osc_integral_rows), and its value is their sum.
     On the ray from rho0 with delta > 0, tau = tau* u^q, q = k/(1-delta),
     turns tau^{-delta} dtau into tau*^{1-delta} q u^{k-1} du, so the
     endpoint power is never formed; k = 1 unless delta < 2/3, where the
@@ -262,8 +299,8 @@ def rotated_tail(h, rho0, a, c2: float = 1.0, delta=0.0, tol: float = 1e-9):
     complex input and be analytic (and at most polynomially growing) where
     the rays sweep, below [rho0, rho_s] too.
 
-    The error estimate adds per ray the panels' last |change|, the end term
-    and a rounding term, eps * sum |weight * integrand| times the bound
+    The error estimate adds per ray the panels' last |Kronrod - Gauss|, the
+    end term and a rounding term, eps * sum |weight * integrand| times the bound
     1 + |exponent| + c2 p^2 + |a p| on the ray, so lost digits show in it.
     Returns (values, error_estimates), one entry per row.
     """

@@ -155,7 +155,8 @@ class TestLqGrowth:
     @pytest.mark.parametrize("n,sigma", [(2, 1.05), (3, 1.95)])
     @pytest.mark.parametrize("u", [2e-4, 3e-3, 5e-2])
     def test_workload_annulus_takes_at_most_48_points(self, n, sigma, u, monkeypatch):
-        # the one- and two-panel 16-node rules already agree here: 16 + 32 points
+        # the one-panel 16-node Gauss rule and its 33-node Kronrod rule
+        # already agree here: 33 points (the rule and its halves took 48)
         points = []
         chirp_values = blowup._chirp_values
 
@@ -166,14 +167,14 @@ class TestLqGrowth:
         monkeypatch.setattr(blowup, "_chirp_values", counted)
         datum = ChirpDatum(n, sigma)
         assert annulus_lq(datum, 1.0 - u, 2.0 * lq_blowup_threshold(datum), 0.5, 2.5) > 0
-        assert sum(points) <= 48
+        assert sum(points) == 33
 
     @pytest.mark.parametrize("sigma,cap", [(2.0, 12_000), (1.95, 13_000)])
     def test_odd_n_annulus_head_ends_at_bessel_argument_3(self, sigma, cap, monkeypatch):
-        # at n = 3 the Hankel rows are exact, so the heads of the 48 annulus
-        # points end at c r = 3: 9,408 bessel_j points at sigma = 2 and at
-        # 1.95 (12,992 while the head started at r = 1), where they ended at
-        # c r = 10 with 28,224 and 43,200
+        # at n = 3 the Hankel rows are exact, so the heads of the 33 annulus
+        # points end at c r = 3: 4,290 bessel_j points at sigma = 2 and at
+        # 1.95 (9,216 at 48 annulus points, 12,992 while the head started
+        # at r = 1), where they ended at c r = 10 with 28,224 and 43,200
         points = []
         bessel_j = special.bessel_j
 
@@ -190,8 +191,9 @@ class TestLqGrowth:
     def test_small_u_heads_cost_as_much_as_large_u(self, n, sigma, monkeypatch):
         # the origin series takes every head from r = 1 to near c r = 1, so
         # no panel hundreds wide sits next to the branch point r = 0 at small
-        # u: 51,024 nodes at both u at n = 2 and 33,936 at n = 3, where heads
-        # from r = 1 took 122,992 and 50,320 at u = 2e-4
+        # u: 25,223 nodes at both u at n = 2 and 16,203 at n = 3 (50,640 and
+        # 33,744 at 48 annulus points), where heads from r = 1 took 122,992
+        # and 50,320 at u = 2e-4
         datum, points = ChirpDatum(n, sigma), []
         gl_rows = quadrature.gl_rows
 
@@ -209,8 +211,8 @@ class TestLqGrowth:
 
     def test_overflowing_q_fails_at_the_first_rule(self, monkeypatch):
         # |psi|^q is inf at q = 1e300: the error comes from the first kernel
-        # call (the 16-node rule and its two halves, 16 + 32 points), not
-        # after 64 panels (2032 points) of NaN changes
+        # call (the 33-node Gauss-Kronrod panel), not after 32 panels (2,079
+        # points) of NaN changes
         points = []
         chirp_values = blowup._chirp_values
 
@@ -221,7 +223,7 @@ class TestLqGrowth:
         monkeypatch.setattr(blowup, "_chirp_values", counted)
         with pytest.raises(ValueError, match="at q = 1e[+]300 is inf, not a positive finite"):
             annulus_lq(ChirpDatum(3, 1.95), 0.999, 1e300, 0.5, 2.5)
-        assert sum(points) == 16 + 32
+        assert sum(points) == 33
 
 
 def _one_ray_reference(n, sigma, c, q, r_lo, z):

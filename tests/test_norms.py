@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from disperse_lab import norms, profiles, quadrature, special
 from disperse_lab.norms import (
@@ -235,34 +236,36 @@ class TestDimensionCheck:
             norm_Ym(p, n, 0)
 
 
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(24)
-
-
-def _gl_rule(f, lo, hi, sub):
+def _gk_rule(f, lo, hi, sub):
+    """(Kronrod, Gauss) sums of f on sub equal panels of [lo, hi], 24 Gauss
+    and 49 Kronrod nodes a panel."""
+    x, w = quadrature.gk_nodes(24)
     edges = np.linspace(lo, hi, sub + 1)
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[:-1] + edges[1:])
-    pts = (mid[:, None] + half[:, None] * _GL_X).ravel()
-    return np.sum((half[:, None] * _GL_W).ravel() * f(pts))
+    vals = f((mid[:, None] + half[:, None] * x).ravel())
+    return tuple(np.sum((half[:, None] * w[:, c]).ravel() * vals) for c in (0, 1))
 
 
 def _per_panel_loop(f, edges):
-    """The per-panel refinement the batched driver replaced: 24 nodes, 1 to
-    256 subpanels, stop at relative agreement 1e-10, the head panel in
-    s = sqrt(r).  (values, stuck)."""
+    """The per-panel refinement that one batched refine_rows call replaced:
+    1 to 128 subpanels of the 24-node Gauss rule nested in its 49-node
+    Kronrod rule, stop at relative agreement 1e-10 of the two, the head
+    panel in s = sqrt(r).  (Kronrod values, stuck)."""
     vals, stuck = [], []
     for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
         g = f
         if i == 0:
             g = lambda s: 2.0 * s * f(s * s)
             lo, hi = math.sqrt(lo), math.sqrt(hi)
-        sub, prev, done = 1, _gl_rule(g, lo, hi, 1), False
-        while sub < 256 and not done:
+        sub = 1
+        while True:
+            kron, gauss = _gk_rule(g, lo, hi, sub)
+            done = abs(kron - gauss) <= 1e-10 * max(abs(kron), 1e-300)
+            if done or 2 * sub > 128:
+                break
             sub *= 2
-            cur = _gl_rule(g, lo, hi, sub)
-            done = abs(cur - prev) <= 1e-10 * max(abs(cur), 1e-300)
-            prev = cur
-        vals.append(prev)
+        vals.append(kron)
         stuck.append(not done)
     return np.array(vals), np.array(stuck)
 
@@ -333,20 +336,21 @@ class TestBatchedPanels:
 
     def test_columns_match_one_column_calls(self):
         # a level's C columns summed by one matmul equal C one-column levels
-        # to 1e-15 of sum |w f|; at 4 subpanels the 241 octave panels span
-        # several node blocks, at 256 each panel is a block of its own
+        # to 1e-15 of sum |w f|, Kronrod and Gauss; at 4 subpanels the 241
+        # octave panels span several node blocks, at 128 each panel is a
+        # block of its own
         edges = np.array(norms._octave_edges(4))
         a, b = edges[:-1], edges[1:]
-        assert a.size * 4 * 24 > 2 * quadrature._BLOCK_NODES
+        assert a.size * 4 * 49 > 2 * quadrature._BLOCK_NODES
         for sub, sel in ((4, np.arange(a.size)), (32, np.array([3, 100, 240])),
-                         (256, np.array([0, 120, 121, 240]))):
+                         (128, np.array([0, 120, 121, 240]))):
             args = (a[sel], b[sel], np.full(sel.size, sub), 24)
             sums, _ = quadrature.gl_rows(_cols, *args)
-            assert sums.shape == (sel.size, 3)
+            assert sums.shape == (2, sel.size, 3)
             for c in range(3):
                 one, mag = quadrature.gl_rows(lambda x: _cols(x)[c], *args, absolute=True)
-                assert one.shape == (sel.size, 1)
-                assert np.all(np.abs(sums[:, c] - one[:, 0]) <= 1e-15 * mag[:, 0]), (sub, c)
+                assert one.shape == (2, sel.size, 1)
+                assert np.all(np.abs(sums[:, :, c] - one[:, :, 0]) <= 1e-15 * mag[:, 0]), (sub, c)
 
     def test_herglotz_rows_stop_at_noise_floor(self, monkeypatch):
         # beyond the cutoff eta r is constant, so (eta r)' is rounding noise
@@ -386,9 +390,9 @@ class TestBatchedPanels:
             driver(lambda r: f(r)[1], edges, floor)
             return max(widest)
 
-        # refined alone, it stops below the 256-subpanel cap
+        # refined alone, it stops below the 128-subpanel cap
         monkeypatch.setattr(quadrature, "gl_rows", spy_level)
-        assert widest_for(True) < 256 and widest_for(False) == 256
+        assert widest_for(True) < 128 and widest_for(False) == 128
         # beside an unfloored copy of itself, each column keeps its own floor
         # and its own stopping point: each matches its refinement alone
         pair, pair_stuck, _ = driver(lambda r: f(r)[[1, 1]], edges, (True, False))
@@ -493,13 +497,14 @@ class TestBatchedPanels:
                     norm_Ym(p, n, m)
         assert quadrature._BLOCK_NODES == 1 << 13
         assert sizes and max(sizes) <= 1 << 13
-        # a call's blocks are equal: the first call of each refinement (241
-        # octave panels and their halves, 24 nodes each) is three blocks of 241
-        assert sizes.count(241 * 24) >= 3
+        # a call's blocks are as equal as whole panels allow: the first call
+        # of each refinement (241 octave panels of 49 nodes) is two blocks
+        # of 121 and 120 panels, not 167 and 74
+        assert sizes.count(121 * 49) >= 3 and sizes.count(121 * 49) == sizes.count(120 * 49)
 
     def test_cap_is_reported(self):
         # a jump inside a panel: composite rules converge only like h, so
-        # that panel never agrees to 1e-10 and keeps its 256-subpanel value
+        # that panel never agrees to 1e-10 and keeps its 128-subpanel value
         jump = 2.0 ** 0.3
         step = lambda r: np.where(np.asarray(r) < jump, 1.0, 0.0)
         p = RadialProfile(label="step", omega=0.0, envelope=step,
@@ -510,7 +515,7 @@ class TestBatchedPanels:
         (i,) = np.flatnonzero(stuck)
         assert edges[i] < jump < edges[i + 1]
         assert got[i] == pytest.approx(
-            _gl_rule(lambda r: step(r) * r, edges[i], edges[i + 1], 256), rel=1e-13)
+            _gk_rule(lambda r: step(r) * r, edges[i], edges[i + 1], 128)[0], rel=1e-13)
         rep = NormReport(x1=0.0, x2=0.0, ym=[])
         norm_X(p, 3, report=rep)
         assert rep.unconverged_panels > 0
@@ -518,6 +523,29 @@ class TestBatchedPanels:
             norm_Ym(p, 3, m, report=rep)
         assert norm_report(p, 3).unconverged_panels == rep.unconverged_panels
         assert norm_report(profiles.power(3.0), 3).unconverged_panels == 0
+
+    def test_capped_panel_change_covers_its_error(self, monkeypatch):
+        # |f'| of bump(1, 2) has a kink at r = 1.5, inside the X1 panel
+        # [2^0.5, 2^0.75], which stays at the cap; its last |Kronrod -
+        # Gauss| still covers its error against quad split at the kink (the
+        # last change of two halving rules read 3.1e-10 for an error of 2.1e-9)
+        inner, calls = norms._panel_integrals, []
+        monkeypatch.setattr(norms, "_panel_integrals",
+                            lambda *a, **kw: calls.append(inner(*a, **kw)) or calls[-1])
+        p = profiles.bump(1.0, 2.0)
+        norm_X(p, 3)
+        (vals, stuck, deltas), = calls
+        edges = norms._octave_edges(4)
+        (i,) = np.flatnonzero((edges[:-1] == 2.0 ** 0.5) & (edges[1:] == 2.0 ** 0.75))
+        assert stuck[i, 0]
+
+        def x1(r):
+            d0, d1 = p.derivs(1, np.atleast_1d(r))
+            return float(np.abs(d0[0]) * r + np.abs(d1[0]) * r * r)
+
+        want = sum(quad(x1, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                   for lo, hi in ((2.0 ** 0.5, 1.5), (1.5, 2.0 ** 0.75)))
+        assert abs(vals[i, 0] - want) <= deltas[i, 0]
 
     def test_ym_counts_columns_up_to_the_first_divergent(self):
         # a jump in f' leaves one panel of the k = 1 column capped; that cap
@@ -547,22 +575,22 @@ class TestBatchedPanels:
 
 
 class TestOctaveRule:
-    def test_converged_panels_take_rules_of_one_and_two_subpanels(self, monkeypatch):
-        # every panel of power(1.5) at n = 3 converges at its first doubling:
-        # 241 panels of 24 nodes at 1 and 2 subpanels are 17,352 nodes (a
-        # start at 4 subpanels took 69,408)
+    def test_converged_panels_take_one_kronrod_rule(self, monkeypatch):
+        # every panel of power(1.5) at n = 3 converges at its first check:
+        # 241 panels of 49 Gauss-Kronrod nodes are 11,809 nodes (the 24-node
+        # rule and its halves took 17,352, a start at 4 subpanels 69,408)
         level = quadrature.gl_rows
         nodes = [0]
 
         def counted(f, a, b, npanels, nodes_per=32, ids=None, absolute=False):
-            nodes[0] += int(np.sum(npanels)) * nodes_per
+            nodes[0] += int(np.sum(npanels)) * (2 * nodes_per + 1)
             return level(f, a, b, npanels, nodes_per, ids, absolute)
 
         monkeypatch.setattr(quadrature, "gl_rows", counted)
         rep = NormReport(x1=0.0, x2=0.0, ym=[])
         assert all(math.isfinite(v) for v in norm_X(profiles.power(1.5), 3, report=rep))
         assert rep.unconverged_panels == 0
-        assert 0 < nodes[0] <= 241 * 24 * 3
+        assert nodes[0] == 241 * 49
 
     @pytest.mark.parametrize("alpha", [0.6, 1.5, 3.0])
     def test_head_panel_is_exact_at_even_n(self, alpha, monkeypatch):

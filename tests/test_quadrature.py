@@ -1,6 +1,7 @@
-"""Composite row sums and their panel doubling; steepest-descent tails:
-stationary points on rays, one-ray rows against mpmath, rays as rows of the
-one doubling driver; the line fit; one Gauss-Legendre rule cache."""
+"""The Gauss-Kronrod rule; composite row sums and their panel doubling;
+steepest-descent tails: stationary points on rays, one-ray rows against
+mpmath, rays as rows of the one doubling loop; the line fit; one rule
+cache."""
 
 import ast
 import cmath
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from disperse_lab import quadrature
-from disperse_lab.quadrature import (_BLOCK_NODES, gl_nodes, gl_rows, osc_integral,
+from disperse_lab.quadrature import (_BLOCK_NODES, gk_nodes, gl_rows, osc_integral,
                                     osc_integral_rows, rotated_tail, trapezoid)
 
 
@@ -39,6 +40,46 @@ def _h(rho):
 
 def _one(rho, row):
     return np.ones(rho.shape, dtype=complex)
+
+
+class TestGaussKronrod:
+    # QUADPACK's dqk15 table (Piessens et al. 1983): the Kronrod nodes and
+    # weights from the outermost node in to x = 0, and the 7-point Gauss weights
+    XGK = [0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+           0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+           0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+           0.207784955007898467600689403773245, 0.0]
+    WGK = [0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+           0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+           0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+           0.204432940075298892414161999234649, 0.209482141084727828012999174891714]
+    WG = [0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+          0.381830050505118944950369775488975, 0.417959183673469387755102040816327]
+
+    @pytest.mark.parametrize("n", [1, 7, 16, 24, 32])
+    def test_gauss_part_is_leggauss(self, n):
+        x, w = gk_nodes(n)
+        gx, gw = np.polynomial.legendre.leggauss(n)
+        assert x.shape == (2 * n + 1,) and w.shape == (2 * n + 1, 2)
+        assert np.array_equal(x[1::2], gx) and np.array_equal(w[1::2, 1], gw)
+        assert not w[::2, 1].any() and np.all(np.diff(x) > 0)
+        assert not (x.flags.writeable or w.flags.writeable)
+
+    @pytest.mark.parametrize("n", [16, 24, 32])
+    def test_kronrod_rule_is_exact_to_degree_3n_plus_1(self, n):
+        x, w = gk_nodes(n)
+        assert np.all(w[:, 0] > 0) and abs(w[:, 0].sum() - 2.0) <= 2e-15
+        for k in range(3 * n + 2):
+            want = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert abs(w[:, 0] @ x ** k - want) <= 2e-15, k
+
+    def test_g7_k15_matches_quadpack(self):
+        # to about eps in absolute terms, as leggauss(7) matches its part
+        x, w = gk_nodes(7)
+        for got, want in ((x[:8], -np.array(self.XGK)), (x[7:], self.XGK[::-1]),
+                          (w[:8, 0], self.WGK), (w[7:, 0], self.WGK[::-1]),
+                          (w[1:8:2, 1], self.WG)):
+            assert np.allclose(got, want, rtol=0.0, atol=2.5e-16)
 
 
 class TestRotatedTail:
@@ -107,8 +148,8 @@ class TestRotatedTail:
     def test_rays_are_rows_of_refine_rows(self, monkeypatch):
         # a ray's graded panels are rows of one refine_rows call: on a
         # smooth ray every panel agrees at its first comparison, so the ray
-        # costs one kernel call of 5 panels and their halves at 16 nodes,
-        # and one call at its end node for its end term
+        # costs one kernel call of 5 panels of 33 Gauss-Kronrod nodes (16
+        # Gauss nodes), and one call at its end node for its end term
         calls = []
         refine = quadrature.refine_rows
 
@@ -118,17 +159,17 @@ class TestRotatedTail:
         monkeypatch.setattr(quadrature, "refine_rows", spy)
         g = _counted(lambda r, row: _h(r))
         (got,), (err,) = rotated_tail(g, 1.0, 0.5)
-        assert calls == [5] and g.sizes == [3 * 5 * 16, 1]
+        assert calls == [5] and g.sizes == [5 * 33, 1]
         assert abs(got - _mp_ray([1.0], [0.5], 1.0)[0]) <= err <= 1e-13
 
     @pytest.mark.parametrize("a,rays", [([0.5, 1.0], 2), ([0.5, -10.0], 4)])
     def test_stationary_rays_only_where_a_row_has_one(self, a, rays):
         # the two rays from rho_s are built for a row with its stationary
         # point beyond rho0 and for no other: the kernel call holds 5 panels
-        # and their halves per ray, and the end terms one node per ray
+        # of 33 nodes per ray, and the end terms one node per ray
         g = _counted(lambda r, row: _h(r))
         rotated_tail(g, [1.0, 2.0], a)
-        assert g.sizes == [3 * 5 * 16 * rays, rays]
+        assert g.sizes == [5 * 33 * rays, rays]
 
     def test_scalar_single_and_mixed_inputs_agree(self):
         # numbers, length-1 arrays and mixed lengths are the same rows, bit
@@ -184,19 +225,23 @@ def _exact_rows(v):
 
 
 def _per_panel_sums(f, a, b, npanels, rows, nodes):
-    """gl_rows by a loop over single panels, every w f term added exactly:
-    (sums, sums of |w f|), each (rows, C).  With dyadic panel widths its
-    nodes are those of gl_rows bit for bit, so only the sums can differ."""
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    """gl_rows with each panel's Gauss-Kronrod nodes formed from its own
+    centre and every w f term added exactly: sums (2, rows, C), Kronrod
+    then Gauss, and the Kronrod sums of |w f| (rows, C).  With dyadic panel
+    widths its nodes are those of gl_rows bit for bit, so only the sums can
+    differ."""
+    x, w = gk_nodes(nodes)
     sums, mags = [], []
     for r in rows:
         width = (b[r] - a[r]) / npanels[r]
-        terms = np.concatenate([0.5 * width * w * np.atleast_2d(
-            f(a[r] + (j + 0.5) * width + 0.5 * width * x, np.full(nodes, r)))
-            for j in range(npanels[r])], axis=1)       # (C, panels * nodes)
-        sums.append(_exact_rows(terms.real) + 1j * _exact_rows(terms.imag))
-        mags.append(_exact_rows(np.abs(terms)))
-    return np.array(sums), np.array(mags)
+        pts = a[r] + (np.arange(npanels[r])[:, None] + 0.5) * width + 0.5 * width * x
+        vals = np.atleast_2d(f(pts.ravel(), np.full(pts.size, r))).reshape(-1, *pts.shape)
+        # the Gauss weights are zero off the Gauss nodes x[1::2]
+        terms = [(0.5 * width * w[:, 0] * vals).reshape(vals.shape[0], -1),
+                 (0.5 * width * w[1::2, 1] * vals[..., 1::2]).reshape(vals.shape[0], -1)]
+        sums.append([_exact_rows(v.real) + 1j * _exact_rows(v.imag) for v in terms])
+        mags.append(_exact_rows(np.abs(terms[0])))
+    return np.array(sums).transpose(1, 0, 2), np.array(mags)
 
 
 class TestCompositeRows:
@@ -224,22 +269,22 @@ class TestCompositeRows:
                     args = (f, self.a[sel], self.b[sel], self.npanels[sel], nodes, sel)
                     got, got_mag = gl_rows(*args, absolute=True)
                     ref, ref_mag = _per_panel_sums(f, self.a, self.b, self.npanels, sel, nodes)
-                    assert got.shape == ref.shape == (sel.size, 1 if f is self._f else 3)
+                    assert got.shape == ref.shape == (2, sel.size, 1 if f is self._f else 3)
                     assert np.all(np.abs(got - ref) <= 1e-15 * ref_mag), (sel, nodes)
                     assert np.all(np.abs(got_mag - ref_mag) <= 1e-15 * ref_mag), (sel, nodes)
                     plain, none = gl_rows(*args)
                     assert none is None and np.array_equal(plain, got)
         empty = np.array([], dtype=int)
         assert gl_rows(self._f, self.a[empty], self.b[empty], self.npanels[empty],
-                       32, empty)[0].shape == (0, 1)
+                       32, empty)[0].shape == (2, 0, 1)
 
     def test_blocks_of_a_call_are_equal(self):
-        # 723 one-panel rows of 24 nodes need three blocks of at most 2^13
-        # nodes: three of 241 rows, not 341, 341 and 41
+        # 360 one-panel rows of 49 nodes (24 Gauss nodes) need three blocks
+        # of at most 2^13 nodes: three of 120 rows, not 167, 167 and 26
         g = _counted(lambda x, row: np.cos(x) + 0j)
-        sums, _ = gl_rows(g, np.zeros(723), np.ones(723), np.ones(723, dtype=np.int64), 24,
-                          np.arange(723) % 8)
-        assert g.sizes == [241 * 24] * 3
+        sums, _ = gl_rows(g, np.zeros(360), np.ones(360), np.ones(360, dtype=np.int64), 24,
+                          np.arange(360) % 8)
+        assert g.sizes == [120 * 49] * 3
         assert np.all(np.abs(sums - math.sin(1.0)) <= 1e-15)
 
     def test_trapezoid(self):
@@ -260,12 +305,18 @@ def _counted(f):
 
 class TestOscillatoryRows:
     def test_row_past_the_cap_stops_after_one_rule(self):
-        # row 1 starts at 100 panels; doubling would pass max_points // 32
-        f = _counted(lambda x, row: np.exp(1j * x))
-        vals, errs = osc_integral_rows(f, 0.0, 1.0, [1.0, 600.0 * math.pi], max_points=5000)
-        assert f.per_row[1] == 100 * 32
-        assert math.isinf(errs[1]) and errs[0] <= 1e-9
-        assert vals[1] == pytest.approx((np.exp(1j) - 1.0) / 1j, rel=1e-12)
+        # row 1 asks for 100 panels of 65 nodes: past max_points // 65 = 76
+        # it is clipped to the cap and says so with an infinite estimate; at
+        # the cap it never doubles, and its Gauss part still estimates it
+        want = (np.exp(1j) - 1.0) / 1j
+        for max_points, cap in ((5000, 76), (6500, 100)):
+            f = _counted(lambda x, row: np.exp(1j * x))
+            vals, errs = osc_integral_rows(f, 0.0, 1.0, [1.0, 600.0 * math.pi],
+                                           max_points=max_points)
+            assert f.per_row[1] == cap * 65 and errs[0] <= 1e-9
+            assert vals[1] == pytest.approx(want, rel=1e-12)
+            assert math.isinf(errs[1]) == (cap < 100)
+            assert abs(vals[1] - want) <= errs[1] and (cap < 100 or errs[1] <= 1e-9)
 
     def test_first_rule_stays_within_max_points(self):
         # 1e8 cycles ask for 3.3e7 panels; the row starts at the cap instead,
@@ -302,16 +353,17 @@ class TestOscillatoryRows:
                                                max_points=40_000)
             assert f.per_row[r] == alone.per_row[0], r
             assert abs(vals[r] - val) <= 1e-14 * max(1.0, abs(val)) and errs[r] == pytest.approx(err)
-        assert f.per_row[0] == (2 + 4) * 32 < f.per_row[2] < f.per_row[1]
+        assert f.per_row[0] == 2 * 65 < f.per_row[2] < f.per_row[1]
 
     def test_calls_hold_at_most_one_block(self):
-        # a jump never agrees at tol 1e-15, so the row runs to max_points
+        # a jump never agrees at tol 1e-15, so the row runs to max_points;
+        # a block holds whole chunks of 64 panels of 65 nodes
         f = _counted(lambda x, row: np.where(x < 1.0 / 3.0, 1.0, 0.0) + 0j)
         val, err = osc_integral(lambda x: f(x, np.zeros(x.size, dtype=int)), 0.0, 1.0, 1.0,
                                 tol=1e-15)
-        assert max(f.sizes) == _BLOCK_NODES
-        # 2, 4, .. 16384 panels: the last rule is the largest within 600,000 nodes
-        assert sum(f.sizes) == 32 * (2 * 16384 - 2)
+        assert max(f.sizes) == 64 * 65 <= _BLOCK_NODES
+        # 2, 4, .. 8192 panels: the last rule is the largest within 600,000 nodes
+        assert sum(f.sizes) == 65 * (2 * 8192 - 2)
         assert 1e-15 < err < 1e-4 and val == pytest.approx(1.0 / 3.0, abs=err)
 
 
@@ -322,33 +374,31 @@ def _kinked(x, row):
 
 class TestRefineRows:
     def test_matches_entry_by_entry_loop(self):
-        # each entry keeps the rule, |change| and sum |w f| of the level at
-        # which it agreed, as if refined alone: rows 0 and 1 converge, row 2
-        # stops at the cap with its kink column live, and row 3 starts past
-        # the cap, so it is never doubled
-        a, b = np.array([0.0, 0.5, 0.0, 0.0]), np.array([1.0, 2.0, 3.0, 1.0])
-        start, cap, tol = np.array([2, 3, 40, 100]), 128, 1e-7
+        # each entry keeps the Kronrod sum, |Kronrod - Gauss| and sum |w f|
+        # of the round at which it agreed, as if refined alone: rows 0 and 1
+        # converge, row 2 stops at the cap with its kink column live, and
+        # row 3 starts past half the cap, so it has one round
+        a, b = np.array([0.0, 0.5, 0.0, 0.0]), np.array([1.0, 2.0, 3.0, 3.1])
+        start, cap, tol = np.array([2, 3, 40, 70]), 128, 1e-7
         vals, deltas, live, mags = quadrature.refine_rows(
             _kinked, a, b, start, cap, tol, ids=np.arange(4), atol=tol, absolute=True)
         assert vals.shape == deltas.shape == live.shape == mags.shape == (4, 2)
         for i in range(4):
-            def rule(n):
-                return gl_rows(_kinked, a[i:i + 1], b[i:i + 1], np.array([n]), 32,
-                               np.array([i]), absolute=True)
+            def rule(n, c):
+                sums, mag = gl_rows(_kinked, a[i:i + 1], b[i:i + 1], np.array([n]), 32,
+                                    np.array([i]), absolute=True)
+                return sums[0, 0, c], abs(sums[0, 0, c] - sums[1, 0, c]), mag[0, c]
             for c in range(2):
                 n = start[i]
-                v, m = (s[0, c] for s in rule(n))
-                d, agreed = math.inf, False
-                while not agreed and 2 * n <= cap:
+                v, d, m = rule(n, c)
+                while not (agreed := d <= max(tol * abs(v), tol)) and 2 * n <= cap:
                     n *= 2
-                    cur, m = (s[0, c] for s in rule(n))
-                    d, v = abs(cur - v), cur
-                    agreed = d <= max(tol * abs(cur), tol)
+                    v, d, m = rule(n, c)
                 assert live[i, c] == (not agreed), (i, c)
                 assert abs(vals[i, c] - v) <= 1e-14 * m and abs(mags[i, c] - m) <= 1e-14 * m
                 assert deltas[i, c] == d or abs(deltas[i, c] - d) <= 1e-14 * m, (i, c)
-        assert live[:, 1].tolist() == [False, False, True, True] and not live[:2].any()
-        assert np.isinf(deltas[3]).all() and np.isfinite(deltas[:3]).all()
+        assert live[:, 1].tolist() == [False, False, True, True] and not live[:, 0].any()
+        assert np.isfinite(deltas).all()
 
     def test_nan_is_never_converged(self):
         # a NaN entry runs to the cap and is reported there; the rows beside
@@ -360,16 +410,17 @@ class TestRefineRows:
             assert live[:, 0].tolist() == [False, True] and np.isnan(deltas[1, 0])
             assert vals[0, 0] == pytest.approx(math.sin(1.0), rel=1e-14)
 
-    def test_first_two_rules_are_one_kernel_call(self):
-        # each row at its start count and its two halves at the same count
-        # (the rule at twice the count) go to one integrand call, so rows
-        # that agree at their first comparison cost one call
+    def test_first_round_is_one_kernel_call(self):
+        # each row's Gauss and Kronrod sums at its start count come from one
+        # integrand call of 2 nodes + 1 nodes a panel, so rows that agree
+        # at their first check cost one call and take the Kronrod sum
         g = _counted(lambda x, row: np.cos(x) + 0j)
         a, b = np.zeros(2), np.array([1.0, 2.0])
         vals, deltas, live, _ = quadrature.refine_rows(g, a, b, 2, 64, 1e-12, ids=np.arange(2))
-        assert g.sizes == [3 * 2 * 2 * 32] and not live.any()
-        want, _ = gl_rows(lambda x, row: np.cos(x) + 0j, a, b, np.array([4, 4]), 32, np.arange(2))
-        assert np.all(np.abs(vals - want) <= 1e-15) and np.all(deltas <= 1e-12)
+        assert g.sizes == [2 * 2 * 65] and not live.any()
+        want, _ = gl_rows(lambda x, row: np.cos(x) + 0j, a, b, np.array([2, 2]), 32, np.arange(2))
+        assert np.array_equal(vals, want[0]) and np.array_equal(deltas, np.abs(want[0] - want[1]))
+        assert np.all(np.abs(vals[:, 0] - np.sin(b)) <= 1e-15) and np.all(deltas <= 1e-12)
 
     def test_atol_per_row(self):
         # a row's own atol can freeze it at its first comparison while the
@@ -378,8 +429,8 @@ class TestRefineRows:
         a, b = np.zeros(2), np.ones(2)
         vals, deltas, live, _ = quadrature.refine_rows(f, a, b, 1, 64, 1e-14, nodes=8,
                                                        ids=np.arange(2), atol=np.array([1.0, 0.0]))
-        two, _ = gl_rows(f, a[:1], b[:1], np.array([2]), 8, np.arange(1))
-        assert vals[0, 0] == pytest.approx(two[0, 0], rel=1e-15) and 0.0 < deltas[0, 0] <= 1.0
+        one, _ = gl_rows(f, a[:1], b[:1], np.array([1]), 8, np.arange(1))
+        assert vals[0, 0] == pytest.approx(one[0, 0, 0], rel=1e-15) and 0.0 < deltas[0, 0] <= 1.0
         assert abs(vals[1, 0] - math.sin(20.0) / 20.0) <= 1e-14 and not live.any()
 
     def test_bound_shapes_agree(self):
@@ -444,11 +495,11 @@ def _names_outside(*owners):
 
 
 def test_gauss_legendre_rules_come_from_quadrature():
-    # quadrature holds the package's only Gauss-Legendre rule cache, and no
+    # quadrature holds the package's only Gauss(-Kronrod) rule cache, and no
     # module integrates with a fixed composite rule: composite_gl checks no
     # convergence
     for name, used in _names_outside("quadrature.py").items():
-        assert not used & {"leggauss", "gl_nodes", "composite_gl"}, name
+        assert not used & {"leggauss", "gk_nodes", "composite_gl"}, name
 
 
 def test_hankel_tail_rows_come_from_special():

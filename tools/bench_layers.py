@@ -40,10 +40,9 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 ROUNDS = 400
-# the focusing cases: the first 16-node rule of annulus_lq on (0.5, 2.5) and
-# its two halves (48 points) at t = 1 - u, u = 1e-3 and the small end 2e-4 of
-# the focusing benchmark, with its sigma per n; the collapse probes' 25-point
-# grid at sigma = n - 1
+# the focusing cases: the first rule of annulus_lq on (0.5, 2.5) at t = 1 - u,
+# u = 1e-3 and the small end 2e-4 of the focusing benchmark, with its sigma
+# per n; the collapse probes' 25-point grid at sigma = n - 1
 FOCUS_SIGMA = {2: 1.05, 3: 1.95}
 FOCUS_U = (1e-3, 2e-4)
 Z_GRID = np.geomspace(0.3, 3.0, 25)
@@ -61,7 +60,13 @@ def load(src: Path, name: str):
                                         "blowup")})
 
 
-def annulus_points():
+def annulus_points(Q):
+    """The points of annulus_lq's first rule on (0.5, 2.5) in the tree of
+    quadrature module Q: one panel of its 16-node Gauss-Kronrod pair (33
+    points), or, in a tree without gk_nodes, the 16-node Gauss rule and its
+    two halves (48 points)."""
+    if hasattr(Q, "gk_nodes"):
+        return 1.5 + Q.gk_nodes(16)[0]
     x, _ = np.polynomial.legendre.leggauss(16)
     return np.concatenate([1.5 + x, 1.0 + 0.5 * x, 2.0 + 0.5 * x])
 
@@ -77,14 +82,14 @@ def cases(lib):
     bump, power = profiles.bump(1.0, 2.0), profiles.power(1.2)
     herglotz = profiles.herglotz_pair(1.0, 3)[0]
     t, t_small = (1.0 - u for u in FOCUS_U)
-    xs, xs_small = (B.SelfSimilarFrame(tt).x_of_z(annulus_points()) for tt in (t, t_small))
+    xs, xs_small = (B.SelfSimilarFrame(tt).x_of_z(annulus_points(Q)) for tt in (t, t_small))
     chirp = {n: B.ChirpDatum(n, s) for n, s in FOCUS_SIGMA.items()}
     return {
         "rotated_tail.one_ray": lambda: Q.rotated_tail(one, 0.5, 1.0),
         "rotated_tail.stationary": lambda: Q.rotated_tail(one, 0.5, -3.0),
         "rotated_tail.delta_0.5": lambda: Q.rotated_tail(one, 0.5, 1.0, delta=0.5),
         # a ray integrand with a non-integer complex power, r^{-0.95}, on one
-        # row and on the 96 Hankel rows of the focusing annulus rule
+        # row and on 96 rows, the Hankel rows of a 48-point annulus rule
         "rotated_tail.power_1row": lambda: Q.rotated_tail(lambda r, row: cpow(r, -0.95), 0.5, 1.0),
         "rotated_tail.power_96rows": lambda: Q.rotated_tail(lambda r, row: cpow(r, -0.95),
                                                             np.full(96, 0.5), 1.0),
