@@ -280,7 +280,8 @@ def gj_integral_check(profile: RadialProfile, n: int, m: int,
 
     The left sides are propagator.g_abs_integrals; per point, both right
     sides are one norms.certified_integrals call on one derivative stack
-    per node, with 2t/|x|, t/|x| and the support as panel edges.  All are
+    per node, with 2t/|x|, t/|x| and the support as panel edges and the
+    panels cut at the sign changes of each phi^{(k)}.  All are
     certified on the octave panels and read inf when divergent (ratio 0).
 
     Records per-point ratios lhs/rhs and their maximum.
@@ -311,7 +312,8 @@ def gj_integral_check(profile: RadialProfile, n: int, m: int,
                 np.where(r >= 0.5 * r_turn, w23 * d * r ** p23[:, None], 0.0)])
 
         support = math.inf if profile.support is None else profile.support
-        totals, _, deltas = norms.certified_integrals(columns, [0.5 * r_turn, r_turn, support])
+        totals, _, deltas = norms.certified_integrals(columns, [0.5 * r_turn, r_turn, support],
+                                                      kinks=lambda r: profile.derivs(m, r))
         rhs = totals + deltas
         rhs1, rhs23 = float(rhs[:m + 1].sum()), float(rhs[m + 1:].sum())
         lhs = g_abs_integrals(profile, pt, m)

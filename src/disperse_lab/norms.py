@@ -14,12 +14,24 @@ integrands are columns evaluated on the same nodes from one derivative
 stack per node (`RadialProfile.derivs`): norm_X's three integrands come from
 orders 0..1, norm_Ym's integrals (k = k_lo..m) from orders 0..m.  Only the
 averaged-mass supremum of Y_n is a second call.  Every panel starts at one
-24-node Gauss panel nested in its 49-node Kronrod rule and doubles its
-subpanels up to 128; the head panel [0, 2^K_MIN] is integrated in
-s = sqrt(r), where the r^{-1/2} of the X2 integrand at even n is smooth.  A
-column stops refining a row once its own Gauss and Kronrod sums agree; the
-plain integrals (first X2 term, Y_m terms) also stop at the rounding floor
-of their total, the supremands, which weight small z up, do not.
+7-node Gauss panel nested in its 15-node Kronrod rule (QUADPACK's G7-K15
+pair), which resolves a smooth power law on a quarter octave far below the
+tolerance; the head panel [0, 2^K_MIN] is integrated in s = sqrt(r), where
+the r^{-1/2} of the X2 integrand at even n is smooth.  A column stops
+refining a row once its own Gauss and Kronrod sums agree; the plain
+integrals (first X2 term, Y_m terms) also stop at the rounding floor of
+their total, the supremands, which weight small z up, do not.
+
+A |.| integrand has a kink where the function under |.| changes sign, and
+no rule converges fast across it.  So a row still live after its first rule
+is searched for the sign changes of the caller's kink functions (f, f' and
+(f r^{(n-1)/2})' for norm_X, f^{(k)} for norm_Ym): each bracket found
+between _PROBES equispaced probes becomes a sub-row edge after _ILLINOIS
+regula-falsi (Illinois) steps, and the pieces of the live rows double, up to
+_CAP subpanels each, in one more refine_rows call and are summed back into
+their rows.  A complex kink function of constant phase on the row is
+searched as the real function left once that phase is divided out; one of
+varying phase has no kink.
 """
 
 from __future__ import annotations
@@ -80,45 +92,120 @@ def _octave_of(edges, per_octave: int):
     return (np.searchsorted(grid, edges[:-1], side="right") + per_octave - 2) // per_octave
 
 
-def _panel_integrals(f, edges, floor=False):
+# the octave rule: G7-K15, rtol, the subpanel cap of a row or piece (512 x
+# 15 nodes, no fewer than the 128 x 49 of the 24-node pair it replaced), and
+# the kink search: probes per live row and Illinois steps per bracket
+_NODES, _RTOL, _CAP = 7, 1e-10, 512
+_PROBES, _ILLINOIS = 16, 8
+# a complex kink function whose imaginary part, once the phase of its largest
+# probe is divided out, stays below this share of that probe has one phase
+_PHASE_TOL = 1e-8
+
+
+def _panel_integrals(f, edges, floor=False, kinks=None):
     """(integrals, unconverged, deltas), each (panels, C), of the columns of
     f(r), a (C, r.size) array (1-D: one column), over the panels between
-    edges: one quadrature.refine_rows call with 24 Gauss nodes (49 Kronrod
-    nodes) and 1 to 128 subpanels (|.|-type integrands have kinks), rtol
-    1e-10 and, where floor (one flag or one per column) is set, a floor of
-    _NOISE times the column's summed coarse |values|.  unconverged marks the
-    entries left at 128 subpanels; deltas holds each entry's last
-    |Kronrod - Gauss|.
+    edges, with rtol _RTOL and, where floor (one flag or one per column) is
+    set, a floor of _NOISE times the column's summed first |values|.  Every
+    panel takes one G7-K15 rule (quadrature.refine_rows); a panel with an
+    entry still live is cut at the sign changes of kinks(r), a (K, r.size)
+    array of the functions under the columns' |.| (_split_at_kinks), and its
+    pieces double, 1 to _CAP subpanels each, in one more refine_rows call,
+    each entry summed over its row's pieces.  unconverged marks the entries
+    with a piece left at the cap; deltas holds each entry's last |Kronrod -
+    Gauss|, summed over its pieces.
 
     The first panel is integrated in s = sqrt(r), dr = 2 s ds (row 0 of the
     refine_rows ids), so integrands like r^{-1/2} at 0 (|(f r^{(n-1)/2})'|
-    at even n) are smooth in s.
+    at even n) are smooth in s; its kinks are searched in s too.
     """
     edges = np.asarray(edges, dtype=float)
     a, b = edges[:-1].copy(), edges[1:].copy()
     a[0], b[0] = math.sqrt(a[0]), math.sqrt(b[0])
 
-    def g(x, row):
-        head = row == 0
-        return f(np.where(head, x * x, x)) * np.where(head, 2.0 * x, 1.0)
+    def r_of(x, row):
+        return np.where(row == 0, x * x, x)
 
-    vals, deltas, live, _ = refine_rows(g, a, b, 1, 128, 1e-10, nodes=24,
-                                        ids=np.arange(a.size), floor=np.where(floor, _NOISE, 0.0))
+    def g(x, row):
+        return f(r_of(x, row)) * np.where(row == 0, 2.0 * x, 1.0)
+
+    floor = np.where(floor, _NOISE, 0.0)
+    vals, deltas, live, _ = refine_rows(g, a, b, 1, 1, _RTOL, nodes=_NODES,
+                                        ids=np.arange(a.size), floor=floor)
+    rows = np.flatnonzero(live.any(axis=1))
+    if rows.size:
+        lo, hi, owner, start = _split_at_kinks(kinks, r_of, a[rows], b[rows], rows)
+        # the pieces keep the first rule's floor, a bound per column
+        bound = np.reshape(floor * np.abs(vals).sum(axis=0), (1, -1))
+        pv, pd, pl, _ = refine_rows(g, lo, hi, start, _CAP, _RTOL, nodes=_NODES,
+                                    ids=owner, atol=bound)
+        first = np.flatnonzero(np.r_[True, owner[1:] != owner[:-1]])
+        was = live[rows]
+        vals[rows] = np.where(was, np.add.reduceat(pv, first), vals[rows])
+        deltas[rows] = np.where(was, np.add.reduceat(pd, first), deltas[rows])
+        live[rows] = was & np.logical_or.reduceat(pl, first)
     return vals, live, deltas
 
 
-def certified_integrals(f, ends=(), per_octave: int = 4):
+def _split_at_kinks(kinks, r_of, a, b, rows):
+    """(lo, hi, owner, start): the pieces of the panels [a, b] of rows, in
+    row order, cut at the sign changes of the rows of kinks(r_of(x, row)),
+    each located by _ILLINOIS Illinois steps from its bracket between
+    _PROBES equispaced probes.  A panel left whole (no kinks, or none found)
+    starts at two subpanels, its one-panel rule being done; a cut panel's
+    pieces start at one."""
+    if kinks is None:
+        return a, b, rows, np.full(a.size, 2)
+    x = a[:, None] + (b - a)[:, None] * np.linspace(0.0, 1.0, _PROBES)
+    v = np.atleast_2d(kinks(r_of(x.ravel(), np.repeat(rows, _PROBES))))
+    v = v.reshape(v.shape[0], *x.shape)
+    # per function and row, the phase of the largest probe divided out; what
+    # is left of a function of varying phase is no real function: no kinks
+    big = np.take_along_axis(v, np.abs(v).argmax(axis=2)[..., None], axis=2)
+    phase = np.exp(-1j * np.angle(big))
+    v = v * phase
+    v = np.where(np.abs(v.imag).max(axis=2, keepdims=True) <= _PHASE_TOL * np.abs(big), v.real, 0.0)
+    # a bracket holds two probes of opposite sign: a zero on one side only
+    # (data vanishing beyond a support) is no kink
+    sign = np.sign(v)
+    k, i, j = np.nonzero(sign[..., 1:] * sign[..., :-1] < 0.0)
+    x0, x1, f0, f1 = x[i, j], x[i, j + 1], v[k, i, j], v[k, i, j + 1]
+    if k.size:
+        # regula falsi, Illinois: an end kept twice has its value halved
+        pick = np.arange(k.size)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for _ in range(_ILLINOIS):
+                x2 = np.where(f1 != f0, (x0 * f1 - x1 * f0) / (f1 - f0), x1)
+                f2 = (np.atleast_2d(kinks(r_of(x2, rows[i])))[k, pick] * phase[k, i, 0]).real
+                swap = np.sign(f2) * np.sign(f1) < 0.0
+                x0, f0 = np.where(swap, x1, x0), np.where(swap, f1, 0.5 * f0)
+                x1, f1 = x2, f2
+    cut = (x1 > a[i]) & (x1 < b[i])
+    # each row's ends and cuts in order; a piece joins two points of one row
+    at = np.concatenate([np.arange(a.size), np.arange(a.size), i[cut]])
+    pts = np.concatenate([a, b, x1[cut]])
+    order = np.lexsort((pts, at))
+    at, pts = at[order], pts[order]
+    keep = (at[1:] == at[:-1]) & (pts[1:] > pts[:-1])
+    owner = at[:-1][keep]
+    whole = np.bincount(owner, minlength=a.size) == 1
+    return pts[:-1][keep], pts[1:][keep], rows[owner], np.where(whole[owner], 2, 1)
+
+
+def certified_integrals(f, ends=(), per_octave: int = 4, kinks=None):
     """(totals, capped, deltas), each (C,): int_0^inf of each column of
     f(r), a (C, r.size) array of |.|-type integrands, certified on the
-    octave panels of one floored _panel_integrals call.  totals[c] is the
-    octave sum plus the geometric tail beyond 2^K_MAX, or math.inf where the
-    octave increments certify divergence; capped[c] counts the panels left
-    at the subpanel cap and deltas[c] sums their last |change|.  The ends
-    (> 0) below 2^K_MAX, a support or the end of an interval an integrand
-    is cut to, are panel edges: a cut inside a panel would stall at the cap.
+    octave panels of one floored _panel_integrals call, whose panels are cut
+    at the sign changes of kinks(r) (the functions under the |.|, as there).
+    totals[c] is the octave sum plus the geometric tail beyond 2^K_MAX, or
+    math.inf where the octave increments certify divergence; capped[c]
+    counts the panels left at the subpanel cap and deltas[c] sums their last
+    |change|.  The ends (> 0) below 2^K_MAX, a support or the end of an
+    interval an integrand is cut to, are panel edges: a cut inside a panel
+    would stall at the cap.
     """
     edges = np.union1d(_octave_edges(per_octave), [e for e in ends if e < 2.0 ** K_MAX])
-    inc, capped, deltas = _panel_integrals(f, edges, floor=True)
+    inc, capped, deltas = _panel_integrals(f, edges, floor=True, kinks=kinks)
     octave = _octave_of(edges, per_octave)
     totals = np.array([_certify_integral(np.bincount(octave, col)) for col in inc.real.T])
     return totals, capped.sum(axis=0), np.where(capped, deltas, 0.0).sum(axis=0)
@@ -203,7 +290,12 @@ def norm_X(profile: RadialProfile, n: int, report: Optional[NormReport] = None,
             np.abs(d1 * (h * r) + d0 * ((n - 1) / 2.0 * h)),
             np.where(r > edges[1], a0 * t, 0.0)])
 
-    inc, capped, _ = _panel_integrals(columns, edges, floor=(False, True, False))
+    def kinks(r):
+        # the functions under the |.|: f, f' and r^{(3-n)/2} (f r^{(n-1)/2})'
+        d0, d1 = profile.derivs(1, r)
+        return np.stack([d0, d1, d1 * r + d0 * ((n - 1) / 2.0)])
+
+    inc, capped, _ = _panel_integrals(columns, edges, floor=(False, True, False), kinks=kinks)
     inc1, incd, inct = inc.real.T
     if report is not None:
         report.unconverged_panels += int(capped.sum())
@@ -257,7 +349,8 @@ def norm_Ym(profile: RadialProfile, n: int, m: int, per_octave: int = 4,
             weight = weight * r
         return out
 
-    totals, capped, _ = certified_integrals(integrands, per_octave=P)
+    totals, capped, _ = certified_integrals(integrands, per_octave=P,
+                                            kinks=lambda r: profile.derivs(m, r)[k_lo:])
     total = sum(totals.tolist())
     if report is not None:
         # the columns up to the first divergent one, as refined one by one

@@ -238,19 +238,22 @@ def g_abs_integrals(profile: RadialProfile, pt: EvalPoint, m: int) -> np.ndarray
     decompose_g, certified on the octave panels and inf where divergent.
     Supported data vanish beyond the support's image rho = support/gamma,
     so the columns are zero there without an evaluation; that end and the
-    cutoff ends 1/(2 beta) and 1/beta are panel edges.  A panel left at the
-    subpanel cap adds its last |change|, so each value errs upward."""
+    cutoff ends 1/(2 beta) and 1/beta are panel edges, and the panels are
+    cut at the sign changes of each g_j^{(m)}, of constant phase where real
+    data make it so (g_2, g_3 at odd n).  A panel left at the subpanel cap
+    adds its last |change|, so each value errs upward."""
     gamma, beta, _ = _frame(pt)
     dec = decompose_g(profile, pt)
     hi = math.inf if profile.support is None else profile.support / gamma
 
-    def columns(rho):
-        out = np.zeros((3, rho.size))
+    def stack(rho):
+        out = np.zeros((3, rho.size), dtype=complex)
         live = rho <= hi
-        out[:, live] = np.abs(dec.derivs(m, rho[live]))
+        out[:, live] = dec.derivs(m, rho[live])
         return out
 
-    totals, _, deltas = norms.certified_integrals(columns, [0.5 / beta, 1.0 / beta, hi])
+    totals, _, deltas = norms.certified_integrals(lambda rho: np.abs(stack(rho)),
+                                                  [0.5 / beta, 1.0 / beta, hi], kinks=stack)
     return totals + deltas
 
 

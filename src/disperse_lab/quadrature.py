@@ -146,9 +146,10 @@ def refine_rows(f, a, b, start, cap, rtol: float, nodes: int = 32, ids=None,
     once its change is within max(rtol |value|, bound), and a row is
     evaluated again at twice its panels while an entry is live and the
     count can double within cap.  A NaN change never agrees.  The bound is
-    atol (one value, or one per row as a (rows, 1) column), raised where
-    floor (one value or one per column) is nonzero to floor[column] * the
-    column's summed |first value|, which makes it (1 or rows, C).
+    atol (one value, one per row as a (rows,) array or (rows, 1) column, or
+    one per column as a (1, C) row), raised where floor (one value or one
+    per column) is nonzero to floor[column] * the column's summed |first
+    value|, which makes it (1 or rows, C).
 
     Returns (values, deltas, live, mags), each (rows, C): each entry's value
     and change at the round that froze it (else its last), the entries left
@@ -157,7 +158,9 @@ def refine_rows(f, a, b, start, cap, rtol: float, nodes: int = 32, ids=None,
     count = np.full(a.size, start, dtype=np.int64)
     sums, mags = gl_rows(f, a, b, count, nodes, ids, absolute)
     vals, deltas = sums[0], np.abs(sums[0] - sums[1])
-    bound = np.asarray(atol).reshape(-1, 1)
+    bound = np.asarray(atol)
+    if bound.ndim < 2:
+        bound = bound.reshape(-1, 1)
     if np.count_nonzero(floor):
         bound = np.fmax(bound, floor * np.abs(vals).sum(axis=0))
     live = np.ones(vals.shape, dtype=bool)

@@ -150,11 +150,11 @@ def test_criterion_4_norm_thresholds(capsys, monkeypatch):
     nodes, capped = [0], [0]
     panel_integrals = norms._panel_integrals
 
-    def counted(f, edges, floor=False):
+    def counted(f, edges, floor=False, kinks=None):
         def g(r):
             nodes[0] += r.size
             return f(r)
-        out = panel_integrals(g, edges, floor)
+        out = panel_integrals(g, edges, floor, kinks)
         capped[0] += int(out[1].sum())
         return out
 

@@ -237,9 +237,9 @@ class TestDimensionCheck:
 
 
 def _gk_rule(f, lo, hi, sub):
-    """(Kronrod, Gauss) sums of f on sub equal panels of [lo, hi], 24 Gauss
-    and 49 Kronrod nodes a panel."""
-    x, w = quadrature.gk_nodes(24)
+    """(Kronrod, Gauss) sums of f on sub equal panels of [lo, hi], 7 Gauss
+    and 15 Kronrod nodes a panel."""
+    x, w = quadrature.gk_nodes(7)
     edges = np.linspace(lo, hi, sub + 1)
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[:-1] + edges[1:])
@@ -247,24 +247,36 @@ def _gk_rule(f, lo, hi, sub):
     return tuple(np.sum((half[:, None] * w[:, c]).ravel() * vals) for c in (0, 1))
 
 
-def _per_panel_loop(f, edges):
-    """The per-panel refinement that one batched refine_rows call replaced:
-    1 to 128 subpanels of the 24-node Gauss rule nested in its 49-node
-    Kronrod rule, stop at relative agreement 1e-10 of the two, the head
-    panel in s = sqrt(r).  (Kronrod values, stuck)."""
+def _refine(g, lo, hi, sub, cap):
+    """(Kronrod value, agreed?) of g on [lo, hi], from sub equal panels
+    doubling up to cap until Kronrod and Gauss agree to 1e-10 relative."""
+    while True:
+        kron, gauss = _gk_rule(g, lo, hi, sub)
+        done = abs(kron - gauss) <= 1e-10 * max(abs(kron), 1e-300)
+        if done or 2 * sub > cap:
+            return kron, done
+        sub *= 2
+
+
+def _per_panel_loop(f, edges, kinks=None):
+    """The per-panel refinement that the batched refine_rows calls replace:
+    one G7-K15 rule a panel, stop at relative agreement 1e-10 of the two; a
+    panel that does not stop is cut by the kink search run on it alone, and
+    each piece doubles from 1 to 512 subpanels, or, with no cut, it doubles
+    on from 2 to 512; the head panel in s = sqrt(r).  (Kronrod values,
+    stuck)."""
     vals, stuck = [], []
     for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
         g = f
         if i == 0:
             g = lambda s: 2.0 * s * f(s * s)
             lo, hi = math.sqrt(lo), math.sqrt(hi)
-        sub = 1
-        while True:
-            kron, gauss = _gk_rule(g, lo, hi, sub)
-            done = abs(kron - gauss) <= 1e-10 * max(abs(kron), 1e-300)
-            if done or 2 * sub > 128:
-                break
-            sub *= 2
+        kron, done = _refine(g, lo, hi, 1, 1)
+        if not done:
+            pieces = norms._split_at_kinks(kinks, lambda x, row: np.where(row == 0, x * x, x),
+                                           np.array([lo]), np.array([hi]), np.array([i]))
+            parts = [_refine(g, a, b, sub, 512) for a, b, _, sub in zip(*pieces)]
+            kron, done = sum(v for v, _ in parts), all(ok for _, ok in parts)
         vals.append(kron)
         stuck.append(not done)
     return np.array(vals), np.array(stuck)
@@ -274,20 +286,20 @@ def _record_panel_calls(monkeypatch):
     """Record every _panel_integrals call as (floor per column, (values,
     unconverged), loops), where loops holds one (loop values, loop stuck,
     scale) per column: the per-panel loop run on that column alone at call
-    time, and each panel's integral of |column|."""
+    time, cut at the call's kinks, and each panel's integral of |column|."""
     driver = norms._panel_integrals
     default = inspect.signature(driver).parameters["floor"].default
     calls = []
 
-    def spy(f, edges, floor=default):
-        out = driver(f, edges, floor)
+    def spy(f, edges, floor=default, kinks=None):
+        out = driver(f, edges, floor, kinks)
         ncol = out[0].shape[1]
         floors = tuple(np.broadcast_to(floor, ncol))
         loops = []
         for c in range(ncol):
             col = lambda r, c=c: np.atleast_2d(f(r))[c]
-            ref, ref_stuck = _per_panel_loop(col, edges)
-            scale = (_per_panel_loop(lambda r: np.abs(col(r)), edges)[0].real
+            ref, ref_stuck = _per_panel_loop(col, edges, kinks)
+            scale = (_per_panel_loop(lambda r: np.abs(col(r)), edges, kinks)[0].real
                      if np.iscomplexobj(col(np.ones(1))) else np.abs(ref))
             loops.append((ref, ref_stuck, scale))
         calls.append((floors, out, loops))
@@ -310,7 +322,8 @@ class TestBatchedPanels:
         # one call with the n Y_n integrals k = 1..n and one with the
         # averaged mass: only the plain integrals are floored.  Every column
         # of every call is compared.  At n = 2 the X2 integrand of power and
-        # herglotz keeps a row live after the X1 column has converged on it
+        # herglotz keeps a row live after the X1 column has converged on it;
+        # the kinks of power at n = 2 and of bump are cut on both sides
         for n in (2, 3):
             p = {"power": lambda: profiles.power(1.5),
                  "oscillating_power": lambda: oscillating_power(3.5),
@@ -336,15 +349,15 @@ class TestBatchedPanels:
 
     def test_columns_match_one_column_calls(self):
         # a level's C columns summed by one matmul equal C one-column levels
-        # to 1e-15 of sum |w f|, Kronrod and Gauss; at 4 subpanels the 241
-        # octave panels span several node blocks, at 128 each panel is a
+        # to 1e-15 of sum |w f|, Kronrod and Gauss; at 8 subpanels the 241
+        # octave panels span several node blocks, at 512 each panel is a
         # block of its own
         edges = np.array(norms._octave_edges(4))
         a, b = edges[:-1], edges[1:]
-        assert a.size * 4 * 49 > 2 * quadrature._BLOCK_NODES
-        for sub, sel in ((4, np.arange(a.size)), (32, np.array([3, 100, 240])),
-                         (128, np.array([0, 120, 121, 240]))):
-            args = (a[sel], b[sel], np.full(sel.size, sub), 24)
+        assert a.size * 8 * 15 > 2 * quadrature._BLOCK_NODES
+        for sub, sel in ((8, np.arange(a.size)), (64, np.array([3, 100, 240])),
+                         (512, np.array([0, 120, 121, 240]))):
+            args = (a[sel], b[sel], np.full(sel.size, sub), 7)
             sums, _ = quadrature.gl_rows(_cols, *args)
             assert sums.shape == (2, sel.size, 3)
             for c in range(3):
@@ -364,8 +377,8 @@ class TestBatchedPanels:
             widest.append(int(npanels.max()))
             return level(f, a, b, npanels, nodes, ids, absolute)
 
-        def spy(f, edges, floor=default):
-            out = driver(f, edges, np.logical_and(floor, spy.use_floor))
+        def spy(f, edges, floor=default, kinks=None):
+            out = driver(f, edges, np.logical_and(floor, spy.use_floor), kinks)
             calls.append((f, edges, out[1]))
             return out
 
@@ -390,9 +403,9 @@ class TestBatchedPanels:
             driver(lambda r: f(r)[1], edges, floor)
             return max(widest)
 
-        # refined alone, it stops below the 128-subpanel cap
+        # refined alone, it stops below the 512-subpanel cap
         monkeypatch.setattr(quadrature, "gl_rows", spy_level)
-        assert widest_for(True) < 128 and widest_for(False) == 128
+        assert widest_for(True) < 512 and widest_for(False) == 512
         # beside an unfloored copy of itself, each column keeps its own floor
         # and its own stopping point: each matches its refinement alone
         pair, pair_stuck, _ = driver(lambda r: f(r)[[1, 1]], edges, (True, False))
@@ -403,18 +416,20 @@ class TestBatchedPanels:
 
     def test_profile_evaluated_once_per_node(self, monkeypatch):
         # norm_X evaluates one stack of f and f' per node of its one panel
-        # driver call
+        # driver call, the kink search's probes counted as nodes
         counted = {"points": 0}
         driver = norms._panel_integrals
         nodes = []
 
-        def spy(f, edges, floor=False):
+        def spy(f, edges, floor=False, kinks=None):
             nodes.append(0)
 
-            def g(r):
-                nodes[-1] += r.size
-                return f(r)
-            return driver(g, edges, floor)
+            def counting(fn):
+                def g(r):
+                    nodes[-1] += r.size
+                    return fn(r)
+                return None if fn is None else g
+            return driver(counting(f), edges, floor, counting(kinks))
 
         def count(fn):
             def wrapped(*args):
@@ -434,20 +449,23 @@ class TestBatchedPanels:
 
     def test_ym_evaluates_profile_once_per_node(self, monkeypatch):
         # the Y_m integrals k = k_lo..m are columns of one driver call that
-        # evaluates the derivative stack once per node; the averaged mass of
-        # Y_n, run when every integral is finite, is the only other call
+        # evaluates the derivative stack once per node (the kink search's
+        # probes counted as nodes); the averaged mass of Y_n, run when every
+        # integral is finite, is the only other call
         driver = norms._panel_integrals
         calls, outside = [], []
 
-        def spy(f, edges, floor=False):
+        def spy(f, edges, floor=False, kinks=None):
             calls.append([0, 0])       # nodes, profile points
             spy.active = True
 
-            def g(r):
-                calls[-1][0] += r.size
-                return f(r)
+            def counting(fn):
+                def g(r):
+                    calls[-1][0] += r.size
+                    return fn(r)
+                return None if fn is None else g
             try:
-                return driver(g, edges, floor)
+                return driver(counting(f), edges, floor, counting(kinks))
             finally:
                 spy.active = False
 
@@ -482,11 +500,11 @@ class TestBatchedPanels:
         driver = norms._panel_integrals
         sizes = []
 
-        def spy(f, edges, floor=False):
+        def spy(f, edges, floor=False, kinks=None):
             def g(r):
                 sizes.append(r.size)
                 return f(r)
-            return driver(g, edges, floor)
+            return driver(g, edges, floor, kinks)
 
         monkeypatch.setattr(norms, "_panel_integrals", spy)
         for n in (2, 4):
@@ -497,14 +515,13 @@ class TestBatchedPanels:
                     norm_Ym(p, n, m)
         assert quadrature._BLOCK_NODES == 1 << 13
         assert sizes and max(sizes) <= 1 << 13
-        # a call's blocks are as equal as whole panels allow: the first call
-        # of each refinement (241 octave panels of 49 nodes) is two blocks
-        # of 121 and 120 panels, not 167 and 74
-        assert sizes.count(121 * 49) >= 3 and sizes.count(121 * 49) == sizes.count(120 * 49)
+        # the first rule of each refinement, 241 octave panels of 15 nodes,
+        # is one block
+        assert sizes.count(241 * 15) >= 3
 
     def test_cap_is_reported(self):
         # a jump inside a panel: composite rules converge only like h, so
-        # that panel never agrees to 1e-10 and keeps its 128-subpanel value
+        # that panel never agrees to 1e-10 and keeps its 512-subpanel value
         jump = 2.0 ** 0.3
         step = lambda r: np.where(np.asarray(r) < jump, 1.0, 0.0)
         p = RadialProfile(label="step", omega=0.0, envelope=step,
@@ -515,7 +532,7 @@ class TestBatchedPanels:
         (i,) = np.flatnonzero(stuck)
         assert edges[i] < jump < edges[i + 1]
         assert got[i] == pytest.approx(
-            _gk_rule(lambda r: step(r) * r, edges[i], edges[i + 1], 128)[0], rel=1e-13)
+            _gk_rule(lambda r: step(r) * r, edges[i], edges[i + 1], 512)[0], rel=1e-13)
         rep = NormReport(x1=0.0, x2=0.0, ym=[])
         norm_X(p, 3, report=rep)
         assert rep.unconverged_panels > 0
@@ -524,27 +541,17 @@ class TestBatchedPanels:
         assert norm_report(p, 3).unconverged_panels == rep.unconverged_panels
         assert norm_report(profiles.power(3.0), 3).unconverged_panels == 0
 
-    def test_capped_panel_change_covers_its_error(self, monkeypatch):
-        # |f'| of bump(1, 2) has a kink at r = 1.5, inside the X1 panel
-        # [2^0.5, 2^0.75], which stays at the cap; its last |Kronrod -
-        # Gauss| still covers its error against quad split at the kink (the
-        # last change of two halving rules read 3.1e-10 for an error of 2.1e-9)
-        inner, calls = norms._panel_integrals, []
-        monkeypatch.setattr(norms, "_panel_integrals",
-                            lambda *a, **kw: calls.append(inner(*a, **kw)) or calls[-1])
-        p = profiles.bump(1.0, 2.0)
-        norm_X(p, 3)
-        (vals, stuck, deltas), = calls
+    def test_capped_panel_change_covers_its_error(self):
+        # |r - 1.5|^{1/2} has a cusp, not a sign change, inside the panel
+        # [2^0.5, 2^0.75], which stays at the cap; its last |Kronrod - Gauss|
+        # still covers its error against the closed form (|f'| of bump(1, 2),
+        # whose kink sat there, is now cut at it)
+        r0 = 1.5
         edges = norms._octave_edges(4)
-        (i,) = np.flatnonzero((edges[:-1] == 2.0 ** 0.5) & (edges[1:] == 2.0 ** 0.75))
-        assert stuck[i, 0]
-
-        def x1(r):
-            d0, d1 = p.derivs(1, np.atleast_1d(r))
-            return float(np.abs(d0[0]) * r + np.abs(d1[0]) * r * r)
-
-        want = sum(quad(x1, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
-                   for lo, hi in ((2.0 ** 0.5, 1.5), (1.5, 2.0 ** 0.75)))
+        vals, stuck, deltas = norms._panel_integrals(lambda r: np.sqrt(np.abs(r - r0)), edges)
+        (i,) = np.flatnonzero(stuck[:, 0])
+        assert edges[i] == 2.0 ** 0.5 and edges[i + 1] == 2.0 ** 0.75
+        want = 2.0 / 3.0 * ((r0 - edges[i]) ** 1.5 + (edges[i + 1] - r0) ** 1.5)
         assert abs(vals[i, 0] - want) <= deltas[i, 0]
 
     def test_ym_counts_columns_up_to_the_first_divergent(self):
@@ -574,11 +581,68 @@ class TestBatchedPanels:
         assert rep.unconverged_panels > 0
 
 
+class TestKinkCuts:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_bump_matches_quad_split_at_its_kinks(self, n):
+        # bump(1, 2) has f' = 0 at r = 3/2 and r f' + (n-1)/2 f = 0 where
+        # r (3 - 2 r)/4 + (n-1)/2 q^2 = 0, q = (r - 1)(2 - r): kinks of its
+        # X1, X2 and Y_1 integrands inside octave panels.  Against quad split
+        # there, on the panels of [1, 2] and with the suprema taken on their
+        # edges as norm_X takes them, x1, x2 and Y_1 agree to 1e-12 (a
+        # panel capped at a kink erred by 2.1e-9 at n = 3)
+        p = profiles.bump(1.0, 2.0)
+        c = (n - 1) / 2.0
+        q = np.poly1d([-1.0, 3.0, -2.0])
+        roots = (np.poly1d([-0.5, 0.75, 0.0]) + c * q * q).roots
+        kinks = [1.5] + [z.real for z in roots if abs(z.imag) < 1e-12 and 1.0 < z.real < 2.0]
+        assert len(kinks) == 2
+
+        def integral(fn, lo, hi):
+            inside = [z for z in kinks if lo < z < hi]
+            return quad(lambda r: fn(*p.derivs(1, np.array([r]))[:, 0], r), lo, hi,
+                        points=inside or None, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+        z = 2.0 ** (np.arange(5) / 4.0)
+        panels = list(zip(z[:-1], z[1:]))
+        inner = [integral(lambda f, d, r: abs(f) * r ** (n - 2) + abs(d) * r ** (n - 1), lo, hi)
+                 for lo, hi in panels]
+        tail = [integral(lambda f, d, r: abs(f) * r ** ((n - 5) / 2.0), lo, hi) for lo, hi in panels]
+        dmod = sum(integral(lambda f, d, r: abs(d * r + c * f) * r ** (c - 1.0), lo, hi)
+                   for lo, hi in panels)
+        x1 = np.max(np.r_[0.0, np.cumsum(inner)] * z ** ((1.0 - n) / 2.0))
+        x2 = dmod + np.max(z * np.r_[np.cumsum(tail[::-1])[::-1], 0.0])
+        got_x1, got_x2 = norm_X(p, n)
+        assert got_x1 == pytest.approx(x1, rel=1e-12, abs=0.0)
+        assert got_x2 == pytest.approx(x2, rel=1e-12, abs=0.0)
+        assert norm_Ym(p, n, 1) == pytest.approx(sum(inner), rel=1e-12, abs=0.0)
+
+    def test_bump_report_has_no_capped_panel(self):
+        # 13 panels were left at the cap by the kinks of bump(1, 2) at n = 3
+        assert norm_report(profiles.bump(1.0, 2.0), 3).unconverged_panels == 0
+
+    def test_constant_phase_is_divided_out(self, monkeypatch):
+        # bump(1, 2) scaled by a complex lambda has the same kinks; they are
+        # found once the phase of lambda is divided out, so the complex data
+        # are cut where the real are
+        driver, pieces = quadrature.refine_rows, []
+
+        def spy(f, a, b, *args, **kw):
+            pieces.append(a)
+            return driver(f, a, b, *args, **kw)
+
+        monkeypatch.setattr(norms, "refine_rows", spy)
+        for lam in (1.0, 0.3 - 0.4j):
+            norm_X(profiles.bump(1.0, 2.0).scale(lam), 3)
+        (_, real), (_, scaled) = pieces[:2], pieces[2:]
+        assert np.allclose(real, scaled, rtol=1e-14, atol=0.0)
+        assert np.isclose(real, 1.5, rtol=1e-14).any()
+
+
 class TestOctaveRule:
     def test_converged_panels_take_one_kronrod_rule(self, monkeypatch):
         # every panel of power(1.5) at n = 3 converges at its first check:
-        # 241 panels of 49 Gauss-Kronrod nodes are 11,809 nodes (the 24-node
-        # rule and its halves took 17,352, a start at 4 subpanels 69,408)
+        # 241 panels of 15 Gauss-Kronrod nodes are 3,615 nodes (the 24-node
+        # pair took 11,809, the 24-node rule and its halves 17,352)
         level = quadrature.gl_rows
         nodes = [0]
 
@@ -590,7 +654,7 @@ class TestOctaveRule:
         rep = NormReport(x1=0.0, x2=0.0, ym=[])
         assert all(math.isfinite(v) for v in norm_X(profiles.power(1.5), 3, report=rep))
         assert rep.unconverged_panels == 0
-        assert nodes[0] == 241 * 49
+        assert nodes[0] == 241 * 15
 
     @pytest.mark.parametrize("alpha", [0.6, 1.5, 3.0])
     def test_head_panel_is_exact_at_even_n(self, alpha, monkeypatch):
@@ -599,8 +663,8 @@ class TestOctaveRule:
         driver = norms._panel_integrals
         calls = []
 
-        def spy(f, edges, floor=False):
-            calls.append(driver(f, edges, floor))
+        def spy(f, edges, floor=False, kinks=None):
+            calls.append(driver(f, edges, floor, kinks))
             return calls[-1]
 
         monkeypatch.setattr(norms, "_panel_integrals", spy)
@@ -611,8 +675,19 @@ class TestOctaveRule:
         assert vals[0, 1].real == pytest.approx(want, rel=1e-15, abs=0.0)
         assert not capped[0].any()
 
-    def test_power_at_n2_caps_only_its_kink_row(self):
+    def test_power_at_n2_splits_its_kink_row(self, monkeypatch):
         # (f r^{1/2})' of power(0.6) changes sign at r = 5, so the X2
-        # integrand, its modulus, has a kink there; the head row is no longer
-        # capped
-        assert norm_report(profiles.power(0.6), 2).unconverged_panels == 1
+        # integrand, its modulus, has a kink there; the row holding it is cut
+        # there and no panel of the report is capped
+        driver, pieces = quadrature.refine_rows, []
+
+        def spy(f, a, b, *args, **kw):
+            pieces.append((a, b))
+            return driver(f, a, b, *args, **kw)
+
+        monkeypatch.setattr(norms, "refine_rows", spy)
+        norm_X(profiles.power(0.6), 2)
+        (_, _), (lo, hi) = pieces
+        assert np.isclose(hi, 5.0, rtol=1e-14).any() and np.isclose(lo, 5.0, rtol=1e-14).any()
+        monkeypatch.undo()
+        assert norm_report(profiles.power(0.6), 2).unconverged_panels == 0

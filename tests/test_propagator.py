@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.optimize import brentq
 from scipy.special import hankel1e, hankel2e
 
 from disperse_lab import appendix, profiles, propagator, special
@@ -304,6 +305,44 @@ class TestCertifiedBound:
                               epsabs=0.0, epsrel=1e-13, limit=500)[0]
         want = special.solution_constant(0) / math.sqrt(x * t) * total
         assert solution_bound(profiles.power(2.5), pt, 0) == pytest.approx(want, rel=1e-8)
+
+
+    @pytest.mark.parametrize("label, m", [("bump", 1), ("bump", 3), ("gaussian", 2)])
+    def test_kinks_are_cut(self, label, m, monkeypatch):
+        # |g_j^{(m)}| has a kink at each sign change of g_j^{(m)}, real up to
+        # a constant phase at n = 3; the panels are cut there, none is left
+        # at the cap (bump m = 3 capped (0, 5, 5) panels, gaussian m = 2
+        # (2, 2, 2)), and each integral meets quad split at the zeros, found
+        # by brentq on a 20,001-point scan, to 1e-12
+        from disperse_lab import norms
+        prof = {"bump": profiles.bump(1.0, 2.0), "gaussian": profiles.gaussian(1.0)}[label]
+        pt = EvalPoint(3, 0.7, 0.3)
+        beta = pt.x_abs / math.sqrt(pt.t)
+        inner, capped = norms.certified_integrals, []
+
+        def spy(*args, **kw):
+            out = inner(*args, **kw)
+            capped.append(out[1])
+            return out
+
+        monkeypatch.setattr(norms, "certified_integrals", spy)
+        got = propagator.g_abs_integrals(prof, pt, m)
+        assert not capped[0].any()
+        dec = decompose_g(prof, pt)
+        hi = 8.0 if prof.support is None else prof.support / (2.0 * math.sqrt(pt.t))
+        rho = np.linspace(0.0, hi, 20001)
+        for j in range(3):
+            g = lambda r, j=j: dec.derivs(m, np.atleast_1d(r))[j]
+            v = g(rho)
+            turn = np.exp(-1j * np.angle(v[np.argmax(np.abs(v))]))
+            u = (v * turn).real
+            zeros = [brentq(lambda r: (g(r)[0] * turn).real, rho[i], rho[i + 1], xtol=1e-300)
+                     for i in np.flatnonzero(np.sign(u[1:]) * np.sign(u[:-1]) < 0)]
+            ends = sorted({0.0, 0.5 / beta, 1.0 / beta, hi, *zeros})
+            ends += [math.inf] if prof.support is None else []
+            want = sum(quad(lambda r: abs(g(r)[0]), a, b, epsabs=0.0, epsrel=1e-13, limit=500)[0]
+                       for a, b in zip(ends[:-1], ends[1:]))
+            assert abs(got[j] - want) <= 1e-12 * want, (j, len(zeros))
 
 
 class TestMass:

@@ -66,3 +66,12 @@ def test_main_prints_the_largest_ratio(tmp_path, capsys):
     assert out[-2] == "3 of 5 ops differ"
     # op 1 moved only in its estimate: ratio 0; the profile's is 0.5
     assert out[-1] == "largest |B - A| / err_est(A) over 2 moved ops with an estimate: 0.5"
+
+
+def test_numeric_outputs_print_their_relative_move():
+    a = [_record("norms", 0, "norm_X", "(np.float64(2.0), inf)")]
+    b = [_record("norms", 0, "norm_X", "(np.float64(2.000002), inf)")]
+    lines, ratios = workload_outputs.compare(a, b)
+    assert lines[0].endswith("|B - A| / |A| = 1e-06") and ratios == []
+    assert workload_outputs.relative_move("8.83048129125228", "8.83048129125228") == 0.0
+    assert workload_outputs.relative_move("raised ValueError: x", "1.0") is None

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Fixed-input timings of the quadrature routines, evolve_radial and the focusing evaluation.
+"""Fixed-input timings of the quadrature routines, evolve_radial, the focusing evaluation and the norms.
 
     python3 tools/bench_layers.py --label NAME [--src DIR --src-label NAME] [--out F]
 
@@ -57,7 +57,7 @@ def load(src: Path, name: str):
     spec.loader.exec_module(module)
     return SimpleNamespace(**{m: importlib.import_module(f"{name}.{m}")
                               for m in ("special", "quadrature", "propagator", "profiles",
-                                        "blowup")})
+                                        "blowup", "norms")})
 
 
 def annulus_points(Q):
@@ -73,13 +73,13 @@ def annulus_points(Q):
 
 def cases(lib):
     """name -> zero-argument call, with its fixed inputs."""
-    Q, P, B, profiles = lib.quadrature, lib.propagator, lib.blowup, lib.profiles
+    Q, P, B, N, profiles = lib.quadrature, lib.propagator, lib.blowup, lib.norms, lib.profiles
     # the library's complex power; a tree from before special.cpow used numpy's
     cpow = getattr(lib.special, "cpow", np.power)
     one = lambda rho, row: np.ones_like(rho)          # noqa: E731
     pt = P.EvalPoint(3, 1.0, 0.5)
     far = {n: P.EvalPoint(n, 10.0, 1.0) for n in (2, 3)}
-    bump, power = profiles.bump(1.0, 2.0), profiles.power(1.2)
+    bump, power, power15 = profiles.bump(1.0, 2.0), profiles.power(1.2), profiles.power(1.5)
     herglotz = profiles.herglotz_pair(1.0, 3)[0]
     t, t_small = (1.0 - u for u in FOCUS_U)
     xs, xs_small = (B.SelfSimilarFrame(tt).x_of_z(annulus_points(Q)) for tt in (t, t_small))
@@ -107,6 +107,12 @@ def cases(lib):
         "chirp_values.n3_annulus_u2e-4": lambda: B._chirp_values(chirp[3], t_small, xs_small),
         "limit_profile.n2": lambda: B.limit_profile(B.ChirpDatum(2, 1.0), Z_GRID),
         "limit_profile.n3": lambda: B.limit_profile(B.ChirpDatum(3, 2.0), Z_GRID),
+        # the octave panels at n = 3: a smooth power law, and bump(1, 2),
+        # whose X and Y_1 integrands have kinks inside panels
+        "norm_X.power_n3": lambda: N.norm_X(power15, 3),
+        "norm_X.bump_n3": lambda: N.norm_X(bump, 3),
+        "norm_Ym.bump_n3_m1": lambda: N.norm_Ym(bump, 3, 1),
+        "norm_Ym.power_n3_m3": lambda: N.norm_Ym(power15, 3, 3),
     }
 
 

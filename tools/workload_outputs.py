@@ -14,7 +14,8 @@ bit-identical.  --compare lists the ops whose repr differs and exits 1 if
 any does; for a moved op whose output carries an error estimate (a
 ComplexAmplitude's err_est, a LimitProfile's err) it prints the largest
 |B - A| / err_est, with A's estimate, and after the list the largest such
-ratio over them.
+ratio over them; for a moved op whose output is a number or a tuple of
+numbers (the norms) it prints the largest relative move |B - A| / |A|.
 """
 
 from __future__ import annotations
@@ -70,6 +71,27 @@ def estimate(output: str):
     return None
 
 
+def numbers(output: str):
+    """The entries of a number or a tuple of numbers as repr prints them,
+    as an array, else None."""
+    inner = re.fullmatch(r"\((.*)\)", output.strip(), re.S)
+    try:
+        return np.array([_number(x) for x in (inner[1] if inner else output).split(",")
+                         if x.strip()])
+    except ValueError:
+        return None
+
+
+def relative_move(out_a: str, out_b: str):
+    """Largest |B - A| / |A| over the entries of two numeric outputs, or None."""
+    a, b = numbers(out_a), numbers(out_b)
+    if a is None or b is None or a.shape != b.shape:
+        return None
+    with np.errstate(divide="ignore", invalid="ignore"):
+        move = np.where(a == b, 0.0, np.abs(b - a) / np.abs(a))
+    return float(move.max())
+
+
 def move_ratio(out_a: str, out_b: str):
     """Largest |B - A| / (A's err_est) over the entries, or None without estimates."""
     ea, eb = estimate(out_a), estimate(out_b)
@@ -94,9 +116,11 @@ def compare(a, b):
             lines.append(f"{k[0]} op {k[1]}: only in {'B' if ra is None else 'A'}")
         elif ra["output"] != rb["output"] or ra["info"] != rb["info"]:
             ratio = move_ratio(ra["output"], rb["output"])
+            rel = None if ratio is not None else relative_move(ra["output"], rb["output"])
             lines.append(f"{k[0]} op {k[1]} {ra['kind']} {ra['group']} {ra['info']}\n"
                          f"  A: {ra['output']}\n  B: {rb['output']}"
-                         + ("" if ratio is None else f"\n  |B - A| / err_est(A) = {ratio:.3g}"))
+                         + ("" if ratio is None else f"\n  |B - A| / err_est(A) = {ratio:.3g}")
+                         + ("" if rel is None else f"\n  |B - A| / |A| = {rel:.3g}"))
             if ratio is not None:
                 ratios.append(ratio)
     return lines, ratios
