@@ -360,7 +360,7 @@ def norm_Ym(profile: RadialProfile, n: int, m: int, per_octave: int = 4,
         return math.inf
     if m == n:
         edges = _octave_edges(P)
-        inc, capped, _ = _panel_integrals(lambda r: profile.deriv(0, r) * r, edges)
+        inc, capped, _ = _panel_integrals(lambda r: profile.envelope(r) * r, edges)
         if report is not None:
             report.unconverged_panels += int(capped.sum())
         zs = np.array(edges[1:])
@@ -369,7 +369,7 @@ def norm_Ym(profile: RadialProfile, n: int, m: int, per_octave: int = 4,
         if not ok:
             return math.inf
         total += s
-        total += float(abs(profile.deriv(0, 0.0)))
+        total += float(abs(profile.envelope(0.0)))
     return total
 
 

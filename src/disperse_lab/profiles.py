@@ -5,7 +5,8 @@ omega; the full radial datum is phi(x) = phi_omega(|x|) e^{i omega |x|}.
 Derivatives come as exact stacks: deriv_fn(k, r) returns the envelope and
 its derivatives of orders 0..k at the 1-D nodes r as one (k+1, r.size)
 array, so a caller that needs several orders evaluates the profile once per
-node.  Built-in families compute their shared factors once per node (one
+node; the stack is a profile's one description, and envelope(r) is its
+row 0.  Built-in families compute their shared factors once per node (one
 power, one exponential, one Bell or Hermite recurrence); the Herglotz
 stack is the Leibniz product of the stacks of the cutoff chi, the Bessel
 series and the Hankel power sum (special.splitting_stacks).
@@ -19,13 +20,13 @@ from __future__ import annotations
 import inspect
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
 
-from .special import (HANKEL_K, alpha_coeffs, exp_stack, leibniz, splitting_A,
-                      splitting_B, splitting_B_series, splitting_B_series_conj,
-                      splitting_stacks)
+from .special import (HANKEL_K, alpha_coeffs, exp_stack, leibniz, order_from_dim,
+                      splitting_B_series, splitting_B_series_conj, splitting_stacks)
 
 
 def require_finite(what: str, **params):
@@ -43,7 +44,6 @@ class RadialProfile:
     stack of the envelope's derivatives of orders 0..k (row 0 the envelope)."""
     label: str
     omega: float
-    envelope: Callable[[np.ndarray], np.ndarray]
     deriv_fn: Callable[[int, np.ndarray], np.ndarray]
     support: Optional[float] = None          # numerically compact beyond this
     tail_alpha: Optional[float] = None       # |phi^{(k)}| <= C (1+r)^{-alpha-k}
@@ -57,12 +57,15 @@ class RadialProfile:
         r = np.asarray(r, dtype=float)
         return np.asarray(self.deriv_fn(k, r.ravel())).reshape((k + 1,) + r.shape)
 
-    def deriv(self, k: int, r):
-        return self.derivs(k, r)[k]
+    def envelope(self, r):
+        """The envelope at r: row 0 of its stack."""
+        return self.derivs(0, r)[0]
 
     def phi_rad(self, r):
         r = np.asarray(r, dtype=float)
-        return self.envelope(r) * np.exp(1j * self.omega * r)
+        env = self.envelope(r)
+        # at omega = 0 the carrier is 1: the type it gives, without its cost
+        return env * np.exp(1j * self.omega * r) if self.omega else env.astype(complex)
 
     def dilate(self, lam: float) -> "RadialProfile":
         """Profile r -> envelope(lam r) with carrier lam*omega."""
@@ -70,7 +73,6 @@ class RadialProfile:
         return RadialProfile(
             label=f"{self.label}~dilated{lam}",
             omega=lam * base.omega,
-            envelope=lambda r: base.envelope(lam * np.asarray(r, dtype=float)),
             deriv_fn=lambda k, r: lam ** np.arange(k + 1.0)[:, None] * base.deriv_fn(k, lam * r),
             support=None if base.support is None else base.support / lam,
             tail_alpha=base.tail_alpha,
@@ -84,7 +86,6 @@ class RadialProfile:
         return RadialProfile(
             label=f"{self.label}~scaled",
             omega=base.omega,
-            envelope=lambda r: factor * base.envelope(r),
             deriv_fn=lambda k, r: factor * base.deriv_fn(k, r),
             support=base.support,
             tail_alpha=base.tail_alpha,
@@ -104,14 +105,6 @@ def bump(a: float = 1.0, b: float = 2.0, omega: float = 0.0) -> RadialProfile:
         raise ValueError("need 0 <= a < b")
     peak = ((b - a) / 2.0) ** 2
 
-    def env(r):
-        r = np.asarray(r, dtype=float)
-        out = np.zeros(r.shape)
-        inside = (r > a) & (r < b)
-        q = (r[inside] - a) * (b - r[inside])
-        out[inside] = np.exp(1.0 - peak / q)
-        return out
-
     # exact derivatives: e^{1-u} with u = peak/q, whose partial fractions
     # u = peak/(b-a) [(r-a)^{-1} + (b-r)^{-1}] give the stack of 1 - u
     cpf = peak / (b - a)
@@ -119,21 +112,19 @@ def bump(a: float = 1.0, b: float = 2.0, omega: float = 0.0) -> RadialProfile:
     def deriv(k, r):
         out = np.zeros((k + 1, r.size))
         inside = (r > a) & (r < b)
-        if not np.any(inside):
-            return out
         ri = r[inside]
         da, db = ri - a, b - ri
-        ia, ib = 1.0 / da, 1.0 / db
-        pa, pb = ia, ib
         phi = [1.0 - peak / (da * db)]
-        for j in range(1, k + 1):
-            pa, pb = pa * ia, pb * ib
-            phi.append(-cpf * math.factorial(j) * ((-1.0) ** j * pa + pb))
+        if k:
+            ia, ib = 1.0 / da, 1.0 / db
+            pa, pb = ia, ib
+            for j in range(1, k + 1):
+                pa, pb = pa * ia, pb * ib
+                phi.append(-cpf * math.factorial(j) * ((-1.0) ** j * pa + pb))
         out[:, inside] = exp_stack(phi)
         return out
 
-    return RadialProfile(label=f"bump[{a},{b}]", omega=omega, envelope=env,
-                         deriv_fn=deriv, support=b)
+    return RadialProfile(label=f"bump[{a},{b}]", omega=omega, deriv_fn=deriv, support=b)
 
 
 def gaussian(width: float = 1.0, omega: float = 0.0) -> RadialProfile:
@@ -142,32 +133,25 @@ def gaussian(width: float = 1.0, omega: float = 0.0) -> RadialProfile:
     if not width > 0:
         raise ValueError(f"gaussian needs width > 0, got {width:g}")
 
-    def env(r):
-        r = np.asarray(r, dtype=float) / width
-        return np.exp(-r * r)
-
     def deriv(k, r):
         # (-1/width)^j H_j(s) e^{-s^2}, s = r/width, with the physicists'
         # Hermite recurrence H_{j+1} = 2s H_j - 2j H_{j-1}
         s = r / width
         out = np.empty((k + 1, r.size))
         out[0] = np.exp(-s * s)
-        h_prev, h = np.zeros(r.size), np.ones(r.size)
+        h_prev, h = 0.0, 1.0
         for j in range(1, k + 1):
             h_prev, h = h, 2.0 * s * h - 2.0 * (j - 1) * h_prev
             out[j] = (-1.0 / width) ** j * h * out[0]
         return out
 
-    return RadialProfile(label=f"gauss[{width}]", omega=omega, envelope=env,
-                         deriv_fn=deriv, support=13.0 * width)
+    return RadialProfile(label=f"gauss[{width}]", omega=omega, deriv_fn=deriv,
+                         support=13.0 * width)
 
 
 def power(alpha: float, omega: float = 0.0) -> RadialProfile:
     """(1+r)^{-alpha} with closed-form derivatives and analytic tail."""
     require_finite("power", alpha=alpha, omega=omega)
-
-    def env(r):
-        return (1.0 + np.asarray(r, dtype=float)) ** (-alpha)
 
     def deriv(k, r):
         # f^{(j)} = -(alpha + j - 1) f^{(j-1)} / (1 + r)
@@ -182,18 +166,13 @@ def power(alpha: float, omega: float = 0.0) -> RadialProfile:
     def tail(r):
         return (1.0 + np.asarray(r, dtype=complex)) ** (-alpha)
 
-    return RadialProfile(label=f"power[{alpha}]", omega=omega, envelope=env,
-                         deriv_fn=deriv, support=None, tail_alpha=alpha,
-                         tail_fn=tail)
+    return RadialProfile(label=f"power[{alpha}]", omega=omega, deriv_fn=deriv,
+                         support=None, tail_alpha=alpha, tail_fn=tail)
 
 
 def oscillating_power(alpha: float) -> RadialProfile:
     """f(r) = e^{ir}(1+r)^{-alpha} with Leibniz closed-form derivatives."""
     base = power(alpha)
-
-    def env(r):
-        r = np.asarray(r, dtype=float)
-        return np.exp(1j * r) * base.envelope(r)
 
     def deriv(k, r):
         return leibniz(1j ** np.arange(k + 1)[:, None] * np.exp(1j * r), base.deriv_fn(k, r))
@@ -202,9 +181,8 @@ def oscillating_power(alpha: float) -> RadialProfile:
         r = np.asarray(r, dtype=complex)
         return np.exp(1j * r) * (1.0 + r) ** (-alpha)
 
-    return RadialProfile(label=f"oscpower[{alpha}]", omega=0.0, envelope=env,
-                         deriv_fn=deriv, support=None, tail_alpha=alpha,
-                         tail_fn=tail)
+    return RadialProfile(label=f"oscpower[{alpha}]", omega=0.0, deriv_fn=deriv,
+                         support=None, tail_alpha=alpha, tail_fn=tail)
 
 
 def herglotz(omega: float = 1.0, n: Optional[int] = None) -> RadialProfile:
@@ -213,8 +191,13 @@ def herglotz(omega: float = 1.0, n: Optional[int] = None) -> RadialProfile:
         r^{(2-n)/2} J_{(n-2)/2}(omega r)
             = eta(r) e^{i omega r} + conj(eta(r)) e^{-i omega r}
 
-    up to the truncation error of the asymptotic series of HANKEL_K terms,
-    where eta(r) = omega^{-n/2} r^{1-n} (A_n(omega r)/2 + B_n(omega r)).
+    where eta(r) = omega^{-n/2} r^{1-n} (e^{-iz} A_n(z)/2 + B_n(z)), z = omega r,
+    and B_n keeps HANKEL_K Hankel terms.  Over omega r in [0.05, 40] the
+    identity's largest error, over max |mode|, is 2e-15 at n = 3 and 5,
+    where the series terminates.  At n = 2, 4 and 6 it is 30, 15 and 820,
+    near omega r = 0.7 in the cutoff band, where the series diverges; at
+    n = 9 and 17 it is 3.5e-12 and 1.8e-2, where the two pieces have the
+    size of |Y_nu| and cancel down to J_nu.
     n has no default: omega's default serves the descriptor 'herglotz'.
     """
     if n is None:
@@ -222,46 +205,33 @@ def herglotz(omega: float = 1.0, n: Optional[int] = None) -> RadialProfile:
     require_finite("herglotz", omega=omega, n=n)
     if omega == 0:
         raise ValueError("herglotz envelope needs omega != 0")
-    if n != int(n):
-        raise ValueError(f"herglotz needs integer n, got n={n:g}")
+    order_from_dim(n)
     n = int(n)
     coeffs = alpha_coeffs(n, HANKEL_K)
     w = abs(omega)
-
-    def env(r):
-        r = np.asarray(r, dtype=float)
-        out = np.zeros(r.shape, dtype=complex)
-        pos = r > 0
-        rp = r[pos]
-        z = w * rp
-        bpart = splitting_B(n, HANKEL_K, z)
-        # the compact part enters with the carrier removed so that
-        # eta e^{i w r} + conj(eta) e^{-i w r} reproduces A + e^{iz}B + c.c.
-        out[pos] = (w ** (-n / 2.0) * rp ** (1.0 - n)
-                    * (0.5 * np.exp(-1j * w * rp) * splitting_A(n, z) + bpart))
-        if np.any(~pos):
-            # r = 0 limit of A_n(w r)/2 * r^{1-n}: series leading term
-            lead = 0.5 * w ** (n / 2.0 - 1.0) / (2.0 ** ((n - 2) / 2.0) * math.gamma(n / 2.0))
-            out[~pos] = lead
-        return out
 
     def tail(r):
         r = np.asarray(r, dtype=complex)
         z = w * r
         return w ** (-n / 2.0) * r ** (1.0 - n) * splitting_B_series(coeffs, z)
 
+    @lru_cache(maxsize=None)
+    def powers(m):
+        j = np.arange(m + 1)[:, None]
+        return (-1j) ** j, w ** (n / 2.0 - 1.0 + j)
+
     def deriv(m, r):
         # w^{n/2-1+j} [chi (Q/2) e^{-iz} + (1 - chi) z^{1-n} B]^{(j)}, z = w r,
         # with Q = z^{1-n/2} J_nu(z) a power series in z^2, regular at 0
         z = w * r
         a, b = splitting_stacks(n, HANKEL_K, m, z, shift=n - 1.0)
-        near = np.flatnonzero(z < 1.0)
-        carrier = (-1j) ** np.arange(m + 1)[:, None] * np.exp(-1j * z[near])
-        b[:, near] += leibniz(carrier, 0.5 * a[:, near])
-        return w ** (n / 2.0 - 1.0 + np.arange(m + 1))[:, None] * b
+        near = z < 1.0
+        phase, scale = powers(m)
+        b[:, near] += leibniz(phase * np.exp(-1j * z[near]), 0.5 * a[:, near])
+        return scale * b
 
     return RadialProfile(label=f"herglotz[w={omega},n={n}]", omega=omega,
-                         envelope=env, deriv_fn=deriv, support=None,
+                         deriv_fn=deriv, support=None,
                          tail_alpha=(n - 1) / 2.0, tail_fn=tail,
                          tail_start=1.0 / w)
 
@@ -269,10 +239,6 @@ def herglotz(omega: float = 1.0, n: Optional[int] = None) -> RadialProfile:
 def herglotz_pair(omega: float, n: int):
     """The (eta_omega, +omega) and (conj eta_omega, -omega) decomposition pair."""
     base = herglotz(omega, n)
-
-    def conj_env(r):
-        return np.conj(base.envelope(r))
-
     coeffs = alpha_coeffs(n, HANKEL_K)
     w = abs(omega)
 
@@ -281,7 +247,7 @@ def herglotz_pair(omega: float, n: int):
         return w ** (-n / 2.0) * r ** (1.0 - n) * splitting_B_series_conj(coeffs, w * r)
 
     mirror = RadialProfile(label=f"herglotz-conj[w={omega},n={n}]", omega=-omega,
-                           envelope=conj_env, deriv_fn=lambda m, r: np.conj(base.deriv_fn(m, r)),
+                           deriv_fn=lambda m, r: np.conj(base.deriv_fn(m, r)),
                            support=None, tail_alpha=(n - 1) / 2.0, tail_fn=conj_tail,
                            tail_start=1.0 / w)
     return base, mirror

@@ -29,37 +29,8 @@ from scipy.special import beta, j0, j1, jv, spherical_jn
 from .quadrature import osc_integral_rows, rotated_tail
 
 # ---------------------------------------------------------------------------
-# cutoff function chi
+# derivative stacks, and those of the cutoff chi
 # ---------------------------------------------------------------------------
-
-def _bump_f(u):
-    """exp(-1/u) for u > 0, 0 otherwise (vectorized)."""
-    u = np.asarray(u, dtype=float)
-    out = np.zeros_like(u)
-    pos = u > 0
-    out[pos] = np.exp(-1.0 / u[pos])
-    return out
-
-
-def cutoff_chi(z):
-    """Smooth cutoff: 1 on (-inf, 1/2], 0 on [1, inf), symmetric about 3/4.
-
-    The interpolant on (1/2, 1) is S(2(1-z)) with S(u) = f(u)/(f(u)+f(1-u)),
-    f(u) = exp(-1/u) for u > 0.
-    """
-    z = np.asarray(z, dtype=float)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
-    out = np.zeros_like(z)
-    out[z <= 0.5] = 1.0
-    mid = (z > 0.5) & (z < 1.0)
-    if np.any(mid):
-        u = 2.0 * (1.0 - z[mid])
-        fu = _bump_f(u)
-        fv = _bump_f(1.0 - u)
-        out[mid] = fu / (fu + fv)
-    return float(out[0]) if scalar else out
-
 
 def leibniz(a, b):
     """Stack of the product f g from the stacks a of f and b of g."""
@@ -78,33 +49,48 @@ def exp_stack(phi):
     return np.array(out)
 
 
+@lru_cache(maxsize=None)
+def _power_rows(d: tuple, p: float, s: float, k: int):
+    """Rows 0..k of power_sum(d, p, s, k, .), each None where its terms all
+    vanish, else the power of z that multiplies it and its Horner
+    coefficients from the top; and the stack's dtype."""
+    expo, coef, rows = p + s * np.arange(len(d)), np.array(d), []
+    for j in range(k + 1):
+        live = np.flatnonzero(coef)
+        rows.append((expo[live[0]] - j, coef[live[0]:live[-1] + 1][::-1].tolist())
+                    if live.size else None)
+        coef = coef * (expo - j)
+    return tuple(rows), np.result_type(coef, float)
+
+
 def power_sum(d, p: float, s: float, k: int, z):
     """Stack of sum_i d_i z^{p+si} at z > 0 (z >= 0 if each p+si is a whole
     number >= 0): row j is a Horner sum in z^s of d_i (p+si)(p+si-1)..
     (p+si-j+1) from its first nonzero term, times z^{that term's p+si - j}."""
-    zs, expo, coef = z ** s, p + s * np.arange(len(d)), np.asarray(d)
-    out = np.zeros((k + 1, z.size), dtype=np.result_type(coef, float))
-    for j in range(k + 1 if z.size else 0):
-        live = np.flatnonzero(coef)
-        if live.size:
-            acc = out[j]
-            acc += coef[live[-1]]
-            for c in coef[live[0]:live[-1]][::-1]:
+    rows, dtype = _power_rows(tuple(d), p, s, k)
+    zs, out = z ** s, np.zeros((k + 1, z.size), dtype=dtype)
+    for acc, row in zip(out, rows if z.size else ()):
+        if row:
+            e, coef = row
+            acc += coef[0]
+            for c in coef[1:]:
                 acc *= zs
                 acc += c
-            acc *= z ** (expo[live[0]] - j)
-        coef = coef * (expo - j)
+            if e:
+                acc *= z ** e
     return out
 
 
 def cutoff_chi_stack(k: int, z):
-    """Stacks of chi and of 1 - chi at z in (1/2, 1), where chi = 1/(1+e^w),
+    """Stacks of the smooth cutoff chi (1 on [0, 1/2], 0 on [1, inf)) and of
+    1 - chi at z in (1/2, 1), where chi = 1/(1+e^w),
     w = 1/(2(1-z)) - 1/(2z-1): with q = e^{-|w|} (Bell) and R = 1/(1+q),
     R_j = -R_0 sum_{i<=j} C(j,i) q_i R_{j-i}, the larger is R and the smaller
     q R = 1 - R, so nothing overflows or cancels."""
     a, b = 1.0 / (1.0 - z), 1.0 / (2.0 * z - 1.0)
     j = np.arange(k + 1)[:, None]
-    w = np.cumprod(np.maximum(j, 1), axis=0) * (0.5 * a ** (j + 1) - (-2.0) ** j * b ** (j + 1))
+    w = (np.cumprod(np.maximum(j, 1), axis=0) * (0.5 * a ** (j + 1) - (-2.0) ** j * b ** (j + 1))
+         if k else (0.5 * a - b)[None])      # k = 0: row 0 without the cost of array powers
     pos = w[0] > 0.0
     q = exp_stack(np.where(pos, -w, w))
     big = [1.0 / (1.0 + q[0])]
@@ -208,6 +194,7 @@ class SplittingCoeffs:
     K: int
     alpha: tuple          # complex alpha_0 .. alpha_K
     prefactor: complex    # e^{-i(n-1)pi/4}
+    terms: tuple          # prefactor * alpha_k, the coefficients of B_n
 
 
 @lru_cache(maxsize=None)
@@ -220,21 +207,18 @@ def alpha_coeffs(n: int, K: int) -> SplittingCoeffs:
     alpha = [(1.0 / math.sqrt(2.0 * math.pi)) * float(hankel_symbol(four_nu2, k)) * (0.5j) ** k
              for k in range(K + 1)]
     pref = cmath.exp(-1j * (n - 1) * math.pi / 4.0)
-    return SplittingCoeffs(n=int(n), K=int(K), alpha=tuple(alpha), prefactor=pref)
+    return SplittingCoeffs(n=int(n), K=int(K), alpha=tuple(alpha), prefactor=pref,
+                           terms=tuple((pref * np.array(alpha)).tolist()))
 
 
 def splitting_A(n: int, z):
-    """A_n(z) = chi(z) z^{n/2} J_{(n-2)/2}(z); supported in [0, 1]."""
-    nu = order_from_dim(n)
+    """A_n(z) = chi(z) z^{n/2} J_{(n-2)/2}(z) at z >= 0, supported in [0, 1]:
+    row 0 of its stack."""
     z = np.asarray(z, dtype=float)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
-    out = np.zeros_like(z)
-    live = z < 1.0
-    if np.any(live):
-        zl = z[live]
-        out[live] = cutoff_chi(zl) * zl ** (n / 2.0) * bessel_j(nu, zl)
-    return float(out[0]) if scalar else out
+    if np.any(z < 0):
+        raise ValueError("splitting_A requires z >= 0")
+    out = splitting_stacks(n, 0, 0, z.ravel())[0][0].reshape(z.shape)
+    return float(out) if z.ndim == 0 else out
 
 
 def hankel_sum(alpha, z):
@@ -265,22 +249,6 @@ def splitting_B_series_conj(coeffs: SplittingCoeffs, z):
             * hankel_sum(np.conj(coeffs.alpha), z))
 
 
-def splitting_B(n: int, K: int, z):
-    """B_n(z) = (1-chi(z)) e^{-i(n-1)pi/4} sum_{k<=K} alpha_k z^{(n-1)/2-k}."""
-    coeffs = alpha_coeffs(n, K)
-    z = np.asarray(z, dtype=float)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
-    out = np.zeros(z.shape, dtype=complex)
-    live = z > 0.5
-    if np.any(live):
-        # 1 - chi(z) = chi(3/2 - z), never by subtraction (3/2 - z is exact
-        # in the band 1/2 < z < 1)
-        w = cutoff_chi(1.5 - z[live])
-        out[live] = w * splitting_B_series(coeffs, z[live].astype(complex))
-    return complex(out[0]) if scalar else out
-
-
 @lru_cache(maxsize=None)
 def _bessel_series(n: int):
     """c_i, i < 16, of z^{-nu} J_nu(z) = sum_i c_i z^{2i}: on z < 1 the first
@@ -297,13 +265,11 @@ def splitting_stacks(n: int, K: int, k: int, z, shift: float = 0.0):
     and 1 - chi in the band between."""
     z = np.asarray(z, dtype=float)
     a, b = np.zeros((k + 1, z.size)), np.zeros((k + 1, z.size), dtype=complex)
-    near, far = np.flatnonzero(z < 1.0), np.flatnonzero(z > 0.5)
+    near, far = z < 1.0, z > 0.5
     a[:, near] = power_sum(_bessel_series(n), n - 1.0 - shift, 2.0, k, z[near])
-    coeffs = alpha_coeffs(n, K)
-    b[:, far] = power_sum(coeffs.prefactor * np.array(coeffs.alpha),
-                          (n - 1) / 2.0 - shift, -1.0, k, z[far])
-    band = np.flatnonzero((z > 0.5) & (z < 1.0))
-    if band.size:
+    b[:, far] = power_sum(alpha_coeffs(n, K).terms, (n - 1) / 2.0 - shift, -1.0, k, z[far])
+    band = near & far
+    if band.any():
         chi, rest = cutoff_chi_stack(k, z[band])
         a[:, band] = leibniz(chi, a[:, band])
         b[:, band] = leibniz(rest, b[:, band])
@@ -386,13 +352,17 @@ def k_max(z: float) -> int:
 
 def splitting_residual(n: int, K: int, z: float) -> float:
     """|z^{n/2} J - A_n - 2 Re(e^{iz} B_n^{(K)})| in the asymptotic regime."""
-    if z < 2.0:
-        raise ValueError("splitting_residual requires z >= 2")
+    if not 2.0 <= z < math.inf:
+        raise ValueError(f"splitting_residual requires finite z >= 2, got z={z:g}")
     if K > k_max(z):
         raise ValueError(f"K={K} beyond divergence threshold K_max({z})={k_max(z)}")
     nu = order_from_dim(n)
-    lhs = z ** (n / 2.0) * bessel_j(nu, z)
-    b = splitting_B(n, K, z)
+    try:
+        lhs = z ** (n / 2.0) * bessel_j(nu, z)
+    except OverflowError:
+        raise ValueError(f"z^(n/2) overflows a float at z={z:g}, n={n}") from None
+    # z >= 2: 1 - chi = 1, so B_n is the bare series
+    b = splitting_B_series(alpha_coeffs(n, K), z)
     rhs = splitting_A(n, z) + 2.0 * (cmath.exp(1j * z) * b).real
     return abs(lhs - rhs)
 
@@ -414,6 +384,13 @@ def fresnel_xi(m: int, a: float, s):
         raise ValueError(f"need integer 0 <= m <= 170 (m! overflows a float past 170), got {m}")
     s = np.asarray(s, dtype=float)
     rows = np.atleast_1d(s)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bad = ~np.isfinite(rows * rows + a * rows) | (not math.isfinite(a * a / 4.0))
+    if bad.any():
+        s0 = rows[np.argmax(bad)]
+        if not (math.isfinite(a) and math.isfinite(s0)):
+            raise ValueError(f"fresnel_xi needs finite a and s, got a={a:g}, s={s0:g}")
+        raise ValueError(f"fresnel_xi phase s^2 + a s or a^2/4 overflows at a={a:g}, s={s0:g}")
     fact = math.factorial(m)
     out, _ = rotated_tail(lambda rho, row: (rho - rows[row]) ** m / fact, rows, a,
                           tol=_FRESNEL_TOL)

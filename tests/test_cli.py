@@ -211,6 +211,22 @@ class TestExitCodes:
           "--x", "1"], "evaluation point needs finite parameters, got t=inf"),
         (["appendix", "--mode", "region", "--n", "3", "--p", "nan"],
          "exponents must be numbers or inf, got p=nan"),
+        # these ended in an OverflowError traceback with exit code 1
+        (["special", "--mode", "splitting", "--z", "inf"],
+         "splitting_residual requires finite z >= 2, got z=inf"),
+        (["special", "--mode", "splitting", "--z", "1e308", "--K", "3"],
+         "z^(n/2) overflows a float at z=1e+308, n=3"),
+        (["special", "--mode", "splitting", "--n", "4", "--z", "1e200", "--K", "3"],
+         "z^(n/2) overflows a float at z=1e+200, n=4"),
+        # these printed numpy RuntimeWarnings before a NaN result
+        (["special", "--mode", "fresnel", "--a", "nan"],
+         "fresnel_xi needs finite a and s, got a=nan, s=0"),
+        (["special", "--mode", "fresnel", "--s", "inf"],
+         "fresnel_xi needs finite a and s, got a=0, s=inf"),
+        (["special", "--mode", "fresnel", "--a", "1e300"],
+         "fresnel_xi phase s^2 + a s or a^2/4 overflows at a=1e+300, s=0"),
+        (["special", "--mode", "fresnel", "--s", "1e160"],
+         "fresnel_xi phase s^2 + a s or a^2/4 overflows at a=0, s=1e+160"),
     ])
     def test_non_finite_point_is_two(self, argv, message, tmp_path, capsys):
         # these ended in a traceback, or printed NaN or a verdict with exit 0

@@ -50,7 +50,6 @@ class TestHomogeneityAndDilation:
         b2 = profiles.bump(1.5, 3.0)
         combo = RadialProfile(
             label="sum", omega=0.0,
-            envelope=lambda r: b1.envelope(r) + b2.envelope(r),
             deriv_fn=lambda k, r: b1.derivs(k, r) + b2.derivs(k, r),
             support=3.0)
         n = 3
@@ -89,8 +88,7 @@ class TestDivergenceCertification:
 
     def test_missing_tail_descriptor_rejected(self):
         tailed = profiles.power(2.0)
-        bare = RadialProfile(label="bare", omega=0.0, envelope=tailed.envelope,
-                             deriv_fn=tailed.deriv_fn)
+        bare = RadialProfile(label="bare", omega=0.0, deriv_fn=tailed.deriv_fn)
         with pytest.raises(DivergentNormError):
             norm_X(bare, 3)
 
@@ -442,8 +440,7 @@ class TestBatchedPanels:
                   oscillating_power(1.6), profiles.herglotz(1.0, 3)):
             counted["points"] = 0
             nodes.clear()
-            q = dataclasses.replace(p, envelope=count(p.envelope),
-                                    deriv_fn=count(p.deriv_fn))
+            q = dataclasses.replace(p, deriv_fn=count(p.deriv_fn))
             norm_X(q, 3)
             assert len(nodes) == 1 and 0 < counted["points"] <= nodes[0], p.label
 
@@ -483,8 +480,7 @@ class TestBatchedPanels:
         n = 3
         for p in (profiles.power(3.0), profiles.bump(1.0, 2.0),
                   oscillating_power(3.5), profiles.herglotz(1.0, n)):
-            q = dataclasses.replace(p, envelope=count(p.envelope),
-                                    deriv_fn=count(p.deriv_fn))
+            q = dataclasses.replace(p, deriv_fn=count(p.deriv_fn))
             for m in range(n + 1):
                 calls.clear()
                 outside.clear()
@@ -524,7 +520,7 @@ class TestBatchedPanels:
         # that panel never agrees to 1e-10 and keeps its 512-subpanel value
         jump = 2.0 ** 0.3
         step = lambda r: np.where(np.asarray(r) < jump, 1.0, 0.0)
-        p = RadialProfile(label="step", omega=0.0, envelope=step,
+        p = RadialProfile(label="step", omega=0.0,
                           deriv_fn=lambda k, r: np.stack([step(r)] + [0.0 * r] * k),
                           support=2.0)
         edges = norms._octave_edges(4)
@@ -564,8 +560,7 @@ class TestBatchedPanels:
         for alpha, want in ((0.5, 0), (5.0, 1)):
             env = profiles.power(alpha).envelope
             stack = lambda k, r, env=env: np.stack([env(r), step(r)] + [0.0 * r] * (k - 1))
-            p = RadialProfile(label="kinked", omega=0.0, envelope=env, deriv_fn=stack,
-                              tail_alpha=alpha)
+            p = RadialProfile(label="kinked", omega=0.0, deriv_fn=stack, tail_alpha=alpha)
             rep = NormReport(x1=0.0, x2=0.0, ym=[])
             val = norm_Ym(p, 3, 1, report=rep)
             assert math.isfinite(val) == (alpha > 3.0)

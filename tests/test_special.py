@@ -90,6 +90,11 @@ class TestBessel:
             special.bessel_j(nu, -1.0)
 
 
+def _b(n, K, z):
+    """B_n(z) with K Hankel terms: row 0 of its stack."""
+    return complex(special.splitting_stacks(n, K, 0, np.array([z]))[1][0, 0])
+
+
 class TestSplitting:
     @pytest.mark.parametrize("n,K", [(2, 0), (2, 2), (2, 6), (3, 0),
                                      (4, 1), (4, 4)])
@@ -119,13 +124,33 @@ class TestSplitting:
         z = np.array([0.1, 0.5])
         assert np.all(special.splitting_A(3, z) != 0.0)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 7])
+    def test_compact_part_against_mpmath(self, n):
+        # A_n = chi z^{n/2} J_nu below and in the cutoff band, and a float
+        # at a scalar z
+        def chi(z):
+            if z <= 0.5:
+                return mpmath.mpf(1)
+            u = 2 * (1 - z)
+            return mpmath.exp(-1 / u) / (mpmath.exp(-1 / u) + mpmath.exp(-1 / (1 - u)))
+
+        zs = np.array([1e-3, 0.1, 0.45, 0.5, 0.52, 0.75, 0.9])
+        got = special.splitting_A(n, zs)
+        with mpmath.workdps(30):
+            want = [float(chi(mpmath.mpf(z)) * mpmath.mpf(z) ** (mpmath.mpf(n) / 2)
+                          * mpmath.besselj(mpmath.mpf(n - 2) / 2, z)) for z in zs]
+        assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want)), n
+        assert type(special.splitting_A(n, 0.3)) is float
+        with pytest.raises(ValueError):
+            special.splitting_A(n, np.array([0.2, -0.5]))
+
     def test_reconstructs_bessel(self):
         # A + e^{iz} B + e^{-iz} conj(B) == z^{n/2} J_nu(z); exact for odd n,
         # asymptotic (error ~ z^{(n-1)/2 - K - 1}) for even n
         for n in (3, 5):
             nu = special.order_from_dim(n)
             for z in (0.3, 0.9, 1.5, 8.0, 40.0):
-                b = complex(special.splitting_B(n, 10, z))
+                b = _b(n, 10, z)
                 lhs = (special.splitting_A(n, z) + cmath.exp(1j * z) * b
                        + cmath.exp(-1j * z) * b.conjugate())
                 want = z ** (n / 2.0) * float(mpmath.besselj(nu, z))
@@ -133,7 +158,7 @@ class TestSplitting:
         for n in (2, 4):
             nu = special.order_from_dim(n)
             for z in (40.0, 160.0):
-                b = complex(special.splitting_B(n, 10, z))
+                b = _b(n, 10, z)
                 lhs = (special.splitting_A(n, z) + cmath.exp(1j * z) * b
                        + cmath.exp(-1j * z) * b.conjugate())
                 want = z ** (n / 2.0) * float(mpmath.besselj(nu, z))
@@ -159,7 +184,7 @@ class TestSplitting:
                 zm = mpmath.mpf(z)
                 want = complex(one_minus_chi(zm) * pref
                                * sum(a * zm ** (mpmath.mpf(n - 1) / 2 - k) for k, a in enumerate(alpha)))
-                got = complex(special.splitting_B(n, K, z))
+                got = _b(n, K, z)
                 assert abs(got - want) <= 1e-14 * abs(want), (n, z, got, want)
 
 
@@ -224,12 +249,13 @@ class TestDerivativeStackHelpers:
 
         zs = np.concatenate([np.linspace(0.5005, 0.9995, 21), [0.52, 0.98]])
         got, rest = special.cutoff_chi_stack(9, zs)
-        assert np.allclose(got[0], special.cutoff_chi(zs), rtol=0, atol=1e-15)
         with mpmath.workdps(40):
             for i, z in enumerate(zs):
                 want = [mpmath.diff(chi, mpmath.mpf(z), k) for k in range(10)]
                 scale = float(max(abs(v) for v in want))
                 assert np.all(np.abs(got[:, i] - [float(v) for v in want]) <= 1e-12 * scale), z
+                # row 0, chi itself, to 1e-15 absolute
+                assert abs(got[0, i] - float(want[0])) <= 1e-15, z
                 assert abs(rest[0, i] - float(1 - want[0])) <= 1e-14 * float(1 - want[0]), z
                 assert np.array_equal(rest[1:, i], -got[1:, i])
 

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Fixed-input timings of the quadrature routines, evolve_radial, the focusing evaluation and the norms.
+"""Fixed-input timings of the quadrature routines, evolve_radial, the datum phi_rad, the focusing evaluation and the norms.
 
     python3 tools/bench_layers.py --label NAME [--src DIR --src-label NAME] [--out F]
 
@@ -46,6 +46,9 @@ ROUNDS = 400
 FOCUS_SIGMA = {2: 1.05, 3: 1.95}
 FOCUS_U = (1e-3, 2e-4)
 Z_GRID = np.geomspace(0.3, 3.0, 25)
+# the block sizes that evolve_radial heads pass to phi_rad, and one large block
+HEAD_NODES = (130, 520)
+BIG_BLOCK = 8192
 
 
 def load(src: Path, name: str):
@@ -84,7 +87,7 @@ def cases(lib):
     t, t_small = (1.0 - u for u in FOCUS_U)
     xs, xs_small = (B.SelfSimilarFrame(tt).x_of_z(annulus_points(Q)) for tt in (t, t_small))
     chirp = {n: B.ChirpDatum(n, s) for n, s in FOCUS_SIGMA.items()}
-    return {
+    table = {
         "rotated_tail.one_ray": lambda: Q.rotated_tail(one, 0.5, 1.0),
         "rotated_tail.stationary": lambda: Q.rotated_tail(one, 0.5, -3.0),
         "rotated_tail.delta_0.5": lambda: Q.rotated_tail(one, 0.5, 1.0, delta=0.5),
@@ -114,6 +117,16 @@ def cases(lib):
         "norm_Ym.bump_n3_m1": lambda: N.norm_Ym(bump, 3, 1),
         "norm_Ym.power_n3_m3": lambda: N.norm_Ym(power15, 3, 3),
     }
+    # the datum on one head block of evolve_radial, HEAD_NODES nodes spread
+    # over the head: [0, support] of compact data, [0, 1.5/omega] of Herglotz data
+    heads = {"bump": (bump, 2.0), "gaussian": (profiles.gaussian(1.0), 13.0),
+             "herglotz_n2": (profiles.herglotz_pair(1.0, 2)[0], 1.5),
+             "herglotz_n3": (herglotz, 1.5)}
+    for name, (prof, hi) in heads.items():
+        for size in HEAD_NODES + ((BIG_BLOCK,) if name == "herglotz_n2" else ()):
+            r = np.linspace(0.0, hi, size + 2)[1:-1]
+            table[f"phi_rad.{name}_{size}"] = lambda prof=prof, r=r: prof.phi_rad(r)
+    return table
 
 
 def counts(Q, call):
