@@ -66,7 +66,7 @@ class SelfSimilarFrame:
 def _origin_table(n: int, sigma: float, sign: float):
     """_origin_series' b_i (i sign)^j / (j! e) for i < 16, j < J at quad of this
     sign, and for its error 36 eps times their moduli, then e |b_i| / (J! J (n - sigma))."""
-    b = np.array(special._bessel_series(n))
+    b = np.array(special.bessel_series(n))
     i, j = np.arange(b.size)[:, None], np.arange(_ORIGIN_TERMS)
     fact = np.cumprod(np.maximum(j, 1), dtype=float)
     coef = b[:, None] * (1j * sign) ** j / (fact * (n - sigma + 2.0 * i + 2.0 * j))
@@ -77,7 +77,7 @@ def _origin_table(n: int, sigma: float, sign: float):
 def _origin_series(n: int, sigma: float, c, quad: float, r):
     """(values, errors) per row of S(r) = int_0^r s^{n/2-sigma} J_nu(c s) e^{i quad s^2} ds
     for c r <= 1, |quad| r^2 <= 1: sum_{i<16, j<J} b_i c^{2i+nu} (i quad)^j / j! r^e / e,
-    e = n - sigma + 2i + 2j, b_i = special._bessel_series(n); the error bounds the
+    e = n - sigma + 2i + 2j, b_i = special.bessel_series(n); the error bounds the
     omitted j >= J = _ORIGIN_TERMS (i >= 16: below 1e-36) and rounding."""
     coef, err_coef = _origin_table(n, sigma, math.copysign(1.0, quad))
     wi = ((c * r) ** 2)[:, None] ** np.arange(coef.shape[0])

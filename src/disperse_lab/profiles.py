@@ -9,7 +9,8 @@ node; the stack is a profile's one description, and envelope(r) is its
 row 0.  Built-in families compute their shared factors once per node (one
 power, one exponential, one Bell or Hermite recurrence); the Herglotz
 stack is the Leibniz product of the stacks of the cutoff chi, the Bessel
-series and the Hankel power sum (special.splitting_stacks).
+series and the Hankel power sum, each piece written once on its nodes.
+A profile's break radii cut evolve_radial's real-axis head.
 Families with a power-law tail also expose an analytic continuation used
 by the contour-rotated tail quadrature.  FAMILIES lists every family with
 its descriptor keys; build makes one at a given dimension.
@@ -25,8 +26,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .special import (HANKEL_K, alpha_coeffs, exp_stack, leibniz, order_from_dim,
-                      splitting_B_series, splitting_B_series_conj, splitting_stacks)
+from .special import (HANKEL_K, alpha_coeffs, bessel_series, cutoff_chi_stack, exp_stack,
+                      leibniz, order_from_dim, power_sum, splitting_B_series,
+                      splitting_B_series_conj)
 
 
 def require_finite(what: str, **params):
@@ -41,7 +43,10 @@ class RadialProfile:
     """Envelope + carrier; the datum is phi(x) = envelope(|x|) e^{i omega |x|}.
 
     deriv_fn(k, r) maps 1-D float nodes r >= 0 to the exact (k+1, r.size)
-    stack of the envelope's derivatives of orders 0..k (row 0 the envelope)."""
+    stack of the envelope's derivatives of orders 0..k (row 0 the envelope).
+    It vanishes below breaks[0] and is analytic between consecutive break
+    radii and beyond the last: (a, b) for bump(a, b), the cutoff band's ends
+    (0, 1/(2|omega|), 1/|omega|) for herglotz and (0,) otherwise."""
     label: str
     omega: float
     deriv_fn: Callable[[int, np.ndarray], np.ndarray]
@@ -51,6 +56,7 @@ class RadialProfile:
     # bounded, on {u +- v e^{i pi/4}: u >= tail_start, v >= 0} (- where omega < 0)
     tail_fn: Optional[Callable] = None
     tail_start: float = 0.0
+    breaks: tuple = (0.0,)
 
     def derivs(self, k: int, r):
         """Orders 0..k of the envelope at r, shape (k+1,) + r.shape."""
@@ -79,6 +85,7 @@ class RadialProfile:
             tail_fn=(None if base.tail_fn is None
                      else lambda r: base.tail_fn(lam * np.asarray(r, dtype=complex))),
             tail_start=base.tail_start / lam if lam > 0 else base.tail_start,
+            breaks=tuple(x / lam for x in base.breaks),
         )
 
     def scale(self, factor: complex) -> "RadialProfile":
@@ -91,6 +98,7 @@ class RadialProfile:
             tail_alpha=base.tail_alpha,
             tail_fn=None if base.tail_fn is None else (lambda r: factor * base.tail_fn(r)),
             tail_start=base.tail_start,
+            breaks=base.breaks,
         )
 
 
@@ -124,7 +132,8 @@ def bump(a: float = 1.0, b: float = 2.0, omega: float = 0.0) -> RadialProfile:
         out[:, inside] = exp_stack(phi)
         return out
 
-    return RadialProfile(label=f"bump[{a},{b}]", omega=omega, deriv_fn=deriv, support=b)
+    return RadialProfile(label=f"bump[{a},{b}]", omega=omega, deriv_fn=deriv, support=b,
+                         breaks=(a, b))
 
 
 def gaussian(width: float = 1.0, omega: float = 0.0) -> RadialProfile:
@@ -208,6 +217,8 @@ def herglotz(omega: float = 1.0, n: Optional[int] = None) -> RadialProfile:
     order_from_dim(n)
     n = int(n)
     coeffs = alpha_coeffs(n, HANKEL_K)
+    half_series = tuple(0.5 * c for c in bessel_series(n))     # of Q/2
+    ends = np.array([np.nextafter(0.5, 1.0), 1.0])   # searchsorted: z <= 1/2, z < 1
     w = abs(omega)
 
     def tail(r):
@@ -218,22 +229,36 @@ def herglotz(omega: float = 1.0, n: Optional[int] = None) -> RadialProfile:
     @lru_cache(maxsize=None)
     def powers(m):
         j = np.arange(m + 1)[:, None]
-        return (-1j) ** j, w ** (n / 2.0 - 1.0 + j)
+        # complex, so np.multiply into out needs no casting buffer
+        return (-1j) ** j, (w ** (n / 2.0 - 1.0 + j)).astype(complex)
 
     def deriv(m, r):
         # w^{n/2-1+j} [chi (Q/2) e^{-iz} + (1 - chi) z^{1-n} B]^{(j)}, z = w r,
-        # with Q = z^{1-n/2} J_nu(z) a power series in z^2, regular at 0
+        # with Q = z^{1-n/2} J_nu(z) a power series in z^2, regular at 0.
+        # On sorted z the pieces z <= 1/2, the chi band and z >= 1 are
+        # slices; each series is summed once, each piece written once
         z = w * r
-        a, b = splitting_stacks(n, HANKEL_K, m, z, shift=n - 1.0)
-        near = z < 1.0
+        order = None if (z[1:] >= z[:-1]).all() else np.argsort(z)
+        z = z if order is None else z[order]
+        lo, hi = z.searchsorted(ends)
         phase, scale = powers(m)
-        b[:, near] += leibniz(phase * np.exp(-1j * z[near]), 0.5 * a[:, near])
-        return scale * b
+        a = power_sum(half_series, 0.0, 2.0, m, z[:hi])
+        e = phase * np.exp(-1j * z[:hi])
+        out = np.empty((m + 1, z.size), dtype=complex)
+        np.multiply(scale, leibniz(e[:, :lo], a[:, :lo]), out=out[:, :lo])
+        b = power_sum(coeffs.terms, (1.0 - n) / 2.0, -1.0, m, z[lo:])
+        if hi > lo:
+            chi, rest = cutoff_chi_stack(m, z[lo:hi])
+            band = leibniz(e[:, lo:], leibniz(chi, a[:, lo:]))
+            band += leibniz(rest, b[:, :hi - lo])
+            np.multiply(scale, band, out=out[:, lo:hi])
+        np.multiply(scale, b[:, hi - lo:], out=out[:, hi:])
+        return out if order is None else out[:, np.argsort(order)]
 
     return RadialProfile(label=f"herglotz[w={omega},n={n}]", omega=omega,
                          deriv_fn=deriv, support=None,
                          tail_alpha=(n - 1) / 2.0, tail_fn=tail,
-                         tail_start=1.0 / w)
+                         tail_start=1.0 / w, breaks=(0.0, 0.5 / w, 1.0 / w))
 
 
 def herglotz_pair(omega: float, n: int):
@@ -249,7 +274,7 @@ def herglotz_pair(omega: float, n: int):
     mirror = RadialProfile(label=f"herglotz-conj[w={omega},n={n}]", omega=-omega,
                            deriv_fn=lambda m, r: np.conj(base.deriv_fn(m, r)),
                            support=None, tail_alpha=(n - 1) / 2.0, tail_fn=conj_tail,
-                           tail_start=1.0 / w)
+                           tail_start=1.0 / w, breaks=base.breaks)
     return base, mirror
 
 

@@ -9,9 +9,10 @@ The primary path evaluates the 1D oscillatory representation
 
 splitting the Bessel kernel into its smooth-compact and oscillatory-
 asymptotic parts beyond the compact region so every numerical piece is
-non-oscillatory after contour rotation.  For unbounded data the real-axis
-head covers rho in [0, rho_a], rho_a = 1.5 tail_start/gamma, where the
-envelope may differ from tail_fn.  At |x|/sqrt(t) <= 2 everything beyond it
+non-oscillatory after contour rotation.  The real-axis head runs on rows
+between the profile's break radii, from the first, to the support's image
+or, for unbounded data, to rho_a = 1.5 tail_start/gamma, where the envelope
+may differ from tail_fn.  At |x|/sqrt(t) <= 2 everything beyond it
 runs on steepest-descent rays through tail_fn and the complex J_nu, at a
 cost that does not grow with t.  At |x|/sqrt(t) > 2 the rest is one
 special.bessel_split_integral (its split rule is there), whose e^{-iz} row
@@ -95,12 +96,26 @@ def evolve_radial(profile: RadialProfile, pt: EvalPoint,
         r = gamma * rho
         return profile.phi_rad(r) * r ** (n / 2.0) * special.bessel_j(nu, beta * rho)
 
+    def f(rho):
+        return g(rho) * np.exp(1j * rho * rho)
+
+    # the real-axis head ends at the support's image or, for unbounded data,
+    # at rho_a = 1.5 tail_start/gamma, below which the envelope may differ
+    # from tail_fn.  It runs on rows between the break radii below its end,
+    # from the first; the envelope is analytic on each, so each passes at
+    # its first rule
+    end = (profile.support if profile.support is not None
+           else profile.tail_start * 1.5) / gamma
+    edges = [x / gamma for x in profile.breaks if x / gamma < end] + [end]
+    span_coef = abs(profile.omega) * gamma + beta
+
+    def head():
+        lo, hi = edges[:-1], edges[1:]
+        return osc_integral(f, lo, hi, [b * b - a * a + span_coef * (b - a)
+                                        for a, b in zip(lo, hi)], tol) if hi else (0j, 0.0)
+
     if profile.support is not None:
-        rho_max = profile.support / gamma
-        span = rho_max ** 2 + (abs(profile.omega) * gamma + beta) * rho_max
-        val, err = osc_integral(lambda rho: g(rho) * np.exp(1j * rho * rho),
-                                0.0, rho_max, span, tol)
-        return amplitude(val, err)
+        return amplitude(*head())
 
     if profile.tail_alpha is None or profile.tail_fn is None:
         raise DivergentTailError(
@@ -110,25 +125,18 @@ def evolve_radial(profile: RadialProfile, pt: EvalPoint,
             f"tail exponent {profile.tail_alpha} <= (n-3)/2 = {(n - 3) / 2.0}: "
             "representation integral not convergent")
 
-    # [0, rho_a] holds the band where the envelope may differ from tail_fn
-    rho_a = profile.tail_start * 1.5 / gamma
-    span_coef = abs(profile.omega) * gamma + beta
-
-    def f(rho):
-        return g(rho) * np.exp(1j * rho * rho)
-
     if beta <= _BETA_ROTATE:
         # everything beyond rho_a runs on rays with the exact J_nu, so
         # nothing is truncated and nothing grows with t
-        head, err = osc_integral(f, 0.0, rho_a, rho_a ** 2 + span_coef * rho_a, tol)
+        val, err = head()
 
         def h(rho, row):
             r = gamma * rho
             return (profile.tail_fn(r) * special.cpow(r, n / 2.0)
                     * special.bessel_j_c(nu, beta * rho))
 
-        (tail,), (e_tail,) = rotated_tail(h, rho_a, profile.omega * gamma, tol=tol)
-        return amplitude(head + tail, err + e_tail)
+        (tail,), (e_tail,) = rotated_tail(h, end, profile.omega * gamma, tol=tol)
+        return amplitude(val + tail, err + e_tail)
 
     # beyond the band, special.bessel_split_integral's head and Hankel rays
     # in z = beta rho: (gamma rho)^{n/2} J_nu(z) = c^{-n/2} z^{n/2} J_nu(z),
@@ -139,7 +147,7 @@ def evolve_radial(profile: RadialProfile, pt: EvalPoint,
         return cn * profile.tail_fn(gamma * rho) * special.cpow(beta * rho, (n - 1) / 2.0)
 
     (val,), (err,) = special.bessel_split_integral(n, lambda rho, row: f(rho), amp, beta,
-                                                   [0.0, rho_a], gamma * profile.omega,
+                                                   edges, gamma * profile.omega,
                                                    s=-(n - 1) / 2.0, tol=tol)
     return amplitude(val, err)
 

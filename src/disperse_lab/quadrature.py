@@ -254,16 +254,17 @@ def osc_integral_rows(f, a, b, phase_span, tol: float = 1e-9,
     return values, errs
 
 
-def osc_integral(f, a: float, b: float, phase_span: float, tol: float = 1e-9,
-                 max_points: int = 600_000):
+def osc_integral(f, a, b, phase_span, tol: float = 1e-9, max_points: int = 600_000):
     """Integrate f over [a, b] where f oscillates with total phase variation
-    phase_span: the one-row call of osc_integral_rows.
+    phase_span, or over rows (a, b, phase_span sequences: say the pieces of
+    an interval cut where f is not analytic) by one osc_integral_rows call
+    that does not pass f the row.
 
-    Returns (value, error_estimate).
+    Returns (value, error_estimate), each summed over the rows.
     """
     values, errs = osc_integral_rows(lambda x, row: f(x), a, b, phase_span,
                                      tol, max_points)
-    return complex(values[0]), float(errs[0])
+    return complex(sum(values.tolist())), float(sum(errs.tolist()))
 
 
 # a ray's panels in tau/tau*, graded toward its start, where an endpoint power

@@ -8,9 +8,10 @@ leibniz, exp_stack and power_sum give those of chi and of A_n, B_n.
 
 Bessel values come from scipy.special: the Cephes j0/j1 at orders 0 and 1
 for z <= 100, the spherical Bessel function at half-integer order from 3/2,
-and the AMOS routine (jv) at every other order, beyond z = 100 and at
-complex argument.  J_{1/2}(z) = sin z sqrt(2/(pi z)) is in closed form, at
-real and complex z.  The iterated Fresnel integrals Xi^m_a(s) are one call of
+and the AMOS routine (jv) at every other order and at complex argument;
+beyond z = 100, J_0 and J_1 are B_n's Hankel series at n = 2 and 4.
+J_{1/2}(z) = sin z sqrt(2/(pi z)) is in closed form, at real and complex
+z.  The iterated Fresnel integrals Xi^m_a(s) are one call of
 quadrature.rotated_tail for every real s and a: its rays pass the
 stationary point -a/2 when it lies beyond s.
 """
@@ -126,11 +127,11 @@ _CEPHES_MAX = 100.0
 def bessel_j(nu: float, z):
     """Bessel function of the first kind J_nu(z) for z >= 0, nu >= -1/2.
 
-    Orders 0 and 1 (n = 2, 4) go through Cephes j0/j1 for z <= _CEPHES_MAX;
-    nu = 1/2 (n = 3) is the closed form sin z sqrt(2/(pi z)); half-integer
-    orders nu >= 3/2 through the spherical Bessel function,
-    sqrt(2z/pi) j_{nu-1/2}(z); every other order and argument through the
-    AMOS routine behind scipy.special.jv.
+    Orders 0 and 1 (n = 2, 4) go through Cephes j0/j1 for z <= _CEPHES_MAX,
+    past it through B_n's Hankel series; nu = 1/2 (n = 3) is the closed form
+    sin z sqrt(2/(pi z)); half-integer orders nu >= 3/2 through the spherical
+    Bessel function, sqrt(2z/pi) j_{nu-1/2}(z); every other order through
+    the AMOS routine behind scipy.special.jv.
     """
     if nu < -0.5:
         raise ValueError(f"order {nu} < -1/2 not supported")
@@ -144,10 +145,15 @@ def bessel_j(nu: float, z):
     elif ell > 0 and ell == int(ell):
         out = np.sqrt(2.0 * z / math.pi) * spherical_jn(int(ell), z)
     elif nu == 0.0 or nu == 1.0:
-        out = np.asarray((j0 if nu == 0.0 else j1)(z))
         far = z > _CEPHES_MAX
-        if np.any(far):
-            out[far] = jv(nu, z[far])
+        some = np.any(far)
+        out = np.asarray((j0 if nu == 0.0 else j1)(np.where(far, 0.0, z) if some else z))
+        if some:
+            # 2 z^{-1/2} Re(e^{iz} sum_k terms_k z^{-k}), B_n's Hankel series at
+            # n = 2 nu + 2: within 1e-15 of sqrt(2/(pi z)), a quarter of jv's cost
+            zf = z[far]
+            s = hankel_sum(alpha_coeffs(int(2 * nu) + 2, HANKEL_K).terms, zf)
+            out[far] = 2.0 / np.sqrt(zf) * (np.cos(zf) * s.real - np.sin(zf) * s.imag)
     else:
         out = jv(nu, z)
     return float(out) if out.ndim == 0 else out
@@ -227,7 +233,7 @@ def hankel_sum(alpha, z):
     last = max(k for k, a in enumerate(alpha) if a != 0)
     acc = np.full(np.shape(z), alpha[last], dtype=complex)
     if last:
-        w = 1.0 / np.asarray(z, dtype=complex)
+        w = 1.0 / np.asarray(z)      # real at real z: the same sum, half the memory
         for a in reversed(alpha[:last]):
             acc *= w
             acc += a
@@ -250,7 +256,7 @@ def splitting_B_series_conj(coeffs: SplittingCoeffs, z):
 
 
 @lru_cache(maxsize=None)
-def _bessel_series(n: int):
+def bessel_series(n: int):
     """c_i, i < 16, of z^{-nu} J_nu(z) = sum_i c_i z^{2i}: on z < 1 the first
     term left out is below 1e-36 of the sum (1e-9 of it at order 20)."""
     nu = order_from_dim(n)
@@ -258,16 +264,16 @@ def _bessel_series(n: int):
                  for i in range(16))
 
 
-def splitting_stacks(n: int, K: int, k: int, z, shift: float = 0.0):
-    """Stacks at real z >= 0 of z^{-shift} A_n(z) and z^{-shift} B_n(z) (K
-    Hankel terms): sum_i c_i z^{n-1-shift+2i} on z < 1 and e^{-i(n-1)pi/4}
-    sum_k alpha_k z^{(n-1)/2-shift-k} on z > 1/2, times the stacks of chi
-    and 1 - chi in the band between."""
+def splitting_stacks(n: int, K: int, k: int, z):
+    """Stacks at real z >= 0 of A_n(z) and B_n(z) (K Hankel terms):
+    sum_i c_i z^{n-1+2i} on z < 1 and e^{-i(n-1)pi/4} sum_k alpha_k
+    z^{(n-1)/2-k} on z > 1/2, times the stacks of chi and 1 - chi in the
+    band between."""
     z = np.asarray(z, dtype=float)
     a, b = np.zeros((k + 1, z.size)), np.zeros((k + 1, z.size), dtype=complex)
     near, far = z < 1.0, z > 0.5
-    a[:, near] = power_sum(_bessel_series(n), n - 1.0 - shift, 2.0, k, z[near])
-    b[:, far] = power_sum(alpha_coeffs(n, K).terms, (n - 1) / 2.0 - shift, -1.0, k, z[far])
+    a[:, near] = power_sum(bessel_series(n), n - 1.0, 2.0, k, z[near])
+    b[:, far] = power_sum(alpha_coeffs(n, K).terms, (n - 1) / 2.0, -1.0, k, z[far])
     band = near & far
     if band.any():
         chi, rest = cutoff_chi_stack(k, z[band])

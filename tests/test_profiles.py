@@ -58,6 +58,21 @@ class TestTailFnContract:
         assert np.all(np.abs(tail - env) <= 1e-13 * np.abs(env)), label
 
 
+class TestHerglotzNodeOrder:
+    """The Herglotz stack takes its pieces (omega r <= 1/2, the cutoff band,
+    omega r >= 1) as slices of sorted nodes: nodes in any order, on the band's
+    ends too, give the same rows bit for bit."""
+
+    @pytest.mark.parametrize("n,omega", [(2, 1.0), (3, -2.5), (4, 0.7)])
+    def test_any_order_matches_sorted(self, n, omega):
+        w = abs(omega)
+        r = np.concatenate([np.linspace(0.0, 3.0 / w, 601), [0.5 / w, 1.0 / w]])
+        r.sort()
+        perm = np.random.default_rng(0).permutation(r.size)
+        for p in profiles.herglotz_pair(omega, n):
+            assert np.array_equal(p.derivs(4, r[perm]), p.derivs(4, r)[:, perm])
+
+
 class TestHerglotzDerivNearZero:
     """For omega r < 1/2 the envelope is omega^{-n/2} r^{1-n} e^{-i omega r}
     (omega r)^{n/2} J_nu(omega r) / 2, whose Bessel factor the stack takes
@@ -265,3 +280,41 @@ class TestDerivativeStacksAgainstMpmath:
                 want = [complex(mpmath.diff(closed, mpmath.mpf(r), k)) for k in range(5)]
                 scale = max(abs(v) for v in want)
                 assert np.all(np.abs(got - want) <= 1e-11 * scale), (label, r)
+
+
+class TestBreakRadii:
+    """breaks: the envelope vanishes below breaks[0] and is analytic between
+    consecutive break radii, so evolve_radial cuts its head there."""
+
+    @pytest.mark.parametrize("p,want", [
+        (profiles.bump(1.0, 2.0), (1.0, 2.0)), (profiles.bump(0.5, 3.0, 2.0), (0.5, 3.0)),
+        (profiles.gaussian(1.0), (0.0,)), (profiles.power(1.3), (0.0,)),
+        (oscillating_power(2.0), (0.0,)), (profiles.herglotz(1.0, 2), (0.0, 0.5, 1.0)),
+        (profiles.herglotz(-2.5, 3), (0.0, 0.2, 0.4)),
+    ], ids=["bump", "bump-a0.5", "gaussian", "power", "oscillating_power",
+            "herglotz", "herglotz-2.5"])
+    def test_family_breaks(self, p, want):
+        assert p.breaks == pytest.approx(want, rel=1e-15)
+
+    @pytest.mark.parametrize("p", [profiles.bump(1.0, 2.0), profiles.gaussian(1.0),
+                                   profiles.herglotz(1.0, 4)], ids=["bump", "gaussian", "herglotz"])
+    def test_wrappers(self, p):
+        for lam in (0.37, 2.5):
+            assert p.dilate(lam).breaks == tuple(x / lam for x in p.breaks)
+        assert p.scale(0.6 - 1.3j).breaks == p.breaks
+
+    @pytest.mark.parametrize("n,omega", [(2, 1.0), (3, -0.7)])
+    def test_herglotz_mirror_keeps_breaks(self, n, omega):
+        plus, minus = profiles.herglotz_pair(omega, n)
+        assert minus.breaks == plus.breaks == profiles.herglotz(omega, n).breaks
+
+    @pytest.mark.parametrize("p", [
+        profiles.bump(1.0, 2.0), profiles.bump(0.5, 3.0, 2.0),
+        profiles.bump(1.0, 2.0).dilate(2.5), profiles.bump(1.0, 2.0).scale(0.6 - 1.3j),
+        profiles.bump(1.0, 2.0).dilate(0.37).scale(2.0),
+    ], ids=["bump", "bump-a0.5", "bump~dilate", "bump~scale", "bump~dilate~scale"])
+    def test_envelope_vanishes_below_first_break(self, p):
+        r = np.linspace(0.0, p.breaks[0], 401)[:-1]
+        assert r.size and np.all(p.derivs(3, r) == 0.0)
+        # and not beyond it
+        assert np.all(p.envelope(np.linspace(p.breaks[0], p.breaks[1], 9)[1:-1]) != 0.0)

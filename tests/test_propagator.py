@@ -16,8 +16,8 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import hankel1e, hankel2e
 
-from disperse_lab import appendix, profiles, propagator, special
-from disperse_lab.quadrature import osc_integral, rotated_tail
+from disperse_lab import appendix, profiles, propagator, quadrature, special
+from disperse_lab.quadrature import gl_rows, osc_integral, rotated_tail
 from disperse_lab.propagator import (
     ComplexAmplitude,
     DivergentTailError,
@@ -502,6 +502,75 @@ class TestOddNSplit:
         # band |z| < nu, where the two rows cancel: 1.3e-9 at n = 19, x = 5
         amp = evolve_radial(profiles.power(n / 2.0 + 0.3), EvalPoint(n, x, t))
         assert amp.err_est <= 1e-9 * abs(amp.value)
+
+
+def _heads(monkeypatch, prof, pt):
+    """The real-axis head calls of evolve_radial(prof, pt): per call, the
+    integrand f(x, row), its rows (a, b), the summed value and estimate, and
+    the gl_rows rounds it took."""
+    calls, rounds = [], [0]
+    osc, rows = propagator.osc_integral, special.osc_integral_rows
+
+    def counted(*args, **kw):
+        rounds[0] += 1
+        return gl_rows(*args, **kw)
+
+    def record(f, a, b, run):
+        rounds[0] = 0
+        monkeypatch.setattr(quadrature, "gl_rows", counted)
+        try:
+            out = run()
+        finally:
+            monkeypatch.setattr(quadrature, "gl_rows", gl_rows)
+        calls.append((f, np.atleast_1d(a), np.atleast_1d(b), complex(np.sum(out[0])),
+                      float(np.sum(out[1])), rounds[0]))
+        return out
+
+    def head(f, a, b, span, tol):
+        return record(lambda x, row: f(x), a, b, lambda: osc(f, a, b, span, tol))
+
+    def head_rows(f, a, b, span, tol):
+        return record(f, a, b, lambda: rows(f, a, b, span, tol))
+
+    monkeypatch.setattr(propagator, "osc_integral", head)
+    monkeypatch.setattr(special, "osc_integral_rows", head_rows)
+    evolve_radial(prof, pt)
+    return calls
+
+
+_CUT_CASES = ([(f"herglotz{n}{'+-'[m]}", profiles.herglotz_pair(1.0, n)[m], n)
+               for n in (2, 3, 4) for m in (0, 1)]
+              + [(f"bump{n}-w{w:g}", profiles.bump(1.0, 2.0, w), n)
+                 for n in (2, 3, 4) for w in (0.0, 2.0)])
+
+
+class TestCutHeads:
+    """evolve_radial's real-axis head runs on rows between the profile's
+    break radii (bump: a and b; Herglotz: 0, 1/(2 omega), 1/omega)."""
+
+    @pytest.mark.parametrize("label,prof,n", _CUT_CASES, ids=[c[0] for c in _CUT_CASES])
+    def test_heads_within_estimate(self, monkeypatch, label, prof, n):
+        # against the same rows at 256 panels each, with no credit beyond
+        # the estimate
+        checked = 0
+        for x in np.geomspace(0.3, 30.0, 5):
+            for t in np.geomspace(0.05, 1e4, 6):
+                for f, a, b, value, err, _ in _heads(monkeypatch, prof, EvalPoint(n, x, t)):
+                    sums, _ = gl_rows(f, a, b, np.full(a.size, 256), ids=np.arange(a.size))
+                    want = sums[0, :, 0].sum()
+                    assert abs(value - want) <= err, (x, t, abs(value - want), err)
+                    checked += 1
+        assert checked == 30
+
+    @pytest.mark.parametrize("n,x,t", [(4, 14.83, 2.80), (2, 0.646, 0.931)])
+    @pytest.mark.parametrize("member", [0, 1])
+    def test_even_n_herglotz_heads_take_one_round(self, monkeypatch, n, x, t, member):
+        prof = profiles.herglotz_pair(1.0, n)[member]
+        (f, a, b, value, err, rounds), = _heads(monkeypatch, prof, EvalPoint(n, x, t))
+        # rows 0 .. 1/2, 1/2 .. 1 and 1 .. 3/2 in omega r, then on to the
+        # split at x/sqrt(t) > 2
+        assert a.size == (3 if x / math.sqrt(t) <= 2.0 else 4)
+        assert rounds == 1
 
 
 _HONEST = settings(max_examples=40, deadline=None, derandomize=True, database=None)

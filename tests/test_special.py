@@ -53,6 +53,17 @@ class TestBessel:
             scale = max(abs(want), (2.0 / (math.pi * z)) ** 0.5 if z > 1 else 1.0)
             assert abs(g - want) <= 5e-13 * scale
 
+    @pytest.mark.parametrize("nu", [0.0, 1.0])
+    def test_hankel_series_past_cephes_matches_mpmath(self, nu):
+        # past z = 100, J_0 and J_1 are the K = 8 Hankel series of B_n at
+        # n = 2 nu + 2, not AMOS jv: within 1e-15 of the envelope
+        zs = np.geomspace(100.0 + 1e-9, 1e5, 200)
+        got = special.bessel_j(nu, zs)
+        with mpmath.workdps(30):
+            want = np.array([float(mpmath.besselj(nu, z)) for z in zs])
+        assert np.all(np.abs(got - want) <= 1e-15 * np.sqrt(2.0 / (math.pi * zs)))
+        assert special.bessel_j(nu, float(zs[-1])) == got[-1]
+
     def test_complex_argument_matches_mpmath(self):
         for nu in (0.0, 0.5, 1.5):
             for z in (0.3 + 0.1j, 5.0 + 1.0j, 20.0 + 2.0j, 120.0 + 0.5j):

@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
-"""Fixed-input timings of the quadrature routines, evolve_radial, the datum phi_rad, the focusing evaluation and the norms.
+"""Fixed-input timings of the quadrature routines, evolve_radial, the datum phi_rad, bessel_j, the focusing evaluation and the norms.
 
     python3 tools/bench_layers.py --label NAME [--src DIR --src-label NAME] [--out F]
 
-Times each case below in one process, as the median over ROUNDS rounds; a round
-calls every case once, in turn, so slow phases of a shared machine fall on
-all cases alike.  With --src the library under DIR is timed too, in
+Times each case below in one process, as the median over ROUNDS rounds, next
+to its quartiles (q1_us, q3_us); a round calls every case once, in turn, so
+slow phases of a shared machine fall on all cases alike.  With --src the library under DIR is timed too, in
 alternation with this checkout's: within a round each case runs once per
 tree, the tree going first alternating from round to round, so the ratio of
 the two labels holds across the machine's phases (labels recorded in
@@ -49,6 +49,8 @@ Z_GRID = np.geomspace(0.3, 3.0, 25)
 # the block sizes that evolve_radial heads pass to phi_rad, and one large block
 HEAD_NODES = (130, 520)
 BIG_BLOCK = 8192
+# J_0 past the Cephes range: the arguments of even-n compact heads at large x
+BESSEL_FAR = np.linspace(100.0, 3000.0, 2501)[1:]
 
 
 def load(src: Path, name: str):
@@ -84,6 +86,8 @@ def cases(lib):
     far = {n: P.EvalPoint(n, 10.0, 1.0) for n in (2, 3)}
     bump, power, power15 = profiles.bump(1.0, 2.0), profiles.power(1.2), profiles.power(1.5)
     herglotz = profiles.herglotz_pair(1.0, 3)[0]
+    herglotz2, mirror4 = profiles.herglotz_pair(1.0, 2)[0], profiles.herglotz_pair(1.0, 4)[1]
+    gauss = profiles.gaussian(1.0)
     t, t_small = (1.0 - u for u in FOCUS_U)
     xs, xs_small = (B.SelfSimilarFrame(tt).x_of_z(annulus_points(Q)) for tt in (t, t_small))
     chirp = {n: B.ChirpDatum(n, s) for n, s in FOCUS_SIGMA.items()}
@@ -104,6 +108,14 @@ def cases(lib):
         # beta = 10: the real-axis head, then the Hankel rows from the split
         "evolve_radial.power_hankel_n2": lambda: P.evolve_radial(power, far[2]),
         "evolve_radial.power_hankel_n3": lambda: P.evolve_radial(power, far[3]),
+        # propagate benchmark points whose heads the break radii cut, and a
+        # gaussian at Bessel arguments past 100
+        "evolve_radial.herglotz_n2": lambda: P.evolve_radial(herglotz2, P.EvalPoint(2, 20.4, 19.7)),
+        "evolve_radial.herglotz_n4_mirror": lambda: P.evolve_radial(mirror4,
+                                                                    P.EvalPoint(4, 26.36, 272.1)),
+        "evolve_radial.bump_n4": lambda: P.evolve_radial(bump, P.EvalPoint(4, 5.16, 1.48)),
+        "evolve_radial.gaussian_n2": lambda: P.evolve_radial(gauss, P.EvalPoint(2, 21.8, 0.22)),
+        "bessel_j.nu0_far": lambda: lib.special.bessel_j(0.0, BESSEL_FAR),
         "chirp_values.n2_annulus": lambda: B._chirp_values(chirp[2], t, xs),
         "chirp_values.n3_annulus": lambda: B._chirp_values(chirp[3], t, xs),
         "chirp_values.n2_annulus_u2e-4": lambda: B._chirp_values(chirp[2], t_small, xs_small),
@@ -150,7 +162,7 @@ def counts(Q, call):
 
 
 def measure(libs):
-    """Per tree, name -> median time and counts, timed in alternation."""
+    """Per tree, name -> median time, its quartiles and counts, timed in alternation."""
     tables = [cases(lib) for lib in libs]
     for table in tables:                 # caches and lazy set-up
         for call in table.values():
@@ -168,8 +180,9 @@ def measure(libs):
         rows = {}
         for name, call in table.items():
             calls, nodes = counts(lib.quadrature, call)
-            rows[name] = {"us": round(statistics.median(times[name]) * 1e6, 1),
-                          "integrand_calls": calls, "nodes": nodes}
+            q1, med, q3 = statistics.quantiles(times[name], n=4)
+            rows[name] = {"us": round(med * 1e6, 1), "q1_us": round(q1 * 1e6, 1),
+                          "q3_us": round(q3 * 1e6, 1), "integrand_calls": calls, "nodes": nodes}
         out.append(rows)
     return out
 
