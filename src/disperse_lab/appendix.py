@@ -295,11 +295,11 @@ def truncated_lplq(delta: float, n: int, p: float, q: float,
                    nx: int = 48, nt: int = 16) -> float:
     """|| psi ||_{L^p L^q} on [t0, t1] x {|x| <= x_max} from a shared field
     sample (radial weight included; angular constant dropped).  `field`
-    caches |psi| samples across calls keyed by the grids."""
+    caches |psi| samples across calls keyed by delta, n and the grids."""
     t0, t1 = t_window
     ts = np.geomspace(t0, t1, nt)
     xs = np.geomspace(1e-2, x_max, nx)
-    key = (round(t0, 9), round(t1, 9), round(x_max, 9), nx, nt)
+    key = (delta, n, round(t0, 9), round(t1, 9), round(x_max, 9), nx, nt)
     if field is not None and key in field:
         A = field[key]
     else:

@@ -14,7 +14,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import appendix, blowup, decay, norms, profiles, special
-from .propagator import EvalPoint, evolve_radial
+from .propagator import evolve_rows
 
 
 # ---------------------------------------------------------------------------
@@ -111,17 +111,10 @@ def cmd_special(args) -> int:
 
 def cmd_propagate(args) -> int:
     profile = profiles.from_spec(args.profile, args.n)
-    ts = _parse_grid(args.t)
-    xs = _parse_grid(args.x)
-    pts = [(float(t), float(x)) for t in ts for x in xs]
-
-    def one(tx):
-        t, x = tx
-        amp = evolve_radial(profile, EvalPoint(args.n, x, t))
-        return (args.n, t, x, amp.value.real, amp.value.imag,
-                abs(amp.value), amp.err_est)
-
-    rows = [one(tx) for tx in pts]
+    ts, xs = np.meshgrid(_parse_grid(args.t), _parse_grid(args.x), indexing="ij")
+    vals, errs = evolve_rows(profile, args.n, xs, ts)
+    rows = [(args.n, t, x, v.real, v.imag, abs(v), e) for t, x, v, e in
+            zip(*(a.ravel().tolist() for a in (ts, xs, vals, errs)))]
     rows.sort(key=lambda r: (r[1], r[2]))
     emit_csv(rows, ["n", "t", "x_abs", "re", "im", "abs", "err_est"], args.out)
     return 0
@@ -276,24 +269,18 @@ def _checks_fast() -> List[tuple]:
     add("splitting-exact-n3", lambda: special.splitting_residual(3, 1, 40.0) <= 1e-9)
 
     def gaussian_check():
-        prof = profiles.gaussian(1.0, 0.0)
-        worst = 0.0
-        for (x, t) in ((0.7, 0.4), (2.0, 1.5), (4.0, 3.0)):
-            got = evolve_radial(prof, EvalPoint(3, x, t)).value
-            want = (1.0 + 4.0j * t) ** -1.5 * cmath.exp(-x * x / (1.0 + 4.0j * t))
-            worst = max(worst, abs(got - want) / abs(want))
-        return worst <= 1e-4
+        x, t = np.array([0.7, 2.0, 4.0]), np.array([0.4, 1.5, 3.0])
+        got = evolve_rows(profiles.gaussian(1.0, 0.0), 3, x, t)[0]
+        want = (1.0 + 4.0j * t) ** -1.5 * np.exp(-x * x / (1.0 + 4.0j * t))
+        return np.max(np.abs(got - want) / np.abs(want)) <= 1e-4
     add("gaussian-closed-form", gaussian_check)
 
     def herglotz_check():
         pair = profiles.herglotz_pair(1.0, 3)
-        worst = 0.0
-        for t in (0.5, 5.0):
-            for x in (1.0, 4.0):
-                amp = sum(evolve_radial(p, EvalPoint(3, x, t)).value for p in pair)
-                datum = sum(p.phi_rad(x) for p in pair)
-                worst = max(worst, abs(abs(amp) - abs(datum)) / abs(datum))
-        return worst <= 1e-4
+        x, t = np.array([1.0, 4.0]), np.array([[0.5], [5.0]])
+        amp = sum(evolve_rows(p, 3, x, t)[0] for p in pair)
+        datum = np.abs(sum(p.phi_rad(x) for p in pair))
+        return np.max(np.abs(np.abs(amp) - datum) / datum) <= 1e-4
     add("herglotz-modulus", herglotz_check)
 
     def gate_check():
@@ -368,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--K", type=int, default=1)
     p.add_argument("--z", type=float, default=40.0)
-    p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_special)
 
     p = sub.add_parser("propagate", help="evaluate the evolved datum")
@@ -376,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", required=True)
     p.add_argument("--t", required=True, help="grid a:b:num or v1,v2,...")
     p.add_argument("--x", required=True, help="grid a:b:num or v1,v2,...")
-    p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_propagate)
 
     p = sub.add_parser("norm", help="weighted norms and membership scans")
@@ -384,7 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--which", required=True, help="X or Y0..Yn")
     p.add_argument("--scan", default=None, help="alpha=a:b:step")
-    p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_norm)
 
     p = sub.add_parser("decay", help="decay-exponent fits")
@@ -394,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=0)
     p.add_argument("--x-abs", type=float, default=1.0)
     p.add_argument("--measure", default=None, help="JSON component file")
-    p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_decay)
 
     p = sub.add_parser("blowup", help="focusing L^q growth sweep")
@@ -402,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, required=True)
     p.add_argument("--q", type=float, required=True)
     p.add_argument("--tgrid", default="0.9:0.999:8")
-    p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_blowup)
 
     p = sub.add_parser("gate", help="space-time admissibility verdicts")
@@ -410,7 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--p", type=float, default=None)
     p.add_argument("--q", type=float, default=None)
-    p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_gate)
 
     p = sub.add_parser("appendix", help="singular-density superposition")
@@ -423,8 +404,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--q", type=float, default=2.0)
     p.add_argument("--r", type=float, default=2.0)
-    p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_appendix)
+
+    for name, p in sub.choices.items():
+        if name != "verify":
+            p.add_argument("--out", default=None)
 
     p = sub.add_parser("verify", help="run checks against shipped baselines")
     p.add_argument("--suite", choices=("fast", "all"), default="fast")

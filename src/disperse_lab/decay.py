@@ -18,7 +18,7 @@ import numpy as np
 from . import norms
 from .norms import DivergentNormError
 from .profiles import RadialProfile
-from .propagator import EvalPoint, evolve_radial, g_abs_integrals
+from .propagator import EvalPoint, evolve_rows, g_abs_integrals
 from .quadrature import linear_fit
 
 
@@ -75,17 +75,10 @@ def _components(datum) -> List[Tuple[complex, RadialProfile]]:
     return list(datum.components)
 
 
-def _effective_radius(datum) -> float:
-    rad = 0.0
-    for _, p in _components(datum):
-        rad = max(rad, p.support if p.support is not None
-                  else max(p.tail_start, 1.0))
-    return rad
-
-
-def _amp(datum, n: int, x_abs: float, t: float) -> float:
-    return abs(sum(w * evolve_radial(p, EvalPoint(n, x_abs, t)).value
-                   for w, p in _components(datum)))
+def _amp(datum, n: int, x_abs, t) -> np.ndarray:
+    """|psi| of the datum at the points (x_abs, t), which broadcast against
+    each other: one evolve_rows call per component."""
+    return np.abs(sum(w * evolve_rows(p, n, x_abs, t)[0] for w, p in _components(datum)))
 
 
 def time_decay_fit(profile, n: int, m: int, x_abs: float = 1.0,
@@ -103,8 +96,8 @@ def time_decay_fit(profile, n: int, m: int, x_abs: float = 1.0,
             raise DivergentNormError(
                 f"Y_{m} norm of {p.label} certified divergent in dimension "
                 f"{n}; run norms.membership_scan to locate the finite range")
-    radius = _effective_radius(profile)
-    gate = 10.0 * x_abs * radius
+    gate = 10.0 * x_abs * max(p.support if p.support is not None else max(p.tail_start, 1.0)
+                              for _, p in _components(profile))
     if t_grid is None:
         t_lo = max(gate, 0.5)
         t_grid = np.geomspace(t_lo, 1e3 * t_lo, 16)
@@ -112,8 +105,7 @@ def time_decay_fit(profile, n: int, m: int, x_abs: float = 1.0,
     if t_grid[0] < gate * (1.0 - 1e-9):
         raise ValueError(
             f"time grid must start in the large-time regime t >= {gate:g}")
-    probes = (x_abs, 2.0 * x_abs)
-    vals = [max(_amp(profile, n, x, t) for x in probes) for t in t_grid]
+    vals = _amp(profile, n, np.array([x_abs, 2.0 * x_abs]), t_grid[:, None]).max(axis=1)
     return _envelope_fit("time", t_grid, vals)
 
 
@@ -137,10 +129,9 @@ def space_decay_fit(profile, n: int,
         # dense enough that each octave's max-pool catches an oscillation peak
         x_grid = np.geomspace(0.5, 500.0, 40)
     x_grid = np.asarray(x_grid, dtype=float)
-    vals = []
-    for x in x_grid:
-        ts = t_probes if t_probes is not None else (0.5 * x, 2.0 * x, 8.0 * x)
-        vals.append(max(_amp(profile, n, x, t) for t in ts))
+    ts = (np.asarray(t_probes, dtype=float) if t_probes is not None
+          else x_grid[:, None] * np.array([0.5, 2.0, 8.0]))
+    vals = _amp(profile, n, x_grid[:, None], ts).max(axis=1)
     return _envelope_fit("space", x_grid, vals)
 
 
@@ -189,8 +180,7 @@ def superposition_bound(measure: DiscreteMeasure, n: int,
         raise ValueError(f"need 0 <= m <= n, got {m}")
     if pts is None:
         pts = [(x, t) for x in (0.5, 2.0, 8.0, 32.0) for t in (0.5, 4.0, 32.0)]
-    s_space = 0.0
-    s_time = 0.0
+    s_space = s_time = 0.0
     for w, p in measure.components:
         xn = sum(norms.norm_X(p, n))
         yn = norms.norm_Ym(p, n, n)
@@ -201,24 +191,19 @@ def superposition_bound(measure: DiscreteMeasure, n: int,
         s_space += abs(w) * (xn + yn)
         s_time += abs(w) * (ynm + yn)
 
-    c_space = 0.0
-    c_time = 0.0
-    lin_err = 0.0
-    samples = []
-    for x, t in pts:
-        a = _amp(measure, n, x, t)
-        # regression guard: scaling a component weight scales its contribution
-        w0, p0 = measure.components[0]
-        direct = evolve_radial(p0.scale(w0), EvalPoint(n, x, t)).value
-        expected = w0 * evolve_radial(p0, EvalPoint(n, x, t)).value
-        lin_err = max(lin_err, abs(direct - expected) / max(abs(expected), 1e-300))
-        samples.append((x, t, a))
-        c_space = max(c_space, a / ((1.0 + x) ** ((1 - n) / 2.0) * s_space))
-        c_time = max(c_time, a / ((1.0 + t) ** (-m / 2.0) * s_time))
-    return SuperpositionReport(n=n, m=m, norm_sum_space=s_space,
-                               norm_sum_time=s_time, c_space=c_space,
-                               c_time=c_time, linearity_err=lin_err,
-                               samples=samples)
+    x, t = np.array(pts, dtype=float).reshape(-1, 2).T
+    a = _amp(measure, n, x, t)
+    # regression guard: scaling a component weight scales its contribution
+    w0, p0 = measure.components[0]
+    direct = evolve_rows(p0.scale(w0), n, x, t)[0]
+    expected = w0 * evolve_rows(p0, n, x, t)[0]
+    lin_err = np.abs(direct - expected) / np.maximum(np.abs(expected), 1e-300)
+    return SuperpositionReport(
+        n=n, m=m, norm_sum_space=s_space, norm_sum_time=s_time,
+        c_space=float(np.max(a / ((1.0 + x) ** ((1 - n) / 2.0) * s_space), initial=0.0)),
+        c_time=float(np.max(a / ((1.0 + t) ** (-m / 2.0) * s_time), initial=0.0)),
+        linearity_err=float(np.max(lin_err, initial=0.0)),
+        samples=list(zip(x.tolist(), t.tolist(), a.tolist())))
 
 
 def theorem_constants(profile: RadialProfile, n: int, m: int,
@@ -246,13 +231,10 @@ def theorem_constants(profile: RadialProfile, n: int, m: int,
             if vel > 0:
                 xs |= {0.8 * vel * t, vel * t, 1.2 * vel * t}
             pts.extend((x, t) for x in xs)
-    c_time = 0.0
-    c_space = 0.0
-    for x, t in pts:
-        a = _amp(profile, n, x, t)
-        c_time = max(c_time, a / (math.sqrt(t) ** (m - n) * ym))
-        c_space = max(c_space, a / (x ** ((1 - n) / 2.0) * xn))
-    return c_time, c_space
+    x, t = np.array(pts, dtype=float).reshape(-1, 2).T
+    a = _amp(profile, n, x, t)
+    return (float(np.max(a / (np.sqrt(t) ** (m - n) * ym), initial=0.0)),
+            float(np.max(a / (x ** ((1 - n) / 2.0) * xn), initial=0.0)))
 
 
 # ---------------------------------------------------------------------------

@@ -4,21 +4,20 @@ The primary path evaluates the 1D oscillatory representation
 
     psi(x,t) = |x|^{(2-n)/2} t^{-1/2} e^{i(|x|^2/4t - n pi/4)}
                int_0^inf g(rho) e^{i rho^2} drho,
-    g(rho) = phi_rad(2 sqrt(t) rho) (2 sqrt(t) rho)^{n/2}
-             J_{(n-2)/2}(rho |x| / sqrt(t)),
+    g(rho) = phi_rad(gamma rho) (gamma rho)^{n/2} J_{(n-2)/2}(beta rho),
 
-splitting the Bessel kernel into its smooth-compact and oscillatory-
-asymptotic parts beyond the compact region so every numerical piece is
-non-oscillatory after contour rotation.  The real-axis head runs on rows
-between the profile's break radii, from the first, to the support's image
-or, for unbounded data, to rho_a = 1.5 tail_start/gamma, where the envelope
-may differ from tail_fn.  At |x|/sqrt(t) <= 2 everything beyond it
-runs on steepest-descent rays through tail_fn and the complex J_nu, at a
-cost that does not grow with t.  At |x|/sqrt(t) > 2 the rest is one
-special.bessel_split_integral (its split rule is there), whose e^{-iz} row
-passes its stationary point (beta - gamma omega)/2 on rays, at a cost that
-does not grow with |x|.  An exact spectral oracle (n = 3) serves as an
-independent check.
+where only gamma = 2 sqrt(t) and beta = |x|/sqrt(t) change from point to
+point: evolve_rows takes a grid of points as rows of the quadrature
+drivers, one call per regime present, and evolve_radial is its one-point
+call.  The real-axis head runs on rows between the profile's break radii,
+from the first, to the support's image or, for unbounded data, to rho_a =
+1.5 tail_start/gamma, where the envelope may differ from tail_fn.  At beta
+<= 2 everything beyond it runs on steepest-descent rays through tail_fn
+and the complex J_nu, at a cost that does not grow with t.  At beta > 2
+the rest is one special.bessel_split_integral (its split rule is there),
+whose e^{-iz} row passes its stationary point (beta - gamma omega)/2 on
+rays, at a cost that does not grow with |x|.  An exact spectral oracle
+(n = 3) serves as an independent check.
 """
 
 from __future__ import annotations
@@ -31,11 +30,30 @@ from scipy.special import comb
 
 from . import norms, special
 from .profiles import RadialProfile, require_finite
-from .quadrature import _EPS, osc_integral, refine_rows, rotated_tail
+from .quadrature import _EPS, osc_integral_rows, refine_rows, rotated_tail
 
 
 class DivergentTailError(ValueError):
     """Profile tail outside the admissible power-law window."""
+
+
+def check_points(n: int, x_abs, t):
+    """(x_abs, t) as float arrays broadcast against each other: the package's one
+    check of evaluation points.  ValueError unless n is a dimension (order_from_dim)
+    and all x_abs > 0, t > 0 and x_abs^2/(4t) are finite, naming the first bad point."""
+    special.order_from_dim(n)
+    x, t = np.asarray(x_abs, dtype=float), np.asarray(t, dtype=float)
+    if x.shape != t.shape:
+        x, t = np.broadcast_arrays(x, t)
+    with np.errstate(all="ignore"):
+        ok = (x > 0) & (t > 0) & np.isfinite(t) & np.isfinite(x * x / (4.0 * t))
+    if np.count_nonzero(ok) < ok.size:
+        xi, ti = x.flat[np.argmin(ok)], t.flat[np.argmin(ok)]
+        require_finite("evaluation point", x_abs=xi, t=ti)
+        why = ("phase x_abs^2/(4t) overflows at" if xi > 0 and ti > 0
+               else "need x_abs > 0 and t > 0, got")
+        raise ValueError(f"{why} x_abs={xi:g}, t={ti:g}")
+    return x, t
 
 
 @dataclass(frozen=True)
@@ -45,13 +63,7 @@ class EvalPoint:
     t: float
 
     def __post_init__(self):
-        special.order_from_dim(self.n)
-        require_finite("evaluation point", x_abs=self.x_abs, t=self.t)
-        if not (self.x_abs > 0 and self.t > 0):
-            raise ValueError("need x_abs > 0 and t > 0")
-        if not math.isfinite(self.x_abs * self.x_abs / (4.0 * self.t)):
-            raise ValueError(f"phase x_abs^2/(4t) overflows at x_abs={self.x_abs:g}, "
-                             f"t={self.t:g}")
+        check_points(self.n, self.x_abs, self.t)
 
 
 @dataclass
@@ -64,92 +76,118 @@ class ComplexAmplitude:
 _BETA_ROTATE = 2.0
 
 
-def _frame(pt: EvalPoint):
-    gamma = 2.0 * math.sqrt(pt.t)            # r = gamma * rho
-    beta = pt.x_abs / math.sqrt(pt.t)        # z = beta * rho
-    c = pt.x_abs / (2.0 * pt.t)              # z = c * r
-    return gamma, beta, c
+def _frame(x_abs, t):
+    """(gamma, beta, c): r = gamma rho, z = beta rho = c r; math.sqrt at numbers (one point)."""
+    root = np.sqrt(t) if isinstance(t, np.ndarray) else math.sqrt(t)
+    return 2.0 * root, x_abs / root, x_abs / (2.0 * t)
 
 
-def _prefactor(n: int, x_abs, t: float):
-    """(p, r): p = |x|^{(2-n)/2} t^{-1/2} e^{i(|x|^2/4t - n pi/4)}, x_abs may
-    be an array, and r a bound on the relative rounding of p and of two more
-    products with it: eps (8 + 2 (|x|^2/4t + n pi/4)), since the rounded
+def _prefactor(n: int, x_abs, t):
+    """(p, r): p = |x|^{(2-n)/2} t^{-1/2} e^{i(|x|^2/4t - n pi/4)}, x_abs and t
+    numbers or arrays, and r a bound on the relative rounding of p and of two
+    more products with it: eps (8 + 2 (|x|^2/4t + n pi/4)), since the rounded
     phase errs by up to 1.5 eps times its parts."""
     phase = x_abs ** 2 / (4.0 * t)
-    return (x_abs ** ((2 - n) / 2.0) / math.sqrt(t) * np.exp(1j * (phase - n * math.pi / 4.0)),
+    return (x_abs ** ((2 - n) / 2.0) / np.sqrt(t) * np.exp(1j * (phase - n * math.pi / 4.0)),
             _EPS * (8.0 + 2.0 * (phase + n * math.pi / 4.0)))
+
+
+def _by_row(v, copies: int = 1, k: int = 1):
+    """Row id -> the row's entry of v, for rows that take each entry k times
+    in turn, the run `copies` times over; a number v for all rows (one point)."""
+    return np.tile(v.repeat(k), copies).__getitem__ if isinstance(v, np.ndarray) else lambda row: v
+
+
+def evolve_rows(profile: RadialProfile, n: int, x_abs, t, tol: float = 1e-9):
+    """(values, err_est) of psi at the points (x_abs, t), which broadcast
+    against each other, as two arrays of their shape, by one driver call per
+    regime present; check_points checks the points."""
+    x, t = check_points(n, x_abs, t)
+    far = (x / np.sqrt(t) > _BETA_ROTATE) & (profile.support is None)
+    values, errs = np.empty(x.shape, dtype=complex), np.empty(x.shape)
+    for flag in np.unique(far):              # the regimes present
+        i = np.flatnonzero(far == flag)
+        values.flat[i], errs.flat[i] = _regime(profile, n, x.flat[i], t.flat[i], tol, flag)
+    return values, errs
 
 
 def evolve_radial(profile: RadialProfile, pt: EvalPoint,
                   tol: float = 1e-9) -> ComplexAmplitude:
-    """psi(x, t) via the oscillatory representation formula."""
-    n = pt.n
-    nu = special.order_from_dim(n)
-    gamma, beta, c = _frame(pt)
-    pref, rnd = _prefactor(n, pt.x_abs, pt.t)
+    """psi(x, t) at one point, checked when pt was made: the one-point call
+    of evolve_rows."""
+    x, t = float(pt.x_abs), float(pt.t)
+    far = profile.support is None and x / math.sqrt(t) > _BETA_ROTATE
+    return ComplexAmplitude(*_regime(profile, pt.n, x, t, tol, far))
 
-    def amplitude(val, err):
-        return ComplexAmplitude(pref * val, abs(pref) * err + rnd * abs(pref * val))
 
-    def g(rho):
-        r = gamma * rho
-        return profile.phi_rad(r) * r ** (n / 2.0) * special.bessel_j(nu, beta * rho)
+def _regime(profile: RadialProfile, n: int, x, t, tol: float, far: bool):
+    """psi and its estimate at points of one regime: compact data, unbounded
+    data at x/sqrt(t) <= 2, or (far) beyond; x and t 1-D arrays or, for one
+    point, numbers.  Each per-point constant is formed once, a number for
+    one point, else an array over the points."""
+    if profile.support is None:
+        if profile.tail_alpha is None or profile.tail_fn is None:
+            raise DivergentTailError(
+                f"profile {profile.label} has unbounded support and no tail descriptor")
+        if profile.tail_alpha <= (n - 3) / 2.0:
+            raise DivergentTailError(
+                f"tail exponent {profile.tail_alpha} <= (n-3)/2 = {(n - 3) / 2.0}: "
+                "representation integral not convergent")
+    nu = (n - 2) / 2.0
+    gamma, beta, c = _frame(x, t)
 
-    def f(rho):
-        return g(rho) * np.exp(1j * rho * rho)
+    def per_point(v, rows=1):
+        # a driver's output, row j of point i at j P + i, as the constants are
+        return v.reshape(rows, -1) if isinstance(x, np.ndarray) else v.tolist()
 
-    # the real-axis head ends at the support's image or, for unbounded data,
-    # at rho_a = 1.5 tail_start/gamma, below which the envelope may differ
-    # from tail_fn.  It runs on rows between the break radii below its end,
-    # from the first; the envelope is analytic on each, so each passes at
-    # its first rule
-    end = (profile.support if profile.support is not None
-           else profile.tail_start * 1.5) / gamma
-    edges = [x / gamma for x in profile.breaks if x / gamma < end] + [end]
-    span_coef = abs(profile.omega) * gamma + beta
+    def head(**layout):
+        # g(rho) e^{i rho^2}, rows -> points as _by_row(., **layout) has them
+        gam, bet = _by_row(gamma, **layout), _by_row(beta, **layout)
 
-    def head():
-        lo, hi = edges[:-1], edges[1:]
-        return osc_integral(f, lo, hi, [b * b - a * a + span_coef * (b - a)
-                                        for a, b in zip(lo, hi)], tol) if hi else (0j, 0.0)
+        def f(rho, row):
+            r = gam(row) * rho
+            return (profile.phi_rad(r) * r ** (n / 2.0) * special.bessel_j(nu, bet(row) * rho)
+                    * np.exp(1j * rho * rho))
+        return f
 
-    if profile.support is not None:
-        return amplitude(*head())
+    # the head's k rows, between the break radii below its end, from the
+    # first: the envelope is analytic on each, so each passes at its first rule
+    top = profile.support if profile.support is not None else profile.tail_start * 1.5
+    edges = [r / gamma for r in profile.breaks if r < top] + [top / gamma]
+    k = len(edges) - 1
+    if far:
+        # special.bessel_split_integral's head and Hankel rays in z = beta
+        # rho: (gamma rho)^{n/2} J_nu(z) = c^{-n/2} z^{n/2} J_nu(z), c = x/2t,
+        # so its tail rows (each point twice) carry c^{-n/2} tail_fn
+        # z^{(n-1)/2}; |tail_fn| does not increase
+        cn, gam, bet = (_by_row(v, copies=2) for v in (c ** (-n / 2.0), gamma, beta))
+        val, err = (per_point(v)[0] for v in special.bessel_split_integral(
+            n, head(k=k + 1), lambda rho, row: (cn(row) * profile.tail_fn(gam(row) * rho)
+                                                * special.cpow(bet(row) * rho, (n - 1) / 2.0)),
+            beta, np.transpose(edges), gamma * profile.omega, s=-(n - 1) / 2.0, tol=tol))
+    else:
+        val = err = 0.0
+        if k:
+            coef = abs(profile.omega) * gamma + beta
+            span = [b * b - a * a + coef * (b - a) for a, b in zip(edges, edges[1:])]
+            vals, errs = osc_integral_rows(head(copies=k), edges[:-1], edges[1:], span, tol)
+            # each point's rows, summed left to right
+            val, err = sum(per_point(vals, k)), sum(per_point(errs, k))
+        if profile.support is None:
+            # everything beyond rho_a runs on rays with the exact J_nu, so
+            # nothing is truncated and nothing grows with t
+            gam, bet = _by_row(gamma), _by_row(beta)
 
-    if profile.tail_alpha is None or profile.tail_fn is None:
-        raise DivergentTailError(
-            f"profile {profile.label} has unbounded support and no tail descriptor")
-    if profile.tail_alpha <= (n - 3) / 2.0:
-        raise DivergentTailError(
-            f"tail exponent {profile.tail_alpha} <= (n-3)/2 = {(n - 3) / 2.0}: "
-            "representation integral not convergent")
+            def h(rho, row):
+                r = gam(row) * rho
+                return (profile.tail_fn(r) * special.cpow(r, n / 2.0)
+                        * special.bessel_j_c(nu, bet(row) * rho))
 
-    if beta <= _BETA_ROTATE:
-        # everything beyond rho_a runs on rays with the exact J_nu, so
-        # nothing is truncated and nothing grows with t
-        val, err = head()
-
-        def h(rho, row):
-            r = gamma * rho
-            return (profile.tail_fn(r) * special.cpow(r, n / 2.0)
-                    * special.bessel_j_c(nu, beta * rho))
-
-        (tail,), (e_tail,) = rotated_tail(h, end, profile.omega * gamma, tol=tol)
-        return amplitude(val + tail, err + e_tail)
-
-    # beyond the band, special.bessel_split_integral's head and Hankel rays
-    # in z = beta rho: (gamma rho)^{n/2} J_nu(z) = c^{-n/2} z^{n/2} J_nu(z),
-    # so the tail carries c^{-n/2} tail_fn z^{(n-1)/2}; |tail_fn| does not increase
-    cn = c ** (-n / 2.0)
-
-    def amp(rho, row):
-        return cn * profile.tail_fn(gamma * rho) * special.cpow(beta * rho, (n - 1) / 2.0)
-
-    (val,), (err,) = special.bessel_split_integral(n, lambda rho, row: f(rho), amp, beta,
-                                                   edges, gamma * profile.omega,
-                                                   s=-(n - 1) / 2.0, tol=tol)
-    return amplitude(val, err)
+            tail, e_tail = (per_point(v)[0] for v in rotated_tail(
+                h, edges[-1], profile.omega * gamma, tol=tol))
+            val, err = val + tail, err + e_tail
+    pref, rnd = _prefactor(n, x, t)
+    return pref * val, abs(pref) * err + rnd * abs(pref * val)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +261,7 @@ def decompose_g(profile: RadialProfile, pt: EvalPoint) -> GDecomposition:
     Order m is the top Leibniz row of one envelope stack with the splitting
     stacks (special.splitting_stacks); at rho = 0, the one-sided limit."""
     n = pt.n
-    gamma, beta, c = _frame(pt)
+    gamma, beta, c = _frame(pt.x_abs, pt.t)
     cn = c ** (-n / 2.0)
     a1 = gamma * profile.omega
     a2 = gamma * (profile.omega + pt.x_abs / (2.0 * pt.t))
@@ -250,7 +288,7 @@ def g_abs_integrals(profile: RadialProfile, pt: EvalPoint, m: int) -> np.ndarray
     cut at the sign changes of each g_j^{(m)}, of constant phase where real
     data make it so (g_2, g_3 at odd n).  A panel left at the subpanel cap
     adds its last |change|, so each value errs upward."""
-    gamma, beta, _ = _frame(pt)
+    gamma, beta, _ = _frame(pt.x_abs, pt.t)
     dec = decompose_g(profile, pt)
     hi = math.inf if profile.support is None else profile.support / gamma
 
@@ -298,9 +336,7 @@ def solution_mass(profile: RadialProfile, n: int, t: float, r_max: float,
                   tol: float = 3e-6) -> float:
     """int_0^r_max |psi(r, t)|^2 r^{n-1} dr via the representation formula."""
     def f(xs):
-        vals = np.array([abs(evolve_radial(profile, EvalPoint(n, x, t)).value) ** 2
-                         for x in xs])
-        return vals * xs ** (n - 1)
+        return np.abs(evolve_rows(profile, n, xs, t)[0]) ** 2 * xs ** (n - 1)
 
     return _mass(f, r_max, t, tol)
 

@@ -216,8 +216,8 @@ def linear_fit(x, y):
 
 
 def _rows(*args):
-    """The arguments (numbers or 1-D arrays) as float arrays of one length."""
-    args = [np.array(v, dtype=float, ndmin=1) for v in args]
+    """The arguments (numbers, sequences or arrays) as flat float arrays of one length."""
+    args = [np.array(v, dtype=float, ndmin=1).ravel() for v in args]
     return np.broadcast_arrays(*args) if len({v.size for v in args}) > 1 else args
 
 
@@ -254,17 +254,13 @@ def osc_integral_rows(f, a, b, phase_span, tol: float = 1e-9,
     return values, errs
 
 
-def osc_integral(f, a, b, phase_span, tol: float = 1e-9, max_points: int = 600_000):
-    """Integrate f over [a, b] where f oscillates with total phase variation
-    phase_span, or over rows (a, b, phase_span sequences: say the pieces of
-    an interval cut where f is not analytic) by one osc_integral_rows call
-    that does not pass f the row.
-
-    Returns (value, error_estimate), each summed over the rows.
-    """
-    values, errs = osc_integral_rows(lambda x, row: f(x), a, b, phase_span,
-                                     tol, max_points)
-    return complex(sum(values.tolist())), float(sum(errs.tolist()))
+def osc_integral(f, a: float, b: float, phase_span: float, tol: float = 1e-9,
+                 max_points: int = 600_000):
+    """(value, error_estimate) of f over [a, b], where f oscillates with
+    total phase variation phase_span: one osc_integral_rows row, f(x) not
+    passed the row."""
+    values, errs = osc_integral_rows(lambda x, row: f(x), a, b, phase_span, tol, max_points)
+    return complex(values[0]), float(errs[0])
 
 
 # a ray's panels in tau/tau*, graded toward its start, where an endpoint power

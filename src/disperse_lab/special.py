@@ -321,9 +321,10 @@ def hankel_tail(n: int, amp, b, rho0, a, c2: float = 1.0, delta=0.0, s: float = 
     return values, errs
 
 
-def bessel_split_integral(n: int, head, amp, c, edges, a: float = 0.0, c2: float = 1.0,
+def bessel_split_integral(n: int, head, amp, c, edges, a=0.0, c2: float = 1.0,
                           s: float = 0.0, tol: float = 1e-9):
-    """Per entry i < m of c, int_{edges[i, 0]}^inf f(r) J_nu(c_i r) e^{i(c2 r^2 + a r)} dr:
+    """Per entry i < m of c (and of a, one number or one per entry),
+    int_{edges[i, 0]}^inf f(r) J_nu(c_i r) e^{i(c2 r^2 + a_i r)} dr:
     head(r, row), the whole integrand, on real-axis rows i k .. i k + k - 1
     between the k edges[i] and on to r0 = max(edges[i, -1], z0/c_i), then
     the two Hankel pieces of z^{n/2} J_nu(z), z = c_i r, as hankel_tail rows
@@ -337,15 +338,16 @@ def bessel_split_integral(n: int, head, amp, c, edges, a: float = 0.0, c2: float
     z0/sqrt(2), out of the band |z| < nu where the two rows are large and cancel.
     """
     c = np.array(c, dtype=float, ndmin=1)
+    a = np.full(c.size, a if c2 > 0 else -a, dtype=float)    # the tail's, per entry
     edges = np.array(edges, dtype=float, ndmin=2)
     m, k = edges.shape
     z0 = 10.0 if n % 2 == 0 else max(3.0, math.sqrt(2.0) * order_from_dim(n))
     r0 = np.maximum(edges[:, -1], z0 / c)
     lo, hi = edges.ravel(), np.concatenate([edges[:, 1:], r0[:, None]], 1).ravel()
-    span = abs(c2) * (hi * hi - lo * lo) + (abs(a) + c.repeat(k)) * (hi - lo)
+    span = abs(c2) * (hi * hi - lo * lo) + (np.abs(a) + c).repeat(k) * (hi - lo)
     heads, e_heads = osc_integral_rows(head, lo, hi, span, tol)
     tails, e_tails = hankel_tail(n, amp, np.concatenate([c, -c]), np.concatenate([r0, r0]),
-                                 a if c2 > 0 else -a, c2=abs(c2), s=s, tol=tol)
+                                 np.concatenate([a, a]), c2=abs(c2), s=s, tol=tol)
     tail = tails[:m] + tails[m:]
     return (heads.reshape(m, k).sum(1) + (tail if c2 > 0 else np.conj(tail)),
             e_heads.reshape(m, k).sum(1) + (e_tails[:m] + e_tails[m:]))

@@ -280,3 +280,12 @@ class TestLpqRegion:
         assert growth_bad > growth_good
         assert growth_good <= 1.2
         assert growth_bad >= 1.5
+
+    def test_shared_field_is_keyed_by_delta_and_n(self):
+        # the field's key once left out delta and n, so the second call read
+        # the first one's samples: 1.958 where a fresh call returns 1.057
+        args = (2.0, 4.0, (1.0, 10.0), 5.0)
+        field = {}
+        truncated_lplq(0.5, 3, *args, field=field, nx=4, nt=3)
+        got = truncated_lplq(0.2, 2, *args, field=field, nx=4, nt=3)
+        assert got == truncated_lplq(0.2, 2, *args, nx=4, nt=3)

@@ -167,6 +167,11 @@ class TestExitCodes:
         # m! overflows a float: this was a traceback
         (["special", "--mode", "fresnel", "--m", "171"],
          "need integer 0 <= m <= 170 (m! overflows a float past 170), got 171"),
+        # grids that hold one bad point: the message names it
+        (["propagate", "--n", "3", "--profile", "bump", "--t", "0,1", "--x", "1"],
+         "need x_abs > 0 and t > 0, got x_abs=1, t=0"),
+        (["propagate", "--n", "3", "--profile", "power:alpha=1.2", "--t", "1,2",
+          "--x", "1,1e200"], "phase x_abs^2/(4t) overflows at x_abs=1e+200, t=1"),
     ])
     def test_bad_input_is_two_with_one_error_line(self, argv, message, tmp_path,
                                                    capsys):

@@ -509,7 +509,7 @@ def _heads(monkeypatch, prof, pt):
     integrand f(x, row), its rows (a, b), the summed value and estimate, and
     the gl_rows rounds it took."""
     calls, rounds = [], [0]
-    osc, rows = propagator.osc_integral, special.osc_integral_rows
+    rows = special.osc_integral_rows
 
     def counted(*args, **kw):
         rounds[0] += 1
@@ -526,13 +526,11 @@ def _heads(monkeypatch, prof, pt):
                       float(np.sum(out[1])), rounds[0]))
         return out
 
-    def head(f, a, b, span, tol):
-        return record(lambda x, row: f(x), a, b, lambda: osc(f, a, b, span, tol))
-
     def head_rows(f, a, b, span, tol):
         return record(f, a, b, lambda: rows(f, a, b, span, tol))
 
-    monkeypatch.setattr(propagator, "osc_integral", head)
+    # the compact and x/sqrt(t) <= 2 heads, and those of bessel_split_integral
+    monkeypatch.setattr(propagator, "osc_integral_rows", head_rows)
     monkeypatch.setattr(special, "osc_integral_rows", head_rows)
     evolve_radial(prof, pt)
     return calls
@@ -571,6 +569,78 @@ class TestCutHeads:
         # split at x/sqrt(t) > 2
         assert a.size == (3 if x / math.sqrt(t) <= 2.0 else 4)
         assert rounds == 1
+
+
+def _row_profiles(n):
+    pair = profiles.herglotz_pair(1.0, n)
+    return {"bump-w0": profiles.bump(1.0, 2.0), "bump-w2": profiles.bump(1.0, 2.0, 2.0),
+            "gauss": profiles.gaussian(1.0), "power1.2": profiles.power(1.2),
+            "herglotz+": pair[0], "herglotz-": pair[1]}
+
+
+_ROW_CASES = [(label, n) for n in (2, 3, 4) for label in _row_profiles(n)]
+
+
+class TestEvolveRows:
+    """evolve_rows on a mesh of mixed t that holds compact, x/sqrt(t) <= 2
+    and x/sqrt(t) > 2 points: one driver call per regime, and each point
+    within the one-point call's estimate of its value."""
+
+    X, T = np.array([0.5, 3.0, 20.0]), np.array([[0.1], [10.0]])
+
+    @pytest.mark.parametrize("label,n", _ROW_CASES, ids=[f"{c[0]}-n{c[1]}" for c in _ROW_CASES])
+    def test_grid_matches_points(self, monkeypatch, label, n):
+        prof = _row_profiles(n)[label]
+        calls = {"rows": 0, "tail": 0, "split": 0}
+
+        def counted(name, fn):
+            def run(*args, **kw):
+                calls[name] += 1
+                return fn(*args, **kw)
+            return run
+
+        monkeypatch.setattr(propagator, "osc_integral_rows",
+                            counted("rows", propagator.osc_integral_rows))
+        monkeypatch.setattr(propagator, "rotated_tail", counted("tail", propagator.rotated_tail))
+        monkeypatch.setattr(special, "bessel_split_integral",
+                            counted("split", special.bessel_split_integral))
+        values, errs = propagator.evolve_rows(prof, n, self.X, self.T)
+        monkeypatch.undo()
+        assert values.shape == errs.shape == (2, 3)
+        # the real-axis head has rows where a break radius lies below its end
+        top = prof.support if prof.support is not None else 1.5 * prof.tail_start
+        heads = int(min(prof.breaks) < top)
+        unbounded = int(prof.support is None)
+        assert calls == {"rows": heads, "tail": unbounded, "split": unbounded}
+        for (i, j), value in np.ndenumerate(values):
+            x, t = self.X[j], self.T[i, 0]
+            one = evolve_radial(prof, EvalPoint(n, x, t))
+            assert abs(value - one.value) <= one.err_est, (x, t)
+            # a grid row shares its gl_rows blocks with other points' rows,
+            # so its sums round differently: an estimate that is all
+            # rounding (10-50 eps of the value on smooth data) moves by a
+            # few eps of the value
+            assert abs(errs[i, j] - one.err_est) <= (0.01 * one.err_est
+                                                     + 8 * np.finfo(float).eps * abs(one.value))
+            if label == "gauss":
+                assert abs(value - _mp_gaussian(n, 1.0, x, t)) <= errs[i, j], (x, t)
+
+    def test_one_point_is_evolve_radial(self):
+        # evolve_radial is the one-point call: the same numbers at a number
+        prof = profiles.herglotz_pair(1.0, 3)[0]
+        for x, t in ((0.5, 0.1), (20.0, 0.1), (3.0, 10.0)):
+            value, err = propagator.evolve_rows(prof, 3, x, t)
+            one = evolve_radial(prof, EvalPoint(3, x, t))
+            assert value.shape == err.shape == ()
+            assert abs(value - one.value) <= one.err_est
+
+    def test_names_the_first_bad_point(self):
+        with pytest.raises(ValueError, match=r"need x_abs > 0 and t > 0, got x_abs=2, t=0$"):
+            propagator.evolve_rows(profiles.bump(), 3, np.array([1.0, 2.0]), np.array([1.0, 0.0]))
+        with pytest.raises(ValueError, match=r"overflows at x_abs=1e\+200, t=1$"):
+            propagator.evolve_rows(profiles.bump(), 3, np.array([1.0, 1e200]), 1.0)
+        with pytest.raises(ValueError, match="got t=nan"):
+            propagator.evolve_rows(profiles.bump(), 3, 1.0, np.array([1.0, np.nan, 0.0]))
 
 
 _HONEST = settings(max_examples=40, deadline=None, derandomize=True, database=None)

@@ -12,7 +12,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from disperse_lab import quadrature
+from disperse_lab import profiles, propagator, quadrature, special
 from disperse_lab.quadrature import (_BLOCK_NODES, gk_nodes, gl_rows, osc_integral,
                                     osc_integral_rows, rotated_tail, trapezoid)
 
@@ -509,12 +509,31 @@ def test_hankel_tail_rows_come_from_special():
         assert not used & {"alpha_coeffs", "hankel_sum"}, name
 
 
-def test_split_bessel_integral_comes_from_special():
+def test_split_bessel_integral_comes_from_special(monkeypatch):
     # special.bessel_split_integral holds the split rule, the head rows and
     # the Hankel tail call of propagate and the chirped datum; hankel_tail's
     # one other caller is the appendix's large-x contour
     used = _names_outside("special.py", "appendix.py")
     for name, names in used.items():
         assert "hankel_tail" not in names, name
-    for name in ("propagator.py", "blowup.py"):
-        assert "osc_integral_rows" not in used[name], name
+    assert "osc_integral_rows" not in used["blowup.py"]
+    # propagate's own head rows end at the datum's head, 1.5 tail_start/gamma,
+    # never at a split point, and its x/sqrt(t) > 2 points reach
+    # bessel_split_integral, all in one call
+    calls = {"rows": [], "split": []}
+    rows, split = propagator.osc_integral_rows, special.bessel_split_integral
+
+    def spy_rows(f, a, b, *args):
+        calls["rows"].append(np.max(b))
+        return rows(f, a, b, *args)
+
+    def spy_split(n, head, amp, c, *args, **kw):
+        calls["split"].append(np.array(c))
+        return split(n, head, amp, c, *args, **kw)
+
+    monkeypatch.setattr(propagator, "osc_integral_rows", spy_rows)
+    monkeypatch.setattr(special, "bessel_split_integral", spy_split)
+    prof = profiles.herglotz_pair(1.0, 3)[0]
+    propagator.evolve_rows(prof, 3, np.array([0.5, 10.0, 30.0]), 1.0)
+    assert calls["rows"] == [pytest.approx(1.5 * prof.tail_start / 2.0, rel=1e-15)]
+    assert [c.tolist() for c in calls["split"]] == [[10.0, 30.0]]

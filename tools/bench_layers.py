@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Fixed-input timings of the quadrature routines, evolve_radial, the datum phi_rad, bessel_j, the focusing evaluation and the norms.
+"""Fixed-input timings of the quadrature routines, evolve_radial and evolve_rows, the datum phi_rad, bessel_j, the focusing evaluation and the norms.
 
     python3 tools/bench_layers.py --label NAME [--src DIR --src-label NAME] [--out F]
 
@@ -51,6 +51,10 @@ HEAD_NODES = (130, 520)
 BIG_BLOCK = 8192
 # J_0 past the Cephes range: the arguments of even-n compact heads at large x
 BESSEL_FAR = np.linspace(100.0, 3000.0, 2501)[1:]
+# 64-point grids at t = 1: bump(1, 2) from x = 0.5, and unbounded data at
+# x/sqrt(t) > 2; and the mass of bump(1, 2) within r = 30 at t = 1/2, a
+# third of criterion 3's first mass integral
+GRID_BUMP, GRID_FAR = np.linspace(0.5, 20.0, 64), np.linspace(2.5, 20.0, 64)
 
 
 def load(src: Path, name: str):
@@ -74,6 +78,14 @@ def annulus_points(Q):
         return 1.5 + Q.gk_nodes(16)[0]
     x, _ = np.polynomial.legendre.leggauss(16)
     return np.concatenate([1.5 + x, 1.0 + 0.5 * x, 2.0 + 0.5 * x])
+
+
+def grid(P, prof, n, xs):
+    """psi on the grid xs at t = 1: one evolve_rows call, or, in a tree
+    without it, a loop of one-point calls."""
+    if hasattr(P, "evolve_rows"):
+        return P.evolve_rows(prof, n, xs, 1.0)
+    return [P.evolve_radial(prof, P.EvalPoint(n, float(x), 1.0)) for x in xs]
 
 
 def cases(lib):
@@ -116,6 +128,10 @@ def cases(lib):
         "evolve_radial.bump_n4": lambda: P.evolve_radial(bump, P.EvalPoint(4, 5.16, 1.48)),
         "evolve_radial.gaussian_n2": lambda: P.evolve_radial(gauss, P.EvalPoint(2, 21.8, 0.22)),
         "bessel_j.nu0_far": lambda: lib.special.bessel_j(0.0, BESSEL_FAR),
+        "evolve_rows.bump_n3": lambda: grid(P, bump, 3, GRID_BUMP),
+        "evolve_rows.power_n2": lambda: grid(P, power, 2, GRID_FAR),
+        "evolve_rows.herglotz_n2": lambda: grid(P, herglotz2, 2, GRID_FAR),
+        "solution_mass.bump_n3": lambda: P.solution_mass(bump, 3, 0.5, 30.0),
         "chirp_values.n2_annulus": lambda: B._chirp_values(chirp[2], t, xs),
         "chirp_values.n3_annulus": lambda: B._chirp_values(chirp[3], t, xs),
         "chirp_values.n2_annulus_u2e-4": lambda: B._chirp_values(chirp[2], t_small, xs_small),
