@@ -4,13 +4,16 @@ The datum  phi(x) = e^{-i|x|^2/4} 1_{|x|>=1} |x|^{-sigma}  focuses at t = 1:
 near the focusing time the solution concentrates on an annulus of radius
 ~ k_t, with modulus ~ k_t^{sigma-n} and a universal limit profile V(z).
 The resulting L^q growth rates rule out space-time (Strichartz) estimates
-with data measured in L^r for every r > 2.  The solution is one
-special.bessel_split_integral (a real-axis head, then the two Hankel pieces
-of the kernel), preceded from any r_lo below r1 ~ 1/c by a power series.
+with data measured in L^r for every r > 2.  In s = k r, k = |q|^{1/2}, the
+radial integral from r_lo is k^{-mu-1} I(c/k) less its part below r_lo, where
+I(z) = int_0^infty s^mu J_nu(z s) e^{+-i s^2} ds is a Kummer function, summed
+with a certified bound (_kummer_values); what that bound cannot certify goes to
+special.bessel_split_integral (a real-axis head, then Hankel rows).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -25,6 +28,7 @@ from .quadrature import _EPS, refine_rows
 
 INF = math.inf
 _ORIGIN_TERMS = 20    # powers of i quad r^2 kept by _origin_series: 1/20! < 1e-18
+_KUMMER_TERMS = 64    # most terms of I(z)'s series; past z ~ 9 its rounding declines it anyway
 
 
 @dataclass(frozen=True)
@@ -86,20 +90,76 @@ def _origin_series(n: int, sigma: float, c, quad: float, r):
     return scale * ((wi @ coef) * xj[:, :-1]).sum(1), scale * ((wi @ err_coef) * xj).sum(1)
 
 
+@lru_cache(maxsize=None)
+def _kummer_table(n: int, sigma: float, sign: float):
+    """C_j, |C_j|, P, max(1, a/b) of I(z) = P z^nu sum_{j < _KUMMER_TERMS} C_j z^{2j}
+    = P z^nu M(a, b, -i sign z^2/4), a = (n - sigma)/2, b = n/2 (DLMF 10.22.52 at p^2 =
+    -i sign, 13.2.2; finite for sigma > (n-3)/2): C_j = (a)_j (-i sign/4)^j / ((b)_j j!),
+    one int / int rounded once (a = A/D), P = Gamma(a) e^{i sign pi a/2} / (2^b Gamma(b))."""
+    (A, D), num, den, mags = ((n - sigma) / 2.0).as_integer_ratio(), 1, 1, []
+    for j in range(_KUMMER_TERMS):
+        mags.append(num / den)
+        num, den = num * (A + j * D) * 2, den * D * (n + 2 * j) * (j + 1) * 4
+    a, b, mags = A / D, n / 2.0, np.array(mags)
+    pref = math.gamma(a) * cmath.exp(0.5j * sign * math.pi * a) / (2.0 ** b * math.gamma(b))
+    return mags * (-1j * sign) ** np.arange(_KUMMER_TERMS), mags, pref, max(1.0, a / b)
+
+
+def _kummer_values(n: int, sigma: float, c, quad: float):
+    """(values, errors) of k^{-mu-1} I(c/k), k = |quad|^{1/2}, per entry of c: the
+    terms j <= J, J the first where the largest z has |t_J| <= eps/4 sum |t_j| and
+    rho = max(1, a/b) (z^2/4)/(J+1) <= 1/2, which bounds every later term ratio.
+    Error: the tail |t_J| rho/(1 - rho), rounding eps ((J+1) sum |t_j| + 2 sum j |t_j|)
+    (w = z^2 is 4 units u = eps/2 off, w^j 4j u; the sum adds J u), and (8 + n) eps
+    of the value for the prefactor; inf past max(1, a/b) z^2/4 = _KUMMER_TERMS/2."""
+    coef, mags, pref, grow = _kummer_table(n, sigma, math.copysign(1.0, quad))
+    z = c / math.sqrt(abs(quad))
+    far = grow * z * z > 2.0 * _KUMMER_TERMS
+    z[far] = 0.0
+    j, w = np.arange(_KUMMER_TERMS), z * z
+    top = mags * np.max(w) ** j
+    done = (top <= 0.25 * _EPS * np.cumsum(top)) & (grow * np.max(w) <= 2.0 * (j + 1))
+    used = int(done.argmax()) + 1 if done.any() else _KUMMER_TERMS
+    pw = w[:, None] ** j[:used]
+    t = pw * mags[:used]
+    rho = grow * w / (4.0 * used)
+    scale = pref * abs(quad) ** (0.5 * (sigma - n / 2.0 - 1.0)) * z ** special.order_from_dim(n)
+    val = scale * (pw @ coef[:used])
+    err = np.abs(scale) * (t[:, -1] * rho / (1.0 - rho)
+                           + _EPS * (used * t.sum(1) + 2.0 * (t @ j[:used])))
+    return val, np.where(far, INF, err + (8 + n) * _EPS * np.abs(val))
+
+
 def _bessel_split_integral(n: int, sigma: float, c, quad: float, r_lo: float,
                            tol: float = 1e-9) -> Tuple[np.ndarray, np.ndarray]:
     """int_{r_lo}^infty r^{n/2-sigma} J_{(n-2)/2}(c r) e^{i quad r^2} dr for
     every entry of the array c; returns (values, error_estimates) per entry.
 
-    From any r_lo below r1 = min(1/c, |quad|^{-1/2}), _origin_series gives
-    [r_lo, r1] as S(r1) - S(r_lo), so every head starts near c r = 1; from
-    r1 on, one special.bessel_split_integral (its split rule is there).
-    quad may be negative (defocusing side); quad = 0 is rejected.
+    _kummer_values less _origin_series at r_lo (none at r_lo = 0) where c r_lo
+    <= 1, |quad| r_lo^2 <= 1 and the bound is at most 1e-3 tol of the value; the
+    other entries go as one batch to _split_quadrature.  quad may be negative
+    (defocusing side); quad = 0 is rejected.
     """
     if quad == 0.0:
         raise ValueError("quadratic phase must be nonzero")
-    nu = special.order_from_dim(n)
     c = np.array(c, dtype=float, ndmin=1)
+    val, err = np.zeros(c.size, complex), np.full(c.size, INF)
+    near = (c * r_lo <= 1.0) & (abs(quad) * r_lo * r_lo <= 1.0)
+    if near.any():
+        val[near], err[near] = _kummer_values(n, sigma, c[near], quad)
+        if r_lo > 0.0:
+            s, e = _origin_series(n, sigma, c[near], quad, np.full(near.sum(), r_lo))
+            val[near] -= s
+            err[near] += e + _EPS * np.abs(val[near])
+    rest = ~(err <= 1e-3 * tol * np.abs(val))
+    if rest.any():
+        val[rest], err[rest] = _split_quadrature(n, sigma, c[rest], quad, r_lo, tol)
+    return val, err
+
+
+def _split_quadrature(n, sigma, c, quad, r_lo, tol):
+    """_bessel_split_integral by _origin_series to r1, then special.bessel_split_integral."""
+    nu = special.order_from_dim(n)
 
     def head_f(r, row):
         return (r ** (n / 2.0 - sigma) * special.bessel_j(nu, c[row] * r)

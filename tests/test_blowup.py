@@ -62,11 +62,12 @@ class TestCollapse:
             dists.append(float(np.max(np.abs(cur - lim.v))))
         assert dists[0] > dists[1] > dists[2]
 
-    @pytest.mark.parametrize("n,sigma", [(2, 1.5), (3, 2.5), (5, 4.5), (6, 5.9)])
+    @pytest.mark.parametrize("n,sigma", [(2, 1.5), (3, 2.5), (5, 4.5), (6, 5.9), (4, 0.6)])
     def test_cli_limit_profile_is_certified(self, n, sigma):
         # sigma != n - 1: the integrand is r^{n-1-sigma} at r = 0, taken by
         # the series there; panels from r = 0 ran to their cap and read an
-        # error of up to 3e-2 of max V
+        # error of up to 3e-2 of max V; at (4, 0.6) the even-n Hankel
+        # truncation read 2.8e-2 of it before the closed form took z < 6-9
         prof = limit_profile(ChirpDatum(n, sigma), np.geomspace(0.05, 20.0, 120), tol=1e-7)
         assert np.max(prof.err) <= 1e-8 * np.max(prof.v)
 
@@ -345,6 +346,79 @@ class TestSineClosedForm:
         assert abs(_one_ray_reference(3, 1.0, z, 1.0, 0.0, z) - want) <= 1e-13 * abs(want)
 
 
+def _kummer_reference(n, sigma, c, q, r_lo):
+    """int_{r_lo}^inf r^mu J_nu(c r) e^{iqr^2} dr, mu = n/2 - sigma, to 30 digits:
+    k^{-mu-1} I(c/k), k = sqrt|q|, with I(z) = z^nu Gamma(a) e^{+-i pi a/2}
+    M(a, n/2, -+i z^2/4) / (2^{n/2} Gamma(n/2)), a = (n - sigma)/2, by
+    mpmath.hyp1f1, less int_0^{r_lo} by mpmath.quad in w = r^{n-sigma}, where
+    the integrand, r^{n-1-sigma} times a smooth function, tends to a constant."""
+    with mpmath.workdps(30):
+        n_, s_, c, q = (mpmath.mpf(v) for v in (n, sigma, c, q))
+        k, a, b, mu = mpmath.sqrt(abs(q)), (n_ - s_) / 2, n_ / 2, n_ / 2 - s_
+        z, sign, nu = c / k, (1 if q > 0 else -1), (n_ - 2) / 2
+        v = (k ** (-mu - 1) * z ** nu * mpmath.gamma(a) * mpmath.expjpi(sign * a / 2)
+             / (2 ** b * mpmath.gamma(b)) * mpmath.hyp1f1(a, b, -1j * sign * z * z / 4))
+        if r_lo:
+            p = 1 / (n_ - s_)
+            with mpmath.workdps(20):        # agrees with 30 digits to 1e-21
+                v -= mpmath.quad(lambda w: p * mpmath.besselj(nu, c * w ** p)
+                                 * mpmath.expj(q * w ** (2 * p)) * w ** (p * (mu + 1) - 1),
+                                 [0, r_lo ** (n_ - s_)])
+        return complex(v)
+
+
+def _quadrature_entries(monkeypatch):
+    """The c of every entry that reaches special.bessel_split_integral."""
+    seen = []
+    inner = special.bessel_split_integral
+
+    def spy(n, head, amp, c, *args, **kw):
+        seen.extend(np.atleast_1d(c))
+        return inner(n, head, amp, c, *args, **kw)
+
+    monkeypatch.setattr(special, "bessel_split_integral", spy)
+    return seen
+
+
+class TestKummerClosedForm:
+    """_bessel_split_integral takes an entry in closed form, k^{-mu-1} I(c/k)
+    less the origin series to r_lo, where its bound is at most 1e-3 tol of its
+    value; the other entries go to the quadrature."""
+
+    Z = np.array([0.05, 0.3, 1.5, 3.0, 5.0, 7.0, 12.0])
+
+    @pytest.mark.parametrize("n,sigma", [(n, s) for n in range(2, 10)
+                                         for s in ((n - 3) / 2.0 + 0.05, n - 0.1)])
+    def test_every_entry_within_its_estimate(self, n, sigma, monkeypatch):
+        # sigma near both ends of ((n-3)/2, n), at n = 2 below 0 (a > b); the
+        # focusing (t = 0.999) and defocusing (t = 2) sides from r = 1, and
+        # the limit-profile frame (q = 1) and t = 2 from r = 0
+        for t, r_lo in ((0.999, 1.0), (2.0, 1.0), (0.2, 0.0), (2.0, 0.0)):
+            q = 1.0 / (4.0 * t) - 0.25
+            c = math.sqrt(abs(q)) * self.Z
+            seen = _quadrature_entries(monkeypatch)
+            got, err = blowup._bessel_split_integral(n, sigma, c, q, r_lo)
+            want = np.array([_kummer_reference(n, sigma, cc, q, r_lo) for cc in c])
+            assert np.all(np.abs(got - want) <= err)
+            quad = np.isin(c, seen)
+            assert quad[self.Z > 10].all()
+            assert not quad[(self.Z <= 1.5) & (c * r_lo <= 1.0)].any()
+            assert np.all(err[~quad] <= 1e-12 * np.abs(got[~quad]))
+
+    @pytest.mark.parametrize("n,sigma", [(2, 1.05), (3, 1.95), (4, 0.6)])
+    def test_series_range_at_the_lower_end_decides(self, n, sigma, monkeypatch):
+        # from r = 1 at t < 1/5 (|q| > 1) the origin series cannot take
+        # [0, 1], so every entry goes to the quadrature; from r = 0 none does
+        q = 1.0 / (4.0 * 0.1) - 0.25
+        c = 1.5 * np.array([0.05, 0.3, 1.5])
+        for r_lo, reached in ((1.0, True), (0.0, False)):
+            seen = _quadrature_entries(monkeypatch)
+            got, err = blowup._bessel_split_integral(n, sigma, c, q, r_lo)
+            assert np.all(np.isin(c, seen) == reached)
+            want = np.array([_kummer_reference(n, sigma, cc, q, r_lo) for cc in c])
+            assert np.all(np.abs(got - want) <= err)
+
+
 class TestOneSplitRule:
     """special.bessel_split_integral is the one place that splits the Bessel
     integral: propagate and the chirped datum start their Hankel rows at the
@@ -361,7 +435,9 @@ class TestOneSplitRule:
 
         monkeypatch.setattr(special, "hankel_tail", recorded)
         propagator.evolve_radial(profiles.power(n / 2.0 + 0.3), propagator.EvalPoint(n, 10.0, 1.0))
-        blowup._bessel_split_integral(n, n - 1.0, [0.5, 2.0], 1.0, 0.0)
+        # Bessel arguments where the closed form declines, so both entries
+        # reach the quadrature path
+        blowup._bessel_split_integral(n, n - 1.0, [12.0, 20.0], 1.0, 0.0)
         assert len(starts) == 2
         for z in starts:
             assert z == pytest.approx(np.full(z.size, z0), rel=1e-14)

@@ -46,6 +46,10 @@ ROUNDS = 400
 FOCUS_SIGMA = {2: 1.05, 3: 1.95}
 FOCUS_U = (1e-3, 2e-4)
 Z_GRID = np.geomspace(0.3, 3.0, 25)
+# the CLI blowup command's limit-profile grid, at its tol 1e-7, at n = 2 and
+# at n = 4, where the even-n Hankel truncation once set its error
+CLI_Z_GRID = np.geomspace(0.05, 20.0, 120)
+CLI_SIGMA = {2: 1.05, 4: 0.6}
 # the block sizes that evolve_radial heads pass to phi_rad, and one large block
 HEAD_NODES = (130, 520)
 BIG_BLOCK = 8192
@@ -103,6 +107,7 @@ def cases(lib):
     t, t_small = (1.0 - u for u in FOCUS_U)
     xs, xs_small = (B.SelfSimilarFrame(tt).x_of_z(annulus_points(Q)) for tt in (t, t_small))
     chirp = {n: B.ChirpDatum(n, s) for n, s in FOCUS_SIGMA.items()}
+    chirp_cli = {n: B.ChirpDatum(n, s) for n, s in CLI_SIGMA.items()}
     table = {
         "rotated_tail.one_ray": lambda: Q.rotated_tail(one, 0.5, 1.0),
         "rotated_tail.stationary": lambda: Q.rotated_tail(one, 0.5, -3.0),
@@ -138,6 +143,8 @@ def cases(lib):
         "chirp_values.n3_annulus_u2e-4": lambda: B._chirp_values(chirp[3], t_small, xs_small),
         "limit_profile.n2": lambda: B.limit_profile(B.ChirpDatum(2, 1.0), Z_GRID),
         "limit_profile.n3": lambda: B.limit_profile(B.ChirpDatum(3, 2.0), Z_GRID),
+        "limit_profile.cli_n2": lambda: B.limit_profile(chirp_cli[2], CLI_Z_GRID, tol=1e-7),
+        "limit_profile.cli_n4": lambda: B.limit_profile(chirp_cli[4], CLI_Z_GRID, tol=1e-7),
         # the octave panels at n = 3: a smooth power law, and bump(1, 2),
         # whose X and Y_1 integrands have kinks inside panels
         "norm_X.power_n3": lambda: N.norm_X(power15, 3),
